@@ -1,18 +1,10 @@
 // Microbenchmark: structure-aware tiered execution (rewriting/structure.h).
 //
-// Two layers per fast tier, each pitted against the forced-general path
-// on the identical input:
-//
-//  * Phase-1 keep-test sweep — every canonical database of a hand-built
-//    semi-interval workload processed with the tier forced to 0 vs 1, so
-//    the grid verdict cache's skip rate is visible in isolation (no
-//    Phase 2, no memo);
+//  * Keep-test and Phase-1 sweeps over a hand-built semi-interval
+//    workload on the general path (no Phase 2, no memo);
 //  * end-to-end rewrite — the full pipeline under forced tier 0 vs the
-//    auto-routed tier, with the rewriting output compared before timing
+//    acyclic tier, with the rewriting output compared before timing
 //    starts: a tier that changed the answer aborts the row.
-//
-// The tier1-vs-tier0 ratio of the SemiInterval rows is the acceptance
-// number recorded in results/BENCH_tiered_execution.json.
 
 #include <cstdlib>
 #include <string>
@@ -31,11 +23,9 @@
 
 namespace {
 
-// Dense semi-interval workload: 5 variables + 1 grid constant = 4683
-// total orders, but only ~1.2k grid classes.  Every atom uses the one
-// predicate r, so the keep test joins 10 atoms against a 10-row
-// self-join — expensive to refute — and that refutation is exactly what
-// the grid cache amortizes across a class.
+// Dense semi-interval workload: 5 variables + 1 constant = 4683 total
+// orders.  Every atom uses the one predicate r, so the keep test joins 10
+// atoms against a 10-row self-join — expensive to refute.
 const char* const kSemiIntervalQuery =
     "q(X0) :- r(X0,X1), r(X1,X2), r(X2,X3), r(X3,X4), r(X0,X2), r(X1,X3), "
     "r(X2,X4), r(X0,X3), r(X1,X4), r(X0,X4), X0 < 10, X1 < 10, X2 >= 10, "
@@ -65,16 +55,10 @@ cqac::ViewSet AcyclicViews() {
 
 // The keep-test layer in isolation: per canonical database, decide
 // whether the query computes its frozen head.  Orders are materialized up
-// front so both rows measure verdict computation, not enumeration.  The
-// tier0 row freezes and evaluates every order; the tier1 row builds the
-// grid key first and only freezes/evaluates one representative per grid
-// class — the acceptance ratio for the semi-interval tier.  Seven
-// variables against a single grid constant give 545835 orders but only
-// ~45k grid classes (92% hit rate), and the 60 distinct-predicate atoms
-// make freezing the canonical database the dominant, uniform per-order
-// cost — exactly the work a grid hit skips (a single-relation self-join
-// body instead concentrates its cost in rare classes, which caps the
-// amortization; its exponential tail is what tier 1 cannot fix).
+// front so the row measures verdict computation, not enumeration.  Seven
+// variables against a single constant give 545835 orders, and the
+// 60 distinct-predicate atoms make freezing the canonical database the
+// dominant, uniform per-order cost.
 const char* const kKeepTestQuery =
     "q(X0) :- c0(X0,X1), c1(X1,X2), c2(X2,X3), c3(X3,X4), c4(X4,X5), "
     "c5(X5,X6), d0(X0,X2), d1(X1,X3), d2(X2,X4), d3(X3,X5), d4(X4,X6), "
@@ -88,83 +72,38 @@ const char* const kKeepTestQuery =
     "p2(X5,X2), p3(X6,X3), "
     "X0 < 10, X2 < 10, X4 >= 10, X6 >= 10";
 
-int64_t KeptUnderKeepTest(const std::vector<cqac::TotalOrder>& orders,
-                          cqac::CanonicalFreezer& freezer,
-                          const cqac::PreparedQuery& prepared,
-                          cqac::PreparedQuery::Scratch& scratch,
-                          cqac::GridVerdictCache* cache, std::string& key) {
-  int64_t kept = 0;
-  for (const cqac::TotalOrder& order : orders) {
-    if (cache != nullptr) {
-      cache->BuildKey(order, &key);
-      if (const std::optional<bool> verdict = cache->Get(key)) {
-        kept += *verdict;
-        continue;
-      }
-    }
-    const cqac::FlatInstance& inst = freezer.Freeze(order);
-    const bool computes =
-        prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
-    if (cache != nullptr) cache->Put(key, computes);
-    kept += computes;
-  }
-  return kept;
-}
-
 void BM_SemiIntervalKeepTest(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));  // 0 off, 1 cold, 2 warm
   const cqac::ConjunctiveQuery query =
       cqac::Parser::MustParseRule(kKeepTestQuery);
-  const std::vector<cqac::Rational> constants = query.Constants();
   const std::vector<cqac::TotalOrder> orders =
-      cqac::EnumerateTotalOrders(query.AllVariables(), constants);
+      cqac::EnumerateTotalOrders(query.AllVariables(), query.Constants());
   cqac::CanonicalFreezer freezer(query);
-  freezer.PrimeDictionary(constants, query.AllVariables().size());
   const cqac::PreparedQuery prepared(query);
   cqac::PreparedQuery::Scratch scratch;
-  std::string key;
-  const int64_t reference = KeptUnderKeepTest(orders, freezer, prepared,
-                                              scratch, nullptr, key);
-  // Warm mode measures a pre-populated cache — the cross-request
-  // steady state the catalog's cached plan produces — so every probe hits.
-  cqac::GridVerdictCache warm(query.AllVariables());
-  if (mode == 2) {
-    KeptUnderKeepTest(orders, freezer, prepared, scratch, &warm, key);
-  }
   int64_t kept = 0;
-  size_t classes = 0;
   for (auto _ : state) {
-    // A cold cache per iteration is the honest single-request cost.
-    cqac::GridVerdictCache cold(query.AllVariables());
-    cqac::GridVerdictCache* cache =
-        mode == 0 ? nullptr : (mode == 1 ? &cold : &warm);
-    kept = KeptUnderKeepTest(orders, freezer, prepared, scratch, cache, key);
-    classes = cache != nullptr ? cache->size() : 0;
+    kept = 0;
+    for (const cqac::TotalOrder& order : orders) {
+      const cqac::FlatInstance& inst = freezer.Freeze(order);
+      kept += prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
+    }
     benchmark::DoNotOptimize(kept);
-  }
-  if (kept != reference) {
-    state.SkipWithError("grid-cached keep verdicts diverge from tier0");
-    return;
   }
   state.counters["orders"] = static_cast<double>(orders.size());
   state.counters["kept"] = static_cast<double>(kept);
-  state.counters["grid_classes"] = static_cast<double>(classes);
 }
 
-// Phase-1 keep-test sweep under a forced tier.  The RewriteWork is
-// rebuilt per iteration so every measured sweep starts from a cold grid
-// cache — the honest single-request cost; cross-request warmth belongs to
-// the catalog benches.
+// Phase-1 keep-test sweep on the general path: every canonical database
+// of the semi-interval workload through ProcessCanonicalDatabase (no
+// Phase 2, no memo).
 void BM_SemiIntervalPhase1(benchmark::State& state) {
-  const int tier = static_cast<int>(state.range(0));
   const cqac::ConjunctiveQuery query =
       cqac::Parser::MustParseRule(kSemiIntervalQuery);
   const cqac::ViewSet views = SemiIntervalViews();
-  cqac::RewriteOptions options;
-  options.force_tier = tier;
-  int64_t dbs = 0, kept = 0, hits = 0, misses = 0;
+  const cqac::RewriteOptions options;
+  int64_t dbs = 0, kept = 0;
   for (auto _ : state) {
-    dbs = kept = hits = misses = 0;
+    dbs = kept = 0;
     const cqac::RewriteWork work =
         cqac::PrepareRewriteWork(query, views, options);
     cqac::ForEachTotalOrder(
@@ -174,16 +113,12 @@ void BM_SemiIntervalPhase1(benchmark::State& state) {
           const cqac::DatabaseOutcome out =
               cqac::ProcessCanonicalDatabase(work, order, nullptr);
           kept += out.stats.kept_canonical_databases;
-          hits += out.stats.tier1_grid_hits;
-          misses += out.stats.tier1_grid_misses;
           benchmark::DoNotOptimize(out);
           return true;
         });
   }
   state.counters["canonical_dbs"] = static_cast<double>(dbs);
   state.counters["kept_dbs"] = static_cast<double>(kept);
-  state.counters["grid_hits"] = static_cast<double>(hits);
-  state.counters["grid_misses"] = static_cast<double>(misses);
 }
 
 // Runs the full rewriter once under `tier` and returns the result.
@@ -230,19 +165,9 @@ void BM_AcyclicRewrite(benchmark::State& state) {
   RewriteTierRow(state, query, AcyclicViews());
 }
 
-BENCHMARK(BM_SemiIntervalKeepTest)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SemiIntervalPhase1)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SemiIntervalRewrite)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SemiIntervalKeepTest)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SemiIntervalPhase1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SemiIntervalRewrite)->Arg(0)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AcyclicRewrite)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -26,7 +26,7 @@ std::string PlanSignature(const RewriteOptions& o) {
   sig += o.coalesce_output ? 'C' : 'c';
   sig += o.minimize_output ? 'M' : 'm';
   // The execution tier is resolved at PrepareRewriteWork time and baked
-  // into the plan (grid cache, acyclic plan), so plans compiled under
+  // into the plan (the acyclic plan), so plans compiled under
   // different forced tiers must never alias.
   sig += 'T';
   sig += std::to_string(o.force_tier);
@@ -255,6 +255,23 @@ std::optional<RewriteResult> ViewCatalog::ProbeSemantic(
         incoming.end()) {
       return std::nullopt;
     }
+  }
+
+  // A fresh run orders atoms, comparisons, order blocks and disjuncts by
+  // variable name, so the renamed replay is byte-identical only when the
+  // renaming keeps the relative order of every variable of the cached
+  // rewriting (the query's, and the fresh ones, which stay put).
+  std::vector<std::pair<std::string, std::string>> mapped;  // cached -> new
+  mapped.reserve(incoming.size() + entry->extra_vars.size());
+  for (size_t i = 0; i < incoming.size(); ++i) {
+    mapped.emplace_back(entry->vars[i], incoming[i]);
+  }
+  for (const std::string& extra : entry->extra_vars) {
+    mapped.emplace_back(extra, extra);
+  }
+  std::sort(mapped.begin(), mapped.end());
+  for (size_t i = 1; i < mapped.size(); ++i) {
+    if (!(mapped[i - 1].second < mapped[i].second)) return std::nullopt;
   }
 
   Substitution rename;

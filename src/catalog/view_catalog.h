@@ -25,8 +25,9 @@
 //  * an alpha-normalized semantic result cache in front of it all: the
 //    NormalizedQueryKey of the query plus the result-relevant options
 //    maps to the finished rewriting, so a repeated query — even one that
-//    merely alpha-renames a cached one — short-circuits the entire
-//    algorithm at parse+render cost.  Replayed results carry the original
+//    merely alpha-renames a cached one with an order-preserving renaming
+//    of its variable names — short-circuits the entire algorithm at
+//    parse+render cost.  Replayed results carry the original
 //    run's configuration-invariant counters, so rendered output is
 //    byte-identical to a fresh run.
 //

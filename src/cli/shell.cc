@@ -163,10 +163,10 @@ void Shell::CmdRewrite(const std::string& args) {
       }
     } else if (flag.rfind("force-tier=", 0) == 0) {
       const std::string value = flag.substr(11);
-      if (value == "0" || value == "1" || value == "2" || value == "-1") {
+      if (value == "0" || value == "2" || value == "-1") {
         options.force_tier = std::stoi(value);
       } else {
-        out_ << "warning: force-tier expects 0, 1, 2 or -1; flag ignored\n";
+        out_ << "warning: force-tier expects 0, 2 or -1; flag ignored\n";
       }
     } else {
       out_ << "warning: unknown flag '" << flag << "' ignored\n";
@@ -213,8 +213,6 @@ void Shell::CmdRewrite(const std::string& args) {
        << result.stats.phase2_checks << " phase-2 checks\n";
   if (print_stats) {
     out_ << "tier: " << result.tier << " (" << result.tier_reason << "); "
-         << result.stats.tier1_grid_hits << " grid hits, "
-         << result.stats.tier1_grid_misses << " grid misses, "
          << result.stats.tier2_jointree_evals << " join-tree evals\n";
     out_ << "phase-1: " << result.stats.canonical_databases
          << " databases visited, "
@@ -253,8 +251,6 @@ void Shell::CmdRewrite(const std::string& args) {
          << ", \"phase1_memo_misses\": " << result.stats.phase1_memo_misses
          << ", \"tier\": " << result.tier
          << ", \"tier_reason\": \"" << result.tier_reason << "\""
-         << ", \"tier1_grid_hits\": " << result.stats.tier1_grid_hits
-         << ", \"tier1_grid_misses\": " << result.stats.tier1_grid_misses
          << ", \"tier2_jointree_evals\": " << result.stats.tier2_jointree_evals
          << ", \"enumeration_ns\": " << result.stats.enumeration_ns
          << ", \"freeze_ns\": " << result.stats.freeze_ns
@@ -421,7 +417,7 @@ void Shell::CmdHelp() {
           "                        flags: verify explain coalesce minimize\n"
           "                               stats json\n"
           "                               jobs=N (0 = all cores, 1 = serial)\n"
-          "                               force-tier=N (0|1|2, -1 = auto)\n"
+          "                               force-tier=N (0|2, -1 = auto)\n"
           "  contained-rewrite     union of contained rewritings\n"
           "  let <name> <rule>     bind a rule to a name\n"
           "  contained <n1> <n2>   containment test\n"

@@ -7,7 +7,6 @@
 #include "containment/homomorphism.h"
 #include "containment/normalization.h"
 #include "engine/canonical.h"
-#include "engine/coded_eval.h"
 #include "engine/evaluate.h"
 #include "engine/jointree.h"
 
@@ -53,21 +52,9 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
   // Compile both sides once: q1's subgoals freeze into a flat instance per
   // order, q2 runs as a prepared plan against it.  Head arities match, so
   // ComputesTuple's arity precheck cannot fire.
-  //
-  // The plan normally executes on the coded columnar engine: the
-  // dictionary is primed with every value the enumeration can surface,
-  // so each order costs a delta freeze plus an all-integer evaluation
-  // with zero heap allocations.  The row engine remains reachable for
-  // the differential lattice.
   CanonicalFreezer freezer(q1);
   const PreparedQuery prepared(q2);
   PreparedQuery::Scratch scratch;
-  CodedEvaluator coded(&prepared.plan());
-  const bool use_row_engine = internal::RowEngineForced();
-  if (!use_row_engine) {
-    freezer.PrimeDictionary(constants, q1.AllVariables().size());
-    coded.BindTo(&freezer);
-  }
 
   // Prefix-pruned, symmetry-reduced enumeration: swapping two
   // interchangeable q1 variables maps each canonical database to an
@@ -90,11 +77,8 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
         const bool computes =
             q2_plan != nullptr
                 ? q2_plan->Run(inst, freezer.frozen_head(), &jointree_scratch)
-                : (use_row_engine
-                       ? prepared.Run(inst, &freezer.frozen_head(), nullptr,
-                                      &scratch)
-                       : coded.Run(freezer, /*match_frozen_head=*/true,
-                                   nullptr));
+                : prepared.Run(inst, &freezer.frozen_head(), nullptr,
+                               &scratch);
         if (!computes) {
           contained = false;
           return false;  // Counterexample found; stop enumerating.
@@ -264,18 +248,6 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
     prepared.emplace_back(disjunct);
   }
   PreparedQuery::Scratch scratch;
-  // Coded engine per disjunct (evaluators hold plan pointers, so the
-  // prepared vector must not grow past this point).
-  const bool use_row_engine = internal::RowEngineForced();
-  std::vector<CodedEvaluator> coded;
-  if (!use_row_engine) {
-    freezer.PrimeDictionary(constants, q.AllVariables().size());
-    coded.reserve(prepared.size());
-    for (const PreparedQuery& pq : prepared) {
-      coded.emplace_back(&pq.plan());
-      coded.back().BindTo(&freezer);
-    }
-  }
 
   // Same orbit argument as CqacContainedCanonical: "some disjunct
   // computes the frozen head" is a per-order verdict derived from the
@@ -294,16 +266,11 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
         }
         const FlatInstance& inst = freezer.Freeze(order);
         bool some_disjunct_computes = false;
-        for (size_t i = 0; i < prepared.size(); ++i) {
-          const PreparedQuery& pq = prepared[i];
+        for (const PreparedQuery& pq : prepared) {
           if (pq.head_arity() != static_cast<int>(freezer.frozen_head().size())) {
             continue;  // ComputesTuple skips arity-mismatched disjuncts.
           }
-          const bool computes =
-              use_row_engine
-                  ? pq.Run(inst, &freezer.frozen_head(), nullptr, &scratch)
-                  : coded[i].Run(freezer, /*match_frozen_head=*/true, nullptr);
-          if (computes) {
+          if (pq.Run(inst, &freezer.frozen_head(), nullptr, &scratch)) {
             some_disjunct_computes = true;
             break;
           }

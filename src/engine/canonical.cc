@@ -96,79 +96,7 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
   for (const Term& t : q.head().args()) head_.push_back(compile_term(t));
   var_values_.resize(var_slots_.size());
   var_blocks_.resize(var_slots_.size());
-  var_codes_.resize(var_slots_.size());
   rel_epochs_.resize(instance_.NumRelations(), 0);
-
-  // The coded twin: same relation ids, fixed row capacity (one row per
-  // owning subgoal).  Subgoal/head constants join the dictionary now;
-  // block values join via PrimeDictionary or on first sight.
-  rows_per_relation.resize(instance_.NumRelations(), 0);
-  for (uint32_t rel = 0; rel < instance_.NumRelations(); ++rel) {
-    columnar_.AddRelation(instance_.Arity(rel), rows_per_relation[rel]);
-  }
-  for (const CompiledSubgoal& sg : subgoals_) {
-    for (const CompiledTerm& t : sg.terms) {
-      if (t.is_const) dict_.Add(t.value);
-    }
-  }
-  for (const CompiledTerm& t : head_) {
-    if (t.is_const) dict_.Add(t.value);
-  }
-  dict_.Rebuild();
-  RecodeConstTerms();
-}
-
-void CanonicalFreezer::RecodeConstTerms() {
-  for (CompiledSubgoal& sg : subgoals_) {
-    for (CompiledTerm& t : sg.terms) {
-      if (t.is_const) t.code = dict_.Find(t.value);
-    }
-  }
-  for (CompiledTerm& t : head_) {
-    if (t.is_const) t.code = dict_.Find(t.value);
-  }
-}
-
-void CanonicalFreezer::WriteCodeRow(const CompiledSubgoal& sg) {
-  for (size_t k = 0; k < sg.terms.size(); ++k) {
-    const CompiledTerm& t = sg.terms[k];
-    columnar_.Set(sg.relation, sg.row, static_cast<int>(k),
-                  t.is_const ? t.code : var_codes_[t.slot]);
-  }
-}
-
-void CanonicalFreezer::RecodeAll() {
-  RecodeConstTerms();
-  if (epoch_ == 0) return;  // Nothing frozen yet; nothing derived to fix.
-  for (size_t b = 0; b < block_values_.size(); ++b) {
-    block_codes_[b] = dict_.Find(block_values_[b]);
-  }
-  for (size_t s = 0; s < var_values_.size(); ++s) {
-    var_codes_[s] = dict_.Find(var_values_[s]);
-  }
-  for (const CompiledSubgoal& sg : subgoals_) WriteCodeRow(sg);
-  frozen_head_codes_.clear();
-  for (const CompiledTerm& t : head_) {
-    frozen_head_codes_.push_back(t.is_const ? t.code : var_codes_[t.slot]);
-  }
-}
-
-void CanonicalFreezer::PrimeDictionary(const std::vector<Rational>& constants,
-                                       size_t num_vars) {
-  SeedCanonicalValuePool(num_vars, constants, &dict_);
-  if (dict_.has_staged()) {
-    dict_.Rebuild();
-    RecodeAll();
-  }
-}
-
-void CanonicalFreezer::AddDictionaryValues(const Rational* values, size_t n) {
-  bool any_new = false;
-  for (size_t i = 0; i < n; ++i) any_new |= dict_.Add(values[i]);
-  if (any_new) {
-    dict_.Rebuild();
-    RecodeAll();
-  }
 }
 
 void CanonicalFreezer::LoadOrder(const TotalOrder& order, bool track) {
@@ -193,38 +121,12 @@ void CanonicalFreezer::LoadOrder(const TotalOrder& order, bool track) {
       }
     }
   }
-
-  // Resolve block codes; a miss means an unseeded value surfaced, so the
-  // dictionary grows and every cached code (constant terms, columnar
-  // rows) must be re-derived.  Primed runs never take this branch after
-  // construction.
-  dict_rebuilt_ = false;
-  block_codes_.resize(block_values_.size());
-  bool missing = false;
-  for (size_t b = 0; b < block_values_.size(); ++b) {
-    block_codes_[b] = dict_.Find(block_values_[b]);
-    missing |= block_codes_[b] == ValueDictionary::kNotFound;
-  }
-  if (missing) {
-    for (const Rational& v : block_values_) dict_.Add(v);
-    dict_.Rebuild();
-    RecodeConstTerms();
-    for (size_t b = 0; b < block_values_.size(); ++b) {
-      block_codes_[b] = dict_.Find(block_values_[b]);
-    }
-    dict_rebuilt_ = true;
-  }
-  for (size_t s = 0; s < var_blocks_.size(); ++s) {
-    var_codes_[s] = block_codes_[var_blocks_[s]];
-  }
 }
 
 void CanonicalFreezer::RebuildHead() {
   frozen_head_.clear();
-  frozen_head_codes_.clear();
   for (const CompiledTerm& t : head_) {
     frozen_head_.push_back(t.is_const ? t.value : var_values_[t.slot]);
-    frozen_head_codes_.push_back(t.is_const ? t.code : var_codes_[t.slot]);
   }
 }
 
@@ -241,18 +143,12 @@ const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
         break;
       }
     }
-    if (!touched) {
-      // Untouched rows keep their values, but a mid-run dictionary
-      // rebuild renumbers every code, so their coded rows go stale.
-      if (dict_rebuilt_) WriteCodeRow(sg);
-      continue;
-    }
+    if (!touched) continue;
     Rational* row = instance_.MutableRow(sg.relation, sg.row);
     for (size_t k = 0; k < sg.terms.size(); ++k) {
       const CompiledTerm& t = sg.terms[k];
       row[k] = t.is_const ? t.value : var_values_[t.slot];
     }
-    WriteCodeRow(sg);
     rel_epochs_[sg.relation] = epoch_;
     ++rewritten;
   }
@@ -277,7 +173,6 @@ const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
       row_.push_back(t.is_const ? t.value : var_values_[t.slot]);
     }
     instance_.AddRow(sg.relation, row_.data());
-    WriteCodeRow(sg);
   }
   for (uint64_t& e : rel_epochs_) e = epoch_;
   RebuildHead();

@@ -9,10 +9,8 @@
 
 #include "ast/query.h"
 #include "constraints/orders.h"
-#include "engine/columnar.h"
 #include "engine/database.h"
 #include "engine/evaluate.h"
-#include "engine/value_dict.h"
 
 namespace cqac {
 
@@ -96,36 +94,6 @@ class CanonicalFreezer {
   /// The instance last produced by Freeze/FreezeFull.
   const FlatInstance& instance() const { return instance_; }
 
-  /// The coded twin of instance(): every Freeze also writes each frozen
-  /// value's dictionary code into a column-major ColumnarInstance with
-  /// the same relation ids.  This is what CodedEvaluator runs over.
-  const ColumnarInstance& columnar() const { return columnar_; }
-
-  /// The dictionary coding this freezer's values.  Subgoal and head
-  /// constants are interned at construction; block values are interned
-  /// on first sight (forcing a recode) unless PrimeDictionary was called.
-  const ValueDictionary& dictionary() const { return dict_; }
-
-  /// frozen_head() in dictionary codes.
-  const std::vector<uint32_t>& frozen_head_codes() const {
-    return frozen_head_codes_;
-  }
-
-  /// Seeds the dictionary with every value any total order over at most
-  /// `num_vars` variables and exactly `constants` can produce
-  /// (SeedCanonicalValuePool), so no later Freeze ever triggers a
-  /// mid-run rebuild — the steady-state zero-allocation guarantee of the
-  /// coded path.  Call once, before the enumeration loop, with the
-  /// run's merged constants (the same set handed to the order
-  /// enumerator) and variable count.
-  void PrimeDictionary(const std::vector<Rational>& constants,
-                       size_t num_vars);
-
-  /// Interns extra values (e.g. a prepared plan's constants) into the
-  /// dictionary, recoding current state when anything was new.  Used by
-  /// CodedEvaluator::BindTo.
-  void AddDictionaryValues(const Rational* values, size_t n);
-
   /// Monotone counter: the number of Freeze/FreezeFull calls so far.
   uint64_t epoch() const { return epoch_; }
 
@@ -161,7 +129,6 @@ class CanonicalFreezer {
     bool is_const;
     uint32_t slot;   // variable slot when !is_const
     Rational value;  // constant value when is_const
-    uint32_t code = 0;  // dictionary code of value (refreshed on rebuild)
   };
   struct CompiledSubgoal {
     uint32_t relation;
@@ -171,18 +138,8 @@ class CanonicalFreezer {
 
   /// Refreshes block_values_/block_reps_/var_blocks_/var_values_ from
   /// `order`; when `track` is set, changed_ records which slots moved.
-  /// Also resolves per-block and per-slot dictionary codes, growing the
-  /// dictionary (and setting dict_rebuilt_) when a block value is new.
   void LoadOrder(const TotalOrder& order, bool track);
   void RebuildHead();
-  /// Re-resolves subgoal/head constant codes after a dictionary rebuild.
-  void RecodeConstTerms();
-  /// Writes subgoal `sg`'s code row into the columnar instance.
-  void WriteCodeRow(const CompiledSubgoal& sg);
-  /// Rewrites all derived codes (slots, columnar rows, head) from the
-  /// current values — used when the dictionary is rebuilt outside
-  /// LoadOrder (PrimeDictionary/AddDictionaryValues after a Freeze).
-  void RecodeAll();
 
   std::unordered_map<std::string, uint32_t> var_slots_;
   std::vector<std::string> slot_names_;
@@ -198,14 +155,6 @@ class CanonicalFreezer {
   Tuple frozen_head_;
   uint64_t epoch_ = 0;
   std::vector<uint64_t> rel_epochs_;  // relation id -> last-changed epoch
-
-  // Coded twin state.
-  ValueDictionary dict_;
-  ColumnarInstance columnar_;
-  std::vector<uint32_t> block_codes_;  // block index -> code (last order)
-  std::vector<uint32_t> var_codes_;    // slot -> code (last order)
-  std::vector<uint32_t> frozen_head_codes_;
-  bool dict_rebuilt_ = false;  // set by LoadOrder when a block value was new
 };
 
 }  // namespace cqac

@@ -96,13 +96,11 @@ class FlatInstance {
   std::vector<RelationData> relations_;
 };
 
-/// The retained row engine over a compiled QueryPlan: evaluates tuple at
-/// a time over `Rational` values, against either a generic `Database` or
-/// a row-major `FlatInstance`.  The coded columnar engine (coded_eval.h)
-/// executes the same plan over dictionary codes and is the production
-/// path for canonical databases; this engine remains the general-purpose
-/// evaluator (arbitrary databases, values outside any dictionary) and the
-/// reference side of the row-vs-columnar differential suite.
+/// The evaluator over a compiled QueryPlan: evaluates tuple at a time over
+/// `Rational` values, against either a generic `Database` or a row-major
+/// `FlatInstance`.  It is the one engine for canonical databases (the
+/// Phase-1 keep test, view tuples, and containment); the T2 tier swaps in
+/// AcyclicPlan (jointree.h) for comparison-free acyclic queries.
 ///
 /// PreparedQuery is immutable after construction and safe to share across
 /// threads; all per-run state lives in a caller-owned Scratch.  Hash
@@ -148,9 +146,6 @@ class PreparedQuery {
            Scratch* scratch) const;
 
   int head_arity() const { return static_cast<int>(plan_.head.size()); }
-
-  /// The shared compiled plan (also executed by CodedEvaluator).
-  const QueryPlan& plan() const { return plan_; }
 
  private:
   bool RunCommon(const Tuple* target, Relation* out, Scratch* scratch) const;

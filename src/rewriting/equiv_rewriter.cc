@@ -11,7 +11,6 @@
 #include "constraints/orders.h"
 #include "containment/cqac_containment.h"
 #include "engine/canonical.h"
-#include "engine/coded_eval.h"
 #include "engine/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -126,8 +125,6 @@ void RewriteStats::Merge(const RewriteStats& other) {
   phase2_orders += other.phase2_orders;
   phase1_memo_hits += other.phase1_memo_hits;
   phase1_memo_misses += other.phase1_memo_misses;
-  tier1_grid_hits += other.tier1_grid_hits;
-  tier1_grid_misses += other.tier1_grid_misses;
   tier2_jointree_evals += other.tier2_jointree_evals;
   enumeration_ns += other.enumeration_ns;
   freeze_ns += other.freeze_ns;
@@ -147,8 +144,6 @@ void RecordRewriteMetrics(const RewriteStats& stats) {
   registry.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
   registry.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
   registry.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
-  registry.counter("tier1_grid.hits").Add(stats.tier1_grid_hits);
-  registry.counter("tier1_grid.misses").Add(stats.tier1_grid_misses);
   registry.counter("tier2.jointree_evals").Add(stats.tier2_jointree_evals);
 }
 
@@ -205,10 +200,6 @@ RewriteWork PrepareRewriteWork(
   {
     CQAC_TRACE_SPAN("structure.tier");
     work.tier = ResolveTier(ClassifyStructure(query, views), options.force_tier);
-    if (work.tier.tier != ExecutionTier::kGeneral) {
-      work.grid_cache =
-          std::make_shared<GridVerdictCache>(query.AllVariables());
-    }
     if (work.tier.tier == ExecutionTier::kAcyclic) {
       if (std::optional<AcyclicPlan> plan = AcyclicPlanFor(query)) {
         work.acyclic_plan =
@@ -284,15 +275,10 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     std::optional<CanonicalFreezer> freezer;
     std::optional<ViewTupleEvaluator> evaluator;
     std::optional<FrozenTupleMatcher> matcher;
-    // Coded keep-test over work.prepared_query's plan; only valid while
-    // work_id matches (the plan pointer dies with the RewriteWork).
-    std::optional<CodedEvaluator> coded;
     PreparedQuery::Scratch scratch;
     AcyclicPlan::Scratch jointree;
-    std::string grid_key;
   };
   static thread_local Phase1Cache cache;
-  const bool use_row_engine = internal::RowEngineForced();
   if (cache.work_id != work.work_id) {
     cache.freezer.emplace(work.query);
     cache.evaluator.emplace(work.views);
@@ -300,62 +286,21 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     mcd_tuples.reserve(work.mcds.size());
     for (const Mcd& mcd : work.mcds) mcd_tuples.push_back(mcd.view_tuple);
     cache.matcher.emplace(std::move(mcd_tuples), *cache.freezer);
-    cache.coded.reset();
-    if (!use_row_engine) {
-      // Prime with the run's merged constants (the same set the order
-      // enumerator uses): no order can then surface an unseen value, so
-      // steady-state keep-tests allocate nothing.
-      cache.freezer->PrimeDictionary(work.constants,
-                                     work.query.AllVariables().size());
-      cache.coded.emplace(&work.prepared_query.plan());
-      cache.coded->BindTo(&*cache.freezer);
-    }
     cache.work_id = work.work_id;
   }
   bool computes_head;
-  bool grid_miss = false;
   {
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
-    // T1/T2 grid cache: the keep verdict is a pure function of the
-    // order's grid class (soundness argument at GridVerdictCache), so a
-    // cached skip needs neither the freeze nor the evaluation, and a
-    // cached keep still freezes (downstream steps read the instance) but
-    // skips the evaluation.  Explain runs bypass the cache, like the
-    // Phase-1 memo, so every database's trace stays complete.
-    std::optional<bool> cached;
-    const bool use_grid = work.grid_cache != nullptr && !options.explain;
-    if (use_grid) {
-      work.grid_cache->BuildKey(order, &cache.grid_key);
-      cached = work.grid_cache->Get(cache.grid_key);
-      if (cached.has_value()) {
-        ++out.stats.tier1_grid_hits;
-      } else {
-        grid_miss = true;
-        ++out.stats.tier1_grid_misses;
-      }
-      if (cached.has_value() && !*cached) {
-        out.stats.freeze_ns += NowNs() - freeze_t0;
-        out.status = DatabaseOutcome::Status::kSkipped;
-        return out;
-      }
-    }
     const FlatInstance& inst = cache.freezer->Freeze(order);
-    if (cached.has_value()) {
-      computes_head = true;  // A cached keep verdict; skip the evaluation.
-    } else if (work.acyclic_plan != nullptr) {
+    if (work.acyclic_plan != nullptr) {
       computes_head = work.acyclic_plan->Run(
           inst, cache.freezer->frozen_head(), &cache.jointree);
       ++out.stats.tier2_jointree_evals;
     } else {
-      computes_head =
-          (use_row_engine || !cache.coded.has_value())
-              ? work.prepared_query.Run(inst, &cache.freezer->frozen_head(),
-                                        nullptr, &cache.scratch)
-              : cache.coded->Run(*cache.freezer, /*match_frozen_head=*/true,
-                                 nullptr);
+      computes_head = work.prepared_query.Run(
+          inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
     }
-    if (grid_miss) work.grid_cache->Put(cache.grid_key, computes_head);
     out.stats.freeze_ns += NowNs() - freeze_t0;
   }
   if (!computes_head) {

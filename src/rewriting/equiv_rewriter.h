@@ -98,8 +98,8 @@ struct RewriteOptions {
   int jobs = 1;
 
   /// Pins the execution tier chosen by the structural classifier
-  /// (rewriting/structure.h): -1 (the default) routes automatically; 0, 1
-  /// or 2 force that tier *when its eligibility precondition holds* and
+  /// (rewriting/structure.h): -1 (the default) routes automatically; 0 or
+  /// 2 force that tier *when its eligibility precondition holds* and
   /// fall back to the general path otherwise, so a forced sweep over an
   /// arbitrary corpus stays sound.  A testing hook — tiers are
   /// byte-compatible on results, so forcing only changes speed and the
@@ -136,12 +136,8 @@ struct RewriteStats {
   int64_t phase1_memo_hits = 0;          // databases served from the memo
   int64_t phase1_memo_misses = 0;        // databases computed in full
 
-  // Tier-engine counters (rewriting/structure.h).  The T1/T2 grid
-  // hit/miss split is schedule-dependent under the parallel driver (like
-  // the phase1_memo split) and excluded from differential signatures;
-  // all three are zero on a T0 run.
-  int64_t tier1_grid_hits = 0;       // keep verdicts replayed from the cache
-  int64_t tier1_grid_misses = 0;     // grid classes evaluated in full
+  // Tier-engine counter (rewriting/structure.h); zero on a T0 run and
+  // excluded from differential signatures.
   int64_t tier2_jointree_evals = 0;  // keep tests run on the AcyclicPlan
 
   // Per-phase wall time, in nanoseconds of std::chrono::steady_clock.
@@ -168,15 +164,17 @@ struct RewriteStats {
 /// v3: per-rewrite records gained `semantic_cache_hit`, batch records the
 /// `catalog_*` counter block (catalog/view_catalog.h).
 /// v4: per-rewrite records gained `tier` / `tier_reason` and the per-tier
-/// counters `tier1_grid_hits` / `tier1_grid_misses` /
-/// `tier2_jointree_evals`; batch records aggregate the same counters
+/// counters (a tier-1 grid-cache hit/miss pair and
+/// `tier2_jointree_evals`); batch records aggregate the same counters
 /// (rewriting/structure.h).
 /// v5: per-rewrite records gained `phase2_orders` and `trace_id` (the
 /// request's 128-bit trace id, obs/request_context.h); the service's
 /// `counters` object caught up with the per-rewrite shape (tier fields
 /// included) and responses carry top-level `trace_id` / `tier`
 /// (server/protocol.h, docs/SERVICE.md).
-inline constexpr int kStatsJsonSchemaVersion = 5;
+/// v6: the semi-interval tier 1 and its grid-cache hit/miss counters
+/// were removed; `tier` is 0 or 2.
+inline constexpr int kStatsJsonSchemaVersion = 6;
 
 enum class RewriteOutcome {
   kRewritingFound,
@@ -214,8 +212,8 @@ struct RewriteResult {
   /// not go through a catalog.
   uint64_t catalog_epoch = 0;
 
-  /// The execution tier the run was routed to (0 = general, 1 =
-  /// semi-interval, 2 = acyclic core) and the classifier's explanation.
+  /// The execution tier the run was routed to (0 = general, 2 = acyclic
+  /// core) and the classifier's explanation.
   /// Purely observational: tiers are byte-compatible on everything above.
   int tier = 0;
   std::string tier_reason;
@@ -272,10 +270,6 @@ struct RewriteWork {
   /// The structural routing decision for this (query, views, options)
   /// triple, resolved against options.force_tier (rewriting/structure.h).
   TierDecision tier;
-
-  /// T1/T2 only: keep-test verdicts keyed by grid class, shared by all
-  /// workers of a run and, through a catalog plan, across requests.
-  std::shared_ptr<GridVerdictCache> grid_cache;
 
   /// T2 only: the compiled join-tree evaluator replacing the general
   /// keep-test and Phase-2 per-order evaluation (engine/jointree.h).

@@ -79,8 +79,7 @@ bool MatchesFrozenViewTuple(const Atom& mcd_tuple, const ViewTuples& tuples,
 ViewTupleEvaluator::ViewTupleEvaluator(const ViewSet& views) {
   views_.reserve(views.views().size());
   for (const ConjunctiveQuery& view : views.views()) {
-    PerView pv{view.name(),  PreparedQuery(view), {}, {}, std::nullopt,
-               Relation(), 0};
+    PerView pv{view.name(), PreparedQuery(view), {}, {}, Relation(), 0};
     std::set<std::pair<std::string, int>> seen;
     for (const Atom& atom : view.body()) {
       if (seen.emplace(atom.predicate(), atom.arity()).second) {
@@ -92,8 +91,7 @@ ViewTupleEvaluator::ViewTupleEvaluator(const ViewSet& views) {
   }
 }
 
-void ViewTupleEvaluator::Refresh(CanonicalFreezer& freezer) {
-  const bool use_row_engine = internal::RowEngineForced();
+void ViewTupleEvaluator::Refresh(const CanonicalFreezer& freezer) {
   if (!rel_ids_resolved_) {
     for (PerView& pv : views_) {
       pv.rel_ids.reserve(pv.referenced.size());
@@ -102,12 +100,6 @@ void ViewTupleEvaluator::Refresh(CanonicalFreezer& freezer) {
         // Relations absent from the query's instance stay empty forever;
         // they can never make the view stale.
         if (rel != SymbolInterner::kNotFound) pv.rel_ids.push_back(rel);
-      }
-      if (!use_row_engine) {
-        // views_ stopped moving at construction's end, so plan pointers
-        // are stable from here on.
-        pv.coded.emplace(&pv.plan.plan());
-        pv.coded->BindTo(&freezer);
       }
     }
     rel_ids_resolved_ = true;
@@ -121,11 +113,7 @@ void ViewTupleEvaluator::Refresh(CanonicalFreezer& freezer) {
     }
     if (stale) {
       pv.output = Relation();
-      if (use_row_engine || !pv.coded.has_value()) {
-        pv.plan.Run(freezer.instance(), nullptr, &pv.output, &scratch_);
-      } else {
-        pv.coded->Run(freezer, /*match_frozen_head=*/false, &pv.output);
-      }
+      pv.plan.Run(freezer.instance(), nullptr, &pv.output, &scratch_);
       pv.evaluated_epoch = freezer.epoch();
     }
     total_ += pv.output.size();

@@ -7,11 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include <optional>
-
 #include "ast/atom.h"
 #include "engine/canonical.h"
-#include "engine/coded_eval.h"
 #include "engine/evaluate.h"
 #include "rewriting/view_set.h"
 
@@ -79,11 +76,8 @@ class ViewTupleEvaluator {
 
   /// Brings every view's cached output up to date with `freezer`'s current
   /// instance.  The freezer must be the same object across calls (change
-  /// epochs are compared against it).  Non-const because the coded engine
-  /// interns the views' constants into the freezer's dictionary on first
-  /// refresh; ground outputs are decoded back to `Rational` relations, so
-  /// downstream consumers (FrozenTupleMatcher, unfreezing) are unchanged.
-  void Refresh(CanonicalFreezer& freezer);
+  /// epochs are compared against it).
+  void Refresh(const CanonicalFreezer& freezer);
 
   int view_count() const { return static_cast<int>(views_.size()); }
   const std::string& view_name(int i) const { return views_[i].name; }
@@ -106,10 +100,6 @@ class ViewTupleEvaluator {
     /// referenced resolved against the freezer's instance (stable: the
     /// instance's relation set is fixed at freezer construction).
     std::vector<uint32_t> rel_ids;
-    /// Coded engine over `plan`'s compiled form; constructed on first
-    /// Refresh (after views_ stops moving, so the plan pointer is
-    /// stable) unless the row engine is forced.
-    std::optional<CodedEvaluator> coded;
     Relation output;
     uint64_t evaluated_epoch = 0;  // 0 = never evaluated
   };

@@ -192,8 +192,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << summary.rewrite.kept_canonical_databases
         << ", \"phase1_memo_hits\": " << summary.rewrite.phase1_memo_hits
         << ", \"phase1_memo_misses\": " << summary.rewrite.phase1_memo_misses
-        << ", \"tier1_grid_hits\": " << summary.rewrite.tier1_grid_hits
-        << ", \"tier1_grid_misses\": " << summary.rewrite.tier1_grid_misses
         << ", \"tier2_jointree_evals\": "
         << summary.rewrite.tier2_jointree_evals
         << ", \"enumeration_ns\": " << summary.rewrite.enumeration_ns

@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -16,7 +17,7 @@ thread_local const ThreadPool* tls_worker_pool = nullptr;
 }  // namespace
 
 int ThreadPool::ResolveJobs(int jobs) {
-  if (jobs > 0) return jobs;
+  if (jobs != 0) return std::max(jobs, 1);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

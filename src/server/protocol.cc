@@ -230,8 +230,9 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
   }
   if (response.has_counters) {
     // Mirrors the shell's per-rewrite record (docs/SYNTAX.md) so service
-    // consumers and --json consumers read one shape; schema v5 adds the
-    // tier attribution fields and phase2_orders.
+    // consumers and --json consumers read one shape; schema v5 added the
+    // tier attribution fields and phase2_orders, v6 dropped the tier-1
+    // grid counters.
     const RewriteStats& s = response.stats;
     out += ", \"counters\": {\"schema_version\": " +
            std::to_string(kStatsJsonSchemaVersion) + ", \"outcome\": ";
@@ -250,10 +251,7 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
            ", \"tier\": " + std::to_string(response.tier) +
            ", \"tier_reason\": ";
     AppendJsonString(&out, response.tier_reason);
-    out += ", \"tier1_grid_hits\": " + std::to_string(s.tier1_grid_hits) +
-           ", \"tier1_grid_misses\": " +
-           std::to_string(s.tier1_grid_misses) +
-           ", \"tier2_jointree_evals\": " +
+    out += ", \"tier2_jointree_evals\": " +
            std::to_string(s.tier2_jointree_evals) +
            ", \"enumeration_ns\": " + std::to_string(s.enumeration_ns) +
            ", \"freeze_ns\": " + std::to_string(s.freeze_ns) +

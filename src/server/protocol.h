@@ -53,9 +53,9 @@
 //                              // or server-stamped for old clients)
 //    "counters": {...},        // status=ok, job ran: the per-rewrite
 //                              // schema_version record of docs/SYNTAX.md
-//                              // (schema v5: + tier, tier_reason, grid /
-//                              // join-tree counters, phase2_orders)
-//    "tier": 1,                // structural tier that served the job
+//                              // (schema v6: tier, tier_reason,
+//                              // join-tree counter, phase2_orders)
+//    "tier": 2,                // structural tier that served the job
 //    "catalog_epoch": 7,       // catalog-served only: epoch of the
 //    "semantic_cache_hit": 1,  //   serving catalog + whether the result
 //                              //   replayed from the semantic cache

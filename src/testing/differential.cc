@@ -4,7 +4,6 @@
 
 #include "catalog/view_catalog.h"
 #include "containment/homomorphism.h"
-#include "engine/coded_eval.h"
 #include "runtime/memo_cache.h"
 
 namespace cqac {
@@ -17,7 +16,6 @@ std::string LatticeConfig::Name() const {
   if (memo_cache) out << " memo";
   if (legacy_orders) out << " legacy-orders";
   if (legacy_homomorphism) out << " legacy-homomorphism";
-  if (row_engine) out << " row-engine";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
   if (force_tier >= 0) out << " tier" << force_tier;
@@ -58,14 +56,6 @@ std::vector<LatticeConfig> FullConfigLattice() {
     hom.jobs = jobs;
     hom.legacy_homomorphism = true;
     lattice.push_back(hom);
-    // The columnar engine is the production default, so the plain
-    // jobs=1 / jobs=4 points above already exercise columnar and
-    // columnar_parallel; these force the retained row engine under the
-    // same schedulers, pitting the two engines per input.
-    LatticeConfig row;
-    row.jobs = jobs;
-    row.row_engine = true;
-    lattice.push_back(row);
   }
   LatticeConfig both_legacy;  // the two legacy engines interacting
   both_legacy.legacy_orders = true;
@@ -81,20 +71,12 @@ std::vector<LatticeConfig> FullConfigLattice() {
   catalog_parallel.use_catalog = true;
   catalog_parallel.jobs = 4;
   lattice.push_back(catalog_parallel);
-  // Tier lattice (rewriting/structure.h): forced-general anchor plus each
-  // fast tier, serial and (for the grid cache, whose sharing is
-  // schedule-dependent) parallel.  Ineligible inputs fall back to the
-  // general path, so every point is sound on every case.
+  // Tier lattice (rewriting/structure.h): forced-general anchor plus the
+  // acyclic tier.  Ineligible inputs fall back to the general path, so
+  // every point is sound on every case.
   LatticeConfig tier0;
   tier0.force_tier = 0;
   lattice.push_back(tier0);
-  LatticeConfig tier1;
-  tier1.force_tier = 1;
-  lattice.push_back(tier1);
-  LatticeConfig tier1_parallel;
-  tier1_parallel.force_tier = 1;
-  tier1_parallel.jobs = 4;
-  lattice.push_back(tier1_parallel);
   LatticeConfig tier2;
   tier2.force_tier = 2;
   lattice.push_back(tier2);
@@ -115,18 +97,12 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   legacy.legacy_orders = true;
   legacy.legacy_homomorphism = true;
   lattice.push_back(legacy);
-  LatticeConfig row;  // retained row engine vs the columnar baseline
-  row.row_engine = true;
-  lattice.push_back(row);
   LatticeConfig verify;
   verify.verify = true;
   lattice.push_back(verify);
   LatticeConfig catalog;
   catalog.use_catalog = true;
   lattice.push_back(catalog);
-  LatticeConfig tier1;  // grid-cache tier vs the auto-routed baseline
-  tier1.force_tier = 1;
-  lattice.push_back(tier1);
   LatticeConfig tier2;  // join-tree tier (general fallback when cyclic)
   tier2.force_tier = 2;
   lattice.push_back(tier2);
@@ -190,17 +166,14 @@ RunSignature SignatureOf(const RewriteResult& result) {
 
 ScopedEngineSelection::ScopedEngineSelection(const LatticeConfig& config)
     : saved_orders_(internal::SatisfyingOrderFallbackForcedForTest()),
-      saved_homomorphism_(internal::LegacyContainmentMappingForcedForTest()),
-      saved_row_engine_(internal::RowEngineForced()) {
+      saved_homomorphism_(internal::LegacyContainmentMappingForcedForTest()) {
   internal::ForceSatisfyingOrderFallbackForTest(config.legacy_orders);
   internal::ForceLegacyContainmentMappingForTest(config.legacy_homomorphism);
-  internal::ForceRowEngineForTest(config.row_engine);
 }
 
 ScopedEngineSelection::~ScopedEngineSelection() {
   internal::ForceSatisfyingOrderFallbackForTest(saved_orders_);
   internal::ForceLegacyContainmentMappingForTest(saved_homomorphism_);
-  internal::ForceRowEngineForTest(saved_row_engine_);
 }
 
 RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config) {

@@ -33,13 +33,6 @@ struct LatticeConfig {
   /// search (internal::ForceLegacyContainmentMappingForTest).
   bool legacy_homomorphism = false;
 
-  /// Route canonical-database evaluation through the retained row engine
-  /// (internal::ForceRowEngineForTest) instead of the coded columnar
-  /// engine that is the production default.  The default points ARE the
-  /// lattice's columnar / columnar_parallel coverage; these points supply
-  /// the row side of the diff.
-  bool row_engine = false;
-
   /// RewriteOptions::verify — found rewritings are independently
   /// re-checked; the driver requires verified == true whenever this is on.
   bool verify = false;
@@ -51,7 +44,7 @@ struct LatticeConfig {
   bool use_catalog = false;
 
   /// RewriteOptions::force_tier — pins the structural execution tier
-  /// (rewriting/structure.h): -1 = auto routing, 0/1/2 forces that tier
+  /// (rewriting/structure.h): -1 = auto routing, 0/2 forces that tier
   /// when the input is eligible (else general-path fallback).  The tier
   /// lattice points prove every tier's signature is byte-identical to the
   /// forced-general baseline.
@@ -124,7 +117,6 @@ class ScopedEngineSelection {
  private:
   bool saved_orders_;
   bool saved_homomorphism_;
-  bool saved_row_engine_;
 };
 
 /// Runs one lattice point on one case.

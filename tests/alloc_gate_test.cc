@@ -1,9 +1,9 @@
-// The zero-allocation gate: after warm-up, a freeze → coded-evaluate
-// cycle over canonical databases performs no heap allocations at all.
-// This is the structural property the data-oriented core was built for —
-// the arena, the fixed-capacity columnar instance, and the seeded value
-// dictionary exist so the steady state is pure pointer arithmetic — and
-// this test keeps it from regressing one std::vector at a time.
+// The zero-allocation gate: after warm-up, a freeze → evaluate cycle over
+// canonical databases performs no heap allocations at all.  The delta
+// freezer patches its FlatInstance in place and PreparedQuery keeps every
+// per-run buffer in a caller-owned Scratch, so the steady state reuses
+// capacity only — and this test keeps it from regressing one std::vector
+// at a time.
 //
 // The counting allocator (testing/alloc_hook.h) replaces global operator
 // new for this binary; under sanitizer builds it compiles out and the
@@ -15,7 +15,6 @@
 
 #include "constraints/orders.h"
 #include "engine/canonical.h"
-#include "engine/coded_eval.h"
 #include "engine/evaluate.h"
 #include "parser/parser.h"
 #include "testing/alloc_hook.h"
@@ -38,9 +37,7 @@ TEST(AllocGateTest, SteadyStateFreezeAndEvaluateAllocatesNothing) {
 
   CanonicalFreezer freezer(q1);
   const PreparedQuery prepared(q2);
-  CodedEvaluator coded(&prepared.plan());
-  freezer.PrimeDictionary(q1.Constants(), q1.AllVariables().size());
-  coded.BindTo(&freezer);
+  PreparedQuery::Scratch scratch;
 
   std::vector<TotalOrder> orders;
   ForEachSatisfyingOrderPruned(
@@ -51,19 +48,19 @@ TEST(AllocGateTest, SteadyStateFreezeAndEvaluateAllocatesNothing) {
       });
   ASSERT_GT(orders.size(), 4u);
 
-  // Warm-up: first pass grows the arena to its high-water mark, takes the
-  // one-time full-freeze path, and faults in any lazily sized scratch.
+  // Warm-up: first pass grows the scratch buffers to their high-water
+  // marks and takes the one-time full-freeze path.
   for (const TotalOrder& order : orders) {
-    freezer.Freeze(order);
-    coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+    const FlatInstance& inst = freezer.Freeze(order);
+    prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
   }
 
   // Steady state: two more full passes, each individually allocation-free.
   for (int pass = 0; pass < 2; ++pass) {
     const testing::AllocCounterScope scope;
     for (const TotalOrder& order : orders) {
-      freezer.Freeze(order);
-      coded.Run(freezer, /*match_frozen_head=*/true, nullptr);
+      const FlatInstance& inst = freezer.Freeze(order);
+      prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch);
     }
     EXPECT_EQ(scope.delta(), 0)
         << "pass " << pass << ": steady-state freeze+evaluate allocated";

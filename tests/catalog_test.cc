@@ -134,6 +134,30 @@ TEST(ViewCatalogTest, AlphaRenamedQueryReplaysWithRenamedVariables) {
   }
 }
 
+// A renaming that reverses the order of variable names changes how a
+// fresh run orders block representatives and disjuncts, so the cache must
+// not replay the cached rendering; the answer stays byte-identical to a
+// fresh run.
+TEST(ViewCatalogTest, OrderReversingRenamingIsByteIdenticalToFreshRun) {
+  ViewSet views;
+  views.Add(ParseRuleOrDie("v(X,Y) :- r(X,Y)."));
+  const ConjunctiveQuery original = ParseRuleOrDie("q(A,B) :- r(A,B).");
+  const ConjunctiveQuery reversed = ParseRuleOrDie("q(B,A) :- r(B,A).");
+
+  const RewriteOptions options;
+  ViewCatalog catalog(views);
+  const RewriteResult first = catalog.Rewrite(original, options);
+  ASSERT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
+  const RewriteResult second = catalog.Rewrite(reversed, options);
+  const RewriteResult fresh =
+      EquivalentRewriter(reversed, views, options).Run();
+
+  EXPECT_EQ(second.rewriting.ToString(), fresh.rewriting.ToString());
+  EXPECT_EQ(SignatureOf(fresh), SignatureOf(second));
+  EXPECT_FALSE(second.from_semantic_cache);
+  EXPECT_EQ(catalog.Stats().semantic_misses, 2);
+}
+
 // Result-relevant options key the semantic cache: a run with different
 // output shaping must not be served a cached answer computed without it.
 TEST(ViewCatalogTest, SemanticEntriesAreKeyedByOptions) {

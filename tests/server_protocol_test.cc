@@ -317,7 +317,7 @@ TEST(ServiceResponseTest, RoundTripsStructuredErrors) {
   }
 }
 
-TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV5Counters) {
+TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
   ServiceResponse in;
   in.status = ResponseStatus::kOk;
   in.outcome = JobOutcome::kFound;
@@ -326,22 +326,22 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV5Counters) {
   in.stats.canonical_databases = 13;
   in.stats.phase2_checks = 4;
   in.stats.phase2_orders = 9;
-  in.stats.tier1_grid_hits = 6;
-  in.stats.tier1_grid_misses = 2;
-  in.tier = 1;
-  in.tier_reason = "semi-interval views";
+  in.stats.tier2_jointree_evals = 6;
+  in.tier = 2;
+  in.tier_reason = "acyclic views";
   ASSERT_TRUE(obs::ParseTraceIdHex("00112233445566778899aabbccddeeff",
                                    &in.trace_id));
 
   const std::string wire = EncodeServiceResponse(in);
-  // The v5 additions are on the wire: schema version, the new per-order
+  // The v5 additions are on the wire: schema version, the per-order
   // counter, the tier block, and the top-level trace id / tier.
-  EXPECT_NE(wire.find("\"schema_version\": 5"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("\"schema_version\": 6"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
-  EXPECT_NE(wire.find("\"tier\": 1"), std::string::npos);
-  EXPECT_NE(wire.find("\"tier_reason\": \"semi-interval views\""),
+  EXPECT_NE(wire.find("\"tier\": 2"), std::string::npos);
+  EXPECT_NE(wire.find("\"tier_reason\": \"acyclic views\""),
             std::string::npos);
-  EXPECT_NE(wire.find("\"tier1_grid_hits\": 6"), std::string::npos);
+  EXPECT_NE(wire.find("\"tier2_jointree_evals\": 6"), std::string::npos);
+  EXPECT_EQ(wire.find("grid"), std::string::npos);  // removed in v6
   EXPECT_NE(
       wire.find("\"trace_id\": \"00112233445566778899aabbccddeeff\""),
       std::string::npos)
@@ -351,7 +351,7 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV5Counters) {
   std::string error;
   ASSERT_TRUE(ParseServiceResponse(wire, &out, &error)) << error;
   EXPECT_EQ(out.trace_id, in.trace_id);
-  EXPECT_EQ(out.tier, 1);
+  EXPECT_EQ(out.tier, 2);
 }
 
 TEST(ServiceResponseTest, ToleratesResponsesWithoutTraceIdOrTier) {

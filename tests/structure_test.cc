@@ -1,9 +1,8 @@
 // Unit tests for the structural tier classifier, the forced-tier
-// resolution, the grid-class key construction, and the join-tree engine's
-// parity with the general evaluator (rewriting/structure.h,
-// engine/jointree.h).  Every classifier boundary the tiers depend on gets
-// a case: a single var-var comparison among semi-intervals, a
-// cycle-closing atom, self-joins, zero comparisons, and unsatisfiable
+// resolution, and the join-tree engine's parity with the general
+// evaluator (rewriting/structure.h, engine/jointree.h).  Every classifier
+// boundary the acyclic tier depends on gets a case: a comparison on the
+// query or a view, a cycle-closing atom, self-joins, and unsatisfiable
 // comparisons.
 
 #include "rewriting/structure.h"
@@ -38,35 +37,15 @@ bool Contains(const std::string& haystack, const std::string& needle) {
 // ---------------------------------------------------------------------------
 // ClassifyStructure boundaries.
 
-TEST(ClassifyStructureTest, SemiIntervalComparisonsRouteToTier1) {
+TEST(ClassifyStructureTest, SemiIntervalComparisonsRouteToTier0) {
   const TierDecision d = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), X < 5, Y > 2"),
       Views({"v0(A,B) :- p(A,B), A < 5"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
-  EXPECT_TRUE(d.semi_interval_eligible);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
   EXPECT_FALSE(d.acyclic_eligible);  // comparisons block the acyclic tier
-  EXPECT_TRUE(Contains(d.reason, "semi-interval")) << d.reason;
-}
-
-TEST(ClassifyStructureTest, OneVarVarComparisonAmongSemiIntervalsBlocksTier1) {
-  // Everything else is var-vs-const; the single X < Y must be named as
-  // the blocker.
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), X < 5, Y > 2, X < Y"),
-      Views({"v0(A,B) :- p(A,B), A < 5"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
-  EXPECT_FALSE(d.semi_interval_eligible);
-  EXPECT_TRUE(Contains(d.reason, "X < Y")) << d.reason;
+  // The query's first comparison is named as the blocker.
+  EXPECT_TRUE(Contains(d.reason, "X < 5")) << d.reason;
   EXPECT_TRUE(Contains(d.reason, "on the query")) << d.reason;
-}
-
-TEST(ClassifyStructureTest, VarVarComparisonOnViewBlocksTier1) {
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), X < 5"),
-      Views({"v0(A,B) :- p(A,B), A <= B"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
-  EXPECT_FALSE(d.semi_interval_eligible);
-  EXPECT_TRUE(Contains(d.reason, "on a view")) << d.reason;
 }
 
 TEST(ClassifyStructureTest, ComparisonFreeAcyclicRoutesToTier2) {
@@ -74,19 +53,17 @@ TEST(ClassifyStructureTest, ComparisonFreeAcyclicRoutesToTier2) {
       Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
       Views({"v0(A,B) :- p(A,B)", "v1(B) :- r(B)"}));
   EXPECT_EQ(d.tier, ExecutionTier::kAcyclic);
-  EXPECT_TRUE(d.semi_interval_eligible);  // vacuously: zero comparisons
   EXPECT_TRUE(d.acyclic_eligible);
   EXPECT_TRUE(Contains(d.reason, "GYO-acyclic")) << d.reason;
 }
 
-TEST(ClassifyStructureTest, CycleClosingAtomDowngradesToTier1) {
+TEST(ClassifyStructureTest, CycleClosingAtomFallsBackToTier0) {
   // The triangle-closing p(Z,X) is the only difference from an acyclic
-  // chain; zero comparisons keep it semi-interval-eligible.
+  // chain.
   const TierDecision d = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), p(Y,Z), p(Z,X)"),
       Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
-  EXPECT_TRUE(d.semi_interval_eligible);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
   EXPECT_FALSE(d.acyclic_eligible);
   EXPECT_TRUE(Contains(d.reason, "cyclic")) << d.reason;
 }
@@ -100,25 +77,16 @@ TEST(ClassifyStructureTest, SelfJoinStaysTier2) {
   EXPECT_TRUE(d.acyclic_eligible);
 }
 
-TEST(ClassifyStructureTest, ViewComparisonBlocksTier2ButNotTier1) {
+TEST(ClassifyStructureTest, ViewComparisonBlocksTier2) {
   // The query is comparison-free and acyclic, but a view carries a
-  // (semi-interval) comparison: T2 requires comparison-free views, T1
-  // does not.
+  // comparison: T2 requires comparison-free views.
   const TierDecision d = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
       Views({"v0(A,B) :- p(A,B), A < 5", "v1(B) :- r(B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
-  EXPECT_TRUE(d.semi_interval_eligible);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
   EXPECT_FALSE(d.acyclic_eligible);
-}
-
-TEST(ClassifyStructureTest, UnsatisfiableSemiIntervalsStillClassifyTier1) {
-  // Classification is purely syntactic; the rewriter's unsat shortcut
-  // (tested below) fires before the tier machinery matters.
-  const TierDecision d = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), X < 1, X > 2"),
-      Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(d.tier, ExecutionTier::kSemiInterval);
+  EXPECT_TRUE(Contains(d.reason, "A < 5")) << d.reason;
+  EXPECT_TRUE(Contains(d.reason, "on a view")) << d.reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -146,11 +114,6 @@ TEST(ResolveTierTest, ForcedGeneralAlwaysApplies) {
 }
 
 TEST(ResolveTierTest, ForcedTierHonoredWhenEligible) {
-  const TierDecision classified = ClassifyStructure(
-      Parser::MustParseRule("q(X) :- p(X,Y), X < 5"),
-      Views({"v0(A,B) :- p(A,B)"}));
-  EXPECT_EQ(ResolveTier(classified, 1).tier, ExecutionTier::kSemiInterval);
-
   const TierDecision acyclic = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
       Views({"v0(A,B) :- p(A,B)"}));
@@ -158,98 +121,28 @@ TEST(ResolveTierTest, ForcedTierHonoredWhenEligible) {
 }
 
 TEST(ResolveTierTest, IneligibleForcedTierFallsBackToGeneral) {
-  // Var-var comparison: neither fast tier may apply, forced or not.
   const TierDecision classified = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), X < Y"),
       Views({"v0(A,B) :- p(A,B)"}));
-  for (const int force : {1, 2}) {
-    const TierDecision d = ResolveTier(classified, force);
-    EXPECT_EQ(d.tier, ExecutionTier::kGeneral) << "force " << force;
-    EXPECT_TRUE(Contains(d.reason, "falling back")) << d.reason;
-    EXPECT_TRUE(Contains(d.reason, "X < Y")) << d.reason;
-  }
-  // Cyclic comparison-free query: tier2 ineligible, tier1 fine.
+  const TierDecision d = ResolveTier(classified, 2);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
+  EXPECT_TRUE(Contains(d.reason, "falling back")) << d.reason;
+  EXPECT_TRUE(Contains(d.reason, "X < Y")) << d.reason;
+
   const TierDecision cyclic = ClassifyStructure(
       Parser::MustParseRule("q(X) :- p(X,Y), p(Y,Z), p(Z,X)"),
       Views({"v0(A,B) :- p(A,B)"}));
   EXPECT_EQ(ResolveTier(cyclic, 2).tier, ExecutionTier::kGeneral);
-  EXPECT_EQ(ResolveTier(cyclic, 1).tier, ExecutionTier::kSemiInterval);
 }
 
-// ---------------------------------------------------------------------------
-// GridVerdictCache: the key is the grid class, nothing more.
-
-TotalOrder MakeOrder(std::initializer_list<OrderBlock> blocks) {
-  TotalOrder order;
-  for (const OrderBlock& b : blocks) order.blocks.push_back(b);
-  return order;
-}
-
-OrderBlock VarBlock(std::initializer_list<const char*> vars) {
-  OrderBlock b;
-  for (const char* v : vars) b.variables.emplace_back(v);
-  return b;
-}
-
-OrderBlock ConstBlock(int value) {
-  OrderBlock b;
-  b.constant = Rational(value);
-  return b;
-}
-
-TEST(GridVerdictCacheTest, IntraCellBlockRankIsQuotientedAway) {
-  const GridVerdictCache cache({"X", "Y"});
-  // X < Y < 5 and Y < X < 5: same partition, both blocks below the
-  // constant — one grid class.
-  std::string k1, k2;
-  cache.BuildKey(
-      MakeOrder({VarBlock({"X"}), VarBlock({"Y"}), ConstBlock(5)}), &k1);
-  cache.BuildKey(
-      MakeOrder({VarBlock({"Y"}), VarBlock({"X"}), ConstBlock(5)}), &k2);
-  EXPECT_EQ(k1, k2);
-}
-
-TEST(GridVerdictCacheTest, CellCrossingChangesTheKey) {
-  const GridVerdictCache cache({"X", "Y"});
-  std::string below, above;
-  cache.BuildKey(
-      MakeOrder({VarBlock({"X"}), VarBlock({"Y"}), ConstBlock(5)}), &below);
-  cache.BuildKey(
-      MakeOrder({VarBlock({"X"}), ConstBlock(5), VarBlock({"Y"})}), &above);
-  EXPECT_NE(below, above);
-}
-
-TEST(GridVerdictCacheTest, PartitionChangesTheKey) {
-  const GridVerdictCache cache({"X", "Y"});
-  std::string merged, split;
-  cache.BuildKey(MakeOrder({VarBlock({"X", "Y"}), ConstBlock(5)}), &merged);
-  cache.BuildKey(
-      MakeOrder({VarBlock({"X"}), VarBlock({"Y"}), ConstBlock(5)}), &split);
-  EXPECT_NE(merged, split);
-}
-
-TEST(GridVerdictCacheTest, VariableAtConstantSharesTheConstantCell) {
-  const GridVerdictCache cache({"X"});
-  // X = 5 (variable in the constant's block) vs X just below 5: distinct
-  // cells, distinct keys.
-  std::string at, below;
-  OrderBlock pinned = ConstBlock(5);
-  pinned.variables.emplace_back("X");
-  cache.BuildKey(MakeOrder({pinned}), &at);
-  cache.BuildKey(MakeOrder({VarBlock({"X"}), ConstBlock(5)}), &below);
-  EXPECT_NE(at, below);
-}
-
-TEST(GridVerdictCacheTest, FirstWriterWins) {
-  GridVerdictCache cache({"X"});
-  std::string key;
-  cache.BuildKey(MakeOrder({VarBlock({"X"}), ConstBlock(5)}), &key);
-  EXPECT_FALSE(cache.Get(key).has_value());
-  cache.Put(key, false);
-  cache.Put(key, true);  // no-op: verdicts are pure functions of the key
-  ASSERT_TRUE(cache.Get(key).has_value());
-  EXPECT_FALSE(*cache.Get(key));
-  EXPECT_EQ(cache.size(), 1u);
+TEST(ResolveTierTest, UnknownForcedTierFallsBackToGeneral) {
+  // Tier 1 no longer exists; forcing it is an unknown tier like any other.
+  const TierDecision classified = ClassifyStructure(
+      Parser::MustParseRule("q(X) :- p(X,Y), r(Y)"),
+      Views({"v0(A,B) :- p(A,B)"}));
+  const TierDecision d = ResolveTier(classified, 1);
+  EXPECT_EQ(d.tier, ExecutionTier::kGeneral);
+  EXPECT_TRUE(Contains(d.reason, "unknown forced tier 1")) << d.reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +196,6 @@ void ExpectPlanMatchesPrepared(const char* base_rule, const char* probe_rule) {
   PreparedQuery::Scratch scratch;
   AcyclicPlan::Scratch jointree_scratch;
   const std::vector<Rational> constants = base.Constants();
-  freezer.PrimeDictionary(constants, base.AllVariables().size());
 
   int orders = 0;
   ForEachTotalOrder(base.AllVariables(), constants, [&](const TotalOrder& o) {
@@ -353,21 +245,16 @@ RewriteResult RunWithForcedTier(const char* query, ViewSet views, int tier) {
   return rewriter.Run();
 }
 
-TEST(TieredRewriteTest, SemiIntervalCaseRoutesToTier1AndMatchesGeneral) {
+TEST(TieredRewriteTest, SemiIntervalCaseRunsOnTheGeneralPath) {
   const char* query = "q(A) :- p(A,B), A <= 5";
   const RewriteResult general =
       RunWithForcedTier(query, Views({"v0(A,B) :- p(A,B), A <= 5"}), 0);
   const RewriteResult routed =
       RunWithForcedTier(query, Views({"v0(A,B) :- p(A,B), A <= 5"}), -1);
-  EXPECT_EQ(routed.tier, 1);
-  EXPECT_EQ(general.tier, 0);
+  EXPECT_EQ(routed.tier, 0);
   EXPECT_EQ(routed.outcome, general.outcome);
   EXPECT_EQ(routed.rewriting.ToString(), general.rewriting.ToString());
-  EXPECT_EQ(routed.stats.kept_canonical_databases,
-            general.stats.kept_canonical_databases);
-  // The grid cache actually ran: every enumerated order probed it.
-  EXPECT_GT(routed.stats.tier1_grid_misses, 0);
-  EXPECT_EQ(general.stats.tier1_grid_misses, 0);
+  EXPECT_EQ(routed.stats.tier2_jointree_evals, 0);
 }
 
 TEST(TieredRewriteTest, AcyclicCaseRoutesToTier2AndMatchesGeneral) {

@@ -4,19 +4,15 @@
 //
 // Two sweeps:
 //   1. the tier lattice — auto-routed baseline, forced tier0, forced
-//      tier1 (serial and parallel: the grid cache's sharing is
-//      schedule-dependent), forced tier2 — over the full persistent
-//      corpus;
+//      tier2 — over the full persistent corpus;
 //   2. the same lattice over >= 500 generated cases alternating
 //      semi-interval-only, acyclic-only, and unrestricted workloads, so
-//      both fast tiers fire on their home turf and fall back soundly
+//      the acyclic tier fires on its home turf and falls back soundly
 //      elsewhere.
 //
 // The auto-routed baseline diffed against the forced-tier0 point IS the
 // byte-compatibility proof: whatever tier the classifier picked, the
-// signature must match the general path's.  Runs under the tsan label:
-// the parallel point exercises the shared grid cache against the
-// work-stealing driver.
+// signature must match the general path's.
 
 #include <string>
 #include <vector>
@@ -37,7 +33,7 @@ using testing::LoadCorpusDir;
 using testing::RunConfigLattice;
 
 /// The tier-axis lattice.  The first point (auto routing) is the
-/// baseline; tier0 supplies the general-path signature every fast tier
+/// baseline; tier0 supplies the general-path signature the acyclic tier
 /// must reproduce.
 std::vector<LatticeConfig> TierLattice() {
   std::vector<LatticeConfig> lattice;
@@ -45,13 +41,6 @@ std::vector<LatticeConfig> TierLattice() {
   LatticeConfig tier0;
   tier0.force_tier = 0;
   lattice.push_back(tier0);
-  LatticeConfig tier1;
-  tier1.force_tier = 1;
-  lattice.push_back(tier1);
-  LatticeConfig tier1_parallel;
-  tier1_parallel.force_tier = 1;
-  tier1_parallel.jobs = 4;
-  lattice.push_back(tier1_parallel);
   LatticeConfig tier2;
   tier2.force_tier = 2;
   lattice.push_back(tier2);
@@ -74,7 +63,7 @@ TEST(TierDifferentialTest, FullCorpusTierLattice) {
 /// Small tier-targeted workloads: cases 3k are semi-interval-only, 3k+1
 /// acyclic-only, 3k+2 unrestricted (so the var-var fallback path is
 /// diffed too).  Kept tiny — at most 4 order terms — so 500 cases times
-/// 5 lattice points stay well inside the test budget.
+/// 3 lattice points stay well inside the test budget.
 WorkloadConfig TierConfig(int i) {
   WorkloadConfig config;
   config.num_variables = 2 + i % 2;

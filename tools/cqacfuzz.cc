@@ -79,9 +79,9 @@ void Usage() {
       "  --dump-workloads N  print N generated cases as corpus files to\n"
       "                      --out and exit (corpus seeding helper)\n"
       "  --tiers             alternate semi-interval-only and acyclic-only\n"
-      "                      workloads so the generated stream targets the\n"
-      "                      fast execution tiers (the lattice's forced-tier\n"
-      "                      points then diff them against the general path)\n"
+      "                      workloads so half the generated stream targets\n"
+      "                      the acyclic tier (the lattice's forced-tier\n"
+      "                      points then diff it against the general path)\n"
       "  --verbose           per-case progress\n");
 }
 
@@ -175,9 +175,9 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
   config.view_subgoals = PortableUniformInt(meta, 1, 2);
   config.distractor_fraction = 0.25;
   if (tiers) {
-    // Alternate between the two fast-tier shapes so the forced-tier
-    // lattice points exercise their specialized paths rather than the
-    // general fallback.
+    // Alternate a semi-interval shape with the acyclic-tier shape so the
+    // forced-tier lattice points exercise the join-tree path as well as
+    // the general fallback.
     if (PortableUniformInt(meta, 0, 1) == 0) {
       config.semi_interval_only = true;
       config.num_constants = std::max(1, config.num_constants);

@@ -39,8 +39,8 @@ void PrintUsage(std::ostream& out) {
          "  --jobs N       worker threads for rewriting (0 = all cores;\n"
          "                 default: all cores; 1 = serial; max 4096)\n"
          "  --force-tier N pin the structural execution tier for every\n"
-         "                 rewrite (0 = general, 1 = semi-interval, 2 =\n"
-         "                 acyclic core; -1 = auto, the default).  A forced\n"
+         "                 rewrite (0 = general, 2 = acyclic core; -1 =\n"
+         "                 auto, the default).  A forced\n"
          "                 tier applies only when the input is eligible,\n"
          "                 else the run falls back to the general path;\n"
          "                 results are identical across tiers (testing\n"
@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
       } else {
         value = arg.substr(13);
       }
-      if (value != "0" && value != "1" && value != "2" && value != "-1") {
-        std::cerr << "error: --force-tier expects 0, 1, 2 or -1\n";
+      if (value != "0" && value != "2" && value != "-1") {
+        std::cerr << "error: --force-tier expects 0, 2 or -1\n";
         return 1;
       }
       force_tier = std::stoi(value);

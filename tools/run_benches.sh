@@ -26,13 +26,9 @@
 #                         of cqacd worker threads
 #                         -> results/BENCH_parallel_scaling.json
 #
-# `columnar_engine` is the bench_columnar binary (row vs coded columnar
-# engine) recorded under the trajectory name
-# results/BENCH_columnar_engine.json.
-#
 # `tiered_execution` is the bench_tiers binary (forced tier 0 vs the
-# semi-interval grid cache and the acyclic join-tree engine, with
-# embedded output-equality checks) recorded under
+# acyclic join-tree engine, with embedded output-equality checks, plus
+# the semi-interval keep-test and Phase-1 sweeps) recorded under
 # results/BENCH_tiered_execution.json.
 #
 # `telemetry_overhead` is the observability acceptance gate: bench_tiers
@@ -53,7 +49,7 @@ cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release >/dev/null
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
   benches=(bench_containment bench_canonical bench_homomorphism bench_phase1
-           columnar_engine tiered_execution server_throughput
+           tiered_execution server_throughput
            catalog_steady_state parallel_scaling telemetry_overhead)
 fi
 
@@ -227,11 +223,11 @@ run_telemetry_overhead() {
   local build_off="$repo/build-notrace"
   local out="$repo/results/BENCH_telemetry_overhead.json"
   local reps=5
-  # The canonical keep-test row (tier-1 grid sweep) is the gate; the
-  # Phase-1 sweep rows ride along as the span-dense informational upper
-  # bound (phase1.database + phase1.freeze fire per canonical database).
-  local gate_row='BM_SemiIntervalKeepTest/1'
-  local filter='BM_SemiIntervalKeepTest/1$|BM_SemiIntervalPhase1'
+  # The canonical keep-test row is the gate; the Phase-1 sweep row rides
+  # along as the span-dense informational upper bound (phase1.database +
+  # phase1.freeze fire per canonical database).
+  local gate_row='BM_SemiIntervalKeepTest'
+  local filter='BM_SemiIntervalKeepTest$|BM_SemiIntervalPhase1'
   local work
   work="$(mktemp -d)"
 
@@ -298,7 +294,6 @@ for bench in "${benches[@]}"; do
   case "$bench" in
     server_throughput|catalog_steady_state) targets+=(cqacd cqacc) ;;
     parallel_scaling) targets+=(cqacd cqacc cqacsh) ;;
-    columnar_engine) targets+=(bench_columnar) ;;
     tiered_execution|telemetry_overhead) targets+=(bench_tiers) ;;
     *) targets+=("$bench") ;;
   esac
@@ -315,12 +310,6 @@ for bench in "${benches[@]}"; do
     catalog_steady_state) run_catalog_steady_state ;;
     parallel_scaling) run_parallel_scaling ;;
     telemetry_overhead) run_telemetry_overhead ;;
-    columnar_engine)
-      "$build/bench/bench_columnar" \
-        --json "$repo/results/BENCH_columnar_engine.json" \
-        --benchmark_color=false 2>&1 \
-        | tee "$repo/results/BENCH_columnar_engine.txt"
-      ;;
     tiered_execution)
       "$build/bench/bench_tiers" \
         --json "$repo/results/BENCH_tiered_execution.json" \
