@@ -32,7 +32,8 @@ inline constexpr bool kDebugBuild = true;
 #endif
 
 /// Worker threads for rewriter-driven benches, set by --jobs N.
-/// 0 = hardware concurrency (the default), 1 = the serial fallback.
+/// 0 = hardware concurrency (the default), 1 = the driver's inline
+/// schedule (every work unit on the calling thread).
 inline int g_jobs = 0;
 
 /// When non-empty (--json <path>), BenchMain writes a machine-readable

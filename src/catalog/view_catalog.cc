@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewriting/exportable.h"
-#include "runtime/parallel_rewriter.h"
 
 namespace cqac {
 
@@ -344,19 +343,10 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Same shortcut as the drivers: a contradictory query computes nothing
-  // and the empty union is an equivalent rewriting.
-  if (!AcSolver::IsSatisfiable(query.comparisons())) {
-    RewriteResult result;
-    result.outcome = RewriteOutcome::kRewritingFound;
-    result.tier = 0;
-    result.tier_reason =
-        "query comparisons unsatisfiable; the rewriting is the empty union";
-    if (options.verify) {
-      result.verified = RewritingIsEquivalent(query, result.rewriting, views_);
-    }
-    result.catalog_epoch = epoch_;
-    return result;
+  if (std::optional<RewriteResult> empty =
+          RewriteOfUnsatisfiableQuery(query, views_, options)) {
+    empty->catalog_epoch = epoch_;
+    return *std::move(empty);
   }
 
   std::string semantic_key;
@@ -381,15 +371,8 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   Phase1Memo* phase1 =
       options.phase1_dedup ? &plan->phase1_memo : nullptr;
 
-  RewriteResult result;
-  if (options.jobs == 1) {
-    result = RunPreparedRewriteSerial(plan->work, options,
-                                      &containment_memo_, phase1);
-    RecordRewriteMetrics(result.stats);
-  } else {
-    result = ParallelRewritePrepared(plan->work, options, &containment_memo_,
-                                     pool, /*report=*/nullptr, phase1);
-  }
+  RewriteResult result = RunPreparedRewrite(plan->work, options,
+                                            &containment_memo_, phase1, pool);
   result.catalog_epoch = epoch_;
 
   if (options_.semantic_cache && result.outcome != RewriteOutcome::kAborted) {

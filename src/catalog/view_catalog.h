@@ -146,8 +146,9 @@ class ViewCatalog {
   /// stats are byte-identical — but compiled view data, plans, the
   /// Phase-1 memo, and the semantic cache are reused across calls.
   ///
-  /// Driver-level options are honored per request: `jobs` selects serial
-  /// or parallel execution (`pool`, when non-null, supplies the threads),
+  /// Driver-level options are honored per request: `jobs` selects the
+  /// RunPreparedRewrite schedule (`pool`, when non-null and jobs != 1,
+  /// supplies the threads),
   /// `cancel` and `max_canonical_databases` bound the run, and
   /// `phase1_dedup` gates use of the persistent Phase-1 memo.  Explain
   /// runs bypass every cache so traces stay complete; aborted or

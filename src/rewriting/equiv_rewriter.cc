@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 
@@ -19,8 +22,9 @@
 #include "rewriting/exportable.h"
 #include "rewriting/minicon.h"
 #include "rewriting/view_tuples.h"
+#include "runtime/cancellation.h"
 #include "runtime/memo_cache.h"
-#include "runtime/parallel_rewriter.h"
+#include "runtime/thread_pool.h"
 
 namespace cqac {
 
@@ -112,6 +116,39 @@ std::string BuildPhase1Key(const CanonicalFreezer& freezer,
   return key;
 }
 
+/// Folds a finished run's counters into the global metrics registry: the
+/// rewrite.* counters and the Phase-1 memo split for every run, the
+/// memo_cache.* hit/miss split only when a Phase-2 memo was attached, and
+/// the fan-out telemetry only for the pooled schedule.
+void RecordRunMetrics(const RewriteStats& stats,
+                      const ParallelRewriteReport& report, bool pooled,
+                      bool with_memo) {
+  if (!obs::MetricsActive()) return;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.counter("rewrite.runs").Add(1);
+  reg.counter("rewrite.canonical_databases").Add(stats.canonical_databases);
+  reg.counter("rewrite.kept_canonical_databases")
+      .Add(stats.kept_canonical_databases);
+  reg.counter("rewrite.phase2_checks").Add(stats.phase2_checks);
+  reg.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
+  reg.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
+  reg.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
+  reg.counter("tier2.jointree_evals").Add(stats.tier2_jointree_evals);
+  if (with_memo) {
+    reg.counter("memo_cache.hits").Add(report.cache_hits);
+    reg.counter("memo_cache.misses").Add(report.cache_misses);
+  }
+  if (pooled) {
+    reg.counter("parallel.db_tasks_executed").Add(report.db_tasks_executed);
+    reg.counter("parallel.db_tasks_cancelled").Add(report.db_tasks_cancelled);
+    reg.counter("parallel.phase2_tasks_executed")
+        .Add(report.phase2_tasks_executed);
+    reg.counter("parallel.phase2_tasks_cancelled")
+        .Add(report.phase2_tasks_cancelled);
+    reg.counter("threadpool.tasks_stolen").Add(report.tasks_stolen);
+  }
+}
+
 }  // namespace
 
 void RewriteStats::Merge(const RewriteStats& other) {
@@ -130,21 +167,6 @@ void RewriteStats::Merge(const RewriteStats& other) {
   freeze_ns += other.freeze_ns;
   phase1_ns += other.phase1_ns;
   phase2_ns += other.phase2_ns;
-}
-
-void RecordRewriteMetrics(const RewriteStats& stats) {
-  if (!obs::MetricsActive()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.counter("rewrite.runs").Add(1);
-  registry.counter("rewrite.canonical_databases")
-      .Add(stats.canonical_databases);
-  registry.counter("rewrite.kept_canonical_databases")
-      .Add(stats.kept_canonical_databases);
-  registry.counter("rewrite.phase2_checks").Add(stats.phase2_checks);
-  registry.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
-  registry.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
-  registry.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
-  registry.counter("tier2.jointree_evals").Add(stats.tier2_jointree_evals);
 }
 
 RewriteWork PrepareRewriteWork(const ConjunctiveQuery& query,
@@ -635,126 +657,307 @@ void FinalizeFoundRewriting(const RewriteWork& work,
   }
 }
 
-RewriteResult EquivalentRewriter::Run() {
-  if (options_.jobs != 1) {
-    return ParallelRewrite(query_, views_, options_, memo_);
+std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
+    const ConjunctiveQuery& query, const ViewSet& views,
+    const RewriteOptions& options) {
+  if (AcSolver::IsSatisfiable(query.comparisons())) return std::nullopt;
+  RewriteResult result;
+  result.outcome = RewriteOutcome::kRewritingFound;
+  result.tier = 0;
+  result.tier_reason =
+      "query comparisons unsatisfiable; the rewriting is the empty union";
+  if (options.verify) {
+    result.verified = RewritingIsEquivalent(query, result.rewriting, views);
   }
-  RewriteResult result = RunSerial();
-  RecordRewriteMetrics(result.stats);
   return result;
 }
 
-RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
-                                       const RewriteOptions& driver,
-                                       MemoCache* memo,
-                                       Phase1Memo* phase1_memo) {
+RewriteResult RunPreparedRewrite(const RewriteWork& work,
+                                 const RewriteOptions& driver,
+                                 MemoCache* memo, Phase1Memo* phase1_memo,
+                                 ThreadPool* pool,
+                                 ParallelRewriteReport* report) {
+  ParallelRewriteReport local_report;
+  if (report == nullptr) report = &local_report;
+  *report = ParallelRewriteReport();
   RewriteResult result;
   result.stats.v0_variants = static_cast<int64_t>(work.v0_variants.size());
   result.stats.mcds_formed = static_cast<int64_t>(work.mcds.size());
   result.tier = static_cast<int>(work.tier.tier);
   result.tier_reason = work.tier.reason;
-
   const bool explain = work.options.explain;
+  const CancellationToken* const cancel = driver.cancel;
+  const auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->cancelled();
+  };
 
-  // --- Phase 1: one Pre-Rewriting per kept canonical database ---
-
-  std::vector<ConjunctiveQuery> pre_rewritings;
-  std::set<std::string> pre_rewriting_keys;
-  bool failed = false;
-  bool aborted = false;
-  bool cancelled = false;
+  // The schedule: inline on this thread (pool stays null), or a fan-out
+  // over the caller's pool or one owned by this run.
+  std::unique_ptr<ThreadPool> owned_pool;
+  if (driver.jobs == 1) {
+    pool = nullptr;
+  } else if (pool == nullptr) {
+    owned_pool =
+        std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(driver.jobs));
+    pool = owned_pool.get();
+  }
+  report->jobs = pool != nullptr ? pool->num_threads() : 1;
+  const int64_t stolen_before = pool != nullptr ? pool->tasks_stolen() : 0;
 
   // With no external (catalog-scoped) memo, the Phase-1 memo lives and
-  // dies with this run (its entries index into `work`).
+  // dies with this run (its entries index into `work`).  Shared by every
+  // worker (sharded; first writer wins): which worker takes the miss for a
+  // structural key races, so the hit/miss *split* can vary with the
+  // schedule, but every replayed conclusion is verified against the full
+  // key, so outcomes, Pre-Rewritings, and the hit+miss total cannot.
   std::optional<Phase1Memo> local_memo;
   if (phase1_memo == nullptr && driver.phase1_dedup && !explain) {
     local_memo.emplace();
     phase1_memo = &*local_memo;
   }
 
+  // --- Phase 1: one Pre-Rewriting per kept canonical database ---
+
+  std::vector<ConjunctiveQuery> pre_rewritings;
+  std::set<std::string> pre_rewriting_keys;
+  bool failed = false;
+  bool budget_exceeded = false;
+
+  // The in-order merge of one database's outcome: stats, trace, the first
+  // failure, and Pre-Rewriting dedup.  Both schedules call it in
+  // enumeration order and stop at the first failure, so the result is the
+  // same prefix whichever schedule produced the outcomes.
+  const auto merge_database = [&](DatabaseOutcome& out) {
+    ++result.stats.canonical_databases;
+    result.stats.Merge(out.stats);
+    if (explain) result.trace.databases.push_back(std::move(out.trace));
+    if (out.status == DatabaseOutcome::Status::kFailed) {
+      failed = true;
+      result.failure_reason = std::move(out.failure_reason);
+    } else if (out.status == DatabaseOutcome::Status::kKept &&
+               pre_rewriting_keys.insert(out.pre_rewriting->ToString())
+                   .second) {
+      pre_rewritings.push_back(*std::move(out.pre_rewriting));
+    }
+  };
+
+  // The pooled schedule's state.  The number of total orders is factorial
+  // in |variables| + |constants|, so the worklist is never materialized:
+  // the enumeration submits index i into ring slot i % window and merges
+  // completed slots in enumeration order to free them, keeping memory O(1)
+  // in the number of databases.  `done` is guarded by `mu`, which also
+  // publishes a task's `outcome` write to the merging thread.
+  struct DbSlot {
+    TotalOrder order;
+    bool done = false;
+    DatabaseOutcome outcome;
+  };
+  const int64_t window =
+      pool != nullptr
+          ? std::max<int64_t>(static_cast<int64_t>(pool->num_threads()) * 8,
+                              64)
+          : 0;
+  std::vector<DbSlot> db_slots(static_cast<size_t>(window));
+  std::mutex mu;
+  std::condition_variable cv;
+  PrefixCancel db_cancel;
+  std::atomic<int64_t> db_executed{0};
+  // Steady-clock time of the first observed failure, or 0; lets the drain
+  // report how long cancellation took to quiesce the pool.
+  std::atomic<int64_t> first_fail_ns{0};
+  const auto note_failure = [&first_fail_ns] {
+    if (!obs::MetricsActive()) return;
+    int64_t expected = 0;
+    first_fail_ns.compare_exchange_strong(expected, NowNs(),
+                                          std::memory_order_relaxed);
+  };
+  int64_t merged = 0;  // pooled: slots consumed, in enumeration order
+
+  // Waits for the slot at enumeration index `merged` and frees it,
+  // merging its outcome unless the run already failed: after a failure
+  // the remaining in-flight slots are only drained, exactly as the inline
+  // schedule never reaches them.
+  const auto consume_next = [&] {
+    DbSlot& slot = db_slots[static_cast<size_t>(merged % window)];
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return slot.done; });
+      slot.done = false;
+    }
+    ++merged;
+    if (!failed) merge_database(slot.outcome);
+    slot.outcome = DatabaseOutcome();
+  };
+
   const int64_t enumerate_t0 = NowNs();
   {
-  CQAC_TRACE_SPAN("phase1.enumerate");
-  ForEachTotalOrder(
-      work.query.AllVariables(), work.constants,
-      [&](const TotalOrder& order) {
-        if (driver.cancel != nullptr && driver.cancel->cancelled()) {
-          cancelled = true;
-          return false;
-        }
-        ++result.stats.canonical_databases;
-        if (driver.max_canonical_databases >= 0 &&
-            result.stats.canonical_databases >
-                driver.max_canonical_databases) {
-          aborted = true;
-          return false;
-        }
-        DatabaseOutcome out =
-            ProcessCanonicalDatabase(work, order, phase1_memo);
-        result.stats.Merge(out.stats);
-        if (explain) {
-          result.trace.databases.push_back(std::move(out.trace));
-        }
-        if (out.status == DatabaseOutcome::Status::kFailed) {
-          failed = true;
-          result.failure_reason = std::move(out.failure_reason);
-          return false;
-        }
-        if (out.status == DatabaseOutcome::Status::kKept &&
-            pre_rewriting_keys.insert(out.pre_rewriting->ToString())
-                .second) {
-          pre_rewritings.push_back(*std::move(out.pre_rewriting));
-        }
-        return true;
-      });
+    CQAC_TRACE_SPAN("phase1.enumerate");
+    int64_t& submitted = report->db_tasks_total;
+    ForEachTotalOrder(
+        work.query.AllVariables(), work.constants,
+        [&](const TotalOrder& order) {
+          if (cancelled()) return false;
+          // The budget aborts upon enumerating database max+1, after the
+          // first max were fully processed.
+          if (driver.max_canonical_databases >= 0 &&
+              submitted >= driver.max_canonical_databases) {
+            budget_exceeded = true;
+            return false;
+          }
+          if (pool == nullptr) {
+            ++submitted;
+            DatabaseOutcome out =
+                ProcessCanonicalDatabase(work, order, phase1_memo);
+            ++report->db_tasks_executed;
+            merge_database(out);
+            return !failed;
+          }
+          // Reusing ring slot i % window requires its previous occupant
+          // (index i - window) to have been merged first.
+          while (submitted - merged >= window) {
+            consume_next();
+            if (failed) return false;
+          }
+          const int64_t i = submitted++;
+          db_slots[static_cast<size_t>(i % window)].order = order;
+          pool->Submit([&, i] {
+            DbSlot& slot = db_slots[static_cast<size_t>(i % window)];
+            // The first failing D_i cancels everything past it; work at or
+            // below the cutoff must still run so the merge sees the same
+            // prefix as the inline schedule (see PrefixCancel).
+            if (db_cancel.ShouldRun(i) && !cancelled()) {
+              slot.outcome =
+                  ProcessCanonicalDatabase(work, slot.order, phase1_memo);
+              db_executed.fetch_add(1, std::memory_order_relaxed);
+              if (slot.outcome.status == DatabaseOutcome::Status::kFailed) {
+                db_cancel.FailAt(i);
+                note_failure();
+              }
+            }
+            // Notify while holding the lock: the merging thread owns cv's
+            // stack frame and may destroy it the moment it observes
+            // `done`, which the lock delays until the notify has returned.
+            std::lock_guard<std::mutex> lock(mu);
+            slot.done = true;
+            cv.notify_all();
+          });
+          return true;
+        });
+    // Every submitted task must finish before its captured state dies.
+    if (pool != nullptr) {
+      while (merged < report->db_tasks_total) consume_next();
+      report->db_tasks_executed = db_executed.load();
+    }
   }
   result.stats.enumeration_ns = NowNs() - enumerate_t0;
+  report->db_tasks_cancelled =
+      report->db_tasks_total - report->db_tasks_executed;
 
-  if (cancelled) {
-    result.outcome = RewriteOutcome::kAborted;
-    result.failure_reason = kCancelledReason;
-    return result;
+  // The verdict cascade.  Cancellation comes first: a task that observed
+  // the token mid-flight skipped its database, so any conclusion drawn
+  // from the merged outcomes would rest on partial work.  The token is
+  // monotonic, so re-checking here also catches a cancel that landed
+  // after the last enumeration callback.  A failure merged from the first
+  // max databases beats the budget abort, which the pooled schedule can
+  // only tell apart after its tail is merged.
+  const auto finish = [&](RewriteOutcome outcome, std::string reason) {
+    result.outcome = outcome;
+    if (!reason.empty()) result.failure_reason = std::move(reason);
+    if (pool != nullptr) {
+      report->tasks_stolen = pool->tasks_stolen() - stolen_before;
+      if (obs::MetricsActive()) {
+        obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+        reg.gauge("threadpool.max_queue_depth").Max(pool->max_queue_depth());
+        const int64_t fail_ns = first_fail_ns.load(std::memory_order_relaxed);
+        if (fail_ns != 0) {
+          reg.histogram("parallel.cancel_drain_ns").Observe(NowNs() - fail_ns);
+        }
+      }
+    }
+    RecordRunMetrics(result.stats, *report, pool != nullptr, memo != nullptr);
+    return std::move(result);
+  };
+  if (cancelled()) {
+    return finish(RewriteOutcome::kAborted, kCancelledReason);
   }
-  if (aborted) {
-    result.outcome = RewriteOutcome::kAborted;
-    result.failure_reason = "canonical database budget exceeded";
-    return result;
-  }
-  if (failed) {
-    result.outcome = RewriteOutcome::kNoRewriting;
-    return result;
+  if (failed) return finish(RewriteOutcome::kNoRewriting, "");
+  if (budget_exceeded) {
+    // The abort-triggering database is counted.
+    ++result.stats.canonical_databases;
+    return finish(RewriteOutcome::kAborted,
+                  "canonical database budget exceeded");
   }
   if (pre_rewritings.empty()) {
     // The query computes its head on no canonical database: impossible for
     // a satisfiable safe query, but guard anyway.
-    result.outcome = RewriteOutcome::kNoRewriting;
-    result.failure_reason = "query computes its head on no canonical database";
-    return result;
+    return finish(RewriteOutcome::kNoRewriting,
+                  "query computes its head on no canonical database");
   }
 
   // --- Phase 2 task (b): every expansion must be contained in the query ---
 
+  const int64_t num_pres = static_cast<int64_t>(pre_rewritings.size());
+  report->phase2_tasks_total = num_pres;
+  std::vector<Phase2Outcome> checks(static_cast<size_t>(num_pres));
+  if (pool == nullptr) {
+    for (int64_t i = 0; i < num_pres && !cancelled(); ++i) {
+      checks[i] = CheckExpansionContained(work, pre_rewritings[i], memo);
+      ++report->phase2_tasks_executed;
+      if (!checks[i].contained) break;
+    }
+  } else {
+    PrefixCancel p2_cancel;
+    std::atomic<int64_t> p2_executed{0};
+    int64_t p2_done = 0;
+    for (int64_t i = 0; i < num_pres; ++i) {
+      pool->Submit([&, i] {
+        if (p2_cancel.ShouldRun(i) && !cancelled()) {
+          checks[i] = CheckExpansionContained(work, pre_rewritings[i], memo);
+          p2_executed.fetch_add(1, std::memory_order_relaxed);
+          if (!checks[i].contained) {
+            p2_cancel.FailAt(i);
+            note_failure();
+          }
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ++p2_done;
+        cv.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return p2_done == num_pres; });
+    report->phase2_tasks_executed = p2_executed.load();
+  }
+  report->phase2_tasks_cancelled = num_pres - report->phase2_tasks_executed;
+
+  // Same ordering argument as after Phase 1: a token observed by any check
+  // means some slots hold no verdict.
+  if (cancelled()) {
+    return finish(RewriteOutcome::kAborted, kCancelledReason);
+  }
+
+  // The in-order Phase-2 merge, up to and including the first expansion
+  // that is not contained (every check before it ran on both schedules).
   std::map<std::string, bool> phase2_verdicts;
   bool phase2_failed = false;
-  for (const ConjunctiveQuery& pre : pre_rewritings) {
-    if (driver.cancel != nullptr && driver.cancel->cancelled()) {
-      result.outcome = RewriteOutcome::kAborted;
-      result.failure_reason = kCancelledReason;
-      return result;
-    }
+  for (int64_t i = 0; i < num_pres && !phase2_failed; ++i) {
+    const Phase2Outcome& check = checks[i];
     ++result.stats.phase2_checks;
-    const Phase2Outcome check = CheckExpansionContained(work, pre, memo);
     result.stats.phase2_orders += check.orders_enumerated;
     result.stats.phase2_ns += check.wall_ns;
-    if (explain) phase2_verdicts[pre.ToString()] = check.contained;
+    if (memo != nullptr) {
+      ++(check.cache_hit ? report->cache_hits : report->cache_misses);
+    }
+    if (explain) {
+      phase2_verdicts[pre_rewritings[i].ToString()] = check.contained;
+    }
     if (!check.contained) {
-      result.outcome = RewriteOutcome::kNoRewriting;
-      result.failure_reason =
-          "expansion not contained in the query: " + pre.ToString();
+      result.failure_reason = "expansion not contained in the query: " +
+                              pre_rewritings[i].ToString();
       phase2_failed = true;
-      break;
     }
   }
+  // The two-column tableau.
   if (explain) {
     for (CanonicalDatabaseTrace& db : result.trace.databases) {
       if (db.status != "ok") continue;
@@ -762,7 +965,6 @@ RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
       if (it == phase2_verdicts.end()) continue;  // Unchecked after failure.
       db.expansion_contained = it->second;
       if (it->second) {
-        db.status = "ok";
         result.trace.left_column.push_back(db.order);
       } else {
         db.status = "phase2-failed";
@@ -770,30 +972,19 @@ RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
       }
     }
   }
-  if (phase2_failed) return result;
+  if (phase2_failed) return finish(RewriteOutcome::kNoRewriting, "");
 
   FinalizeFoundRewriting(work, std::move(pre_rewritings), &result);
-  return result;
+  return finish(result.outcome, "");
 }
 
-RewriteResult EquivalentRewriter::RunSerial() {
-  // A query with contradictory comparisons computes nothing; the empty
-  // union is an equivalent rewriting.
-  if (!AcSolver::IsSatisfiable(query_.comparisons())) {
-    RewriteResult result;
-    result.outcome = RewriteOutcome::kRewritingFound;
-    result.tier = 0;
-    result.tier_reason =
-        "query comparisons unsatisfiable; the rewriting is the empty union";
-    if (options_.verify) {
-      result.verified =
-          RewritingIsEquivalent(query_, result.rewriting, views_);
-    }
-    return result;
+RewriteResult EquivalentRewriter::Run() {
+  if (std::optional<RewriteResult> empty =
+          RewriteOfUnsatisfiableQuery(query_, views_, options_)) {
+    return *std::move(empty);
   }
-
   const RewriteWork work = PrepareRewriteWork(query_, views_, options_);
-  return RunPreparedRewriteSerial(work, options_, memo_, nullptr);
+  return RunPreparedRewrite(work, options_, memo_, /*phase1_memo=*/nullptr);
 }
 
 RewriteResult FindEquivalentRewriting(const ConjunctiveQuery& query,

@@ -22,6 +22,7 @@ namespace cqac {
 
 class MemoCache;   // runtime/memo_cache.h
 class Phase1Memo;  // runtime/memo_cache.h
+class ThreadPool;  // runtime/thread_pool.h
 
 /// Options controlling the equivalent-rewriting algorithm.
 struct RewriteOptions {
@@ -89,12 +90,12 @@ struct RewriteOptions {
   int64_t max_canonical_databases = -1;
 
   /// Worker threads for the canonical-database fan-out and the Phase-2
-  /// containment checks.  1 (the default) runs the classic serial loop;
-  /// 0 means std::thread::hardware_concurrency(); any other value is the
-  /// thread count of the runtime/parallel_rewriter driver.  Results are
-  /// byte-identical to the serial path regardless of the value (with a
-  /// memo cache, the work counter stats.phase2_orders may differ; see
-  /// runtime/parallel_rewriter.h).
+  /// containment checks (the schedule of RunPreparedRewrite).  1 (the
+  /// default) runs every work unit inline on the calling thread; 0 means
+  /// std::thread::hardware_concurrency(); any other value is the size of
+  /// the thread pool the units fan out over.  Results are byte-identical
+  /// regardless of the value (with a memo cache, the work counter
+  /// stats.phase2_orders may differ; see RunPreparedRewrite).
   int jobs = 1;
 
   /// Pins the execution tier chosen by the structural classifier
@@ -109,7 +110,7 @@ struct RewriteOptions {
 
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
   /// behind per-request deadlines in the rewrite service.  When non-null,
-  /// both drivers poll the token at canonical-database and Phase-2
+  /// the driver polls the token at canonical-database and Phase-2
   /// containment-check boundaries and abort with outcome kAborted and
   /// failure_reason "cancelled" as soon as it is set.  Abort latency is
   /// therefore bounded by one work unit (one ProcessCanonicalDatabase or
@@ -142,7 +143,7 @@ struct RewriteStats {
 
   // Per-phase wall time, in nanoseconds of std::chrono::steady_clock.
   // Accumulated element-wise through Merge like every other field, so the
-  // serial and parallel paths aggregate them identically — the *values*
+  // inline and pooled schedules aggregate them identically — the *values*
   // are wall-clock measurements and naturally vary run to run.  The
   // work-summed fields (freeze/phase1/phase2) add up per-unit durations
   // across all workers, so on a parallel run phase1_ns can exceed
@@ -152,9 +153,9 @@ struct RewriteStats {
   int64_t phase1_ns = 0;       // sum: full ProcessCanonicalDatabase calls
   int64_t phase2_ns = 0;       // sum: CheckExpansionContained calls
 
-  /// Element-wise accumulation.  Both the serial loop and the parallel
-  /// driver build their totals exclusively through Merge, so equal work
-  /// yields equal counters regardless of thread count.
+  /// Element-wise accumulation.  The driver builds its totals exclusively
+  /// through Merge, so equal work yields equal counters regardless of
+  /// thread count.
   void Merge(const RewriteStats& other);
 };
 
@@ -225,9 +226,9 @@ struct RewriteResult {
 // The algorithm decomposes into an immutable per-run context plus two kinds
 // of independent, side-effect-free work units: one per canonical database
 // (Phase 1 steps 2-3.7) and one per Pre-Rewriting (the Phase-2 containment
-// check).  The serial EquivalentRewriter::Run and the parallel driver in
-// runtime/parallel_rewriter.cc are both thin schedulers over these units,
-// which is what makes their outputs byte-identical by construction.
+// check).  RunPreparedRewrite schedules them either inline or over a thread
+// pool and merges their outcomes in one place, in enumeration order, which
+// is what makes the output byte-identical for every thread count.
 // ---------------------------------------------------------------------------
 
 /// The database-independent setup of one run (Section 3.2): the stripped
@@ -293,34 +294,6 @@ RewriteWork PrepareRewriteWork(
     const std::vector<ConjunctiveQuery>* precompiled_v0,
     const std::vector<Rational>* view_constants);
 
-/// Phases 1-2 plus finalization over a prebuilt work context — the serial
-/// loop of EquivalentRewriter::RunSerial, factored out so a ViewCatalog
-/// can run many requests over one compiled, long-lived RewriteWork.
-///
-/// Phase semantics (pruning, simplification, explain, ...) come from
-/// work.options; `driver` supplies only the scheduling-level knobs read
-/// per request: `cancel` and `max_canonical_databases` (and
-/// `phase1_dedup`, below).  For the classic one-shot path the two are the
-/// same object.
-///
-/// `phase1_memo`, when non-null, must belong to `work` (its entries index
-/// work.mcds) and may persist across calls — that is the catalog-scoped
-/// cross-request Phase-1 memo.  When null, a run-local memo is created
-/// per driver.phase1_dedup, reproducing the classic behavior.
-///
-/// The caller must have handled the unsatisfiable-query shortcut; this
-/// function assumes work was built from a satisfiable query.
-RewriteResult RunPreparedRewriteSerial(const RewriteWork& work,
-                                       const RewriteOptions& driver,
-                                       MemoCache* memo,
-                                       Phase1Memo* phase1_memo);
-
-/// Folds a finished run's counters into the global metrics registry
-/// (obs/metrics.h): rewrite.* counters plus the Phase-1 memo hit/miss
-/// split.  No-op unless obs::MetricsActive(); called by both the serial
-/// loop and the parallel driver.
-void RecordRewriteMetrics(const RewriteStats& stats);
-
 /// What Phase 1 concluded about one canonical database.
 struct DatabaseOutcome {
   enum class Status {
@@ -339,7 +312,7 @@ struct DatabaseOutcome {
   /// constraints); set iff status == kKept.
   std::optional<ConjunctiveQuery> pre_rewriting;
 
-  /// Set iff status == kFailed; identical wording to the serial path.
+  /// Set iff status == kFailed; becomes the run's failure_reason.
   std::string failure_reason;
 
   /// Per-database trace; populated iff options.explain.
@@ -376,13 +349,83 @@ Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre,
                                       MemoCache* memo);
 
-/// The post-Phase-2 tail shared by the serial and parallel drivers:
-/// coalescing, the weakened-pruning Lemma-2 check, output minimization,
-/// and optional verification.  Sets result->outcome / rewriting /
-/// verified / failure_reason.
+/// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
+/// Lemma-2 check, output minimization, and optional verification.  Sets
+/// result->outcome / rewriting / verified / failure_reason.
 void FinalizeFoundRewriting(const RewriteWork& work,
                             std::vector<ConjunctiveQuery> pre_rewritings,
                             RewriteResult* result);
+
+/// Scheduling telemetry of one RunPreparedRewrite call: how the units were
+/// executed and how the cooperative cancellation behaved.  Unlike
+/// RewriteStats (which, absent a memo cache, is byte-identical for every
+/// schedule), these counters describe the execution itself and
+/// legitimately vary run to run: a cancelled task is work the early abort
+/// saved.  On the inline schedule nothing is ever cancelled.
+struct ParallelRewriteReport {
+  int jobs = 0;  // threads the units ran on (1 = inline)
+
+  int64_t db_tasks_total = 0;      // canonical databases handed out
+  int64_t db_tasks_executed = 0;   // ran to completion
+  int64_t db_tasks_cancelled = 0;  // skipped by the cancellation token
+
+  int64_t phase2_tasks_total = 0;
+  int64_t phase2_tasks_executed = 0;
+  int64_t phase2_tasks_cancelled = 0;
+
+  int64_t cache_hits = 0;    // Phase-2 verdicts served from the memo
+  int64_t cache_misses = 0;  // Phase-2 verdicts computed with a memo attached
+
+  int64_t tasks_stolen = 0;  // pool-level: tasks taken from a sibling queue
+};
+
+/// The rewriting driver: Phases 1-2 plus finalization over a prebuilt work
+/// context.  EquivalentRewriter::Run and ViewCatalog::Rewrite (which keeps
+/// one compiled, long-lived RewriteWork per plan) both end here.
+///
+/// The schedule is the only thing `driver.jobs` changes.  With jobs == 1
+/// every ProcessCanonicalDatabase and CheckExpansionContained call runs
+/// inline on the calling thread, in enumeration order, stopping at the
+/// first failure.  Otherwise the units fan out over `pool` (or, when null,
+/// over a pool of ThreadPool::ResolveJobs(jobs) threads owned by the run);
+/// Phase 1 streams the enumeration through a bounded sliding window, and a
+/// PrefixCancel skips every unit past the first failing one (the paper's
+/// "some D_i has no MCR => no rewriting exists" short-circuit).  Either
+/// way the outcomes are merged in enumeration order by the same code, so
+/// with `memo == nullptr` the result (outcome, rewriting, failure reason,
+/// trace, and stats) is byte-identical for every thread count and task
+/// interleaving.  With a memo the answer is still byte-identical (verdicts
+/// are pure functions of their keys) but `stats.phase2_orders` counts work
+/// actually performed: which checks hit depends on the memo's prior
+/// contents and, under a shared memo, on scheduling.
+///
+/// Phase semantics (pruning, simplification, explain, ...) come from
+/// work.options; `driver` supplies only the scheduling-level knobs read per
+/// request: `jobs`, `cancel`, `max_canonical_databases` and
+/// `phase1_dedup`.  For the one-shot path the two are the same object.
+///
+/// `memo`, when non-null, memoizes Phase-2 containment verdicts and is
+/// counted in the memo_cache.hits/misses metrics.  `phase1_memo`, when
+/// non-null, must belong to `work` (its entries index work.mcds) and may
+/// persist across calls — that is the catalog-scoped cross-request Phase-1
+/// memo; when null, a run-local memo is created per driver.phase1_dedup.
+/// `report`, when non-null, receives the scheduling telemetry.  The run's
+/// counters are folded into the metrics registry (obs/metrics.h).
+///
+/// The caller must have handled the unsatisfiable-query shortcut
+/// (RewriteOfUnsatisfiableQuery); `work` must come from a satisfiable query.
+RewriteResult RunPreparedRewrite(const RewriteWork& work,
+                                 const RewriteOptions& driver,
+                                 MemoCache* memo, Phase1Memo* phase1_memo,
+                                 ThreadPool* pool = nullptr,
+                                 ParallelRewriteReport* report = nullptr);
+
+/// The answer for a query whose comparisons are contradictory: it computes
+/// nothing, so the empty union is an equivalent rewriting.  nullopt when
+/// the comparisons are satisfiable and the algorithm has to run.
+std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
+    const ConjunctiveQuery& query, const ViewSet& views,
+    const RewriteOptions& options);
 
 /// The paper's sound and complete algorithm (Section 3) for finding an
 /// equivalent rewriting of a CQAC query using CQAC views, in the language
@@ -408,15 +451,13 @@ class EquivalentRewriter {
         options_(options),
         memo_(memo) {}
 
-  /// Runs the algorithm.  Deterministic for fixed inputs; with
-  /// options.jobs != 1 the run is delegated to the parallel driver, whose
-  /// result is byte-identical to the serial one (modulo the memo-cache
-  /// caveat in runtime/parallel_rewriter.h).
+  /// Runs the algorithm: the unsatisfiable-query shortcut, else
+  /// RunPreparedRewrite over a freshly prepared work context, scheduled
+  /// per options.jobs.  Deterministic for fixed inputs and byte-identical
+  /// for every options.jobs (modulo the memo caveat documented there).
   RewriteResult Run();
 
  private:
-  RewriteResult RunSerial();
-
   ConjunctiveQuery query_;
   ViewSet views_;
   RewriteOptions options_;

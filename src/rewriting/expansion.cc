@@ -4,6 +4,7 @@
 
 #include "constraints/ac_solver.h"
 #include "containment/homomorphism.h"
+#include "obs/metrics.h"
 
 namespace cqac {
 
@@ -205,6 +206,15 @@ ConjunctiveQuery FoldExistentialVariables(const ConjunctiveQuery& q) {
       if (!SearchFold(current.body(), current.comparisons(), mapped,
                       static_cast<int>(current.body().size()), victim, seed,
                       &budget, &theta)) {
+        // An exhausted budget means "no fold found", not "no fold
+        // exists": the result stays equivalent but may keep redundant
+        // atoms.  Counted so the bound is never hit silently.
+        if (budget <= 0) {
+          static obs::Counter& exhausted =
+              obs::MetricsRegistry::Global().counter(
+                  "simplify.fold_budget_exhausted");
+          exhausted.Add(1);
+        }
         continue;
       }
       const ConjunctiveQuery folded = current.ApplySubstitution(theta);

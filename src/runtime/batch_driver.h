@@ -19,7 +19,7 @@ struct BatchOptions {
   int jobs = 0;
 
   /// Per-job rewriting options.  `rewrite.jobs` is forced to 1: the batch
-  /// driver parallelizes ACROSS jobs — each job runs the serial rewriter
+  /// driver parallelizes ACROSS jobs — each job runs its units inline
   /// on one worker, which keeps every core busy without oversubscribing.
   RewriteOptions rewrite;
 

@@ -24,15 +24,16 @@ class CancellationToken {
 /// Prefix cancellation for deterministic early abort over an indexed task
 /// range.
 ///
-/// The serial algorithm stops at the FIRST failing canonical database; a
-/// parallel run may observe failures out of order.  To reproduce the
-/// serial answer byte-for-byte, a failure at index i only cancels work at
+/// The algorithm stops at the FIRST failing canonical database, as the
+/// inline schedule of RunPreparedRewrite (rewriting/equiv_rewriter.h)
+/// does; a pooled run may observe failures out of order.  To reproduce the
+/// inline answer byte-for-byte, a failure at index i only cancels work at
 /// indices strictly greater than i: tasks below i must still run, because
 /// one of them may fail at an even smaller index and become the failure
-/// the serial run would have reported.  `cutoff()` therefore converges to
-/// the minimal failing index — exactly the database the serial loop would
-/// have stopped at — and everything merged afterwards is the prefix the
-/// serial run would have produced.
+/// the inline run would have reported.  `cutoff()` therefore converges to
+/// the minimal failing index — exactly the database the inline schedule
+/// stops at — and everything merged afterwards is the prefix the inline
+/// run would have produced.
 class PrefixCancel {
  public:
   static constexpr int64_t kNone = std::numeric_limits<int64_t>::max();

@@ -84,47 +84,6 @@ size_t MemoCache::size() const {
 }
 
 // ---------------------------------------------------------------------------
-// DedupTable
-// ---------------------------------------------------------------------------
-
-DedupTable::DedupTable(int num_shards) {
-  if (num_shards < 1) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-DedupTable::Shard& DedupTable::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>()(key) % shards_.size()];
-}
-
-const DedupTable::Shard& DedupTable::ShardFor(const std::string& key) const {
-  return *shards_[std::hash<std::string>()(key) % shards_.size()];
-}
-
-bool DedupTable::Insert(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.keys.insert(key).second;
-}
-
-bool DedupTable::Contains(const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.keys.count(key) > 0;
-}
-
-int64_t DedupTable::size() const {
-  int64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += static_cast<int64_t>(shard->keys.size());
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // Phase1Memo
 // ---------------------------------------------------------------------------
 

@@ -9,14 +9,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ast/query.h"
 
 namespace cqac {
 
-/// Aggregated counters of a MemoCache / DedupTable.
+/// Aggregated counters of a MemoCache.
 struct MemoCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -74,37 +73,6 @@ class MemoCache {
   const Shard& ShardFor(const std::string& key) const;
 
   size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/// A sharded insert-only set used to deduplicate canonical-database
-/// products (Pre-Rewriting keys) across worker threads: the first thread
-/// to insert a key wins.  Note the *output* dedup of a deterministic run
-/// happens during the ordered merge; this table exists so threads can
-/// cheaply skip work whose product is already known globally.
-class DedupTable {
- public:
-  explicit DedupTable(int num_shards = 16);
-
-  DedupTable(const DedupTable&) = delete;
-  DedupTable& operator=(const DedupTable&) = delete;
-
-  /// True when `key` was not present (first insertion).
-  bool Insert(const std::string& key);
-
-  bool Contains(const std::string& key) const;
-
-  int64_t size() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_set<std::string> keys;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
-
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

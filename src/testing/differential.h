@@ -15,8 +15,8 @@ namespace testing {
 /// memoization, enumeration engine, and mapping engine.  Every point must
 /// produce the same answer; the differential driver proves it per input.
 struct LatticeConfig {
-  /// RewriteOptions::jobs — 1 is the classic serial loop, anything else
-  /// the work-stealing parallel driver.
+  /// RewriteOptions::jobs — 1 runs the driver's units inline, anything
+  /// else fans them out over a work-stealing thread pool.
   int jobs = 1;
 
   /// RewriteOptions::phase1_dedup — the Phase-1 fingerprint memo.

@@ -1,8 +1,12 @@
 // Tests for FoldExistentialVariables: the comparison-aware minimization
 // that keeps Phase 2's canonical enumeration small.
 
+#include <string>
+
 #include "containment/cqac_containment.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/prometheus.h"
 #include "parser/parser.h"
 #include "rewriting/expansion.h"
 
@@ -111,6 +115,34 @@ TEST(FoldTest, EmptyComparisonAfterRedundancyRemoval) {
       Fold("q(X) :- a(X,Y), a(X,Z), 1 < 2");
   EXPECT_EQ(folded.body().size(), 1u);
   EXPECT_TRUE(folded.comparisons().empty());
+}
+
+// The fold search is bounded; a search that runs out of budget keeps the
+// query unfolded and is counted in simplify.fold_budget_exhausted.  The
+// complete directed graph on six vertices is a core (no fold exists) whose
+// search space of vertex permutations outgrows the budget for every
+// victim atom; a foldable query never touches the counter.
+TEST(FoldTest, BudgetExhaustionIsCounted) {
+  obs::Counter& exhausted = obs::MetricsRegistry::Global().counter(
+      "simplify.fold_budget_exhausted");
+  std::string k6 = "q() :- ";
+  for (int i = 1; i <= 6; ++i) {
+    for (int j = 1; j <= 6; ++j) {
+      if (i == j) continue;
+      if (k6.back() == ')') k6 += ", ";
+      k6 += "e(X" + std::to_string(i) + ",X" + std::to_string(j) + ")";
+    }
+  }
+  int64_t before = exhausted.value();
+  EXPECT_EQ(Fold(k6).body().size(), 30u);
+  EXPECT_GT(exhausted.value(), before);
+  EXPECT_NE(obs::PrometheusText(obs::MetricsRegistry::Global())
+                .find("cqac_simplify_fold_budget_exhausted_total "),
+            std::string::npos);
+
+  before = exhausted.value();
+  EXPECT_EQ(Fold("q(X) :- a(X,Y), a(X,Z)").body().size(), 1u);
+  EXPECT_EQ(exhausted.value(), before);
 }
 
 }  // namespace

@@ -83,32 +83,6 @@ TEST(MemoCacheTest, ConcurrentAccessIsSafe) {
   EXPECT_LE(cache.size(), 200u);
 }
 
-TEST(DedupTableTest, FirstInsertionWins) {
-  DedupTable table(4);
-  EXPECT_TRUE(table.Insert("x"));
-  EXPECT_FALSE(table.Insert("x"));
-  EXPECT_TRUE(table.Insert("y"));
-  EXPECT_TRUE(table.Contains("x"));
-  EXPECT_FALSE(table.Contains("z"));
-  EXPECT_EQ(table.size(), 2);
-}
-
-TEST(DedupTableTest, ConcurrentInsertExactlyOneWinner) {
-  DedupTable table;
-  std::atomic<int> winners{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        if (table.Insert("key" + std::to_string(i))) winners.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(winners.load(), 100);
-  EXPECT_EQ(table.size(), 100);
-}
-
 TEST(NormalizedQueryKeyTest, AlphaEquivalentQueriesShareKeys) {
   const ConjunctiveQuery q1 =
       Parser::MustParseRule("q(X) :- p(X,Y), r(Y), X <= 5");

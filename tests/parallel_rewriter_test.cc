@@ -1,15 +1,16 @@
-// Tests of the parallel rewriting runtime: the parallel driver must be
-// byte-identical to the serial algorithm for every thread count and task
-// interleaving, and the first failing canonical database must cancel
-// outstanding work (the paper's "some D_i has no MCR => no rewriting
-// exists" short-circuit).
+// Tests of the rewriting driver's schedules: fanning the work units out
+// over a thread pool must be byte-identical to running them inline, for
+// every thread count and task interleaving, and the first failing
+// canonical database must cancel outstanding work (the paper's "some D_i
+// has no MCR => no rewriting exists" short-circuit).
 
-#include "runtime/parallel_rewriter.h"
-
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/explain.h"
@@ -40,6 +41,20 @@ void ExpectResultsEqual(const RewriteResult& serial,
   EXPECT_EQ(serial.verified, parallel.verified);
   EXPECT_EQ(serial.rewriting.ToString(), parallel.rewriting.ToString());
   ExpectStatsEqual(serial.stats, parallel.stats);
+}
+
+// RunPreparedRewrite over a freshly prepared work context, the way
+// EquivalentRewriter::Run calls it, but with the pool and report exposed.
+RewriteResult RunDirect(const ConjunctiveQuery& query, const ViewSet& views,
+                        const RewriteOptions& options, MemoCache* memo,
+                        ThreadPool* pool, ParallelRewriteReport* report) {
+  if (std::optional<RewriteResult> empty =
+          RewriteOfUnsatisfiableQuery(query, views, options)) {
+    return *std::move(empty);
+  }
+  const RewriteWork work = PrepareRewriteWork(query, views, options);
+  return RunPreparedRewrite(work, options, memo, /*phase1_memo=*/nullptr,
+                            pool, report);
 }
 
 TEST(ParallelRewriterTest, MergeIsElementwiseSum) {
@@ -85,11 +100,15 @@ TEST(ParallelRewriterTest, DeterministicAcrossThreadCountsOnWorkloads) {
     }
 
     for (int jobs : {2, 4, 8}) {
-      const RewriteResult parallel =
-          ParallelRewrite(instance.query, instance.views, options);
-      static_cast<void>(jobs);
       RewriteOptions parallel_options = options;
       parallel_options.jobs = jobs;
+      ParallelRewriteReport report;
+      const RewriteResult parallel =
+          RunDirect(instance.query, instance.views, parallel_options,
+                    /*memo=*/nullptr, /*pool=*/nullptr, &report);
+      if (report.db_tasks_total > 0) {
+        EXPECT_EQ(report.jobs, jobs);
+      }
       const RewriteResult via_rewriter =
           EquivalentRewriter(instance.query, instance.views, parallel_options)
               .Run();
@@ -171,10 +190,12 @@ TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
   EXPECT_EQ(serial.stats.canonical_databases, 1);
 
   options.jobs = 4;
+  ThreadPool pool(4);
   ParallelRewriteReport report;
-  const RewriteResult parallel = ParallelRewrite(
-      query, views, options, /*memo=*/nullptr, /*pool=*/nullptr, &report);
+  const RewriteResult parallel =
+      RunDirect(query, views, options, /*memo=*/nullptr, &pool, &report);
   ExpectResultsEqual(serial, parallel, "cancellation");
+  EXPECT_EQ(report.jobs, 4);
 
   // 4 variables => 75 canonical databases, but the driver streams them
   // through a bounded window and stops enumerating once the first
@@ -227,10 +248,10 @@ TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
 
   ParallelRewriteReport first_report;
   const RewriteResult first =
-      ParallelRewrite(query, views, options, &memo, &pool, &first_report);
+      RunDirect(query, views, options, &memo, &pool, &first_report);
   ParallelRewriteReport second_report;
   const RewriteResult second =
-      ParallelRewrite(query, views, options, &memo, &pool, &second_report);
+      RunDirect(query, views, options, &memo, &pool, &second_report);
 
   EXPECT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
   EXPECT_EQ(first.rewriting.ToString(), second.rewriting.ToString());
@@ -241,6 +262,44 @@ TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
   // the result is unchanged.
   EXPECT_EQ(second.stats.phase2_checks, first.stats.phase2_checks);
   EXPECT_EQ(second.stats.phase2_orders, 0);
+}
+
+// The memo_cache.* counters are recorded once per Phase-2 check by the
+// driver's merge, identically on both schedules, and only when a memo is
+// attached.
+TEST(ParallelRewriterTest, MemoCacheMetricsMatchAcrossSchedules) {
+  const ConjunctiveQuery query = Parser::MustParseRule(
+      "q(A) :- r(A), s(A,A), A <= 8");
+  const ViewSet views(Parser::MustParseProgram(
+      "v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z."));
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter& hits = reg.counter("memo_cache.hits");
+  obs::Counter& misses = reg.counter("memo_cache.misses");
+  obs::EnableMetrics(true);
+  std::vector<std::pair<int64_t, int64_t>> with_memo;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    RewriteOptions options;
+    options.jobs = jobs;
+    int64_t hits_before = hits.value();
+    int64_t misses_before = misses.value();
+    EquivalentRewriter(query, views, options).Run();
+    EXPECT_EQ(hits.value(), hits_before);
+    EXPECT_EQ(misses.value(), misses_before);
+
+    MemoCache memo;
+    hits_before = hits.value();
+    misses_before = misses.value();
+    const RewriteResult result =
+        EquivalentRewriter(query, views, options, &memo).Run();
+    with_memo.emplace_back(hits.value() - hits_before,
+                           misses.value() - misses_before);
+    EXPECT_EQ(with_memo.back().first + with_memo.back().second,
+              result.stats.phase2_checks);
+    EXPECT_GT(result.stats.phase2_checks, 0);
+  }
+  obs::EnableMetrics(false);
+  EXPECT_EQ(with_memo[0], with_memo[1]);
 }
 
 // jobs=0 resolves to hardware concurrency and still matches serial.
