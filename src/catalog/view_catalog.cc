@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "constraints/ac_solver.h"
+#include "ast/substitution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewriting/exportable.h"
@@ -11,6 +11,16 @@
 namespace cqac {
 
 namespace {
+
+/// Capacity of the catalog-scoped Phase-2 containment MemoCache.
+constexpr size_t kContainmentCacheCapacity = 1 << 16;
+
+/// Compiled query plans kept (LRU).  A plan is a prepared RewriteWork plus
+/// its persistent Phase-1 memo; evicting one only costs a rebuild.
+constexpr size_t kPlanCapacity = 64;
+
+/// Semantic result entries kept (LRU).
+constexpr size_t kSemanticCapacity = 1 << 12;
 
 /// The options fields a plan is compiled for: everything
 /// FinalizeFoundRewriting / ProcessCanonicalDatabase /
@@ -126,41 +136,12 @@ struct ViewCatalog::SemanticEntry {
   std::string tier_reason;
 };
 
-ViewCatalog::ViewCatalog(ViewSet views, CatalogOptions options)
-    : options_(options),
-      views_(std::move(views)),
+ViewCatalog::ViewCatalog(ViewSet views)
+    : views_(std::move(views)),
       epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed) + 1),
-      containment_memo_(options.containment_cache_capacity) {
+      containment_memo_(kContainmentCacheCapacity) {
   CQAC_TRACE_SPAN("catalog.build");
-  closures_.reserve(views_.views().size());
   for (const ConjunctiveQuery& view : views_.views()) {
-    // Intern every symbol of the view once, ahead of any request.
-    interner_.Intern(view.head().predicate());
-    for (const Term& t : view.head().args()) {
-      if (t.IsVariable()) interner_.Intern(t.name());
-    }
-    for (const Atom& a : view.body()) {
-      interner_.Intern(a.predicate());
-      for (const Term& t : a.args()) {
-        if (t.IsVariable()) interner_.Intern(t.name());
-      }
-    }
-    for (const Comparison& c : view.comparisons()) {
-      if (c.lhs().IsVariable()) interner_.Intern(c.lhs().name());
-      if (c.rhs().IsVariable()) interner_.Intern(c.rhs().name());
-    }
-
-    // The view's AC closure.
-    ViewClosure closure;
-    closure.satisfiable = AcSolver::IsSatisfiable(view.comparisons());
-    if (closure.satisfiable) {
-      if (std::optional<Substitution> forced =
-              AcSolver::ForcedEqualities(view.comparisons())) {
-        closure.forced_equalities = *std::move(forced);
-      }
-    }
-    closures_.push_back(std::move(closure));
-
     // The exported variants, flattened in view order — the exact
     // per-view derivation PrepareRewriteWork performs, hoisted to build
     // time.
@@ -205,7 +186,7 @@ std::shared_ptr<const ViewCatalog::CatalogPlan> ViewCatalog::GetOrBuildPlan(
     }
   }
   plans_.emplace_front(std::move(key), plan);
-  while (plans_.size() > options_.plan_capacity) plans_.pop_back();
+  while (plans_.size() > kPlanCapacity) plans_.pop_back();
   return plan;
 }
 
@@ -325,7 +306,7 @@ void ViewCatalog::StoreSemantic(const std::string& key,
     }
   }
   semantic_.emplace_front(key, std::move(entry));
-  while (semantic_.size() > options_.semantic_capacity) semantic_.pop_back();
+  while (semantic_.size() > kSemanticCapacity) semantic_.pop_back();
 }
 
 RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
@@ -334,7 +315,7 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   CQAC_TRACE_SPAN("catalog.rewrite");
 
   // Explain runs bypass every cache: traces must be complete and are
-  // never replayed.  The classic driver still shares this catalog's
+  // never replayed.  The one-shot rewriter still shares this catalog's
   // containment memo (verdicts are pure, so traces are unaffected).
   if (options.explain) {
     RewriteResult result =
@@ -349,22 +330,18 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
     return *std::move(empty);
   }
 
-  std::string semantic_key;
-  if (options_.semantic_cache) {
-    semantic_key = NormalizedQueryKey(query);
-    semantic_key += '\x1f';
-    semantic_key += SemanticSignature(options);
-    if (std::optional<RewriteResult> hit =
-            ProbeSemantic(semantic_key, query)) {
-      semantic_hits_.fetch_add(1, std::memory_order_relaxed);
-      RecordCatalogCounter("catalog.semantic_hits");
-      hit->from_semantic_cache = true;
-      hit->catalog_epoch = epoch_;
-      return *std::move(hit);
-    }
-    semantic_misses_.fetch_add(1, std::memory_order_relaxed);
-    RecordCatalogCounter("catalog.semantic_misses");
+  std::string semantic_key = NormalizedQueryKey(query);
+  semantic_key += '\x1f';
+  semantic_key += SemanticSignature(options);
+  if (std::optional<RewriteResult> hit = ProbeSemantic(semantic_key, query)) {
+    semantic_hits_.fetch_add(1, std::memory_order_relaxed);
+    RecordCatalogCounter("catalog.semantic_hits");
+    hit->from_semantic_cache = true;
+    hit->catalog_epoch = epoch_;
+    return *std::move(hit);
   }
+  semantic_misses_.fetch_add(1, std::memory_order_relaxed);
+  RecordCatalogCounter("catalog.semantic_misses");
 
   std::shared_ptr<const CatalogPlan> plan =
       GetOrBuildPlan(query, options, PlanSignature(options));
@@ -375,7 +352,7 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
                                             &containment_memo_, phase1, pool);
   result.catalog_epoch = epoch_;
 
-  if (options_.semantic_cache && result.outcome != RewriteOutcome::kAborted) {
+  if (result.outcome != RewriteOutcome::kAborted) {
     StoreSemantic(semantic_key, query, result);
   }
   return result;
@@ -403,8 +380,8 @@ std::string FingerprintViewSet(const ViewSet& views) {
   return fp;
 }
 
-CatalogRegistry::CatalogRegistry(size_t capacity, CatalogOptions options)
-    : capacity_(std::max<size_t>(capacity, 1)), options_(options) {}
+CatalogRegistry::CatalogRegistry(size_t capacity)
+    : capacity_(std::max<size_t>(capacity, 1)) {}
 
 std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
     const ViewSet& views) {
@@ -418,7 +395,7 @@ std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
       }
     }
   }
-  auto catalog = std::make_shared<ViewCatalog>(views, options_);
+  auto catalog = std::make_shared<ViewCatalog>(views);
   built_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {

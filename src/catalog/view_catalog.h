@@ -4,17 +4,15 @@
 // Ahead-of-time view compilation and cross-request caching.
 //
 // Production traffic is many queries against a mostly-fixed view set, yet
-// the classic EquivalentRewriter re-derives every piece of per-view
-// machinery — interned symbols, exported V0 variants, per-view AC
-// closures, the views' constant pool — on every call, and containment
-// with ACs is Pi^p_2-hard, so each re-derivation feeds a doubly
-// exponential algorithm.  A ViewCatalog compiles a ViewSet exactly once
-// and is then shared read-only across threads and requests:
+// a one-shot EquivalentRewriter re-derives the per-view machinery — the
+// exported V0 variants and the views' constant pool — on every call, and
+// containment with ACs is Pi^p_2-hard, so each re-derivation feeds a
+// doubly exponential algorithm.  A ViewCatalog compiles a ViewSet exactly
+// once and is then shared read-only across threads and requests.  It is
+// the one path through which the batch driver and the server answer jobs:
 //
-//  * compiled view data: a SymbolInterner holding every predicate and
-//    variable of the views, the exported V0 variants flattened in view
-//    order, the deduplicated ascending view-constant pool, and each
-//    view's AC closure (satisfiability + forced equalities);
+//  * compiled view data: the exported V0 variants flattened in view
+//    order and the deduplicated ascending view-constant pool;
 //  * a catalog-scoped containment MemoCache, persistent across requests;
 //  * a plan cache: per (query, semantic options) a prepared RewriteWork —
 //    PreparedQuery, MiniCon buckets, MCD relations — plus a persistent
@@ -51,9 +49,7 @@
 #include <utility>
 #include <vector>
 
-#include "ast/interner.h"
 #include "ast/query.h"
-#include "ast/substitution.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
 #include "runtime/memo_cache.h"
@@ -61,35 +57,6 @@
 namespace cqac {
 
 class ThreadPool;
-
-struct CatalogOptions {
-  /// Capacity of the catalog-scoped Phase-2 containment MemoCache.
-  size_t containment_cache_capacity = 1 << 16;
-
-  /// Compiled query plans kept (LRU).  A plan is a prepared RewriteWork
-  /// plus its persistent Phase-1 memo; evicting one only costs a rebuild.
-  size_t plan_capacity = 64;
-
-  /// Semantic result entries kept (LRU).
-  size_t semantic_capacity = 1 << 12;
-
-  /// The alpha-normalized result cache.  Off, every request still reuses
-  /// the compiled views, plans, and both memos; results are byte-identical
-  /// either way (the corpus replay test asserts it), so this exists for
-  /// ablation and the config lattice, not as a safety valve.
-  bool semantic_cache = true;
-};
-
-/// One view's AC closure, computed once at catalog build.
-struct ViewClosure {
-  /// False when the view's comparisons are contradictory: the view
-  /// computes nothing on any database.
-  bool satisfiable = true;
-
-  /// Equalities the comparisons force (variable -> representative or
-  /// constant); empty when none or unsatisfiable.
-  Substitution forced_equalities;
-};
 
 /// Point-in-time counters of one catalog.
 struct CatalogStats {
@@ -105,20 +72,16 @@ struct CatalogStats {
 
 class ViewCatalog {
  public:
-  explicit ViewCatalog(ViewSet views, CatalogOptions options = {});
+  explicit ViewCatalog(ViewSet views);
 
   ViewCatalog(const ViewCatalog&) = delete;
   ViewCatalog& operator=(const ViewCatalog&) = delete;
 
   const ViewSet& views() const { return views_; }
-  const CatalogOptions& options() const { return options_; }
 
   /// Strictly increasing across every catalog built in this process; the
   /// invalidation token surfaced in stats, server responses, and logs.
   uint64_t epoch() const { return epoch_; }
-
-  /// Every predicate and variable name of the views, interned at build.
-  const SymbolInterner& interner() const { return interner_; }
 
   /// The exported V0 variants of all views, flattened in view order —
   /// exactly what PrepareRewriteWork would derive per call.
@@ -129,11 +92,6 @@ class ViewCatalog {
   /// views().Constants(), computed once (ascending, deduplicated).
   const std::vector<Rational>& view_constants() const {
     return view_constants_;
-  }
-
-  /// AC closure of views().views()[i].
-  const ViewClosure& closure(int i) const {
-    return closures_[static_cast<size_t>(i)];
   }
 
   /// The catalog-scoped Phase-2 containment memo, shared by every request
@@ -171,14 +129,11 @@ class ViewCatalog {
   void StoreSemantic(const std::string& key, const ConjunctiveQuery& query,
                      const RewriteResult& result);
 
-  const CatalogOptions options_;
   const ViewSet views_;
   const uint64_t epoch_;
 
-  SymbolInterner interner_;
   std::vector<ConjunctiveQuery> v0_variants_;
   std::vector<Rational> view_constants_;
-  std::vector<ViewClosure> closures_;
 
   MemoCache containment_memo_;
 
@@ -219,7 +174,7 @@ struct CatalogRegistryStats {
 /// first inserted catalog.
 class CatalogRegistry {
  public:
-  explicit CatalogRegistry(size_t capacity = 8, CatalogOptions options = {});
+  explicit CatalogRegistry(size_t capacity = 8);
 
   CatalogRegistry(const CatalogRegistry&) = delete;
   CatalogRegistry& operator=(const CatalogRegistry&) = delete;
@@ -240,7 +195,6 @@ class CatalogRegistry {
 
  private:
   const size_t capacity_;
-  const CatalogOptions options_;
   mutable std::mutex mu_;
   std::list<std::pair<std::string, std::shared_ptr<ViewCatalog>>>
       lru_;  // front = most recent

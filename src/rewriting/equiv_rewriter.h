@@ -175,7 +175,10 @@ struct RewriteStats {
 /// (server/protocol.h, docs/SERVICE.md).
 /// v6: the semi-interval tier 1 and its grid-cache hit/miss counters
 /// were removed; `tier` is 0 or 2.
-inline constexpr int kStatsJsonSchemaVersion = 6;
+/// v7: batch records dropped the catalog on/off flag; every batch and
+/// service job is served through a catalog, so the `catalog_*` block
+/// always carries live counters.
+inline constexpr int kStatsJsonSchemaVersion = 7;
 
 enum class RewriteOutcome {
   kRewritingFound,

@@ -35,6 +35,16 @@ std::pair<std::string, std::string> SplitCommand(const std::string& line) {
 
 }  // namespace
 
+void BatchSummary::SetCatalogStats(const CatalogRegistryStats& stats) {
+  cache = stats.containment;
+  catalogs_built = stats.catalogs_built;
+  catalog_plans_built = stats.plans_built;
+  catalog_plan_hits = stats.plan_hits;
+  catalog_semantic_hits = stats.semantic_hits;
+  catalog_semantic_misses = stats.semantic_misses;
+  catalog_epoch = stats.latest_epoch;
+}
+
 std::vector<BatchJob> ParseJobStream(std::istream& in) {
   std::vector<BatchJob> jobs;
   BatchJob current;
@@ -157,13 +167,11 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
       << summary.rejected << " rejected, " << summary.errors << " errors\n";
   out << "cache: " << summary.cache.hits << " hits, " << summary.cache.misses
       << " misses, " << summary.cache.evictions << " evictions\n";
-  if (summary.catalog_enabled) {
-    out << "catalog: " << summary.catalogs_built << " built, epoch "
-        << summary.catalog_epoch << ", " << summary.catalog_plans_built
-        << " plans built, " << summary.catalog_plan_hits << " plan hits, "
-        << summary.catalog_semantic_hits << " semantic hits, "
-        << summary.catalog_semantic_misses << " semantic misses\n";
-  }
+  out << "catalog: " << summary.catalogs_built << " built, epoch "
+      << summary.catalog_epoch << ", " << summary.catalog_plans_built
+      << " plans built, " << summary.catalog_plan_hits << " plan hits, "
+      << summary.catalog_semantic_hits << " semantic hits, "
+      << summary.catalog_semantic_misses << " semantic misses\n";
   if (options.print_stats) {
     out << "phase-1: " << summary.rewrite.canonical_databases
         << " databases visited, "
@@ -198,7 +206,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << ", \"freeze_ns\": " << summary.rewrite.freeze_ns
         << ", \"phase1_ns\": " << summary.rewrite.phase1_ns
         << ", \"phase2_ns\": " << summary.rewrite.phase2_ns
-        << ", \"catalog_enabled\": " << (summary.catalog_enabled ? 1 : 0)
         << ", \"catalogs_built\": " << summary.catalogs_built
         << ", \"catalog_plans_built\": " << summary.catalog_plans_built
         << ", \"catalog_plan_hits\": " << summary.catalog_plan_hits
@@ -227,18 +234,12 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
     return summary;
   }
 
-  // Each job runs its units inline on one worker; the shared memo
-  // cache carries containment verdicts across jobs, so repeated or
-  // near-duplicate jobs in a batch get cheaper as the batch proceeds.
+  // Each job runs its units inline on one worker; the catalog of its
+  // view set carries plans, memos and finished answers across jobs, so
+  // repeated or near-duplicate jobs get cheaper as the batch proceeds.
   RewriteOptions per_job = options.rewrite;
   per_job.jobs = 1;
-  MemoCache memo(options.cache_capacity);
-  std::optional<CatalogRegistry> registry;
-  if (options.use_catalog) {
-    CatalogOptions copts;
-    copts.containment_cache_capacity = options.cache_capacity;
-    registry.emplace(/*capacity=*/8, copts);
-  }
+  CatalogRegistry registry;
   ThreadPool pool(ThreadPool::ResolveJobs(options.jobs));
 
   std::vector<std::string> outputs(jobs.size());
@@ -268,10 +269,7 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
         is_error = true;
       } else {
         const RewriteResult result =
-            registry.has_value()
-                ? registry->GetOrBuild(job.views)->Rewrite(*job.query, per_job)
-                : EquivalentRewriter(*job.query, job.views, per_job, &memo)
-                      .Run();
+            registry.GetOrBuild(job.views)->Rewrite(*job.query, per_job);
         outcome = result.outcome;
         stats = result.stats;
         rendered = RenderJobResult(i, job, result, options.echo);
@@ -311,19 +309,7 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
     }
   }
 
-  if (registry.has_value()) {
-    const CatalogRegistryStats cstats = registry->Stats();
-    summary.catalog_enabled = true;
-    summary.catalogs_built = cstats.catalogs_built;
-    summary.catalog_plans_built = cstats.plans_built;
-    summary.catalog_plan_hits = cstats.plan_hits;
-    summary.catalog_semantic_hits = cstats.semantic_hits;
-    summary.catalog_semantic_misses = cstats.semantic_misses;
-    summary.catalog_epoch = cstats.latest_epoch;
-    summary.cache = cstats.containment;
-  } else {
-    summary.cache = memo.Stats();
-  }
+  summary.SetCatalogStats(registry.Stats());
   for (const RewriteStats& s : job_stats) summary.rewrite.Merge(s);
   if (obs::MetricsActive()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();

@@ -13,6 +13,8 @@
 
 namespace cqac {
 
+struct CatalogRegistryStats;
+
 /// Options of the batch service driver.
 struct BatchOptions {
   /// Worker threads of the job pool; 0 = hardware concurrency.
@@ -22,9 +24,6 @@ struct BatchOptions {
   /// driver parallelizes ACROSS jobs — each job runs its units inline
   /// on one worker, which keeps every core busy without oversubscribing.
   RewriteOptions rewrite;
-
-  /// Total entry budget of the shared containment memo cache.
-  size_t cache_capacity = 1 << 16;
 
   /// Echo each job's query/view definitions before its result.
   bool echo = false;
@@ -43,13 +42,6 @@ struct BatchOptions {
   /// Append a dump of the global metrics registry (obs/metrics.h) after
   /// the summary.  Behind `cqacsh --metrics`.
   bool print_metrics = false;
-
-  /// Route jobs through a CatalogRegistry (catalog/view_catalog.h): each
-  /// distinct view set in the batch is compiled into one shared
-  /// ViewCatalog and its plans, Phase-1 memo, containment memo, and
-  /// semantic result cache are reused across the batch's jobs.  Results
-  /// are byte-identical either way.  Behind `cqacsh --catalog`.
-  bool use_catalog = false;
 };
 
 /// Counters of one RunBatch call — and the one job-outcome taxonomy
@@ -66,18 +58,19 @@ struct BatchSummary {
   int64_t deadline_exceeded = 0;  // jobs cancelled by their deadline
   int64_t rejected = 0;   // jobs shed by admission control or drain
   int64_t errors = 0;     // jobs that failed to parse
-  MemoCacheStats cache;   // shared memo cache, summed over all jobs
+  MemoCacheStats cache;   // catalogs' containment memos, summed
   RewriteStats rewrite;   // per-job RewriteStats, merged over all jobs
 
-  // Catalog counters; meaningful iff catalog_enabled (the footer prints
-  // the catalog line only then, the JSON record carries them always).
-  bool catalog_enabled = false;
+  // Catalog counters (catalog/view_catalog.h), over resident catalogs.
   int64_t catalogs_built = 0;
   int64_t catalog_plans_built = 0;
   int64_t catalog_plan_hits = 0;
   int64_t catalog_semantic_hits = 0;
   int64_t catalog_semantic_misses = 0;
   uint64_t catalog_epoch = 0;  // newest resident catalog's epoch
+
+  /// Fills `cache` and the catalog counters from a registry snapshot.
+  void SetCatalogStats(const CatalogRegistryStats& stats);
 };
 
 /// One parsed job: a query plus its views.  `error` is set instead when
@@ -109,8 +102,8 @@ std::string RenderJobResult(size_t index, const BatchJob& job,
 /// Renders one job's error block ("job N: error: ...\n").
 std::string RenderJobError(size_t index, const std::string& error);
 
-/// Writes the batch footer: the outcome line, the cache line, and — per
-/// `options` — the Phase-1 stats footer, the one-line JSON record
+/// Writes the batch footer: the outcome line, the cache line, the catalog
+/// line, and — per `options` — the Phase-1 stats footer, the one-line JSON record
 /// (schema_version kStatsJsonSchemaVersion), and the metrics dump.
 /// Shared verbatim by RunBatch and the rewrite service's drain summary.
 void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
@@ -118,9 +111,11 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
 
 /// The batch service driver behind `cqacsh --serve-batch`: reads a stream
 /// of rewriting jobs, executes them concurrently over a work-stealing
-/// thread pool with a shared containment memo cache, and writes one
-/// result block per job to `out` — in input order, whatever order the
-/// jobs finished in.
+/// thread pool, and writes one result block per job to `out` — in input
+/// order, whatever order the jobs finished in.  Every job is answered by
+/// ViewCatalog::Rewrite through one CatalogRegistry, so each distinct
+/// view set in the batch is compiled once and its plans, Phase-1 memo,
+/// containment memo and semantic result cache serve the batch's jobs.
 ///
 /// Input format (line oriented; `%` or `#` starts a comment):
 ///

@@ -30,8 +30,7 @@
 //
 // A `set_catalog` request carries only views — either a `job` block of
 // `view` directives or a `views` array — and swaps the server's default
-// catalog to a compilation of that view set (docs/SERVICE.md); requires
-// the server to run with catalog support (`cqacd --catalog`).
+// catalog to a compilation of that view set (docs/SERVICE.md).
 // Subsequent query-only rewrite requests are served against it.
 //
 // `get_metrics` and `dump_telemetry` are control-plane requests carrying
@@ -53,10 +52,10 @@
 //                              // or server-stamped for old clients)
 //    "counters": {...},        // status=ok, job ran: the per-rewrite
 //                              // schema_version record of docs/SYNTAX.md
-//                              // (schema v6: tier, tier_reason,
+//                              // (schema v7: tier, tier_reason,
 //                              // join-tree counter, phase2_orders)
 //    "tier": 2,                // structural tier that served the job
-//    "catalog_epoch": 7,       // catalog-served only: epoch of the
+//    "catalog_epoch": 7,       // epoch of the
 //    "semantic_cache_hit": 1,  //   serving catalog + whether the result
 //                              //   replayed from the semantic cache
 //    "catalog_views": 3}       // set_catalog ack only: view count

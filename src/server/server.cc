@@ -95,29 +95,21 @@ void AppendSpanLine(std::string* out, const obs::FlightEvent& event) {
 
 }  // namespace
 
-Server::Server(ServerOptions options)
-    : options_(std::move(options)), memo_(options_.cache_capacity) {
-  if (options_.use_catalog) {
-    CatalogOptions copts;
-    copts.containment_cache_capacity = options_.cache_capacity;
-    registry_ = std::make_unique<CatalogRegistry>(/*capacity=*/8, copts);
-  }
+Server::Server(ServerOptions options) : options_(std::move(options)) {
   // SLO windows keyed by tier, registered up front so get_metrics lists
   // the series before any traffic; index 0 holds requests with no tier
   // (parse errors, jobs cancelled before they ran).
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  slo_latency_[0] =
-      &reg.windowed("server.slo_request_latency_ns{tier=\"none\"}");
-  for (int tier = 0; tier <= 2; ++tier) {
-    slo_latency_[tier + 1] = &reg.windowed(
-        "server.slo_request_latency_ns{tier=\"" + std::to_string(tier) +
+  const char* labels[3] = {"none", "0", "2"};
+  for (int i = 0; i < 3; ++i) {
+    slo_latency_[i] = &reg.windowed(
+        std::string("server.slo_request_latency_ns{tier=\"") + labels[i] +
         "\"}");
   }
 }
 
 obs::WindowedHistogram& Server::SloForTier(int tier) {
-  const int index = tier >= 0 && tier <= 2 ? tier + 1 : 0;
-  return *slo_latency_[index];
+  return *slo_latency_[tier == 0 ? 1 : tier == 2 ? 2 : 0];
 }
 
 Server::~Server() {
@@ -149,10 +141,6 @@ bool Server::Start(std::string* error) {
   }
 
   if (!options_.catalog_views_text.empty()) {
-    if (registry_ == nullptr) {
-      *error = "catalog views configured without catalog support enabled";
-      return false;
-    }
     ViewSet views;
     std::string verror;
     if (!ParseViewsBlock(options_.catalog_views_text, &views, &verror)) {
@@ -160,7 +148,7 @@ bool Server::Start(std::string* error) {
       return false;
     }
     std::lock_guard<std::mutex> lock(catalog_mu_);
-    default_catalog_ = registry_->GetOrBuild(views);
+    default_catalog_ = registry_.GetOrBuild(views);
   }
 
   if (!options_.unix_socket_path.empty()) {
@@ -434,14 +422,6 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 void Server::HandleSetCatalog(const std::shared_ptr<Connection>& conn,
                               uint64_t id, const ServiceRequest& request) {
   ServiceResponse response;
-  if (registry_ == nullptr) {
-    response.status = ResponseStatus::kBadRequest;
-    response.outcome = JobOutcome::kError;
-    response.error =
-        "catalog support is disabled; start cqacd with --catalog";
-    WriteResponse(*conn, id, response);
-    return;
-  }
   ViewSet views;
   std::string error;
   if (!ParseViewsBlock(request.job_text, &views, &error)) {
@@ -451,7 +431,7 @@ void Server::HandleSetCatalog(const std::shared_ptr<Connection>& conn,
     WriteResponse(*conn, id, response);
     return;
   }
-  const std::shared_ptr<ViewCatalog> catalog = registry_->GetOrBuild(views);
+  const std::shared_ptr<ViewCatalog> catalog = registry_.GetOrBuild(views);
   {
     std::lock_guard<std::mutex> lock(catalog_mu_);
     default_catalog_ = catalog;
@@ -545,20 +525,14 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, uint64_t id,
     per_job.jobs = 1;
     per_job.cancel = &job_state->token;
     std::shared_ptr<ViewCatalog> catalog;
-    if (registry_ != nullptr) {
-      if (job.views.views().empty()) {
-        // Query-only request: served against the default catalog when one
-        // is installed (else an empty view set, same as the classic path).
-        std::lock_guard<std::mutex> lock(catalog_mu_);
-        catalog = default_catalog_;
-      }
-      if (catalog == nullptr) catalog = registry_->GetOrBuild(job.views);
+    if (job.views.views().empty()) {
+      // Query-only request: served against the default catalog when one
+      // is installed, else against the empty view set.
+      std::lock_guard<std::mutex> lock(catalog_mu_);
+      catalog = default_catalog_;
     }
-    const RewriteResult result =
-        catalog != nullptr
-            ? catalog->Rewrite(*job.query, per_job)
-            : EquivalentRewriter(*job.query, job.views, per_job, &memo_)
-                  .Run();
+    if (catalog == nullptr) catalog = registry_.GetOrBuild(job.views);
+    const RewriteResult result = catalog->Rewrite(*job.query, per_job);
     response.catalog_epoch = result.catalog_epoch;
     response.from_semantic_cache = result.from_semantic_cache;
     run_stats = result.stats;
@@ -724,10 +698,13 @@ void Server::BeginDrain() {
       // intact write side.
       ::shutdown(conn->fd, SHUT_RD);
     }
-  }
-  const char byte = 1;
-  // Wake the accept loop; a failed write means it is already gone.
-  while (::write(drain_pipe_[1], &byte, 1) < 0 && errno == EINTR) {
+    // Wake the accept loop; a failed write means it is already gone.
+    // Still under conns_mu_: Wait() takes the mutex after the accept loop
+    // saw this byte and before it closes the pipe, so the write is
+    // ordered before the close.
+    const char byte = 1;
+    while (::write(drain_pipe_[1], &byte, 1) < 0 && errno == EINTR) {
+    }
   }
 }
 
@@ -783,19 +760,7 @@ BatchSummary Server::summary() const {
     std::lock_guard<std::mutex> lock(summary_mu_);
     out = summary_;
   }
-  if (registry_ != nullptr) {
-    const CatalogRegistryStats cstats = registry_->Stats();
-    out.catalog_enabled = true;
-    out.catalogs_built = cstats.catalogs_built;
-    out.catalog_plans_built = cstats.plans_built;
-    out.catalog_plan_hits = cstats.plan_hits;
-    out.catalog_semantic_hits = cstats.semantic_hits;
-    out.catalog_semantic_misses = cstats.semantic_misses;
-    out.catalog_epoch = cstats.latest_epoch;
-    out.cache = cstats.containment;
-  } else {
-    out.cache = memo_.Stats();
-  }
+  out.SetCatalogStats(registry_.Stats());
   return out;
 }
 

@@ -5,9 +5,10 @@
 // accepts client connections on a Unix-domain and/or loopback TCP
 // socket, speaks the length-prefixed frame protocol of
 // server/protocol.h, and multiplexes every connection's requests onto
-// one work-stealing ThreadPool with one shared containment MemoCache —
-// so repeated queries get cheaper across connections, exactly as they do
-// across jobs of one `cqacsh --serve-batch` run.
+// one work-stealing ThreadPool.  Every job is answered through one
+// CatalogRegistry (catalog/view_catalog.h), so repeated queries get
+// cheaper across connections, exactly as they do across jobs of one
+// `cqacsh --serve-batch` run.
 //
 // Lifecycle: Start() binds, listens, and returns; BeginDrain() (wired to
 // SIGTERM in cqacd) stops accepting connections and new requests while
@@ -40,7 +41,6 @@
 #include "obs/metrics.h"
 #include "runtime/batch_driver.h"
 #include "runtime/cancellation.h"
-#include "runtime/memo_cache.h"
 #include "runtime/thread_pool.h"
 #include "server/protocol.h"
 
@@ -59,9 +59,6 @@ struct ServerOptions {
 
   /// Worker threads of the job pool; 0 = hardware concurrency.
   int jobs = 0;
-
-  /// Total entry budget of the shared containment memo cache.
-  size_t cache_capacity = 1 << 16;
 
   /// Admission-control limit: requests arriving while this many jobs are
   /// admitted but unfinished receive `overloaded` responses.
@@ -83,17 +80,9 @@ struct ServerOptions {
   /// Default for requests that do not carry their own `echo`.
   bool echo = false;
 
-  /// Serve jobs through a CatalogRegistry (catalog/view_catalog.h): each
-  /// distinct view set is compiled once into a shared ViewCatalog whose
-  /// plans, Phase-1 memo, containment memo, and semantic result cache
-  /// persist across requests and connections.  Also enables the
-  /// `set_catalog` request, which installs a default catalog that serves
-  /// query-only requests.  Results are byte-identical either way.
-  /// Behind `cqacd --catalog`.
-  bool use_catalog = false;
-
   /// Startup default catalog: a job block of `view` directives compiled
-  /// at Start() (requires use_catalog).  Behind `cqacd --catalog-views`.
+  /// at Start(); query-only requests are served against it until a
+  /// `set_catalog` request swaps it.  Behind `cqacd --catalog-views`.
   std::string catalog_views_text;
 
   /// Slow-request log sink: on a deadline-fired cancellation or request
@@ -131,8 +120,8 @@ class Server {
   void Wait();
 
   /// Aggregated job outcomes since Start, in the batch taxonomy; the
-  /// cache field reflects the shared memo cache.  cqacd prints this as
-  /// the standard batch footer on exit.
+  /// cache and catalog fields reflect the resident catalogs.  cqacd
+  /// prints this as the standard batch footer on exit.
   BatchSummary summary() const;
 
  private:
@@ -180,8 +169,8 @@ class Server {
   void ArmDeadline(std::chrono::steady_clock::time_point deadline,
                    const std::shared_ptr<JobState>& job);
   void CountOutcome(JobOutcome outcome, const RewriteStats* stats);
-  /// The sliding-window SLO latency histogram for `tier` (-1..2); the
-  /// references are registry-owned and cached at construction.
+  /// The sliding-window SLO latency histogram for `tier` (-1, 0 or 2);
+  /// the references are registry-owned and cached at construction.
   obs::WindowedHistogram& SloForTier(int tier);
   /// Appends one slow-request record (header + flight excerpt) to the
   /// configured slow log; no-op when none is configured.
@@ -189,14 +178,13 @@ class Server {
                        int64_t deadline_ms);
 
   ServerOptions options_;
-  MemoCache memo_;
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Catalog mode (options_.use_catalog): the registry of compiled view
-  /// sets, plus the default catalog serving query-only requests.  The
-  /// default is swapped atomically under catalog_mu_ by `set_catalog`;
-  /// in-flight jobs keep their shared_ptr to the catalog they started on.
-  std::unique_ptr<CatalogRegistry> registry_;
+  /// The registry of compiled view sets, plus the default catalog serving
+  /// query-only requests.  The default is swapped atomically under
+  /// catalog_mu_ by `set_catalog`; in-flight jobs keep their shared_ptr
+  /// to the catalog they started on.
+  CatalogRegistry registry_;
   mutable std::mutex catalog_mu_;
   std::shared_ptr<ViewCatalog> default_catalog_;
 
@@ -228,10 +216,9 @@ class Server {
   BatchSummary summary_;
 
   /// Per-tier sliding-window latency histograms (index 0 = tier "none",
-  /// then tiers 0..2), registered eagerly so get_metrics lists them
+  /// then tiers 0 and 2), registered eagerly so get_metrics lists them
   /// before traffic arrives.
-  obs::WindowedHistogram* slo_latency_[4] = {nullptr, nullptr, nullptr,
-                                             nullptr};
+  obs::WindowedHistogram* slo_latency_[3] = {nullptr, nullptr, nullptr};
 
   /// Slow-request log sink (options_.slow_log_path); lines are whole
   /// JSON objects appended under slow_log_mu_.

@@ -64,19 +64,32 @@ TEST(BatchDriverTest, OutputsAppearInInputOrder) {
 TEST(BatchDriverTest, SharedCacheServesDuplicateJobs) {
   std::istringstream in(std::string(kPaperJob) + "run\n" + kPaperJob);
   std::ostringstream out;
-  // One worker runs the jobs one after the other.  With more, the two
-  // identical jobs can probe the same keys concurrently and both miss
-  // (the cache makes no promise against that race).
+  // One worker runs the jobs one after the other.  With more, the second
+  // job can probe the semantic cache before the first stored its answer.
   BatchOptions options;
   options.jobs = 1;
   const BatchSummary summary = RunBatch(in, out, options);
   EXPECT_EQ(summary.jobs_total, 2);
   EXPECT_EQ(summary.found, 2);
-  // The second job's containment checks are verdicts the first already
-  // computed, so every one of them is a hit.
-  EXPECT_GT(summary.cache.hits, 0);
-  EXPECT_EQ(summary.cache.hits, summary.cache.misses);
-  EXPECT_NE(out.str().find("cache: "), std::string::npos);
+  // Both jobs share one catalog; the second replays the first's answer.
+  EXPECT_EQ(summary.catalogs_built, 1);
+  EXPECT_EQ(summary.catalog_semantic_misses, 1);
+  EXPECT_EQ(summary.catalog_semantic_hits, 1);
+
+  // The replayed block differs from the computed one only in its index.
+  const std::string text = out.str();
+  const std::string first_prefix = "job 0: ";
+  const std::string second_prefix = "job 1: ";
+  const size_t second = text.find(second_prefix);
+  const size_t footer = text.find("batch: ");
+  ASSERT_EQ(text.rfind(first_prefix, 0), 0u);
+  ASSERT_NE(second, std::string::npos);
+  ASSERT_NE(footer, std::string::npos);
+  EXPECT_EQ(text.substr(first_prefix.size(), second - first_prefix.size()),
+            text.substr(second + second_prefix.size(),
+                        footer - second - second_prefix.size()));
+  EXPECT_NE(text.find("cache: "), std::string::npos);
+  EXPECT_NE(text.find("catalog: 1 built"), std::string::npos);
 }
 
 TEST(BatchDriverTest, ParseErrorsAreLocalizedToTheirJob) {
@@ -150,7 +163,7 @@ TEST(BatchDriverTest, JsonSummaryIncludesMemoCounters) {
   BatchOptions options;
   options.json_summary = true;
   RunBatch(in, out, options);
-  EXPECT_NE(out.str().find("{\"schema_version\": 6, \"jobs\": 1"),
+  EXPECT_NE(out.str().find("{\"schema_version\": 7, \"jobs\": 1"),
             std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_misses\": "), std::string::npos);

@@ -1,14 +1,16 @@
 // ViewCatalog tests: cold/warm/classic byte parity over the persistent
-// fuzz corpus (with the semantic cache on and off), alpha-renamed hits,
-// options-keyed entries, persistent Phase-1 memo reuse, epoch-bump
-// invalidation through the registry, batch-driver parity, and a
-// concurrent warm/swap hammer for the tsan leg.
+// fuzz corpus (semantic hits, and semantic misses served by a cached
+// plan), alpha-renamed hits, options-keyed entries, persistent Phase-1
+// memo reuse, epoch-bump invalidation through the registry, batch-driver
+// parity with the reference rewriter, and a concurrent warm/swap hammer
+// for the tsan leg.
 
 #ifndef CQAC_CORPUS_DIR
 #error "CQAC_CORPUS_DIR must point at tests/corpus"
 #endif
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -87,26 +89,31 @@ TEST(ViewCatalogTest, ColdWarmAndClassicAgreeOnCorpus) {
   EXPECT_GT(warm_hits, 0);
 }
 
-// With the semantic cache disabled every run computes in full (through
-// the shared plan and memos) and still matches the classic rewriter.
-TEST(ViewCatalogTest, SemanticCacheOffStillByteIdentical) {
-  CatalogOptions copts;
-  copts.semantic_cache = false;
+// The database budget is part of the semantic key but not of the plan
+// signature, so a repeat under a budget the run never reaches misses the
+// semantic cache and computes in full through the cached plan and memos.
+// Both runs still match the classic rewriter.
+TEST(ViewCatalogTest, SemanticMissWithPlanHitStillByteIdentical) {
   for (const CorpusEntry& entry : LoadCorpusOrDie()) {
     const RewriteOptions options;
+    RewriteOptions budgeted = options;
+    budgeted.max_canonical_databases = int64_t{1} << 40;  // never reached
     const RewriteResult classic =
         EquivalentRewriter(entry.c.query, entry.c.views, options).Run();
 
-    ViewCatalog catalog(entry.c.views, copts);
+    ViewCatalog catalog(entry.c.views);
     const RewriteResult first = catalog.Rewrite(entry.c.query, options);
-    const RewriteResult second = catalog.Rewrite(entry.c.query, options);
+    const RewriteResult second = catalog.Rewrite(entry.c.query, budgeted);
 
     EXPECT_FALSE(first.from_semantic_cache) << entry.name;
     EXPECT_FALSE(second.from_semantic_cache) << entry.name;
     EXPECT_EQ(SignatureOf(classic), SignatureOf(first)) << entry.name;
     EXPECT_EQ(SignatureOf(first), SignatureOf(second)) << entry.name;
+    // One plan built and then hit, or none for the unsatisfiable-query
+    // shortcut, which bypasses every cache.
+    EXPECT_EQ(catalog.Stats().plan_hits, catalog.Stats().plans_built)
+        << entry.name;
   }
-  // Never probed, never stored.
 }
 
 // An alpha-renaming of a cached query is served from the semantic cache,
@@ -185,21 +192,23 @@ TEST(ViewCatalogTest, SemanticEntriesAreKeyedByOptions) {
   (void)a;
 }
 
-// The plan's Phase-1 fingerprint memo persists across requests: with the
-// semantic cache off, a repeat of the same query replays every canonical
-// database from the memo instead of recomputing.
+// The plan's Phase-1 fingerprint memo persists across requests: a repeat
+// of the same query that misses the semantic cache (a different, never
+// reached database budget) replays every canonical database from the
+// memo instead of recomputing.
 TEST(ViewCatalogTest, Phase1MemoPersistsAcrossRequests) {
-  CatalogOptions copts;
-  copts.semantic_cache = false;
-  ViewCatalog catalog(OneViewSet(), copts);
+  ViewCatalog catalog(OneViewSet());
   const ConjunctiveQuery query =
       ParseRuleOrDie("q(A) :- r(A), s(A,A), A <= 8.");
 
   const RewriteOptions options;
+  RewriteOptions budgeted = options;
+  budgeted.max_canonical_databases = int64_t{1} << 40;  // never reached
   const RewriteResult cold = catalog.Rewrite(query, options);
-  const RewriteResult warm = catalog.Rewrite(query, options);
+  const RewriteResult warm = catalog.Rewrite(query, budgeted);
 
   ASSERT_GT(cold.stats.canonical_databases, 0);
+  EXPECT_FALSE(warm.from_semantic_cache);
   EXPECT_EQ(warm.stats.phase1_memo_misses, 0);
   EXPECT_EQ(warm.stats.phase1_memo_hits,
             cold.stats.phase1_memo_hits + cold.stats.phase1_memo_misses);
@@ -259,8 +268,9 @@ TEST(ViewCatalogTest, RegistryEvictsLeastRecentlyUsed) {
   EXPECT_EQ(still_works.catalog_epoch, a->epoch());
 }
 
-// The batch driver's --catalog path must render byte-identical job blocks
-// to the classic path; only the footer gains the catalog line.
+// The batch driver answers every job through its catalog registry; each
+// job block must be byte-identical to the reference rewriter's result
+// rendered for the same job.
 TEST(ViewCatalogTest, BatchDriverCatalogPathIsByteIdentical) {
   const std::string input =
       "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z.\n"
@@ -272,21 +282,28 @@ TEST(ViewCatalogTest, BatchDriverCatalogPathIsByteIdentical) {
       "view w(A,B) :- t(A,B), A <= B.\n"
       "query p(C) :- t(C,C).\n";
 
-  const auto run = [&](bool use_catalog) {
-    BatchOptions options;
-    options.jobs = 2;
-    options.use_catalog = use_catalog;
-    std::istringstream in(input);
-    std::ostringstream out;
-    const BatchSummary summary = RunBatch(in, out, options);
-    EXPECT_EQ(summary.errors, 0);
-    EXPECT_EQ(summary.catalog_enabled, use_catalog);
-    // Everything up to the footer is the per-job result stream.
-    const std::string text = out.str();
-    return text.substr(0, text.find("batch:"));
-  };
+  BatchOptions options;
+  options.jobs = 2;
+  std::istringstream in(input);
+  std::ostringstream out;
+  const BatchSummary summary = RunBatch(in, out, options);
+  EXPECT_EQ(summary.errors, 0);
 
-  EXPECT_EQ(run(false), run(true));
+  std::istringstream reparse(input);
+  const std::vector<BatchJob> jobs = ParseJobStream(reparse);
+  ASSERT_EQ(jobs.size(), 3u);
+  std::string expected;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(jobs[i].query.has_value()) << jobs[i].error;
+    RewriteOptions per_job;
+    per_job.jobs = 1;
+    const RewriteResult reference =
+        EquivalentRewriter(*jobs[i].query, jobs[i].views, per_job).Run();
+    expected += RenderJobResult(i, jobs[i], reference, /*echo=*/false);
+  }
+  // Everything up to the footer is the per-job result stream.
+  const std::string text = out.str();
+  EXPECT_EQ(text.substr(0, text.find("batch:")), expected);
 }
 
 // tsan target: concurrent warm traffic against a shared catalog while

@@ -335,7 +335,7 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
   const std::string wire = EncodeServiceResponse(in);
   // The v5 additions are on the wire: schema version, the per-order
   // counter, the tier block, and the top-level trace id / tier.
-  EXPECT_NE(wire.find("\"schema_version\": 6"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("\"schema_version\": 7"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
   EXPECT_NE(wire.find("\"tier\": 2"), std::string::npos);
   EXPECT_NE(wire.find("\"tier_reason\": \"acyclic views\""),

@@ -155,6 +155,18 @@ class TestClient {
   FrameDecoder decoder_;
 };
 
+/// The result block the reference rewriter (EquivalentRewriter, no
+/// catalog) renders for `job_text` at request index 0.
+std::string ReferenceBlock(const std::string& job_text) {
+  const BatchJob job = ParseJobBlock(job_text);
+  EXPECT_TRUE(job.error.empty()) << job.error;
+  RewriteOptions options;
+  options.jobs = 1;
+  const RewriteResult result =
+      EquivalentRewriter(*job.query, job.views, options).Run();
+  return RenderJobResult(0, job, result, /*echo=*/false);
+}
+
 /// Starts a server on a fresh Unix socket; fails the test on error.
 struct TestServer {
   explicit TestServer(ServerOptions options = {}) : path(TestSocketPath()) {
@@ -237,8 +249,8 @@ TEST(ServerTest, ServesEightConcurrentConnections) {
   const BatchSummary summary = ts.server->summary();
   EXPECT_EQ(summary.jobs_total, kConnections * kRequestsPerConnection);
   EXPECT_EQ(summary.found, kConnections * kRequestsPerConnection);
-  // One shared memo cache across connections: repeats hit.
-  EXPECT_GT(summary.cache.hits, 0);
+  // One shared catalog across connections: repeats replay its answer.
+  EXPECT_GT(summary.catalog_semantic_hits, 0);
 }
 
 TEST(ServerTest, MalformedJsonGetsStructuredErrorAndKeepsConnection) {
@@ -494,49 +506,38 @@ TEST(ServerTest, JobsOneAndJobsManyProduceIdenticalBodies) {
   EXPECT_EQ(s1.errors, sN.errors);
 }
 
-TEST(ServerTest, CatalogModeMatchesClassicByteForByte) {
-  ServerOptions classic;
-  ServerOptions catalog;
-  catalog.use_catalog = true;
-  TestServer ts_classic(std::move(classic));
-  TestServer ts_catalog(std::move(catalog));
-  ASSERT_TRUE(ts_classic.started);
-  ASSERT_TRUE(ts_catalog.started);
+TEST(ServerTest, RepeatedJobReplaysFromCatalogByteForByte) {
+  TestServer ts;
+  ASSERT_TRUE(ts.started);
+  TestClient client(ts.path);
+  ASSERT_TRUE(client.connected());
+  const std::string expected = ReferenceBlock(kPaperJob);
 
-  TestClient c1(ts_classic.path);
-  TestClient c2(ts_catalog.path);
-  ASSERT_TRUE(c1.connected());
-  ASSERT_TRUE(c2.connected());
-
-  // Same job twice: the catalog server's second answer replays from the
-  // semantic cache but the body stays byte-identical.
+  // Same job twice: the second answer replays from the catalog's
+  // semantic cache, and both bodies match the reference rewriter's.
+  uint64_t first_epoch = 0;
   for (uint64_t id = 1; id <= 2; ++id) {
-    ASSERT_TRUE(c1.SendRequest(id, RequestBody(kPaperJob)));
-    ASSERT_TRUE(c2.SendRequest(id, RequestBody(kPaperJob)));
-    uint64_t id1 = 0, id2 = 0;
-    ServiceResponse r1, r2;
-    ASSERT_TRUE(c1.ReadResponse(&id1, &r1));
-    ASSERT_TRUE(c2.ReadResponse(&id2, &r2));
-    EXPECT_EQ(r1.status, ResponseStatus::kOk);
-    EXPECT_EQ(r2.status, ResponseStatus::kOk);
-    EXPECT_EQ(r1.body, r2.body);
-    EXPECT_EQ(r1.catalog_epoch, 0u);  // classic server: no catalog
-    EXPECT_GT(r2.catalog_epoch, 0u);
-    EXPECT_EQ(r2.from_semantic_cache, id == 2);
+    ASSERT_TRUE(client.SendRequest(id, RequestBody(kPaperJob)));
+    uint64_t got = 0;
+    ServiceResponse response;
+    ASSERT_TRUE(client.ReadResponse(&got, &response));
+    EXPECT_EQ(response.status, ResponseStatus::kOk);
+    EXPECT_EQ(response.body, expected);
+    EXPECT_GT(response.catalog_epoch, 0u);
+    if (id == 1) first_epoch = response.catalog_epoch;
+    EXPECT_EQ(response.catalog_epoch, first_epoch);
+    EXPECT_EQ(response.from_semantic_cache, id == 2);
   }
 
-  const BatchSummary summary = ts_catalog.server->summary();
-  EXPECT_TRUE(summary.catalog_enabled);
+  const BatchSummary summary = ts.server->summary();
   EXPECT_EQ(summary.catalogs_built, 1);
   EXPECT_EQ(summary.catalog_semantic_hits, 1);
   EXPECT_EQ(summary.catalog_semantic_misses, 1);
-  EXPECT_GT(summary.catalog_epoch, 0u);
+  EXPECT_EQ(summary.catalog_epoch, first_epoch);
 }
 
 TEST(ServerTest, SetCatalogServesQueryOnlyRequestsAndSwaps) {
-  ServerOptions options;
-  options.use_catalog = true;
-  TestServer ts(std::move(options));
+  TestServer ts;
   ASSERT_TRUE(ts.started);
 
   TestClient client(ts.path);
@@ -590,25 +591,40 @@ TEST(ServerTest, SetCatalogServesQueryOnlyRequestsAndSwaps) {
   EXPECT_FALSE(response.from_semantic_cache);  // new epoch starts cold
 }
 
-TEST(ServerTest, SetCatalogRejectedWithoutCatalogSupport) {
-  TestServer ts;  // classic server, no --catalog
+TEST(ServerTest, SetCatalogWorksWithoutAnyCatalogOption) {
+  TestServer ts;  // default ServerOptions: no catalog is configured
   ASSERT_TRUE(ts.started);
 
   TestClient client(ts.path);
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.SendRequest(
-      1, "{\"type\": \"set_catalog\", \"views\": []}"));
+      1,
+      "{\"type\": \"set_catalog\", \"views\": "
+      "[\"v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z\"]}"));
   uint64_t id = 0;
-  ServiceResponse response;
-  ASSERT_TRUE(client.ReadResponse(&id, &response));
-  EXPECT_EQ(response.status, ResponseStatus::kBadRequest);
-  EXPECT_NE(response.error.find("--catalog"), std::string::npos);
+  ServiceResponse ack;
+  ASSERT_TRUE(client.ReadResponse(&id, &ack));
+  EXPECT_EQ(ack.status, ResponseStatus::kOk) << ack.error;
+  EXPECT_EQ(ack.catalog_views, 1);
+  ASSERT_GT(ack.catalog_epoch, 0u);
 
-  // The connection survives; an ordinary job still runs.
-  ASSERT_TRUE(client.SendRequest(2, RequestBody(kPaperJob)));
+  // A query-only request is answered from the installed default catalog.
+  ASSERT_TRUE(client.SendRequest(
+      2, "{\"query\": \"q(A) :- r(A), s(A,A), A <= 8\"}"));
+  ServiceResponse response;
   ASSERT_TRUE(client.ReadResponse(&id, &response));
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(response.outcome, JobOutcome::kFound);
+  EXPECT_EQ(response.body, ReferenceBlock(kPaperJob));
+  EXPECT_EQ(response.catalog_epoch, ack.catalog_epoch);
+
+  // A full job over the same view set lands on the same catalog and
+  // replays the answer the query-only request computed.
+  ASSERT_TRUE(client.SendRequest(3, RequestBody(kPaperJob)));
+  ASSERT_TRUE(client.ReadResponse(&id, &response));
+  EXPECT_EQ(response.status, ResponseStatus::kOk);
+  EXPECT_EQ(response.catalog_epoch, ack.catalog_epoch);
+  EXPECT_TRUE(response.from_semantic_cache);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,8 +68,7 @@ void PrintUsage(std::ostream& out) {
          "  --set-catalog FILE\n"
          "                   first send a set_catalog request installing\n"
          "                   FILE (a block of `view` directives) as the\n"
-         "                   server's default catalog (needs cqacd\n"
-         "                   --catalog)\n"
+         "                   server's default catalog\n"
          "  --load N         load mode: submit N copies of a fixed job and\n"
          "                   print a one-line JSON record with throughput\n"
          "                   and p50/p95/p99 request latency\n"
@@ -594,8 +593,9 @@ int main(int argc, char** argv) {
   LoadTally total;
   std::vector<int64_t> latencies;
   // Per-tier latency samples: index 0 = tier "none" (responses without a
-  // tier), then tiers 0..2 — the same keying as the server's SLO windows.
-  std::vector<int64_t> tier_latencies[4];
+  // tier), then tiers 0 and 2 — the same keying as the server's SLO
+  // windows.
+  std::vector<int64_t> tier_latencies[3];
   for (const LoadTally& t : tallies) {
     total.ok += t.ok;
     total.deadline_exceeded += t.deadline_exceeded;
@@ -604,7 +604,7 @@ int main(int argc, char** argv) {
     total.semantic_cache_hits += t.semantic_cache_hits;
     for (const LoadRecord& r : t.records) {
       latencies.push_back(r.latency_ns);
-      const int slot = r.tier >= 0 && r.tier <= 2 ? r.tier + 1 : 0;
+      const int slot = r.tier == 0 ? 1 : r.tier == 2 ? 2 : 0;
       tier_latencies[slot].push_back(r.latency_ns);
     }
   }
@@ -636,9 +636,9 @@ int main(int argc, char** argv) {
             << ", \"latency_ns_p95\": " << Percentile(latencies, 95)
             << ", \"latency_ns_p99\": " << Percentile(latencies, 99)
             << ", \"tiers\": [";
-  const char* tier_names[4] = {"none", "0", "1", "2"};
+  const char* tier_names[3] = {"none", "0", "2"};
   bool first_tier = true;
-  for (int slot = 0; slot < 4; ++slot) {
+  for (int slot = 0; slot < 3; ++slot) {
     const std::vector<int64_t>& sample = tier_latencies[slot];
     if (sample.empty()) continue;
     if (!first_tier) std::cout << ", ";
@@ -655,7 +655,7 @@ int main(int argc, char** argv) {
   // parseable JSON line (tools/run_benches.sh seds it).
   std::cerr << "cqacc: per-tier latency (ns)\n"
             << "  tier  requests       p50       p95       p99\n";
-  for (int slot = 0; slot < 4; ++slot) {
+  for (int slot = 0; slot < 3; ++slot) {
     const std::vector<int64_t>& sample = tier_latencies[slot];
     if (sample.empty()) continue;
     char line[128];

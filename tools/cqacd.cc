@@ -10,7 +10,8 @@
 // protocol of src/server/protocol.h) submit rewriting jobs and receive
 // one response frame per job, with a body byte-identical to the
 // corresponding `cqacsh --serve-batch` result block.  All connections
-// share one work-stealing thread pool and one containment memo cache.
+// share one work-stealing thread pool and one registry of compiled view
+// catalogs.
 //
 // SIGTERM or SIGINT triggers a graceful drain: stop accepting, finish
 // in-flight jobs, deliver their responses, print the standard batch
@@ -57,15 +58,14 @@ void PrintUsage(std::ostream& out) {
          "                   that do not set one (0 = none)\n"
          "  --echo           echo job definitions in result bodies by\n"
          "                   default (requests can override per job)\n"
-         "  --catalog        compile each view set once into a shared\n"
-         "                   ViewCatalog: plans, memos, and the semantic\n"
-         "                   result cache persist across requests; also\n"
-         "                   enables the set_catalog request\n"
+         "  --catalog        accepted and ignored: every view set is always\n"
+         "                   compiled once into a shared ViewCatalog whose\n"
+         "                   plans, memos, and semantic result cache\n"
+         "                   persist across requests\n"
          "  --catalog-views FILE\n"
          "                   compile FILE (a block of `view` directives)\n"
          "                   as the default catalog at startup; query-only\n"
-         "                   requests are served against it (implies\n"
-         "                   --catalog)\n"
+         "                   requests are served against it\n"
          "  --stats          include the Phase-1 breakdown in the exit\n"
          "                   footer\n"
          "  --json           include the one-line JSON summary record in\n"
@@ -186,7 +186,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--echo") {
       options.echo = true;
     } else if (arg == "--catalog") {
-      options.use_catalog = true;
+      // No-op: every job is served through the catalog.  Kept so existing
+      // launch scripts keep working.
     } else if (arg == "--catalog-views") {
       const char* v = next_value(&i, "--catalog-views");
       if (v == nullptr) return 1;
@@ -198,7 +199,6 @@ int main(int argc, char** argv) {
       std::ostringstream buffer;
       buffer << in.rdbuf();
       options.catalog_views_text = buffer.str();
-      options.use_catalog = true;
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--json") {

@@ -10,8 +10,9 @@
 // Batch service mode: `cqacsh --serve-batch [--jobs N]` reads a stream of
 // jobs (blocks of `view`/`query` lines separated by `run`, `---`, or a
 // blank line) and executes them concurrently over a work-stealing thread
-// pool with a shared containment memo cache, printing results in input
-// order.  See src/runtime/batch_driver.h for the format.
+// pool, each distinct view set compiled once into a shared ViewCatalog,
+// printing results in input order.  See src/runtime/batch_driver.h for
+// the format.
 //
 // Observability: `--trace out.json` records phase-level spans for the
 // whole session and writes a Chrome trace-event file on exit (open it in
@@ -34,7 +35,7 @@ namespace {
 
 void PrintUsage(std::ostream& out) {
   out << "usage: cqacsh [--jobs N] [--force-tier N] [--serve-batch]\n"
-         "              [--catalog] [--stats] [--json] [--trace FILE]\n"
+         "              [--stats] [--json] [--trace FILE]\n"
          "              [--metrics] [--help]\n"
          "  --jobs N       worker threads for rewriting (0 = all cores;\n"
          "                 default: all cores; 1 = serial; max 4096)\n"
@@ -46,13 +47,11 @@ void PrintUsage(std::ostream& out) {
          "                 results are identical across tiers (testing\n"
          "                 hook)\n"
          "  --serve-batch  read rewriting jobs from stdin and execute them\n"
-         "                 concurrently; otherwise run the interactive shell\n"
-         "  --catalog      with --serve-batch, compile each distinct view\n"
-         "                 set once into a shared ViewCatalog whose plans,\n"
+         "                 concurrently, compiling each distinct view set\n"
+         "                 once into a shared ViewCatalog whose plans,\n"
          "                 memos, and semantic result cache persist across\n"
-         "                 the batch's jobs; results are byte-identical\n"
-         "                 (the interactive shell always uses a session\n"
-         "                 catalog)\n"
+         "                 the batch's jobs; otherwise run the interactive\n"
+         "                 shell (which uses a session catalog)\n"
          "  --stats        print the Phase-1 breakdown (databases visited /\n"
          "                 pruned / deduped) and the per-phase wall times\n"
          "                 after each rewrite; with --serve-batch,\n"
@@ -94,7 +93,6 @@ int main(int argc, char** argv) {
   int jobs = 0;        // 0 = hardware concurrency.
   int force_tier = -1;  // -1 = auto tier routing.
   bool serve_batch = false;
-  bool use_catalog = false;
   bool print_stats = false;
   bool json_stats = false;
   bool metrics = false;
@@ -104,8 +102,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--serve-batch") {
       serve_batch = true;
-    } else if (arg == "--catalog") {
-      use_catalog = true;
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--json") {
@@ -174,7 +170,6 @@ int main(int argc, char** argv) {
     cqac::BatchOptions options;
     options.jobs = jobs;
     options.rewrite.force_tier = force_tier;
-    options.use_catalog = use_catalog;
     options.print_stats = print_stats;
     options.json_summary = json_stats;
     options.print_metrics = metrics;

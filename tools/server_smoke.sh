@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the rewrite service (docs/SERVICE.md): starts
 # cqacd on a Unix socket, checks that cqacc's job-mode output is
-# byte-identical to `cqacsh --serve-batch` for the same stream, runs a
-# small concurrent load, then SIGTERMs the daemon and checks the
-# graceful drain (batch footer printed, exit 0).
+# byte-identical to `cqacsh --serve-batch` for the same stream on a cold
+# and a warm (semantic-cache replay) pass, runs a small concurrent load,
+# round-trips a set_catalog request, then SIGTERMs the daemon and checks
+# the graceful drain (batch footer printed, exit 0).
 #
 # Usage:  tools/server_smoke.sh [build-dir]     # default: build
 set -euo pipefail
@@ -44,21 +45,26 @@ done
 [ -S "$sock" ] || { echo "error: cqacd did not come up" >&2; cat "$work/cqacd.out" >&2; exit 1; }
 
 # 1. Byte-identical bodies: cqacc output == cqacsh --serve-batch output
-#    minus the two footer lines.  Both exit 1 (the stream contains two
-#    deliberate job-level errors), which is itself part of the parity.
-cqacc_status=0
-"$build/tools/cqacc" --unix "$sock" < "$work/jobs.txt" > "$work/cqacc.out" || cqacc_status=$?
+#    minus its three footer lines (batch, cache, catalog), twice in a
+#    row: the warm pass replays every answer from the daemon's catalogs.
+#    Both exit 1 (the stream contains two deliberate job-level errors),
+#    which is itself part of the parity.
 cqacsh_status=0
 "$build/tools/cqacsh" --serve-batch < "$work/jobs.txt" > "$work/cqacsh.out" || cqacsh_status=$?
-head -n -2 "$work/cqacsh.out" > "$work/cqacsh.body"
-if ! diff -u "$work/cqacsh.body" "$work/cqacc.out"; then
-  echo "error: service response bodies differ from --serve-batch" >&2
-  exit 1
-fi
-if [ "$cqacc_status" != "$cqacsh_status" ]; then
-  echo "error: exit codes differ: cqacc=$cqacc_status cqacsh=$cqacsh_status" >&2
-  exit 1
-fi
+head -n -3 "$work/cqacsh.out" > "$work/cqacsh.body"
+for pass in cold warm; do
+  pass_status=0
+  "$build/tools/cqacc" --unix "$sock" < "$work/jobs.txt" \
+    > "$work/cqacc_$pass.out" || pass_status=$?
+  if ! diff -u "$work/cqacsh.body" "$work/cqacc_$pass.out"; then
+    echo "error: $pass service response bodies differ from --serve-batch" >&2
+    exit 1
+  fi
+  if [ "$pass_status" != "$cqacsh_status" ]; then
+    echo "error: $pass exit codes differ: cqacc=$pass_status cqacsh=$cqacsh_status" >&2
+    exit 1
+  fi
+done
 
 # 2. Concurrent load: 8 connections, every request answered.
 "$build/tools/cqacc" --unix "$sock" --load 64 --concurrency 8 > "$work/load.json"
@@ -102,53 +108,13 @@ if head -1 "$work/telemetry.txt" | grep -q '"tracing_compiled_in": true'; then
   }
 fi
 
-# 3. Graceful drain: SIGTERM -> batch footer on stdout, exit 0.
-kill -TERM "$daemon_pid"
-drain_status=0
-wait "$daemon_pid" || drain_status=$?
-if [ "$drain_status" != 0 ]; then
-  echo "error: cqacd exited $drain_status on SIGTERM" >&2
-  cat "$work/cqacd.out" >&2
-  exit 1
-fi
-grep -q '^batch: 68 jobs' "$work/cqacd.out" || {
-  echo "error: drain footer missing or wrong:" >&2
-  cat "$work/cqacd.out" >&2
-  exit 1
-}
-
-# 4. Catalog-enabled pass: the same stream served through cqacd
-#    --catalog must stay byte-identical, twice in a row (the second run
-#    replays from the semantic cache), and a set_catalog round trip must
-#    install a default view set for query-only requests.
-sock2="$work/cqac_catalog.sock"
-"$build/tools/cqacd" --unix "$sock2" --catalog > "$work/cqacd_catalog.out" 2>&1 &
-daemon_pid=$!
-for _ in $(seq 1 50); do
-  [ -S "$sock2" ] && break
-  sleep 0.1
-done
-[ -S "$sock2" ] || { echo "error: cqacd --catalog did not come up" >&2; cat "$work/cqacd_catalog.out" >&2; exit 1; }
-
-for pass in cold warm; do
-  pass_status=0
-  "$build/tools/cqacc" --unix "$sock2" < "$work/jobs.txt" \
-    > "$work/cqacc_catalog_$pass.out" || pass_status=$?
-  if ! diff -u "$work/cqacsh.body" "$work/cqacc_catalog_$pass.out"; then
-    echo "error: catalog $pass responses differ from --serve-batch" >&2
-    exit 1
-  fi
-  if [ "$pass_status" != "$cqacsh_status" ]; then
-    echo "error: catalog $pass exit code $pass_status != $cqacsh_status" >&2
-    exit 1
-  fi
-done
-
+# 3. set_catalog round trip: install a default view set, then a
+#    query-only job must be served against it.
 cat > "$work/views.txt" <<'EOF'
 view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z
 EOF
 echo "query q(A) :- r(A), s(A,A), A <= 8" > "$work/query_only.txt"
-"$build/tools/cqacc" --unix "$sock2" --set-catalog "$work/views.txt" \
+"$build/tools/cqacc" --unix "$sock" --set-catalog "$work/views.txt" \
   < "$work/query_only.txt" > "$work/query_only.out" 2> "$work/set_catalog.err"
 grep -q 'catalog set: 1 view' "$work/set_catalog.err" || {
   echo "error: set_catalog ack missing:" >&2
@@ -161,10 +127,20 @@ grep -q 'equivalent rewriting' "$work/query_only.out" || {
   exit 1
 }
 
+# 4. Graceful drain: SIGTERM -> batch footer on stdout, exit 0.  The
+#    footer counts the 2 x 4 parity jobs, the 64 load requests and the
+#    query-only job; set_catalog is control-plane work, not a job.
 kill -TERM "$daemon_pid"
-wait "$daemon_pid" || {
-  echo "error: cqacd --catalog exited non-zero on SIGTERM" >&2
-  cat "$work/cqacd_catalog.out" >&2
+drain_status=0
+wait "$daemon_pid" || drain_status=$?
+if [ "$drain_status" != 0 ]; then
+  echo "error: cqacd exited $drain_status on SIGTERM" >&2
+  cat "$work/cqacd.out" >&2
+  exit 1
+fi
+grep -q '^batch: 73 jobs' "$work/cqacd.out" || {
+  echo "error: drain footer missing or wrong:" >&2
+  cat "$work/cqacd.out" >&2
   exit 1
 }
 
@@ -173,26 +149,26 @@ wait "$daemon_pid" || {
 #    heavy request.  With session tracing never enabled, the slow log
 #    must still carry that request's trace id, tier, per-phase wall
 #    times, and (when tracing is compiled in) its flight-recorder spans.
-sock3="$work/cqac_slow.sock"
+sock2="$work/cqac_slow.sock"
 slow_log="$work/slow.jsonl"
-"$build/tools/cqacd" --unix "$sock3" --slow-log "$slow_log" \
+"$build/tools/cqacd" --unix "$sock2" --slow-log "$slow_log" \
   > "$work/cqacd_slow.out" 2>&1 &
 daemon_pid=$!
 for _ in $(seq 1 50); do
-  [ -S "$sock3" ] && break
+  [ -S "$sock2" ] && break
   sleep 0.1
 done
-[ -S "$sock3" ] || { echo "error: cqacd --slow-log did not come up" >&2; cat "$work/cqacd_slow.out" >&2; exit 1; }
+[ -S "$sock2" ] || { echo "error: cqacd --slow-log did not come up" >&2; cat "$work/cqacd_slow.out" >&2; exit 1; }
 
 cat > "$work/heavy.txt" <<'EOF'
 view v(A) :- r1(A,B), r2(B,C), r3(C,D), r4(D,E), r5(E,F), r6(F,G)
 query q(A) :- r1(A,B), r2(B,C), r3(C,D), r4(D,E), r5(E,F), r6(F,G), A <= 8
 EOF
-"$build/tools/cqacc" --unix "$sock3" --load 16 --concurrency 1 \
+"$build/tools/cqacc" --unix "$sock2" --load 16 --concurrency 1 \
   > "$work/slow_load.json" &
 load_pid=$!
 heavy_status=0
-"$build/tools/cqacc" --unix "$sock3" --deadline-ms 40 < "$work/heavy.txt" \
+"$build/tools/cqacc" --unix "$sock2" --deadline-ms 40 < "$work/heavy.txt" \
   > "$work/heavy.out" 2>&1 || heavy_status=$?
 wait "$load_pid" || { echo "error: concurrent load client failed" >&2; exit 1; }
 [ "$heavy_status" != 0 ] || {
@@ -205,6 +181,16 @@ grep -q 'deadline' "$work/heavy.out" || {
   cat "$work/heavy.out" >&2
   exit 1
 }
+
+# The server appends the slow-log record after it sent the response, so
+# drain the daemon (which waits for every job to finish) before reading.
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || {
+  echo "error: cqacd --slow-log exited non-zero on SIGTERM" >&2
+  cat "$work/cqacd_slow.out" >&2
+  exit 1
+}
+
 for key in '"event": "slow_request"' '"trace_id": "' '"tier": ' \
            '"tier_reason": ' '"phase1_ns": ' '"enumeration_ns": ' \
            '"latency_ns": '; do
@@ -227,12 +213,5 @@ if [ "$compiled_in" = true ]; then
   }
 fi
 
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || {
-  echo "error: cqacd --slow-log exited non-zero on SIGTERM" >&2
-  cat "$work/cqacd_slow.out" >&2
-  exit 1
-}
-
-echo "server smoke: OK (parity, 8-way load, graceful drain, catalog," \
-     "metrics scrape, telemetry dump, slow-request log)"
+echo "server smoke: OK (cold/warm parity, 8-way load, set_catalog," \
+     "graceful drain, metrics scrape, telemetry dump, slow-request log)"
