@@ -126,7 +126,10 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred) {
+        ++errors_;
+        continue;
+      }
       const double seconds =
           run.iterations > 0 ? run.real_accumulated_time / run.iterations
                              : run.real_accumulated_time;
@@ -145,8 +148,12 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
 
   const std::vector<Result>& results() const { return results_; }
 
+  /// Runs that called SkipWithError.
+  int errors() const { return errors_; }
+
  private:
   std::vector<Result> results_;
+  int errors_ = 0;
 };
 
 inline std::string JsonEscape(const std::string& s) {
@@ -197,7 +204,8 @@ inline std::string BuildType() {
 /// schema is {name, git_commit, build_type, cpus, debug_build, wall_ms,
 /// jobs, cache_hits, cache_misses, benchmarks[]} — one file per run,
 /// accumulated as BENCH_*.json trajectory files under results/;
-/// cache_hits/misses are zero unless --memo is given.
+/// cache_hits/misses are zero unless --memo is given.  Exits 1 when a run
+/// errored (SkipWithError), so a perfsmoke test fails on a wrong answer.
 inline int BenchMain(int argc, char** argv) {
   if (kDebugBuild) {
     std::fprintf(
@@ -273,7 +281,7 @@ inline int BenchMain(int argc, char** argv) {
     json << "\n  ]\n}\n";
   }
   benchmark::Shutdown();
-  return 0;
+  return reporter.errors() > 0 ? 1 : 0;
 }
 
 }  // namespace cqac_bench

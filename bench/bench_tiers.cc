@@ -1,10 +1,11 @@
-// Microbenchmark: structure-aware tiered execution (rewriting/structure.h).
+// Microbenchmark: the keep test, Phase 1, and the end-to-end rewrite on
+// two query shapes.
 //
 //  * Keep-test and Phase-1 sweeps over a hand-built semi-interval
-//    workload on the general path (no Phase 2, no memo);
-//  * end-to-end rewrite — the full pipeline under forced tier 0 vs the
-//    acyclic tier, with the rewriting output compared before timing
-//    starts: a tier that changed the answer aborts the row.
+//    workload (no Phase 2, no memo);
+//  * end-to-end serial rewrite of the semi-interval query and of a
+//    comparison-free acyclic chain.  Each row checks before timing that
+//    the rewriter finds the rewriting; a wrong answer errors the row.
 
 #include <cstdlib>
 #include <string>
@@ -18,7 +19,6 @@
 #include "engine/evaluate.h"
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
-#include "rewriting/structure.h"
 #include "rewriting/view_set.h"
 
 namespace {
@@ -40,8 +40,7 @@ cqac::ViewSet SemiIntervalViews() {
 }
 
 // Comparison-free acyclic chain: 6 variables, 4683 orders, covered end to
-// end by the three fragment views, so a rewriting exists and Phase 2 runs
-// the join-tree engine under tier 2.
+// end by the three fragment views, so a rewriting exists.
 const char* const kAcyclicQuery =
     "q(X0,X5) :- e0(X0,X1), e1(X1,X2), e2(X2,X3), e3(X3,X4), e4(X4,X5)";
 
@@ -121,54 +120,41 @@ void BM_SemiIntervalPhase1(benchmark::State& state) {
   state.counters["kept_dbs"] = static_cast<double>(kept);
 }
 
-// Runs the full rewriter once under `tier` and returns the result.
-cqac::RewriteResult RewriteUnderTier(const cqac::ConjunctiveQuery& query,
-                                     const cqac::ViewSet& views, int tier) {
+// End-to-end serial rewrite.  Both workloads have a rewriting by
+// construction; the untimed first run must find it, or the row errors
+// (and BenchMain exits non-zero).
+void RewriteRow(benchmark::State& state, const char* query_text,
+                const cqac::ViewSet& views) {
+  const cqac::ConjunctiveQuery query = cqac::Parser::MustParseRule(query_text);
   cqac::RewriteOptions options;
-  options.force_tier = tier;
-  options.jobs = 1;  // serial: the tier, not the scheduler, is on trial
-  return cqac::EquivalentRewriter(query, views, options).Run();
-}
-
-// End-to-end rewrite under a forced tier, with the output-equality check
-// the acceptance criteria require: before timing, the row's tier is
-// diffed against forced tier 0 and any divergence aborts the benchmark.
-void RewriteTierRow(benchmark::State& state, const cqac::ConjunctiveQuery& query,
-                    const cqac::ViewSet& views) {
-  const int tier = static_cast<int>(state.range(0));
-  const cqac::RewriteResult general = RewriteUnderTier(query, views, 0);
-  const cqac::RewriteResult tiered = RewriteUnderTier(query, views, tier);
-  if (tiered.outcome != general.outcome ||
-      tiered.rewriting.ToString() != general.rewriting.ToString()) {
-    state.SkipWithError("tiered rewriting diverges from the general path");
+  options.jobs = 1;
+  const cqac::RewriteResult checked =
+      cqac::EquivalentRewriter(query, views, options).Run();
+  if (checked.outcome != cqac::RewriteOutcome::kRewritingFound) {
+    state.SkipWithError("the rewriter found no rewriting");
     return;
   }
   for (auto _ : state) {
-    const cqac::RewriteResult result = RewriteUnderTier(query, views, tier);
+    const cqac::RewriteResult result =
+        cqac::EquivalentRewriter(query, views, options).Run();
     benchmark::DoNotOptimize(result);
   }
-  state.counters["found"] = static_cast<double>(
-      general.outcome == cqac::RewriteOutcome::kRewritingFound);
   state.counters["kept_dbs"] =
-      static_cast<double>(tiered.stats.kept_canonical_databases);
+      static_cast<double>(checked.stats.kept_canonical_databases);
 }
 
 void BM_SemiIntervalRewrite(benchmark::State& state) {
-  const cqac::ConjunctiveQuery query =
-      cqac::Parser::MustParseRule(kSemiIntervalQuery);
-  RewriteTierRow(state, query, SemiIntervalViews());
+  RewriteRow(state, kSemiIntervalQuery, SemiIntervalViews());
 }
 
 void BM_AcyclicRewrite(benchmark::State& state) {
-  const cqac::ConjunctiveQuery query =
-      cqac::Parser::MustParseRule(kAcyclicQuery);
-  RewriteTierRow(state, query, AcyclicViews());
+  RewriteRow(state, kAcyclicQuery, AcyclicViews());
 }
 
 BENCHMARK(BM_SemiIntervalKeepTest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SemiIntervalPhase1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SemiIntervalRewrite)->Arg(0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AcyclicRewrite)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SemiIntervalRewrite)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AcyclicRewrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "ast/hypergraph.h"
 
+#include <algorithm>
 #include <set>
 
 namespace cqac {
@@ -21,26 +22,20 @@ std::vector<std::set<std::string>> EdgeSets(const ConjunctiveQuery& q) {
 
 }  // namespace
 
-namespace {
-
-/// The GYO reduction, recording per ear the live edge that witnessed it
-/// (covered its shared variables), or -1 when every variable was private.
-/// Returns an empty order when the reduction gets stuck (cyclic query).
-JoinForest GyoReduce(const ConjunctiveQuery& q) {
+std::vector<int> GyoEliminationOrder(const ConjunctiveQuery& q) {
   std::vector<std::set<std::string>> edges = EdgeSets(q);
   const int n = static_cast<int>(edges.size());
   std::vector<bool> removed(n, false);
-  JoinForest forest;
-  forest.parent.assign(n, -1);
+  std::vector<int> order;
 
   bool progress = true;
-  while (progress && static_cast<int>(forest.elimination_order.size()) < n) {
+  while (progress && static_cast<int>(order.size()) < n) {
     progress = false;
     for (int i = 0; i < n; ++i) {
       if (removed[i]) continue;
       // i is an ear iff every variable is private (occurs in no other
       // live edge) or the set of its shared variables is contained in one
-      // single other live edge — which becomes its parent in the forest.
+      // single other live edge.
       std::set<std::string> shared;
       for (const std::string& v : edges[i]) {
         for (int j = 0; j < n; ++j) {
@@ -52,44 +47,22 @@ JoinForest GyoReduce(const ConjunctiveQuery& q) {
         }
       }
       bool is_ear = shared.empty();
-      int witness = -1;
-      if (!is_ear) {
-        for (int j = 0; j < n && !is_ear; ++j) {
-          if (j == i || removed[j]) continue;
-          bool covered = true;
-          for (const std::string& v : shared) {
-            if (edges[j].count(v) == 0) {
-              covered = false;
-              break;
-            }
-          }
-          if (covered) {
-            is_ear = true;
-            witness = j;
-          }
-        }
+      for (int j = 0; j < n && !is_ear; ++j) {
+        if (j == i || removed[j]) continue;
+        is_ear = std::all_of(
+            shared.begin(), shared.end(),
+            [&](const std::string& v) { return edges[j].count(v) > 0; });
       }
       if (is_ear) {
         removed[i] = true;
-        forest.parent[i] = witness;
-        forest.elimination_order.push_back(i);
+        order.push_back(i);
         progress = true;
       }
     }
   }
-  if (static_cast<int>(forest.elimination_order.size()) < n) {
-    return JoinForest{};  // Cyclic.
-  }
-  return forest;
+  if (static_cast<int>(order.size()) < n) return {};  // Cyclic.
+  return order;
 }
-
-}  // namespace
-
-std::vector<int> GyoEliminationOrder(const ConjunctiveQuery& q) {
-  return GyoReduce(q).elimination_order;
-}
-
-JoinForest GyoJoinForest(const ConjunctiveQuery& q) { return GyoReduce(q); }
 
 bool IsAcyclic(const ConjunctiveQuery& q) {
   if (q.body().empty()) return true;

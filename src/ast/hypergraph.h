@@ -11,8 +11,7 @@ namespace cqac {
 /// Structural analysis of a query's join hypergraph.  The paper's
 /// conclusion singles out *acyclic* queries as a promising special case
 /// with lower complexity; this module supplies the standard machinery:
-/// the GYO (Graham / Yu–Özsoyoğlu) reduction decides alpha-acyclicity and
-/// yields a join tree when one exists.
+/// the GYO (Graham / Yu–Özsoyoğlu) reduction decides alpha-acyclicity.
 
 /// True iff the query's hypergraph (one hyperedge of variables per
 /// ordinary subgoal) is alpha-acyclic: repeatedly removing "ear" atoms —
@@ -30,26 +29,6 @@ std::vector<int> GyoEliminationOrder(const ConjunctiveQuery& q);
 /// Variables shared between at least two ordinary subgoals (the join
 /// variables), first-seen order.
 std::vector<std::string> JoinVariables(const ConjunctiveQuery& q);
-
-/// A join forest over the body atoms of an acyclic query: for each
-/// GYO-eliminated ear, the live atom that covered its shared variables
-/// becomes its parent.  Atoms whose variables were all private at removal
-/// time are roots (`parent == -1`), so a disconnected hypergraph yields
-/// one tree per connected component.  `elimination_order` is the GYO
-/// removal order (a reverse topological order of the forest: every atom
-/// is removed before its parent).  Empty `elimination_order` means the
-/// query is cyclic and no forest exists.
-struct JoinForest {
-  std::vector<int> elimination_order;  // indices into q.body()
-  std::vector<int> parent;             // parent[i] for atom i, -1 = root
-};
-
-/// Runs the GYO reduction and records, for every ear, which surviving
-/// atom witnessed it (the cover of its shared variables).  This is the
-/// standard construction of a join tree from a GYO run: the witness
-/// relation is exactly the parent relation of a join forest whose every
-/// tree satisfies the running-intersection property.
-JoinForest GyoJoinForest(const ConjunctiveQuery& q);
 
 }  // namespace cqac
 

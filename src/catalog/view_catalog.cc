@@ -34,11 +34,6 @@ std::string PlanSignature(const RewriteOptions& o) {
   sig += o.verify ? 'V' : 'v';
   sig += o.coalesce_output ? 'C' : 'c';
   sig += o.minimize_output ? 'M' : 'm';
-  // The execution tier is resolved at PrepareRewriteWork time and baked
-  // into the plan (the acyclic plan), so plans compiled under
-  // different forced tiers must never alias.
-  sig += 'T';
-  sig += std::to_string(o.force_tier);
   return sig;
 }
 
@@ -104,8 +99,6 @@ struct ViewCatalog::CatalogPlan {
     o.cancel = nullptr;
     o.max_canonical_databases = -1;
     o.explain = false;  // explain bypasses the catalog entirely
-    // force_tier stays: the tier is part of the plan signature and the
-    // compiled work must reflect it.
     return o;
   }
 
@@ -132,8 +125,6 @@ struct ViewCatalog::SemanticEntry {
   bool verified = false;
   std::string failure_reason;
   RewriteStats stats;
-  int tier = 0;  // the original run's routing, replayed on a hit
-  std::string tier_reason;
 };
 
 ViewCatalog::ViewCatalog(ViewSet views)
@@ -209,8 +200,6 @@ std::optional<RewriteResult> ViewCatalog::ProbeSemantic(
   result.outcome = entry->outcome;
   result.verified = entry->verified;
   result.stats = entry->stats;
-  result.tier = entry->tier;
-  result.tier_reason = entry->tier_reason;
 
   if (entry->query_text == query.ToString()) {
     // The very same query: replay verbatim.
@@ -284,8 +273,6 @@ void ViewCatalog::StoreSemantic(const std::string& key,
   entry->verified = result.verified;
   entry->failure_reason = result.failure_reason;
   entry->stats = result.stats;
-  entry->tier = result.tier;
-  entry->tier_reason = result.tier_reason;
   {
     std::set<std::string> own(entry->vars.begin(), entry->vars.end());
     std::set<std::string> extra;
@@ -380,8 +367,35 @@ std::string FingerprintViewSet(const ViewSet& views) {
   return fp;
 }
 
+/// The catalogs a registry built that are still alive — resident, or
+/// evicted but held by an in-flight request — and the final counters of
+/// those already destroyed.  Each catalog's deleter moves it from `live`
+/// into `retired`; the deleters share ownership, so this outlives the
+/// registry when a catalog does.
+struct CatalogRegistry::Lifetime {
+  std::mutex mu;
+  std::set<const ViewCatalog*> live;
+  CatalogRegistryStats retired;  // work counters only
+};
+
+namespace {
+
+void AddWorkCounters(const CatalogStats& stats, CatalogRegistryStats* out) {
+  out->plans_built += stats.plans_built;
+  out->plan_hits += stats.plan_hits;
+  out->semantic_hits += stats.semantic_hits;
+  out->semantic_misses += stats.semantic_misses;
+  out->containment.hits += stats.containment.hits;
+  out->containment.misses += stats.containment.misses;
+  out->containment.insertions += stats.containment.insertions;
+  out->containment.evictions += stats.containment.evictions;
+}
+
+}  // namespace
+
 CatalogRegistry::CatalogRegistry(size_t capacity)
-    : capacity_(std::max<size_t>(capacity, 1)) {}
+    : capacity_(std::max<size_t>(capacity, 1)),
+      lifetime_(std::make_shared<Lifetime>()) {}
 
 std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
     const ViewSet& views) {
@@ -395,7 +409,19 @@ std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
       }
     }
   }
-  auto catalog = std::make_shared<ViewCatalog>(views);
+  std::shared_ptr<ViewCatalog> catalog(
+      new ViewCatalog(views), [lifetime = lifetime_](ViewCatalog* retiring) {
+        {
+          std::lock_guard<std::mutex> lock(lifetime->mu);
+          lifetime->live.erase(retiring);
+          AddWorkCounters(retiring->Stats(), &lifetime->retired);
+        }
+        delete retiring;
+      });
+  {
+    std::lock_guard<std::mutex> lock(lifetime_->mu);
+    lifetime_->live.insert(catalog.get());
+  }
   built_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {
@@ -427,20 +453,18 @@ size_t CatalogRegistry::size() const {
 
 CatalogRegistryStats CatalogRegistry::Stats() const {
   CatalogRegistryStats out;
+  {
+    std::lock_guard<std::mutex> lock(lifetime_->mu);
+    out = lifetime_->retired;
+    for (const ViewCatalog* catalog : lifetime_->live) {
+      AddWorkCounters(catalog->Stats(), &out);
+    }
+  }
   out.catalogs_built = built_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   out.catalogs_resident = static_cast<int>(lru_.size());
   for (const auto& [key, catalog] : lru_) {
-    const CatalogStats stats = catalog->Stats();
-    out.latest_epoch = std::max(out.latest_epoch, stats.epoch);
-    out.plans_built += stats.plans_built;
-    out.plan_hits += stats.plan_hits;
-    out.semantic_hits += stats.semantic_hits;
-    out.semantic_misses += stats.semantic_misses;
-    out.containment.hits += stats.containment.hits;
-    out.containment.misses += stats.containment.misses;
-    out.containment.insertions += stats.containment.insertions;
-    out.containment.evictions += stats.containment.evictions;
+    out.latest_epoch = std::max(out.latest_epoch, catalog->epoch());
   }
   return out;
 }

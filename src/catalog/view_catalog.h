@@ -155,7 +155,9 @@ class ViewCatalog {
 /// Two sets with equal fingerprints define the same catalog.
 std::string FingerprintViewSet(const ViewSet& views);
 
-/// Aggregate counters over a registry's resident catalogs plus its own.
+/// Aggregate counters of a registry.  The work counters are lifetime
+/// totals over every catalog the registry built, evicted ones included,
+/// with the increments a request makes after its catalog's eviction.
 struct CatalogRegistryStats {
   int64_t catalogs_built = 0;  // lifetime, including evicted ones
   int catalogs_resident = 0;
@@ -194,7 +196,10 @@ class CatalogRegistry {
   CatalogRegistryStats Stats() const;
 
  private:
+  struct Lifetime;
+
   const size_t capacity_;
+  const std::shared_ptr<Lifetime> lifetime_;
   mutable std::mutex mu_;
   std::list<std::pair<std::string, std::shared_ptr<ViewCatalog>>>
       lru_;  // front = most recent

@@ -134,7 +134,6 @@ void Shell::CmdRewrite(const std::string& args) {
   }
   RewriteOptions options;
   options.jobs = default_jobs_;
-  options.force_tier = default_force_tier_;
   std::istringstream flags(args);
   std::string flag;
   bool explain = false;
@@ -160,13 +159,6 @@ void Shell::CmdRewrite(const std::string& args) {
         options.jobs = jobs;
       } else {
         out_ << "warning: jobs " << error << "; flag ignored\n";
-      }
-    } else if (flag.rfind("force-tier=", 0) == 0) {
-      const std::string value = flag.substr(11);
-      if (value == "0" || value == "2" || value == "-1") {
-        options.force_tier = std::stoi(value);
-      } else {
-        out_ << "warning: force-tier expects 0, 2 or -1; flag ignored\n";
       }
     } else {
       out_ << "warning: unknown flag '" << flag << "' ignored\n";
@@ -212,8 +204,6 @@ void Shell::CmdRewrite(const std::string& args) {
        << " kept, " << result.stats.mcds_formed << " MCDs, "
        << result.stats.phase2_checks << " phase-2 checks\n";
   if (print_stats) {
-    out_ << "tier: " << result.tier << " (" << result.tier_reason << "); "
-         << result.stats.tier2_jointree_evals << " join-tree evals\n";
     out_ << "phase-1: " << result.stats.canonical_databases
          << " databases visited, "
          << result.stats.canonical_databases -
@@ -249,9 +239,6 @@ void Shell::CmdRewrite(const std::string& args) {
          << ", \"phase2_orders\": " << result.stats.phase2_orders
          << ", \"phase1_memo_hits\": " << result.stats.phase1_memo_hits
          << ", \"phase1_memo_misses\": " << result.stats.phase1_memo_misses
-         << ", \"tier\": " << result.tier
-         << ", \"tier_reason\": \"" << result.tier_reason << "\""
-         << ", \"tier2_jointree_evals\": " << result.stats.tier2_jointree_evals
          << ", \"enumeration_ns\": " << result.stats.enumeration_ns
          << ", \"freeze_ns\": " << result.stats.freeze_ns
          << ", \"phase1_ns\": " << result.stats.phase1_ns
@@ -417,7 +404,6 @@ void Shell::CmdHelp() {
           "                        flags: verify explain coalesce minimize\n"
           "                               stats json\n"
           "                               jobs=N (0 = all cores, 1 = serial)\n"
-          "                               force-tier=N (0|2, -1 = auto)\n"
           "  contained-rewrite     union of contained rewritings\n"
           "  let <name> <rule>     bind a rule to a name\n"
           "  contained <n1> <n2>   containment test\n"

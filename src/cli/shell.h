@@ -47,12 +47,6 @@ class Shell {
   /// identical either way — only wall-clock changes.
   void set_default_jobs(int jobs) { default_jobs_ = jobs; }
 
-  /// Default execution-tier pin for `rewrite` (-1 = auto; see
-  /// RewriteOptions::force_tier); a per-command `force-tier=N` flag
-  /// overrides it.  Behind `cqacsh --force-tier`.  Results are identical
-  /// across tiers — this is the differential-testing hook.
-  void set_default_force_tier(int tier) { default_force_tier_ = tier; }
-
   /// When set, every `rewrite` additionally prints the Phase-1 breakdown
   /// (databases visited / pruned / deduped); same as passing the per-command
   /// `stats` flag each time.  Behind `cqacsh --stats`.
@@ -92,7 +86,6 @@ class Shell {
 
   std::ostream& out_;
   int default_jobs_ = 1;
-  int default_force_tier_ = -1;
   bool print_stats_ = false;
   bool json_stats_ = false;
   ViewSet views_;

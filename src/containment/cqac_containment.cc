@@ -8,7 +8,6 @@
 #include "containment/normalization.h"
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
-#include "engine/jointree.h"
 
 namespace cqac {
 
@@ -41,8 +40,7 @@ Substitution CollapseByOrder(const TotalOrder& order) {
 
 bool CqacContainedCanonical(const ConjunctiveQuery& q1,
                             const ConjunctiveQuery& q2,
-                            ContainmentStats* stats,
-                            const AcyclicPlan* q2_plan) {
+                            ContainmentStats* stats, const AcyclicPlan*) {
   if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;  // q1 empty.
   if (q1.head().arity() != q2.head().arity()) return false;
 
@@ -65,7 +63,6 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
 
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  AcyclicPlan::Scratch jointree_scratch;
   ForEachSatisfyingOrderPruned(
       q1.AllVariables(), constants, q1.comparisons(), symmetry,
       [&](const TotalOrder& order, int64_t multiplicity) {
@@ -74,12 +71,7 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
           stats->orders_satisfying += multiplicity;
         }
         const FlatInstance& inst = freezer.Freeze(order);
-        const bool computes =
-            q2_plan != nullptr
-                ? q2_plan->Run(inst, freezer.frozen_head(), &jointree_scratch)
-                : prepared.Run(inst, &freezer.frozen_head(), nullptr,
-                               &scratch);
-        if (!computes) {
+        if (!prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch)) {
           contained = false;
           return false;  // Counterexample found; stop enumerating.
         }

@@ -7,7 +7,7 @@
 
 namespace cqac {
 
-struct AcyclicPlan;  // engine/jointree.h
+struct AcyclicPlan;  // Never defined; named by perfbench/src/layers.cc:119.
 
 /// Containment and equivalence for conjunctive queries with arithmetic
 /// comparisons.  Once comparisons are present, the single-containment-
@@ -53,16 +53,11 @@ struct ContainmentStats {
 };
 
 /// q1 ⊑ q2 via the canonical-database test.
-///
-/// `q2_plan`, when non-null, must be a compiled AcyclicPlan for *this*
-/// q2 (engine/jointree.h): the per-order "does q2 compute the frozen
-/// head" evaluation then runs on the join-tree semi-join sweep instead
-/// of the general engine, with an identical verdict — the T2 fast path
-/// of the structure-aware tier router (rewriting/structure.h).
 bool CqacContainedCanonical(const ConjunctiveQuery& q1,
                             const ConjunctiveQuery& q2,
                             ContainmentStats* stats = nullptr,
-                            const AcyclicPlan* q2_plan = nullptr);
+                            // Unused; passed by perfbench/src/layers.cc:119.
+                            const AcyclicPlan* = nullptr);
 
 /// q1 ⊑ q2 via the order-refinement implication test.
 bool CqacContainedImplication(const ConjunctiveQuery& q1,

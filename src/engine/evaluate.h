@@ -99,8 +99,7 @@ class FlatInstance {
 /// The evaluator over a compiled QueryPlan: evaluates tuple at a time over
 /// `Rational` values, against either a generic `Database` or a row-major
 /// `FlatInstance`.  It is the one engine for canonical databases (the
-/// Phase-1 keep test, view tuples, and containment); the T2 tier swaps in
-/// AcyclicPlan (jointree.h) for comparison-free acyclic queries.
+/// Phase-1 keep test, view tuples, and containment).
 ///
 /// PreparedQuery is immutable after construction and safe to share across
 /// threads; all per-run state lives in a caller-owned Scratch.  Hash

@@ -20,8 +20,8 @@
 // of the last few requests), everything after in the main ring.  A hot
 // Phase-1 loop can push tens of thousands of leaf spans through the ring
 // in milliseconds; without the head region it would flush the request's
-// attribution spans (structure.tier, prepare.*) long before a deadline
-// fires, leaving the excerpt all tail and no cause.
+// attribution spans (prepare.*) long before a deadline fires, leaving the
+// excerpt all tail and no cause.
 //
 // Recording path: one TLS load + branch when the thread has no bound
 // trace id (obs/request_context.h); with one bound, a seqlock-protected

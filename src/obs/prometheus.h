@@ -19,10 +19,10 @@
 //     series estimated over the sliding window, plus `_sum`/`_count`
 //     (also windowed).
 //
-// A registry name may carry a label block, e.g.
-// `server.slo_latency_ns{tier="1"}`: the block is parsed, keys are
-// sanitized, values are escaped per the exposition format, and all series
-// of one base name share a single # HELP / # TYPE header.
+// A registry name may carry a label block, e.g. `rpc_ns{method="get"}`:
+// the block is parsed, keys are sanitized, values are escaped per the
+// exposition format, and all series of one base name share a single
+// # HELP / # TYPE header.
 
 #include <iosfwd>
 #include <string>

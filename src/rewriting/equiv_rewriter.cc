@@ -133,7 +133,6 @@ void RecordRunMetrics(const RewriteStats& stats,
   reg.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
   reg.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
   reg.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
-  reg.counter("tier2.jointree_evals").Add(stats.tier2_jointree_evals);
   if (with_memo) {
     reg.counter("memo_cache.hits").Add(report.cache_hits);
     reg.counter("memo_cache.misses").Add(report.cache_misses);
@@ -162,7 +161,6 @@ void RewriteStats::Merge(const RewriteStats& other) {
   phase2_orders += other.phase2_orders;
   phase1_memo_hits += other.phase1_memo_hits;
   phase1_memo_misses += other.phase1_memo_misses;
-  tier2_jointree_evals += other.tier2_jointree_evals;
   enumeration_ns += other.enumeration_ns;
   freeze_ns += other.freeze_ns;
   phase1_ns += other.phase1_ns;
@@ -213,25 +211,6 @@ RewriteWork PrepareRewriteWork(
           work.constants.end()) {
         work.constants.push_back(c);
       }
-    }
-  }
-
-  // Route the run to an execution tier before Phase 1.  The classifier is
-  // purely structural (no data); forcing (options.force_tier) applies
-  // only when the forced tier's eligibility holds.
-  {
-    CQAC_TRACE_SPAN("structure.tier");
-    work.tier = ResolveTier(ClassifyStructure(query, views), options.force_tier);
-    if (work.tier.tier == ExecutionTier::kAcyclic) {
-      if (std::optional<AcyclicPlan> plan = AcyclicPlanFor(query)) {
-        work.acyclic_plan =
-            std::make_shared<const AcyclicPlan>(*std::move(plan));
-      }
-    }
-    if (obs::MetricsActive()) {
-      obs::MetricsRegistry::Global()
-          .counter(std::string("rewrite.tier.") + TierName(work.tier.tier))
-          .Add(1);
     }
   }
 
@@ -298,7 +277,6 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     std::optional<ViewTupleEvaluator> evaluator;
     std::optional<FrozenTupleMatcher> matcher;
     PreparedQuery::Scratch scratch;
-    AcyclicPlan::Scratch jointree;
   };
   static thread_local Phase1Cache cache;
   if (cache.work_id != work.work_id) {
@@ -315,14 +293,8 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
     const FlatInstance& inst = cache.freezer->Freeze(order);
-    if (work.acyclic_plan != nullptr) {
-      computes_head = work.acyclic_plan->Run(
-          inst, cache.freezer->frozen_head(), &cache.jointree);
-      ++out.stats.tier2_jointree_evals;
-    } else {
-      computes_head = work.prepared_query.Run(
-          inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
-    }
+    computes_head = work.prepared_query.Run(
+        inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
     out.stats.freeze_ns += NowNs() - freeze_t0;
   }
   if (!computes_head) {
@@ -573,8 +545,7 @@ static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
   }
   ContainmentStats cstats;
   Phase2Outcome out;
-  out.contained = CqacContainedCanonical(expansion, work.query, &cstats,
-                                         work.acyclic_plan.get());
+  out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
   out.orders_enumerated = cstats.orders_enumerated;
   if (memo != nullptr) memo->Put(key, out.contained);
   return out;
@@ -663,9 +634,6 @@ std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
   if (AcSolver::IsSatisfiable(query.comparisons())) return std::nullopt;
   RewriteResult result;
   result.outcome = RewriteOutcome::kRewritingFound;
-  result.tier = 0;
-  result.tier_reason =
-      "query comparisons unsatisfiable; the rewriting is the empty union";
   if (options.verify) {
     result.verified = RewritingIsEquivalent(query, result.rewriting, views);
   }
@@ -683,8 +651,6 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   RewriteResult result;
   result.stats.v0_variants = static_cast<int64_t>(work.v0_variants.size());
   result.stats.mcds_formed = static_cast<int64_t>(work.mcds.size());
-  result.tier = static_cast<int>(work.tier.tier);
-  result.tier_reason = work.tier.reason;
   const bool explain = work.options.explain;
   const CancellationToken* const cancel = driver.cancel;
   const auto cancelled = [cancel] {

@@ -11,15 +11,14 @@
 #include "ast/query.h"
 #include "constraints/orders.h"
 #include "engine/evaluate.h"
-#include "engine/jointree.h"
 #include "rewriting/explain.h"
 #include "rewriting/minicon.h"
-#include "rewriting/structure.h"
 #include "rewriting/view_set.h"
 #include "runtime/cancellation.h"
 
 namespace cqac {
 
+struct AcyclicPlan;  // Never defined; see RewriteWork::acyclic_plan.
 class MemoCache;   // runtime/memo_cache.h
 class Phase1Memo;  // runtime/memo_cache.h
 class ThreadPool;  // runtime/thread_pool.h
@@ -98,16 +97,6 @@ struct RewriteOptions {
   /// stats.phase2_orders may differ; see RunPreparedRewrite).
   int jobs = 1;
 
-  /// Pins the execution tier chosen by the structural classifier
-  /// (rewriting/structure.h): -1 (the default) routes automatically; 0 or
-  /// 2 force that tier *when its eligibility precondition holds* and
-  /// fall back to the general path otherwise, so a forced sweep over an
-  /// arbitrary corpus stays sound.  A testing hook — tiers are
-  /// byte-compatible on results, so forcing only changes speed and the
-  /// tier/tier_reason surfaced in stats.  Part of the catalog plan
-  /// signature: plans compiled under different forced tiers never alias.
-  int force_tier = -1;
-
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
   /// behind per-request deadlines in the rewrite service.  When non-null,
   /// the driver polls the token at canonical-database and Phase-2
@@ -137,10 +126,6 @@ struct RewriteStats {
   int64_t phase1_memo_hits = 0;          // databases served from the memo
   int64_t phase1_memo_misses = 0;        // databases computed in full
 
-  // Tier-engine counter (rewriting/structure.h); zero on a T0 run and
-  // excluded from differential signatures.
-  int64_t tier2_jointree_evals = 0;  // keep tests run on the AcyclicPlan
-
   // Per-phase wall time, in nanoseconds of std::chrono::steady_clock.
   // Accumulated element-wise through Merge like every other field, so the
   // inline and pooled schedules aggregate them identically — the *values*
@@ -161,24 +146,9 @@ struct RewriteStats {
 
 /// Version of the one-line JSON records emitted by `cqacsh --json` (per
 /// rewrite and per batch).  Bump on any field addition, removal, or
-/// meaning change; the record shapes are documented in docs/SYNTAX.md.
-/// v3: per-rewrite records gained `semantic_cache_hit`, batch records the
-/// `catalog_*` counter block (catalog/view_catalog.h).
-/// v4: per-rewrite records gained `tier` / `tier_reason` and the per-tier
-/// counters (a tier-1 grid-cache hit/miss pair and
-/// `tier2_jointree_evals`); batch records aggregate the same counters
-/// (rewriting/structure.h).
-/// v5: per-rewrite records gained `phase2_orders` and `trace_id` (the
-/// request's 128-bit trace id, obs/request_context.h); the service's
-/// `counters` object caught up with the per-rewrite shape (tier fields
-/// included) and responses carry top-level `trace_id` / `tier`
-/// (server/protocol.h, docs/SERVICE.md).
-/// v6: the semi-interval tier 1 and its grid-cache hit/miss counters
-/// were removed; `tier` is 0 or 2.
-/// v7: batch records dropped the catalog on/off flag; every batch and
-/// service job is served through a catalog, so the `catalog_*` block
-/// always carries live counters.
-inline constexpr int kStatsJsonSchemaVersion = 7;
+/// meaning change; the record shapes and the version history are in
+/// docs/SYNTAX.md.
+inline constexpr int kStatsJsonSchemaVersion = 8;
 
 enum class RewriteOutcome {
   kRewritingFound,
@@ -216,9 +186,7 @@ struct RewriteResult {
   /// not go through a catalog.
   uint64_t catalog_epoch = 0;
 
-  /// The execution tier the run was routed to (0 = general, 2 = acyclic
-  /// core) and the classifier's explanation.
-  /// Purely observational: tiers are byte-compatible on everything above.
+  // Inert and never rendered; read by perfbench/src/served.cc:368-369.
   int tier = 0;
   std::string tier_reason;
 };
@@ -271,12 +239,10 @@ struct RewriteWork {
   std::vector<int> mcd_rank;    // i -> rank of its tuple among distinct ones
   std::vector<char> mcd_folds;  // i * |mcds| + j -> tuple i folds onto j
 
-  /// The structural routing decision for this (query, views, options)
-  /// triple, resolved against options.force_tier (rewriting/structure.h).
-  TierDecision tier;
+  // Inert; read by perfbench/src/layers.cc:45-46.
+  struct { int tier = 0; std::string reason; } tier;
 
-  /// T2 only: the compiled join-tree evaluator replacing the general
-  /// keep-test and Phase-2 per-order evaluation (engine/jointree.h).
+  // Always null; read by perfbench/src/layers.cc:119.
   std::shared_ptr<const AcyclicPlan> acyclic_plan;
 };
 

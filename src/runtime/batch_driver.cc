@@ -200,8 +200,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << summary.rewrite.kept_canonical_databases
         << ", \"phase1_memo_hits\": " << summary.rewrite.phase1_memo_hits
         << ", \"phase1_memo_misses\": " << summary.rewrite.phase1_memo_misses
-        << ", \"tier2_jointree_evals\": "
-        << summary.rewrite.tier2_jointree_evals
         << ", \"enumeration_ns\": " << summary.rewrite.enumeration_ns
         << ", \"freeze_ns\": " << summary.rewrite.freeze_ns
         << ", \"phase1_ns\": " << summary.rewrite.phase1_ns

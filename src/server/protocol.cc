@@ -230,9 +230,7 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
   }
   if (response.has_counters) {
     // Mirrors the shell's per-rewrite record (docs/SYNTAX.md) so service
-    // consumers and --json consumers read one shape; schema v5 added the
-    // tier attribution fields and phase2_orders, v6 dropped the tier-1
-    // grid counters.
+    // consumers and --json consumers read one shape.
     const RewriteStats& s = response.stats;
     out += ", \"counters\": {\"schema_version\": " +
            std::to_string(kStatsJsonSchemaVersion) + ", \"outcome\": ";
@@ -248,16 +246,10 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
            ", \"phase1_memo_hits\": " + std::to_string(s.phase1_memo_hits) +
            ", \"phase1_memo_misses\": " +
            std::to_string(s.phase1_memo_misses) +
-           ", \"tier\": " + std::to_string(response.tier) +
-           ", \"tier_reason\": ";
-    AppendJsonString(&out, response.tier_reason);
-    out += ", \"tier2_jointree_evals\": " +
-           std::to_string(s.tier2_jointree_evals) +
            ", \"enumeration_ns\": " + std::to_string(s.enumeration_ns) +
            ", \"freeze_ns\": " + std::to_string(s.freeze_ns) +
            ", \"phase1_ns\": " + std::to_string(s.phase1_ns) +
            ", \"phase2_ns\": " + std::to_string(s.phase2_ns) + "}";
-    out += ", \"tier\": " + std::to_string(response.tier);
   }
   if (response.catalog_epoch > 0) {
     out += ", \"catalog_epoch\": " + std::to_string(response.catalog_epoch) +
@@ -333,11 +325,6 @@ bool ParseServiceResponse(const std::string& body, ServiceResponse* response,
   if (!trace_hex.empty() &&
       !obs::ParseTraceIdHex(trace_hex, &response->trace_id)) {
     *error = "'trace_id' must be 32 hex characters";
-    return false;
-  }
-  response->tier = static_cast<int>(root.FindInt("tier", -1, &ok));
-  if (!ok) {
-    *error = "'tier' must be an integer";
     return false;
   }
   response->catalog_epoch =

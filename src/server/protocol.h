@@ -52,9 +52,7 @@
 //                              // or server-stamped for old clients)
 //    "counters": {...},        // status=ok, job ran: the per-rewrite
 //                              // schema_version record of docs/SYNTAX.md
-//                              // (schema v7: tier, tier_reason,
-//                              // join-tree counter, phase2_orders)
-//    "tier": 2,                // structural tier that served the job
+//                              // (schema v8)
 //    "catalog_epoch": 7,       // epoch of the
 //    "semantic_cache_hit": 1,  //   serving catalog + whether the result
 //                              //   replayed from the semantic cache
@@ -178,8 +176,7 @@ struct ServiceResponse {
   RewriteStats stats;
   int64_t disjuncts = 0;
 
-  /// Structural tier that served the job (-1 = absent/not a job) and the
-  /// classifier's reason, encoded with the counters.
+  // Inert and never encoded; written by perfbench/src/served.cc:368-369.
   int tier = -1;
   std::string tier_reason;
 

@@ -95,22 +95,12 @@ void AppendSpanLine(std::string* out, const obs::FlightEvent& event) {
 
 }  // namespace
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {
-  // SLO windows keyed by tier, registered up front so get_metrics lists
-  // the series before any traffic; index 0 holds requests with no tier
-  // (parse errors, jobs cancelled before they ran).
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const char* labels[3] = {"none", "0", "2"};
-  for (int i = 0; i < 3; ++i) {
-    slo_latency_[i] = &reg.windowed(
-        std::string("server.slo_request_latency_ns{tier=\"") + labels[i] +
-        "\"}");
-  }
-}
-
-obs::WindowedHistogram& Server::SloForTier(int tier) {
-  return *slo_latency_[tier == 0 ? 1 : tier == 2 ? 2 : 0];
-}
+Server::Server(ServerOptions options)
+    : options_(std::move(options)),
+      // Registered up front so get_metrics lists the series before any
+      // traffic.
+      slo_latency_(&obs::MetricsRegistry::Global().windowed(
+          "server.slo_request_latency_ns")) {}
 
 Server::~Server() {
   if (started_.load() && !joined_.load()) {
@@ -573,17 +563,15 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn, uint64_t id,
       response.stats = result.stats;
       response.disjuncts = static_cast<int64_t>(result.rewriting.size());
     }
-    response.tier = result.tier;
-    response.tier_reason = result.tier_reason;
   }
   CountOutcome(response.outcome, counted_stats);
 
   job_state->done.store(true);
   WriteResponse(*conn, id, response);
   const int64_t latency_ns = NowNs() - start_ns;
-  // The per-tier SLO windows are always on (get_metrics serves them even
-  // without `cqacd --metrics`); the flat histogram keeps the old gate.
-  SloForTier(response.tier).Observe(latency_ns);
+  // The SLO window is always on (get_metrics serves it even without
+  // `cqacd --metrics`); the flat histogram keeps the old gate.
+  slo_latency_->Observe(latency_ns);
   if (metrics) {
     obs::MetricsRegistry::Global()
         .histogram("server.request_latency_ns")
@@ -618,9 +606,6 @@ void Server::EmitSlowRequest(const ServiceResponse& response,
   out += obs::TraceIdHex(response.trace_id);
   out += "\", \"outcome\": ";
   AppendJsonString(&out, JobOutcomeName(response.outcome));
-  out += ", \"tier\": " + std::to_string(response.tier);
-  out += ", \"tier_reason\": ";
-  AppendJsonString(&out, response.tier_reason);
   out += ", \"latency_ns\": " + std::to_string(latency_ns);
   out += ", \"deadline_ms\": " + std::to_string(deadline_ms);
   out += ", \"enumeration_ns\": " +

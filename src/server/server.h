@@ -169,9 +169,6 @@ class Server {
   void ArmDeadline(std::chrono::steady_clock::time_point deadline,
                    const std::shared_ptr<JobState>& job);
   void CountOutcome(JobOutcome outcome, const RewriteStats* stats);
-  /// The sliding-window SLO latency histogram for `tier` (-1, 0 or 2);
-  /// the references are registry-owned and cached at construction.
-  obs::WindowedHistogram& SloForTier(int tier);
   /// Appends one slow-request record (header + flight excerpt) to the
   /// configured slow log; no-op when none is configured.
   void EmitSlowRequest(const ServiceResponse& response, int64_t latency_ns,
@@ -215,10 +212,9 @@ class Server {
   mutable std::mutex summary_mu_;
   BatchSummary summary_;
 
-  /// Per-tier sliding-window latency histograms (index 0 = tier "none",
-  /// then tiers 0 and 2), registered eagerly so get_metrics lists them
-  /// before traffic arrives.
-  obs::WindowedHistogram* slo_latency_[3] = {nullptr, nullptr, nullptr};
+  /// The sliding-window SLO latency histogram of every request;
+  /// registry-owned.
+  obs::WindowedHistogram* const slo_latency_;
 
   /// Slow-request log sink (options_.slow_log_path); lines are whole
   /// JSON objects appended under slow_log_mu_.

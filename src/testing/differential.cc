@@ -18,7 +18,6 @@ std::string LatticeConfig::Name() const {
   if (legacy_homomorphism) out << " legacy-homomorphism";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
-  if (force_tier >= 0) out << " tier" << force_tier;
   return out.str();
 }
 
@@ -27,7 +26,6 @@ RewriteOptions LatticeConfig::ToOptions() const {
   options.jobs = jobs;
   options.phase1_dedup = phase1_dedup;
   options.verify = verify;
-  options.force_tier = force_tier;
   return options;
 }
 
@@ -71,15 +69,6 @@ std::vector<LatticeConfig> FullConfigLattice() {
   catalog_parallel.use_catalog = true;
   catalog_parallel.jobs = 4;
   lattice.push_back(catalog_parallel);
-  // Tier lattice (rewriting/structure.h): forced-general anchor plus the
-  // acyclic tier.  Ineligible inputs fall back to the general path, so
-  // every point is sound on every case.
-  LatticeConfig tier0;
-  tier0.force_tier = 0;
-  lattice.push_back(tier0);
-  LatticeConfig tier2;
-  tier2.force_tier = 2;
-  lattice.push_back(tier2);
   return lattice;
 }
 
@@ -103,9 +92,6 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   LatticeConfig catalog;
   catalog.use_catalog = true;
   lattice.push_back(catalog);
-  LatticeConfig tier2;  // join-tree tier (general fallback when cyclic)
-  tier2.force_tier = 2;
-  lattice.push_back(tier2);
   return lattice;
 }
 

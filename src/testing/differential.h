@@ -43,13 +43,6 @@ struct LatticeConfig {
   /// is the warm one, proving cached results are byte-identical.
   bool use_catalog = false;
 
-  /// RewriteOptions::force_tier — pins the structural execution tier
-  /// (rewriting/structure.h): -1 = auto routing, 0/2 forces that tier
-  /// when the input is eligible (else general-path fallback).  The tier
-  /// lattice points prove every tier's signature is byte-identical to the
-  /// forced-general baseline.
-  int force_tier = -1;
-
   /// E.g. "jobs=4 dedup memo legacy-orders".
   std::string Name() const;
 

@@ -53,19 +53,8 @@ ConjunctiveQuery WorkloadGenerator::GenerateQuery() {
   for (int i = 0; i < config_.num_subgoals; ++i) {
     const std::string pred = "p" + std::to_string(RandomInt(
                                  0, std::max(0, config_.num_predicates - 1)));
-    int ai = i % n;
-    int bi;
-    if (i + 1 < n) {
-      bi = i + 1;
-    } else if (config_.acyclic_only && n > 1) {
-      // Duplicate a random chain edge: a repeated edge is still an ear
-      // under GYO reduction, whereas the random chord below could close
-      // a cycle and bounce the instance off the acyclic tier.
-      ai = RandomInt(0, n - 2);
-      bi = ai + 1;
-    } else {
-      bi = RandomInt(0, n - 1);
-    }
+    const int ai = i % n;
+    const int bi = i + 1 < n ? i + 1 : RandomInt(0, n - 1);
     body.push_back(Atom(pred, {Term::Variable(VarName(ai)),
                                Term::Variable(VarName(bi))}));
   }
@@ -75,17 +64,12 @@ ConjunctiveQuery WorkloadGenerator::GenerateQuery() {
   const Atom head("q", std::move(head_args));
 
   // Comparisons: variable-vs-constant and occasionally variable-vs-
-  // variable, retried until jointly satisfiable.  The structural flags
-  // short-circuit before any extra PRNG draw so that flag-off configs
-  // keep their historical draw sequences.
+  // variable, retried until jointly satisfiable.
   std::vector<Comparison> comparisons;
-  const int num_comparisons =
-      config_.acyclic_only ? 0 : config_.num_query_comparisons;
-  for (int i = 0; i < num_comparisons; ++i) {
+  for (int i = 0; i < config_.num_query_comparisons; ++i) {
     for (int attempt = 0; attempt < 16; ++attempt) {
       const bool var_vs_const =
-          config_.semi_interval_only ||
-          (config_.num_constants > 0 && RandomInt(0, 2) != 0);
+          config_.num_constants > 0 && RandomInt(0, 2) != 0;
       Comparison candidate =
           var_vs_const
               ? Comparison(Term::Variable(VarName(RandomInt(0, n - 1))),
@@ -174,9 +158,8 @@ ConjunctiveQuery WorkloadGenerator::DistractorView(int index) {
     }
   }
   std::vector<Comparison> comparisons;
-  // Distractor comparisons are already var-vs-const (semi-interval);
-  // acyclic_only demands comparison-free views.
-  if (config_.num_constants > 0 && !config_.acyclic_only) {
+  // Distractor comparisons are var-vs-const (semi-interval).
+  if (config_.num_constants > 0) {
     comparisons.push_back(Comparison(head_args.front(), RandomOrderOp(),
                                      Term::Constant(RandomConstant())));
   }

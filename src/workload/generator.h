@@ -42,18 +42,6 @@ struct WorkloadConfig {
   /// Fraction of views generated as distractors unrelated to the query.
   double distractor_fraction = 0.25;
 
-  /// Restrict every generated comparison (query and views) to the
-  /// `var op const` shape, so the whole instance is eligible for the
-  /// semi-interval tier (rewriting/structure.h).  Defaults to false so
-  /// existing (config, seed) pairs keep generating byte-identical
-  /// instances.
-  bool semi_interval_only = false;
-
-  /// Generate no comparisons at all.  The query's chain-shaped body is
-  /// GYO-acyclic, so the instance routes to the acyclic-core tier.
-  /// Defaults to false for the same draw-sequence stability reason.
-  bool acyclic_only = false;
-
   /// PRNG seed; equal configs with equal seeds generate byte-identical
   /// instances — across platforms, standard libraries, and build types,
   /// because every bounded draw goes through the explicit rejection

@@ -268,6 +268,32 @@ TEST(ViewCatalogTest, RegistryEvictsLeastRecentlyUsed) {
   EXPECT_EQ(still_works.catalog_epoch, a->epoch());
 }
 
+// Registry counters are lifetime totals: every rewrite is counted once as
+// a semantic hit or miss, however often its catalog was evicted, and a
+// request served by an evicted catalog still counts.
+TEST(ViewCatalogTest, RegistryCountersSurviveEviction) {
+  CatalogRegistry registry(/*capacity=*/1);
+  const ViewSet view_sets[] = {OneViewSet(), OtherViewSet()};
+  const ConjunctiveQuery query =
+      ParseRuleOrDie("q(A) :- r(A), s(A,A), A <= 8.");
+  constexpr int kRewrites = 6;
+  for (int i = 0; i < kRewrites; ++i) {
+    (void)registry.GetOrBuild(view_sets[i % 2])->Rewrite(query, {});
+  }
+  CatalogRegistryStats stats = registry.Stats();
+  EXPECT_EQ(stats.catalogs_built, kRewrites);
+  EXPECT_EQ(stats.catalogs_resident, 1);
+  EXPECT_EQ(stats.semantic_hits + stats.semantic_misses, kRewrites);
+  EXPECT_EQ(stats.plans_built, kRewrites);
+
+  // Evicted while held: the later request is counted too.
+  const std::shared_ptr<ViewCatalog> held = registry.GetOrBuild(view_sets[0]);
+  (void)registry.GetOrBuild(view_sets[1]);
+  (void)held->Rewrite(query, {});
+  stats = registry.Stats();
+  EXPECT_EQ(stats.semantic_hits + stats.semantic_misses, kRewrites + 1);
+}
+
 // The batch driver answers every job through its catalog registry; each
 // job block must be byte-identical to the reference rewriter's result
 // rendered for the same job.

@@ -317,7 +317,7 @@ TEST(ServiceResponseTest, RoundTripsStructuredErrors) {
   }
 }
 
-TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
+TEST(ServiceResponseTest, RoundTripsTraceIdAndSchemaV8Counters) {
   ServiceResponse in;
   in.status = ResponseStatus::kOk;
   in.outcome = JobOutcome::kFound;
@@ -326,21 +326,15 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
   in.stats.canonical_databases = 13;
   in.stats.phase2_checks = 4;
   in.stats.phase2_orders = 9;
-  in.stats.tier2_jointree_evals = 6;
-  in.tier = 2;
-  in.tier_reason = "acyclic views";
   ASSERT_TRUE(obs::ParseTraceIdHex("00112233445566778899aabbccddeeff",
                                    &in.trace_id));
 
   const std::string wire = EncodeServiceResponse(in);
-  // The v5 additions are on the wire: schema version, the per-order
-  // counter, the tier block, and the top-level trace id / tier.
-  EXPECT_NE(wire.find("\"schema_version\": 7"), std::string::npos) << wire;
+  // Schema version, the per-order counter and the top-level trace id are
+  // on the wire; the tier fields are gone since v8.
+  EXPECT_NE(wire.find("\"schema_version\": 8"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
-  EXPECT_NE(wire.find("\"tier\": 2"), std::string::npos);
-  EXPECT_NE(wire.find("\"tier_reason\": \"acyclic views\""),
-            std::string::npos);
-  EXPECT_NE(wire.find("\"tier2_jointree_evals\": 6"), std::string::npos);
+  EXPECT_EQ(wire.find("tier"), std::string::npos);
   EXPECT_EQ(wire.find("grid"), std::string::npos);  // removed in v6
   EXPECT_NE(
       wire.find("\"trace_id\": \"00112233445566778899aabbccddeeff\""),
@@ -351,12 +345,11 @@ TEST(ServiceResponseTest, RoundTripsTraceIdTierAndSchemaV6Counters) {
   std::string error;
   ASSERT_TRUE(ParseServiceResponse(wire, &out, &error)) << error;
   EXPECT_EQ(out.trace_id, in.trace_id);
-  EXPECT_EQ(out.tier, 2);
 }
 
-TEST(ServiceResponseTest, ToleratesResponsesWithoutTraceIdOrTier) {
-  // A response from a pre-v5 server: no trace_id, no tier.  New clients
-  // must parse it and fall back to the "absent" sentinels.
+TEST(ServiceResponseTest, ToleratesResponsesWithoutTraceId) {
+  // A response from a pre-v5 server: no trace_id.  New clients must parse
+  // it and fall back to the "absent" sentinel.
   ServiceResponse out;
   std::string error;
   ASSERT_TRUE(ParseServiceResponse(
@@ -364,7 +357,6 @@ TEST(ServiceResponseTest, ToleratesResponsesWithoutTraceIdOrTier) {
       &error))
       << error;
   EXPECT_TRUE(out.trace_id.IsZero());
-  EXPECT_EQ(out.tier, -1);
   // And a malformed trace_id in a response is a protocol error, not a
   // silent zero.
   EXPECT_FALSE(ParseServiceResponse(

@@ -647,10 +647,6 @@ TEST(ServerTest, ClientTraceIdIsEchoedAndAbsentOnesAreStamped) {
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(obs::TraceIdHex(response.trace_id),
             "0123456789abcdef0123456789abcdef");
-  // The per-request attribution rides the response: a served job always
-  // reports the tier it ran on.
-  EXPECT_GE(response.tier, 0);
-  EXPECT_LE(response.tier, 2);
 
   // An old client that sends none gets a server-stamped id back.
   ASSERT_TRUE(client.SendRequest(2, RequestBody(kPaperJob)));
@@ -665,7 +661,7 @@ TEST(ServerTest, GetMetricsServesPrometheusTextWithSloSeries) {
   TestClient client(ts.path);
   ASSERT_TRUE(client.connected());
 
-  // One served job so the tier SLO window has a sample.
+  // One served job so the SLO window has a sample.
   ASSERT_TRUE(client.SendRequest(1, RequestBody(kPaperJob)));
   uint64_t id = 0;
   ServiceResponse response;
@@ -677,14 +673,16 @@ TEST(ServerTest, GetMetricsServesPrometheusTextWithSloSeries) {
   EXPECT_EQ(id, 2u);
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(response.outcome, JobOutcome::kNone);
-  // The body is the exposition format, including the per-tier SLO
-  // summaries the server registers eagerly at construction.
+  // The body is the exposition format, including the one SLO summary
+  // the server registers eagerly at construction.
   EXPECT_NE(response.body.find(
                 "# TYPE cqac_server_slo_request_latency_ns summary"),
             std::string::npos)
       << response.body;
-  EXPECT_NE(response.body.find("cqac_server_slo_request_latency_ns{tier="),
-            std::string::npos);
+  EXPECT_NE(
+      response.body.find("cqac_server_slo_request_latency_ns{quantile="),
+      std::string::npos);
+  EXPECT_EQ(response.body.find("tier="), std::string::npos);
 }
 
 TEST(ServerTest, DumpTelemetryReturnsDeadlineKilledRequestsSpans) {
@@ -732,7 +730,7 @@ TEST(ServerTest, DumpTelemetryReturnsDeadlineKilledRequestsSpans) {
   EXPECT_NE(excerpt.find(std::string("\"trace_id\": \"") + trace_hex),
             std::string::npos)
       << excerpt;
-  EXPECT_NE(excerpt.find("\"name\": \"structure.tier\""), std::string::npos)
+  EXPECT_NE(excerpt.find("\"name\": \"prepare.work\""), std::string::npos)
       << excerpt;
   EXPECT_NE(excerpt.find("\"name\": \"server.job\""), std::string::npos);
 }
@@ -774,14 +772,14 @@ TEST(ServerTest, SlowLogRecordsDeadlineExceededRequests) {
       << log;
   EXPECT_NE(log.find("\"outcome\": \"deadline_exceeded\""),
             std::string::npos);
-  EXPECT_NE(log.find("\"tier\": "), std::string::npos);
+  EXPECT_EQ(log.find("\"tier"), std::string::npos);  // removed in v8
   EXPECT_NE(log.find("\"deadline_ms\": 30"), std::string::npos);
   EXPECT_NE(log.find("\"latency_ns\": "), std::string::npos);
   if (obs::TracingCompiledIn()) {
     // The flight excerpt follows the header: the killed request's own
     // span history, available with session tracing disabled.
     EXPECT_NE(log.find("\"event\": \"span\""), std::string::npos) << log;
-    EXPECT_NE(log.find("\"name\": \"structure.tier\""), std::string::npos)
+    EXPECT_NE(log.find("\"name\": \"prepare.work\""), std::string::npos)
         << log;
   }
   ::unlink(log_path.c_str());

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -87,9 +86,7 @@ void PrintUsage(std::ostream& out) {
          "format from stdin and prints one result block per job, in input\n"
          "order, byte-identical to the batch driver's blocks.  Every\n"
          "request is stamped with a fresh 128-bit trace id that the server\n"
-         "binds to its spans and echoes in the response; load mode's JSON\n"
-         "record gains a per-tier latency breakdown (stderr prints the\n"
-         "human-readable table).\n";
+         "binds to its spans and echoes in the response.\n";
 }
 
 bool ParseNonNegative(const std::string& text, int64_t* value) {
@@ -253,21 +250,13 @@ std::vector<std::string> SplitJobBlocks(std::istream& in) {
   return blocks;
 }
 
-/// One completed load-mode request: enough to attribute its latency to
-/// the tier the server ran it on and to find it again by trace id.
-struct LoadRecord {
-  int64_t latency_ns = 0;
-  int tier = -1;  // -1 = response carried no tier (errors, old servers)
-  cqac::obs::TraceId trace_id;
-};
-
 struct LoadTally {
   int64_t ok = 0;
   int64_t deadline_exceeded = 0;
   int64_t rejected = 0;
   int64_t errors = 0;
   int64_t semantic_cache_hits = 0;
-  std::vector<LoadRecord> records;  // one entry per completed request
+  std::vector<int64_t> latencies_ns;  // one entry per completed request
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
@@ -553,14 +542,10 @@ int main(int argc, char** argv) {
           break;
         }
         LoadTally& tally = tallies[w];
-        LoadRecord record;
-        record.latency_ns =
+        tally.latencies_ns.push_back(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - request_start)
-                .count();
-        record.tier = response.tier;
-        record.trace_id = trace_id;
-        tally.records.push_back(record);
+                .count());
         if (response.from_semantic_cache) ++tally.semantic_cache_hits;
         switch (response.status) {
           case ResponseStatus::kOk:
@@ -592,26 +577,16 @@ int main(int argc, char** argv) {
 
   LoadTally total;
   std::vector<int64_t> latencies;
-  // Per-tier latency samples: index 0 = tier "none" (responses without a
-  // tier), then tiers 0 and 2 — the same keying as the server's SLO
-  // windows.
-  std::vector<int64_t> tier_latencies[3];
   for (const LoadTally& t : tallies) {
     total.ok += t.ok;
     total.deadline_exceeded += t.deadline_exceeded;
     total.rejected += t.rejected;
     total.errors += t.errors;
     total.semantic_cache_hits += t.semantic_cache_hits;
-    for (const LoadRecord& r : t.records) {
-      latencies.push_back(r.latency_ns);
-      const int slot = r.tier == 0 ? 1 : r.tier == 2 ? 2 : 0;
-      tier_latencies[slot].push_back(r.latency_ns);
-    }
+    latencies.insert(latencies.end(), t.latencies_ns.begin(),
+                     t.latencies_ns.end());
   }
   std::sort(latencies.begin(), latencies.end());
-  for (std::vector<int64_t>& sample : tier_latencies) {
-    std::sort(sample.begin(), sample.end());
-  }
   int64_t latency_sum = 0;
   for (const int64_t ns : latencies) latency_sum += ns;
   const int64_t latency_mean =
@@ -635,37 +610,7 @@ int main(int argc, char** argv) {
             << ", \"latency_ns_p50\": " << Percentile(latencies, 50)
             << ", \"latency_ns_p95\": " << Percentile(latencies, 95)
             << ", \"latency_ns_p99\": " << Percentile(latencies, 99)
-            << ", \"tiers\": [";
-  const char* tier_names[3] = {"none", "0", "2"};
-  bool first_tier = true;
-  for (int slot = 0; slot < 3; ++slot) {
-    const std::vector<int64_t>& sample = tier_latencies[slot];
-    if (sample.empty()) continue;
-    if (!first_tier) std::cout << ", ";
-    first_tier = false;
-    std::cout << "{\"tier\": \"" << tier_names[slot]
-              << "\", \"requests\": " << sample.size()
-              << ", \"latency_ns_p50\": " << Percentile(sample, 50)
-              << ", \"latency_ns_p95\": " << Percentile(sample, 95)
-              << ", \"latency_ns_p99\": " << Percentile(sample, 99) << "}";
-  }
-  std::cout << "]}\n";
-
-  // Human-readable per-tier table on stderr; stdout stays one machine-
-  // parseable JSON line (tools/run_benches.sh seds it).
-  std::cerr << "cqacc: per-tier latency (ns)\n"
-            << "  tier  requests       p50       p95       p99\n";
-  for (int slot = 0; slot < 3; ++slot) {
-    const std::vector<int64_t>& sample = tier_latencies[slot];
-    if (sample.empty()) continue;
-    char line[128];
-    snprintf(line, sizeof(line), "  %-4s %9zu %9lld %9lld %9lld\n",
-             tier_names[slot], sample.size(),
-             static_cast<long long>(Percentile(sample, 50)),
-             static_cast<long long>(Percentile(sample, 95)),
-             static_cast<long long>(Percentile(sample, 99)));
-    std::cerr << line;
-  }
+            << "}\n";
 
   for (int64_t w = 0; w < concurrency; ++w) {
     if (!failures[w].empty()) {

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "runtime/memo_cache.h"
-#include "rewriting/structure.h"
+#include "runtime/thread_pool.h"
 #include "testing/corpus.h"
 #include "testing/differential.h"
 #include "testing/mutators.h"
@@ -55,8 +55,6 @@ struct FuzzFlags {
   std::string inject_fault = "none";
   int jobs = 4;            // thread count of the parallel lattice points
   int dump_workloads = 0;  // corpus-seeding mode: emit N cases and exit
-  bool tiers = false;      // draw tier-targeted workloads (semi-interval /
-                           // acyclic) instead of the general mix
   bool verbose = false;
 };
 
@@ -73,15 +71,12 @@ void Usage() {
       "  --out DIR           where shrunken repros go (default cqacfuzz-out)\n"
       "  --lattice full|smoke  configuration lattice to sweep (default full)\n"
       "  --jobs N            threads for the parallel lattice points\n"
+      "                      (default 4, 0 = all cores, max 4096)\n"
       "  --inject-fault none|memo  deliberately break the Phase-1 memo\n"
       "                      (narrow fingerprints, skip verify-on-hit); the\n"
       "                      fuzzer must then find and shrink a divergence\n"
       "  --dump-workloads N  print N generated cases as corpus files to\n"
       "                      --out and exit (corpus seeding helper)\n"
-      "  --tiers             alternate semi-interval-only and acyclic-only\n"
-      "                      workloads so half the generated stream targets\n"
-      "                      the acyclic tier (the lattice's forced-tier\n"
-      "                      points then diff it against the general path)\n"
       "  --verbose           per-case progress\n");
 }
 
@@ -137,7 +132,11 @@ std::optional<FuzzFlags> ParseFlags(int argc, char** argv) {
       }
     } else if (arg == "--jobs") {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      flags.jobs = std::atoi(v);
+      std::string error;
+      if (!ThreadPool::ParseJobsFlag(v, &flags.jobs, &error)) {
+        std::fprintf(stderr, "cqacfuzz: --jobs %s\n", error.c_str());
+        return std::nullopt;
+      }
     } else if (arg == "--inject-fault") {
       if ((v = value(i)) == nullptr) return std::nullopt;
       flags.inject_fault = v;
@@ -147,8 +146,6 @@ std::optional<FuzzFlags> ParseFlags(int argc, char** argv) {
     } else if (arg == "--dump-workloads") {
       if ((v = value(i)) == nullptr) return std::nullopt;
       flags.dump_workloads = std::atoi(v);
-    } else if (arg == "--tiers") {
-      flags.tiers = true;
     } else if (arg == "--verbose") {
       flags.verbose = true;
     } else {
@@ -163,7 +160,7 @@ std::optional<FuzzFlags> ParseFlags(int argc, char** argv) {
 /// `variables + constants <= 7` keeps the oracle's order enumeration (and
 /// the rewriter's own Phase 1) within budget — 7 terms is under 50k
 /// orders.
-WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
+WorkloadConfig DrawConfig(std::mt19937_64& meta) {
   WorkloadConfig config;
   config.num_variables = PortableUniformInt(meta, 2, 4);
   config.num_constants =
@@ -174,17 +171,6 @@ WorkloadConfig DrawConfig(std::mt19937_64& meta, bool tiers) {
   config.num_views = PortableUniformInt(meta, 1, 4);
   config.view_subgoals = PortableUniformInt(meta, 1, 2);
   config.distractor_fraction = 0.25;
-  if (tiers) {
-    // Alternate a semi-interval shape with the acyclic-tier shape so the
-    // forced-tier lattice points exercise the join-tree path as well as
-    // the general fallback.
-    if (PortableUniformInt(meta, 0, 1) == 0) {
-      config.semi_interval_only = true;
-      config.num_constants = std::max(1, config.num_constants);
-    } else {
-      config.acyclic_only = true;
-    }
-  }
   config.seed = meta();
   return config;
 }
@@ -270,12 +256,6 @@ class Fuzzer {
     } else {
       note += "; not shrunk (failure needs its original context)";
     }
-    // Record where the classifier routes the repro so a misrouting tier
-    // is visible in the regression file itself.
-    const TierDecision routed = ClassifyStructure(shrunk.query, shrunk.views);
-    note += "; classifier routes it to ";
-    note += TierName(routed.tier);
-    note += " (" + routed.reason + ")";
     std::error_code ec;
     std::filesystem::create_directories(flags_.out_dir, ec);
     const std::string path = flags_.out_dir + "/finding-" +
@@ -366,7 +346,7 @@ class Fuzzer {
     }
     for (int64_t iter = 0; iter < per_seed_iterations && !TimeUp(); ++iter) {
       for (size_t i = 0; i < num_seeds && !TimeUp(); ++i) {
-        const WorkloadConfig config = DrawConfig(metas[i], flags_.tiers);
+        const WorkloadConfig config = DrawConfig(metas[i]);
         WorkloadGenerator generator(config);
         const WorkloadInstance instance = generator.Generate();
         const std::string origin = "seed " +
@@ -397,7 +377,7 @@ class Fuzzer {
     std::filesystem::create_directories(flags_.out_dir, ec);
     std::mt19937_64 meta(flags_.seed_lo);
     for (int i = 0; i < flags_.dump_workloads; ++i) {
-      const WorkloadConfig config = DrawConfig(meta, flags_.tiers);
+      const WorkloadConfig config = DrawConfig(meta);
       WorkloadGenerator generator(config);
       const WorkloadInstance instance = generator.Generate();
       char name[64];

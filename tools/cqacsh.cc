@@ -34,18 +34,10 @@
 namespace {
 
 void PrintUsage(std::ostream& out) {
-  out << "usage: cqacsh [--jobs N] [--force-tier N] [--serve-batch]\n"
-         "              [--stats] [--json] [--trace FILE]\n"
-         "              [--metrics] [--help]\n"
+  out << "usage: cqacsh [--jobs N] [--serve-batch] [--stats] [--json]\n"
+         "              [--trace FILE] [--metrics] [--help]\n"
          "  --jobs N       worker threads for rewriting (0 = all cores;\n"
          "                 default: all cores; 1 = serial; max 4096)\n"
-         "  --force-tier N pin the structural execution tier for every\n"
-         "                 rewrite (0 = general, 2 = acyclic core; -1 =\n"
-         "                 auto, the default).  A forced\n"
-         "                 tier applies only when the input is eligible,\n"
-         "                 else the run falls back to the general path;\n"
-         "                 results are identical across tiers (testing\n"
-         "                 hook)\n"
          "  --serve-batch  read rewriting jobs from stdin and execute them\n"
          "                 concurrently, compiling each distinct view set\n"
          "                 once into a shared ViewCatalog whose plans,\n"
@@ -90,8 +82,7 @@ bool WriteTraceFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int jobs = 0;        // 0 = hardware concurrency.
-  int force_tier = -1;  // -1 = auto tier routing.
+  int jobs = 0;  // 0 = hardware concurrency.
   bool serve_batch = false;
   bool print_stats = false;
   bool json_stats = false;
@@ -136,22 +127,6 @@ int main(int argc, char** argv) {
         std::cerr << "error: --jobs " << error << "\n";
         return 1;
       }
-    } else if (arg == "--force-tier" || arg.rfind("--force-tier=", 0) == 0) {
-      std::string value;
-      if (arg == "--force-tier") {
-        if (i + 1 >= argc) {
-          std::cerr << "error: --force-tier needs a value\n";
-          return 1;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(13);
-      }
-      if (value != "0" && value != "2" && value != "-1") {
-        std::cerr << "error: --force-tier expects 0, 2 or -1\n";
-        return 1;
-      }
-      force_tier = std::stoi(value);
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;
@@ -169,7 +144,6 @@ int main(int argc, char** argv) {
   if (serve_batch) {
     cqac::BatchOptions options;
     options.jobs = jobs;
-    options.rewrite.force_tier = force_tier;
     options.print_stats = print_stats;
     options.json_summary = json_stats;
     options.print_metrics = metrics;
@@ -179,7 +153,6 @@ int main(int argc, char** argv) {
   } else {
     cqac::Shell shell(std::cout);
     shell.set_default_jobs(jobs);
-    shell.set_default_force_tier(force_tier);
     shell.set_print_stats(print_stats);
     shell.set_json_stats(json_stats);
     shell.ProcessStream(std::cin, /*interactive=*/isatty(STDIN_FILENO) != 0);

@@ -27,11 +27,6 @@
 #                         distinct jobs) and of cqacd worker threads
 #                         -> results/BENCH_parallel_scaling.json
 #
-# `tiered_execution` is the bench_tiers binary (forced tier 0 vs the
-# acyclic join-tree engine, with embedded output-equality checks, plus
-# the semi-interval keep-test and Phase-1 sweeps) recorded under
-# results/BENCH_tiered_execution.json.
-#
 # `telemetry_overhead` is the observability acceptance gate: bench_tiers
 # keep-test rows with CQAC_TELEMETRY=1 (a bound request scope, so every
 # span site records into the flight recorder) against the same rows from
@@ -50,8 +45,8 @@ cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release >/dev/null
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
   benches=(bench_containment bench_canonical bench_homomorphism bench_phase1
-           tiered_execution server_throughput
-           catalog_steady_state parallel_scaling telemetry_overhead)
+           server_throughput catalog_steady_state parallel_scaling
+           telemetry_overhead)
 fi
 
 # A 5-relation chain: tens of milliseconds of Phase 1 per request on one
@@ -308,7 +303,7 @@ for bench in "${benches[@]}"; do
   case "$bench" in
     server_throughput|catalog_steady_state) targets+=(cqacd cqacc) ;;
     parallel_scaling) targets+=(cqacd cqacc cqacsh) ;;
-    tiered_execution|telemetry_overhead) targets+=(bench_tiers) ;;
+    telemetry_overhead) targets+=(bench_tiers) ;;
     *) targets+=("$bench") ;;
   esac
 done
@@ -324,12 +319,6 @@ for bench in "${benches[@]}"; do
     catalog_steady_state) run_catalog_steady_state ;;
     parallel_scaling) run_parallel_scaling ;;
     telemetry_overhead) run_telemetry_overhead ;;
-    tiered_execution)
-      "$build/bench/bench_tiers" \
-        --json "$repo/results/BENCH_tiered_execution.json" \
-        --benchmark_color=false 2>&1 \
-        | tee "$repo/results/BENCH_tiered_execution.txt"
-      ;;
     *)
       "$build/bench/$bench" --json "$repo/results/$bench.json" \
         --benchmark_color=false 2>&1 | tee "$repo/results/$bench.txt"

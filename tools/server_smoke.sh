@@ -74,7 +74,7 @@ grep -q '"completed": 64' "$work/load.json" || {
 }
 
 # 2b. Observability control plane on the live daemon: a get_metrics
-#     scrape must serve Prometheus text with the per-tier SLO summary,
+#     scrape must serve Prometheus text with the one SLO summary,
 #     and dump_telemetry must lead with its meta line.  Span assertions
 #     are gated on the build actually compiling tracing in, so this
 #     passes unchanged on a -DCQAC_TRACING=OFF leg.
@@ -84,10 +84,14 @@ grep -q '^# TYPE cqac_server_slo_request_latency_ns summary' "$work/metrics.txt"
   cat "$work/metrics.txt" >&2
   exit 1
 }
-grep -q 'cqac_server_slo_request_latency_ns{tier=' "$work/metrics.txt" || {
-  echo "error: get_metrics missing per-tier SLO series" >&2
+grep -q '^cqac_server_slo_request_latency_ns{quantile=' "$work/metrics.txt" || {
+  echo "error: get_metrics missing the SLO series" >&2
   exit 1
 }
+if grep -q 'cqac_server_slo_request_latency_ns{tier=' "$work/metrics.txt"; then
+  echo "error: get_metrics still serves per-tier SLO series" >&2
+  exit 1
+fi
 grep -q '^cqac_server_requests_accepted_total ' "$work/metrics.txt" || {
   echo "error: get_metrics missing the accepted-requests counter" >&2
   exit 1
@@ -147,8 +151,8 @@ grep -q '^batch: 73 jobs' "$work/cqacd.out" || {
 # 5. Slow-request attribution (the acceptance scenario): two concurrent
 #    clients against a --slow-log daemon, one of them a deadline-doomed
 #    heavy request.  With session tracing never enabled, the slow log
-#    must still carry that request's trace id, tier, per-phase wall
-#    times, and (when tracing is compiled in) its flight-recorder spans.
+#    must still carry that request's trace id, per-phase wall times, and
+#    (when tracing is compiled in) its flight-recorder spans.
 sock2="$work/cqac_slow.sock"
 slow_log="$work/slow.jsonl"
 "$build/tools/cqacd" --unix "$sock2" --slow-log "$slow_log" \
@@ -191,23 +195,27 @@ wait "$daemon_pid" || {
   exit 1
 }
 
-for key in '"event": "slow_request"' '"trace_id": "' '"tier": ' \
-           '"tier_reason": ' '"phase1_ns": ' '"enumeration_ns": ' \
-           '"latency_ns": '; do
+for key in '"event": "slow_request"' '"trace_id": "' '"phase1_ns": ' \
+           '"enumeration_ns": ' '"latency_ns": '; do
   grep -qF "$key" "$slow_log" || {
     echo "error: slow log missing $key:" >&2
     cat "$slow_log" >&2
     exit 1
   }
 done
+if grep -qF '"tier' "$slow_log"; then
+  echo "error: slow log still carries tier fields:" >&2
+  cat "$slow_log" >&2
+  exit 1
+fi
 if [ "$compiled_in" = true ]; then
   grep -q '"event": "span"' "$slow_log" || {
     echo "error: slow log carries no flight-recorder spans:" >&2
     cat "$slow_log" >&2
     exit 1
   }
-  grep -q '"name": "structure.tier"' "$slow_log" || {
-    echo "error: slow log excerpt lost the structure.tier span:" >&2
+  grep -q '"name": "prepare.work"' "$slow_log" || {
+    echo "error: slow log excerpt lost the prepare.work span:" >&2
     cat "$slow_log" >&2
     exit 1
   }
