@@ -15,7 +15,6 @@
 
 #include "benchmark/benchmark.h"
 #include "rewriting/equiv_rewriter.h"
-#include "runtime/memo_cache.h"
 #include "runtime/thread_pool.h"
 #include "testing/alloc_hook.h"
 #include "workload/generator.h"
@@ -39,22 +38,6 @@ inline int g_jobs = 0;
 /// When non-empty (--json <path>), BenchMain writes a machine-readable
 /// trajectory record there after the run.
 inline std::string g_json_path;
-
-/// --memo: share one containment memo cache across every rewrite of the
-/// run (the batch service's configuration).  Off by default: Google
-/// Benchmark repeats each benchmark on identical generated instances, so
-/// a process-wide cache would serve Phase 2 — the dominant cost —
-/// entirely from memory after the first iteration, and steady-state
-/// numbers would measure LRU lookups instead of the algorithm (and stop
-/// being comparable to the pre-memo baselines in results/).
-inline bool g_shared_memo = false;
-
-/// The cache --memo enables; its hit/miss counters land in the --json
-/// record.
-inline cqac::MemoCache& SharedMemo() {
-  static cqac::MemoCache memo(1 << 16);
-  return memo;
-}
 
 /// Publishes heap allocations per iteration for the region `scope` has
 /// been counting (typically the whole benchmark loop).  Every bench
@@ -91,9 +74,7 @@ inline int RunRewriterPoint(benchmark::State& state,
     options.verify = false;
     options.jobs = g_jobs;
     const cqac::RewriteResult result =
-        cqac::EquivalentRewriter(instance.query, instance.views, options,
-                                 g_shared_memo ? &SharedMemo() : nullptr)
-            .Run();
+        cqac::EquivalentRewriter(instance.query, instance.views, options).Run();
     if (result.outcome == cqac::RewriteOutcome::kRewritingFound) ++found;
     canonical += result.stats.canonical_databases;
     kept += result.stats.kept_canonical_databases;
@@ -199,12 +180,11 @@ inline std::string BuildType() {
 }
 
 /// Shared main of every bench_* binary: strips the repo's own flags
-/// (--jobs N, --json <path>, --memo), hands the rest to Google
-/// Benchmark, and writes the trajectory record when asked.  The JSON
-/// schema is {name, git_commit, build_type, cpus, debug_build, wall_ms,
-/// jobs, cache_hits, cache_misses, benchmarks[]} — one file per run,
-/// accumulated as BENCH_*.json trajectory files under results/;
-/// cache_hits/misses are zero unless --memo is given.  Exits 1 when a run
+/// (--jobs N, --json <path>), hands the rest to Google Benchmark, and
+/// writes the trajectory record when asked.  The JSON schema is {name,
+/// git_commit, build_type, cpus, debug_build, wall_ms, jobs,
+/// benchmarks[]} — one file per run, accumulated as BENCH_*.json
+/// trajectory files under results/.  Exits 1 when a run
 /// errored (SkipWithError), so a perfsmoke test fails on a wrong answer.
 inline int BenchMain(int argc, char** argv) {
   if (kDebugBuild) {
@@ -234,8 +214,6 @@ inline int BenchMain(int argc, char** argv) {
       g_json_path = argv[++i];
     } else if (arg.rfind("--json=", 0) == 0) {
       g_json_path = arg.c_str() + 7;
-    } else if (arg == "--memo") {
-      g_shared_memo = true;
     } else {
       args.push_back(argv[i]);
     }
@@ -255,7 +233,6 @@ inline int BenchMain(int argc, char** argv) {
           .count();
 
   if (!g_json_path.empty()) {
-    const cqac::MemoCacheStats cache = SharedMemo().Stats();
     std::ofstream json(g_json_path);
     json << "{\n"
          << "  \"name\": \"" << JsonEscape(name) << "\",\n"
@@ -265,8 +242,6 @@ inline int BenchMain(int argc, char** argv) {
          << "  \"debug_build\": " << (kDebugBuild ? "true" : "false") << ",\n"
          << "  \"wall_ms\": " << wall_ms << ",\n"
          << "  \"jobs\": " << cqac::ThreadPool::ResolveJobs(g_jobs) << ",\n"
-         << "  \"cache_hits\": " << cache.hits << ",\n"
-         << "  \"cache_misses\": " << cache.misses << ",\n"
          << "  \"benchmarks\": [";
     const auto& results = reporter.results();
     for (size_t i = 0; i < results.size(); ++i) {

@@ -35,10 +35,7 @@ void BM_PaperAlgorithm(benchmark::State& state) {
   options.jobs = cqac_bench::g_jobs;
   for (auto _ : state) {
     const cqac::RewriteResult result =
-        cqac::EquivalentRewriter(
-            instance.query, instance.views, options,
-            cqac_bench::g_shared_memo ? &cqac_bench::SharedMemo() : nullptr)
-            .Run();
+        cqac::EquivalentRewriter(instance.query, instance.views, options).Run();
     found = result.outcome == cqac::RewriteOutcome::kRewritingFound;
     benchmark::DoNotOptimize(result);
   }

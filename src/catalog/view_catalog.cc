@@ -12,37 +12,23 @@ namespace cqac {
 
 namespace {
 
-/// Capacity of the catalog-scoped Phase-2 containment MemoCache.
-constexpr size_t kContainmentCacheCapacity = 1 << 16;
-
-/// Compiled query plans kept (LRU).  A plan is a prepared RewriteWork plus
-/// its persistent Phase-1 memo; evicting one only costs a rebuild.
-constexpr size_t kPlanCapacity = 64;
-
 /// Semantic result entries kept (LRU).
 constexpr size_t kSemanticCapacity = 1 << 12;
 
-/// The options fields a plan is compiled for: everything
+/// The options fields a result depends on: everything
 /// FinalizeFoundRewriting / ProcessCanonicalDatabase /
-/// CheckExpansionContained read through work.options.  Driver-level knobs
-/// (jobs, cancel, max_canonical_databases, phase1_dedup) are per-request
-/// and excluded.
-std::string PlanSignature(const RewriteOptions& o) {
+/// CheckExpansionContained read through work.options, plus the database
+/// budget, because it changes the outcome (kAborted vs a full answer).
+/// jobs, cancel and phase1_dedup stay excluded: the result and every
+/// cached counter are invariant under them, and a cancelled run is never
+/// cached.
+std::string SemanticSignature(const RewriteOptions& o) {
   std::string sig;
   sig += std::to_string(static_cast<int>(o.pruning));
   sig += o.simplify_expansions ? 'S' : 's';
   sig += o.verify ? 'V' : 'v';
   sig += o.coalesce_output ? 'C' : 'c';
   sig += o.minimize_output ? 'M' : 'm';
-  return sig;
-}
-
-/// The semantic-result key additionally pins the database budget, because
-/// it changes the outcome (kAborted vs a full answer).  jobs and
-/// phase1_dedup stay excluded: the result and every cached counter are
-/// invariant under them.
-std::string SemanticSignature(const RewriteOptions& o) {
-  std::string sig = PlanSignature(o);
   sig += '#';
   sig += std::to_string(o.max_canonical_databases);
   return sig;
@@ -83,34 +69,6 @@ std::atomic<uint64_t> g_next_epoch{0};
 
 }  // namespace
 
-/// A query compiled against the catalog: the prepared work context plus
-/// the persistent Phase-1 fingerprint memo whose entries index into it.
-/// `work` references the sibling `query`/`options` members and the
-/// catalog's ViewSet, so plans never outlive their catalog (the registry
-/// hands out shared_ptr<ViewCatalog> to enforce that).
-struct ViewCatalog::CatalogPlan {
-  ConjunctiveQuery query;
-  RewriteOptions options;  // plan-pinned semantics; driver knobs neutral
-  RewriteWork work;
-  mutable Phase1Memo phase1_memo;  // internally synchronized
-
-  static RewriteOptions Pin(RewriteOptions o) {
-    o.jobs = 1;
-    o.cancel = nullptr;
-    o.max_canonical_databases = -1;
-    o.explain = false;  // explain bypasses the catalog entirely
-    return o;
-  }
-
-  CatalogPlan(const ViewCatalog& catalog, ConjunctiveQuery q,
-              const RewriteOptions& o)
-      : query(std::move(q)),
-        options(Pin(o)),
-        work(PrepareRewriteWork(query, catalog.views(), options,
-                                &catalog.v0_variants(),
-                                &catalog.view_constants())) {}
-};
-
 /// One finished answer in the semantic cache.  Counters replayed on a hit
 /// are the original run's: the configuration-invariant ones
 /// (canonical_databases, kept, v0_variants, mcds_formed, mcds_kept_total,
@@ -129,8 +87,7 @@ struct ViewCatalog::SemanticEntry {
 
 ViewCatalog::ViewCatalog(ViewSet views)
     : views_(std::move(views)),
-      epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed) + 1),
-      containment_memo_(kContainmentCacheCapacity) {
+      epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {
   CQAC_TRACE_SPAN("catalog.build");
   for (const ConjunctiveQuery& view : views_.views()) {
     // The exported variants, flattened in view order — the exact
@@ -142,43 +99,6 @@ ViewCatalog::ViewCatalog(ViewSet views)
   }
   view_constants_ = views_.Constants();
   RecordCatalogCounter("catalog.builds");
-}
-
-std::shared_ptr<const ViewCatalog::CatalogPlan> ViewCatalog::GetOrBuildPlan(
-    const ConjunctiveQuery& query, const RewriteOptions& options,
-    const std::string& plan_sig) {
-  std::string key = plan_sig;
-  key += '\x1f';
-  key += query.ToString();
-
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-      if (it->first == key) {
-        plans_.splice(plans_.begin(), plans_, it);
-        plan_hits_.fetch_add(1, std::memory_order_relaxed);
-        RecordCatalogCounter("catalog.plan_hits");
-        return plans_.front().second;
-      }
-    }
-  }
-
-  // Build outside the lock (MiniCon bucket formation is the expensive
-  // part); on a concurrent duplicate build the first insert wins so both
-  // requests share one Phase-1 memo.
-  auto plan = std::make_shared<const CatalogPlan>(*this, query, options);
-  plans_built_.fetch_add(1, std::memory_order_relaxed);
-  RecordCatalogCounter("catalog.plans_built");
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-    if (it->first == key) {
-      plans_.splice(plans_.begin(), plans_, it);
-      return plans_.front().second;
-    }
-  }
-  plans_.emplace_front(std::move(key), plan);
-  while (plans_.size() > kPlanCapacity) plans_.pop_back();
-  return plan;
 }
 
 std::optional<RewriteResult> ViewCatalog::ProbeSemantic(
@@ -301,12 +221,10 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
                                    ThreadPool* pool) {
   CQAC_TRACE_SPAN("catalog.rewrite");
 
-  // Explain runs bypass every cache: traces must be complete and are
-  // never replayed.  The one-shot rewriter still shares this catalog's
-  // containment memo (verdicts are pure, so traces are unaffected).
+  // Explain runs bypass the semantic cache: traces must be complete and
+  // are never replayed.
   if (options.explain) {
-    RewriteResult result =
-        EquivalentRewriter(query, views_, options, &containment_memo_).Run();
+    RewriteResult result = EquivalentRewriter(query, views_, options).Run();
     result.catalog_epoch = epoch_;
     return result;
   }
@@ -330,13 +248,9 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
   semantic_misses_.fetch_add(1, std::memory_order_relaxed);
   RecordCatalogCounter("catalog.semantic_misses");
 
-  std::shared_ptr<const CatalogPlan> plan =
-      GetOrBuildPlan(query, options, PlanSignature(options));
-  Phase1Memo* phase1 =
-      options.phase1_dedup ? &plan->phase1_memo : nullptr;
-
-  RewriteResult result = RunPreparedRewrite(plan->work, options,
-                                            &containment_memo_, phase1, pool);
+  const RewriteWork work = PrepareRewriteWork(query, views_, options,
+                                              &v0_variants_, &view_constants_);
+  RewriteResult result = RunPreparedRewrite(work, options, pool);
   result.catalog_epoch = epoch_;
 
   if (result.outcome != RewriteOutcome::kAborted) {
@@ -350,11 +264,8 @@ CatalogStats ViewCatalog::Stats() const {
   stats.epoch = epoch_;
   stats.views = views_.size();
   stats.v0_variants = static_cast<int64_t>(v0_variants_.size());
-  stats.plans_built = plans_built_.load(std::memory_order_relaxed);
-  stats.plan_hits = plan_hits_.load(std::memory_order_relaxed);
   stats.semantic_hits = semantic_hits_.load(std::memory_order_relaxed);
   stats.semantic_misses = semantic_misses_.load(std::memory_order_relaxed);
-  stats.containment = containment_memo_.Stats();
   return stats;
 }
 
@@ -381,14 +292,8 @@ struct CatalogRegistry::Lifetime {
 namespace {
 
 void AddWorkCounters(const CatalogStats& stats, CatalogRegistryStats* out) {
-  out->plans_built += stats.plans_built;
-  out->plan_hits += stats.plan_hits;
   out->semantic_hits += stats.semantic_hits;
   out->semantic_misses += stats.semantic_misses;
-  out->containment.hits += stats.containment.hits;
-  out->containment.misses += stats.containment.misses;
-  out->containment.insertions += stats.containment.insertions;
-  out->containment.evictions += stats.containment.evictions;
 }
 
 }  // namespace

@@ -5,38 +5,33 @@
 //
 // Production traffic is many queries against a mostly-fixed view set, yet
 // a one-shot EquivalentRewriter re-derives the per-view machinery — the
-// exported V0 variants and the views' constant pool — on every call, and
-// containment with ACs is Pi^p_2-hard, so each re-derivation feeds a
-// doubly exponential algorithm.  A ViewCatalog compiles a ViewSet exactly
-// once and is then shared read-only across threads and requests.  It is
-// the one path through which the batch driver and the server answer jobs:
+// exported V0 variants and the views' constant pool — on every call.  A
+// ViewCatalog compiles a ViewSet exactly once and is then shared
+// read-only across threads and requests.  It is the one path through
+// which the batch driver and the server answer jobs, and it holds two
+// things:
 //
 //  * compiled view data: the exported V0 variants flattened in view
 //    order and the deduplicated ascending view-constant pool;
-//  * a catalog-scoped containment MemoCache, persistent across requests;
-//  * a plan cache: per (query, semantic options) a prepared RewriteWork —
-//    PreparedQuery, MiniCon buckets, MCD relations — plus a persistent
-//    catalog-scoped Phase-1 fingerprint memo.  A plan's stable work_id
-//    also keeps the per-thread freezer/evaluator/matcher caches inside
-//    ProcessCanonicalDatabase warm between requests, which is how the
-//    prepared view-tuple evaluators are reused;
-//  * an alpha-normalized semantic result cache in front of it all: the
-//    NormalizedQueryKey of the query plus the result-relevant options
-//    maps to the finished rewriting, so a repeated query — even one that
-//    merely alpha-renames a cached one with an order-preserving renaming
-//    of its variable names — short-circuits the entire algorithm at
-//    parse+render cost.  Replayed results carry the original
-//    run's configuration-invariant counters, so rendered output is
-//    byte-identical to a fresh run.
+//  * an alpha-normalized semantic result cache: the NormalizedQueryKey
+//    of the query plus the result-relevant options maps to the finished
+//    rewriting, so a repeated query — even one that merely alpha-renames
+//    a cached one with an order-preserving renaming of its variable
+//    names — short-circuits the entire algorithm at parse+render cost.
+//    Replayed results carry the original run's configuration-invariant
+//    counters, so rendered output is byte-identical to a fresh run.
+//
+// A semantic miss runs exactly what EquivalentRewriter::Run does, with
+// the compiled view data passed to PrepareRewriteWork.
 //
 // Invalidation is by epoch bump: catalogs are immutable, every
 // construction draws a fresh strictly increasing epoch from a global
 // counter, and "changing the views" means building (or looking up) a new
-// catalog — typically through a CatalogRegistry — whose caches start
+// catalog — typically through a CatalogRegistry — whose cache starts
 // empty.  In-flight requests keep their shared_ptr to the old epoch.
 //
-// Thread safety: the compiled view data is immutable; the caches are
-// internally synchronized.  Rewrite() may be called concurrently from any
+// Thread safety: the compiled view data is immutable; the semantic cache
+// is internally synchronized.  Rewrite() may be called concurrently from any
 // number of threads.
 
 #include <atomic>
@@ -63,10 +58,13 @@ struct CatalogStats {
   uint64_t epoch = 0;
   int views = 0;
   int64_t v0_variants = 0;
+  // Always 0; read by perfbench/src/served.cc:398-401.
   int64_t plans_built = 0;
+  // Always 0; read by perfbench/src/served.cc:398-401.
   int64_t plan_hits = 0;
   int64_t semantic_hits = 0;
   int64_t semantic_misses = 0;
+  // Always 0; read by perfbench/src/served.cc:398-401.
   MemoCacheStats containment;
 };
 
@@ -83,34 +81,17 @@ class ViewCatalog {
   /// invalidation token surfaced in stats, server responses, and logs.
   uint64_t epoch() const { return epoch_; }
 
-  /// The exported V0 variants of all views, flattened in view order —
-  /// exactly what PrepareRewriteWork would derive per call.
-  const std::vector<ConjunctiveQuery>& v0_variants() const {
-    return v0_variants_;
-  }
-
-  /// views().Constants(), computed once (ascending, deduplicated).
-  const std::vector<Rational>& view_constants() const {
-    return view_constants_;
-  }
-
-  /// The catalog-scoped Phase-2 containment memo, shared by every request
-  /// served through this catalog.
-  MemoCache& containment_memo() { return containment_memo_; }
-
   /// Serves one request through the catalog.  Semantically identical to
-  /// `EquivalentRewriter(query, views(), options, &containment_memo()).Run()`
-  /// — outcome, rewriting, failure reason, and the configuration-invariant
-  /// stats are byte-identical — but compiled view data, plans, the
-  /// Phase-1 memo, and the semantic cache are reused across calls.
+  /// `EquivalentRewriter(query, views(), options).Run()` — outcome,
+  /// rewriting, failure reason, and the configuration-invariant stats are
+  /// byte-identical — but the compiled view data and the semantic cache
+  /// are reused across calls.
   ///
   /// Driver-level options are honored per request: `jobs` selects the
   /// RunPreparedRewrite schedule (`pool`, when non-null and jobs != 1,
-  /// supplies the threads),
-  /// `cancel` and `max_canonical_databases` bound the run, and
-  /// `phase1_dedup` gates use of the persistent Phase-1 memo.  Explain
-  /// runs bypass every cache so traces stay complete; aborted or
-  /// cancelled runs are never cached.
+  /// supplies the threads), and `cancel` and `max_canonical_databases`
+  /// bound the run.  Explain runs bypass the semantic cache so traces
+  /// stay complete; aborted or cancelled runs are never cached.
   RewriteResult Rewrite(const ConjunctiveQuery& query,
                         const RewriteOptions& options,
                         ThreadPool* pool = nullptr);
@@ -118,12 +99,8 @@ class ViewCatalog {
   CatalogStats Stats() const;
 
  private:
-  struct CatalogPlan;
   struct SemanticEntry;
 
-  std::shared_ptr<const CatalogPlan> GetOrBuildPlan(
-      const ConjunctiveQuery& query, const RewriteOptions& options,
-      const std::string& plan_sig);
   std::optional<RewriteResult> ProbeSemantic(const std::string& key,
                                              const ConjunctiveQuery& query);
   void StoreSemantic(const std::string& key, const ConjunctiveQuery& query,
@@ -132,21 +109,15 @@ class ViewCatalog {
   const ViewSet views_;
   const uint64_t epoch_;
 
+  // The exported V0 variants of all views, flattened in view order, and
+  // views_.Constants(): exactly what PrepareRewriteWork would derive.
   std::vector<ConjunctiveQuery> v0_variants_;
   std::vector<Rational> view_constants_;
-
-  MemoCache containment_memo_;
-
-  mutable std::mutex plan_mu_;
-  std::list<std::pair<std::string, std::shared_ptr<const CatalogPlan>>>
-      plans_;  // front = most recent
 
   mutable std::mutex semantic_mu_;
   std::list<std::pair<std::string, std::shared_ptr<const SemanticEntry>>>
       semantic_;  // front = most recent
 
-  std::atomic<int64_t> plans_built_{0};
-  std::atomic<int64_t> plan_hits_{0};
   std::atomic<int64_t> semantic_hits_{0};
   std::atomic<int64_t> semantic_misses_{0};
 };
@@ -162,11 +133,8 @@ struct CatalogRegistryStats {
   int64_t catalogs_built = 0;  // lifetime, including evicted ones
   int catalogs_resident = 0;
   uint64_t latest_epoch = 0;  // max epoch among resident catalogs
-  int64_t plans_built = 0;
-  int64_t plan_hits = 0;
   int64_t semantic_hits = 0;
   int64_t semantic_misses = 0;
-  MemoCacheStats containment;
 };
 
 /// A small LRU of catalogs keyed by view-set fingerprint, so long-lived

@@ -165,7 +165,7 @@ void Shell::CmdRewrite(const std::string& args) {
     }
   }
   // The session catalog survives across `rewrite` invocations: the view
-  // set is compiled once and later runs reuse its plans and caches
+  // set is compiled once and later runs reuse it and its semantic cache
   // (results are byte-identical to a fresh EquivalentRewriter run).
   if (catalog_ == nullptr) {
     catalog_ = std::make_shared<ViewCatalog>(views_);
@@ -218,8 +218,7 @@ void Shell::CmdRewrite(const std::string& args) {
     const CatalogStats cstats = catalog_->Stats();
     out_ << "catalog: epoch " << cstats.epoch << ", "
          << (result.from_semantic_cache ? "semantic hit" : "computed") << ", "
-         << cstats.plans_built << " plans built, " << cstats.plan_hits
-         << " plan hits, " << cstats.semantic_hits << " semantic hits, "
+         << cstats.semantic_hits << " semantic hits, "
          << cstats.semantic_misses << " semantic misses\n";
   }
   if (json_stats) {

@@ -821,7 +821,10 @@ void ForEachSatisfyingOrderLegacy(
 
 int64_t CountTotalOrders(int num_variables) {
   if (num_variables < 0) return 0;
-  // Fubini numbers: a(n) = sum_{k=1..n} C(n,k) a(n-k), a(0) = 1.
+  constexpr int64_t kSaturated = std::numeric_limits<int64_t>::max();
+  // Fubini numbers: a(n) = sum_{k=1..n} C(n,k) a(n-k), a(0) = 1.  The
+  // sequence is increasing, so the first a(n) that overflows (n = 19)
+  // saturates every later one too.
   std::vector<int64_t> a(num_variables + 1, 0);
   a[0] = 1;
   for (int n = 1; n <= num_variables; ++n) {
@@ -829,12 +832,13 @@ int64_t CountTotalOrders(int num_variables) {
     int64_t binom = 1;
     int64_t total = 0;
     for (int k = 1; k <= n; ++k) {
-      binom = binom * (n - k + 1) / k;
-      const int64_t term = binom * a[n - k];
-      if (term < 0 || total > std::numeric_limits<int64_t>::max() - term) {
-        return std::numeric_limits<int64_t>::max();
+      if (__builtin_mul_overflow(binom, n - k + 1, &binom)) return kSaturated;
+      binom /= k;
+      int64_t term;
+      if (__builtin_mul_overflow(binom, a[n - k], &term) ||
+          __builtin_add_overflow(total, term, &total)) {
+        return kSaturated;
       }
-      total += term;
     }
     a[n] = total;
   }

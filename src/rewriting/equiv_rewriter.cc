@@ -117,12 +117,10 @@ std::string BuildPhase1Key(const CanonicalFreezer& freezer,
 }
 
 /// Folds a finished run's counters into the global metrics registry: the
-/// rewrite.* counters and the Phase-1 memo split for every run, the
-/// memo_cache.* hit/miss split only when a Phase-2 memo was attached, and
-/// the fan-out telemetry only for the pooled schedule.
+/// rewrite.* counters and the Phase-1 memo split for every run, and the
+/// fan-out telemetry only for the pooled schedule.
 void RecordRunMetrics(const RewriteStats& stats,
-                      const ParallelRewriteReport& report, bool pooled,
-                      bool with_memo) {
+                      const ParallelRewriteReport& report, bool pooled) {
   if (!obs::MetricsActive()) return;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.counter("rewrite.runs").Add(1);
@@ -133,10 +131,6 @@ void RecordRunMetrics(const RewriteStats& stats,
   reg.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
   reg.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
   reg.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
-  if (with_memo) {
-    reg.counter("memo_cache.hits").Add(report.cache_hits);
-    reg.counter("memo_cache.misses").Add(report.cache_misses);
-  }
   if (pooled) {
     reg.counter("parallel.db_tasks_executed").Add(report.db_tasks_executed);
     reg.counter("parallel.db_tasks_cancelled").Add(report.db_tasks_cancelled);
@@ -523,40 +517,20 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
   return out;
 }
 
-static Phase2Outcome CheckExpansionContainedImpl(const RewriteWork& work,
-                                                 const ConjunctiveQuery& pre,
-                                                 MemoCache* memo) {
+Phase2Outcome CheckExpansionContained(const RewriteWork& work,
+                                      const ConjunctiveQuery& pre) {
+  CQAC_TRACE_SPAN("phase2.check");
+  const int64_t t0 = NowNs();
   ConjunctiveQuery expansion;
   {
     CQAC_TRACE_SPAN("phase2.expand");
     expansion =
         ExpandForCheck(pre, work.views, work.options.simplify_expansions);
   }
-  std::string key;
-  if (memo != nullptr) {
-    CQAC_TRACE_SPAN("phase2.memo_probe");
-    key = ContainmentMemoKey(expansion, work.query);
-    if (std::optional<bool> cached = memo->Get(key); cached.has_value()) {
-      Phase2Outcome out;
-      out.contained = *cached;
-      out.cache_hit = true;
-      return out;
-    }
-  }
   ContainmentStats cstats;
   Phase2Outcome out;
   out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
   out.orders_enumerated = cstats.orders_enumerated;
-  if (memo != nullptr) memo->Put(key, out.contained);
-  return out;
-}
-
-Phase2Outcome CheckExpansionContained(const RewriteWork& work,
-                                      const ConjunctiveQuery& pre,
-                                      MemoCache* memo) {
-  CQAC_TRACE_SPAN("phase2.check");
-  const int64_t t0 = NowNs();
-  Phase2Outcome out = CheckExpansionContainedImpl(work, pre, memo);
   out.wall_ns = NowNs() - t0;
   if (obs::MetricsActive()) {
     static obs::Histogram& wall =
@@ -642,7 +616,6 @@ std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
 
 RewriteResult RunPreparedRewrite(const RewriteWork& work,
                                  const RewriteOptions& driver,
-                                 MemoCache* memo, Phase1Memo* phase1_memo,
                                  ThreadPool* pool,
                                  ParallelRewriteReport* report) {
   ParallelRewriteReport local_report;
@@ -670,14 +643,15 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   report->jobs = pool != nullptr ? pool->num_threads() : 1;
   const int64_t stolen_before = pool != nullptr ? pool->tasks_stolen() : 0;
 
-  // With no external (catalog-scoped) memo, the Phase-1 memo lives and
-  // dies with this run (its entries index into `work`).  Shared by every
-  // worker (sharded; first writer wins): which worker takes the miss for a
-  // structural key races, so the hit/miss *split* can vary with the
-  // schedule, but every replayed conclusion is verified against the full
-  // key, so outcomes, Pre-Rewritings, and the hit+miss total cannot.
+  // The Phase-1 memo lives and dies with this run (its entries index
+  // into `work`).  Shared by every worker (sharded; first writer wins):
+  // which worker takes the miss for a structural key races, so the
+  // hit/miss *split* can vary with the schedule, but every replayed
+  // conclusion is verified against the full key, so outcomes,
+  // Pre-Rewritings, and the hit+miss total cannot.
   std::optional<Phase1Memo> local_memo;
-  if (phase1_memo == nullptr && driver.phase1_dedup && !explain) {
+  Phase1Memo* phase1_memo = nullptr;
+  if (driver.phase1_dedup && !explain) {
     local_memo.emplace();
     phase1_memo = &*local_memo;
   }
@@ -840,7 +814,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
         }
       }
     }
-    RecordRunMetrics(result.stats, *report, pool != nullptr, memo != nullptr);
+    RecordRunMetrics(result.stats, *report, pool != nullptr);
     return std::move(result);
   };
   if (cancelled()) {
@@ -867,7 +841,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   std::vector<Phase2Outcome> checks(static_cast<size_t>(num_pres));
   if (pool == nullptr) {
     for (int64_t i = 0; i < num_pres && !cancelled(); ++i) {
-      checks[i] = CheckExpansionContained(work, pre_rewritings[i], memo);
+      checks[i] = CheckExpansionContained(work, pre_rewritings[i]);
       ++report->phase2_tasks_executed;
       if (!checks[i].contained) break;
     }
@@ -878,7 +852,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     for (int64_t i = 0; i < num_pres; ++i) {
       pool->Submit([&, i] {
         if (p2_cancel.ShouldRun(i) && !cancelled()) {
-          checks[i] = CheckExpansionContained(work, pre_rewritings[i], memo);
+          checks[i] = CheckExpansionContained(work, pre_rewritings[i]);
           p2_executed.fetch_add(1, std::memory_order_relaxed);
           if (!checks[i].contained) {
             p2_cancel.FailAt(i);
@@ -911,9 +885,6 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     ++result.stats.phase2_checks;
     result.stats.phase2_orders += check.orders_enumerated;
     result.stats.phase2_ns += check.wall_ns;
-    if (memo != nullptr) {
-      ++(check.cache_hit ? report->cache_hits : report->cache_misses);
-    }
     if (explain) {
       phase2_verdicts[pre_rewritings[i].ToString()] = check.contained;
     }
@@ -950,7 +921,7 @@ RewriteResult EquivalentRewriter::Run() {
     return *std::move(empty);
   }
   const RewriteWork work = PrepareRewriteWork(query_, views_, options_);
-  return RunPreparedRewrite(work, options_, memo_, /*phase1_memo=*/nullptr);
+  return RunPreparedRewrite(work, options_);
 }
 
 RewriteResult FindEquivalentRewriting(const ConjunctiveQuery& query,

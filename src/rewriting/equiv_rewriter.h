@@ -19,7 +19,6 @@
 namespace cqac {
 
 struct AcyclicPlan;  // Never defined; see RewriteWork::acyclic_plan.
-class MemoCache;   // runtime/memo_cache.h
 class Phase1Memo;  // runtime/memo_cache.h
 class ThreadPool;  // runtime/thread_pool.h
 
@@ -93,8 +92,7 @@ struct RewriteOptions {
   /// default) runs every work unit inline on the calling thread; 0 means
   /// std::thread::hardware_concurrency(); any other value is the size of
   /// the thread pool the units fan out over.  Results are byte-identical
-  /// regardless of the value (with a memo cache, the work counter
-  /// stats.phase2_orders may differ; see RunPreparedRewrite).
+  /// regardless of the value.
   int jobs = 1;
 
   /// Cooperative cancellation (runtime/cancellation.h), the mechanism
@@ -148,7 +146,7 @@ struct RewriteStats {
 /// rewrite and per batch).  Bump on any field addition, removal, or
 /// meaning change; the record shapes and the version history are in
 /// docs/SYNTAX.md.
-inline constexpr int kStatsJsonSchemaVersion = 8;
+inline constexpr int kStatsJsonSchemaVersion = 9;
 
 enum class RewriteOutcome {
   kRewritingFound,
@@ -179,7 +177,8 @@ struct RewriteResult {
   /// without running the algorithm (catalog/view_catalog.h).  The stats
   /// then replay the original run's counters verbatim — the
   /// configuration-invariant ones are provably what a fresh run would
-  /// report; the wall times and memo splits are the original run's.
+  /// report; the wall times and Phase-1 memo splits are the original
+  /// run's.
   bool from_semantic_cache = false;
 
   /// Epoch of the catalog that produced this result; 0 when the run did
@@ -304,19 +303,15 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
 /// What the Phase-2 containment check concluded about one Pre-Rewriting.
 struct Phase2Outcome {
   bool contained = false;
-  int64_t orders_enumerated = 0;  // 0 when served from the memo cache
-  bool cache_hit = false;
-  int64_t wall_ns = 0;  // elapsed time of this check (incl. memo probe)
+  int64_t orders_enumerated = 0;
+  int64_t wall_ns = 0;  // elapsed time of this check
 };
 
 /// Expands `pre` with respect to the views (simplifying when the options
-/// say so) and tests containment in the query.  When `memo` is non-null
-/// the verdict is memoized under a normalized (expansion, query) key —
-/// the verdict is a pure function of that key, so memoization never
-/// changes results, only `orders_enumerated`.
+/// say so) and tests containment in the query.  A pure function of its
+/// arguments.
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
-                                      const ConjunctiveQuery& pre,
-                                      MemoCache* memo);
+                                      const ConjunctiveQuery& pre);
 
 /// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
 /// Lemma-2 check, output minimization, and optional verification.  Sets
@@ -327,8 +322,8 @@ void FinalizeFoundRewriting(const RewriteWork& work,
 
 /// Scheduling telemetry of one RunPreparedRewrite call: how the units were
 /// executed and how the cooperative cancellation behaved.  Unlike
-/// RewriteStats (which, absent a memo cache, is byte-identical for every
-/// schedule), these counters describe the execution itself and
+/// RewriteStats (which is byte-identical for every schedule), these
+/// counters describe the execution itself and
 /// legitimately vary run to run: a cancelled task is work the early abort
 /// saved.  On the inline schedule nothing is ever cancelled.
 struct ParallelRewriteReport {
@@ -342,15 +337,12 @@ struct ParallelRewriteReport {
   int64_t phase2_tasks_executed = 0;
   int64_t phase2_tasks_cancelled = 0;
 
-  int64_t cache_hits = 0;    // Phase-2 verdicts served from the memo
-  int64_t cache_misses = 0;  // Phase-2 verdicts computed with a memo attached
-
   int64_t tasks_stolen = 0;  // pool-level: tasks taken from a sibling queue
 };
 
 /// The rewriting driver: Phases 1-2 plus finalization over a prebuilt work
-/// context.  EquivalentRewriter::Run and ViewCatalog::Rewrite (which keeps
-/// one compiled, long-lived RewriteWork per plan) both end here.
+/// context.  EquivalentRewriter::Run and ViewCatalog::Rewrite (which
+/// prepares the work from its compiled view data) both end here.
 ///
 /// The schedule is the only thing `driver.jobs` changes.  With jobs == 1
 /// every ProcessCanonicalDatabase and CheckExpansionContained call runs
@@ -361,23 +353,16 @@ struct ParallelRewriteReport {
 /// PrefixCancel skips every unit past the first failing one (the paper's
 /// "some D_i has no MCR => no rewriting exists" short-circuit).  Either
 /// way the outcomes are merged in enumeration order by the same code, so
-/// with `memo == nullptr` the result (outcome, rewriting, failure reason,
-/// trace, and stats) is byte-identical for every thread count and task
-/// interleaving.  With a memo the answer is still byte-identical (verdicts
-/// are pure functions of their keys) but `stats.phase2_orders` counts work
-/// actually performed: which checks hit depends on the memo's prior
-/// contents and, under a shared memo, on scheduling.
+/// the result (outcome, rewriting, failure reason, trace, and every stat
+/// but the wall times and the Phase-1 memo hit/miss split) is
+/// byte-identical for every thread count and task interleaving.
 ///
 /// Phase semantics (pruning, simplification, explain, ...) come from
 /// work.options; `driver` supplies only the scheduling-level knobs read per
 /// request: `jobs`, `cancel`, `max_canonical_databases` and
 /// `phase1_dedup`.  For the one-shot path the two are the same object.
 ///
-/// `memo`, when non-null, memoizes Phase-2 containment verdicts and is
-/// counted in the memo_cache.hits/misses metrics.  `phase1_memo`, when
-/// non-null, must belong to `work` (its entries index work.mcds) and may
-/// persist across calls — that is the catalog-scoped cross-request Phase-1
-/// memo; when null, a run-local memo is created per driver.phase1_dedup.
+/// The Phase-1 memo is run-local, created per driver.phase1_dedup.
 /// `report`, when non-null, receives the scheduling telemetry.  The run's
 /// counters are folded into the metrics registry (obs/metrics.h).
 ///
@@ -385,7 +370,6 @@ struct ParallelRewriteReport {
 /// (RewriteOfUnsatisfiableQuery); `work` must come from a satisfiable query.
 RewriteResult RunPreparedRewrite(const RewriteWork& work,
                                  const RewriteOptions& driver,
-                                 MemoCache* memo, Phase1Memo* phase1_memo,
                                  ThreadPool* pool = nullptr,
                                  ParallelRewriteReport* report = nullptr);
 
@@ -410,27 +394,22 @@ std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
 /// expansion is contained in the query (the two-column tableau).
 class EquivalentRewriter {
  public:
-  /// `memo`, when given, caches Phase-2 containment verdicts across runs
-  /// (see runtime/memo_cache.h); it may be shared between concurrent
-  /// rewriters.  The rewriter does not own it.
   EquivalentRewriter(ConjunctiveQuery query, ViewSet views,
-                     RewriteOptions options = {}, MemoCache* memo = nullptr)
+                     RewriteOptions options = {})
       : query_(std::move(query)),
         views_(std::move(views)),
-        options_(options),
-        memo_(memo) {}
+        options_(options) {}
 
   /// Runs the algorithm: the unsatisfiable-query shortcut, else
   /// RunPreparedRewrite over a freshly prepared work context, scheduled
   /// per options.jobs.  Deterministic for fixed inputs and byte-identical
-  /// for every options.jobs (modulo the memo caveat documented there).
+  /// for every options.jobs.
   RewriteResult Run();
 
  private:
   ConjunctiveQuery query_;
   ViewSet views_;
   RewriteOptions options_;
-  MemoCache* memo_;
 };
 
 /// Convenience entry point with default options.

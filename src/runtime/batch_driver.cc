@@ -36,10 +36,7 @@ std::pair<std::string, std::string> SplitCommand(const std::string& line) {
 }  // namespace
 
 void BatchSummary::SetCatalogStats(const CatalogRegistryStats& stats) {
-  cache = stats.containment;
   catalogs_built = stats.catalogs_built;
-  catalog_plans_built = stats.plans_built;
-  catalog_plan_hits = stats.plan_hits;
   catalog_semantic_hits = stats.semantic_hits;
   catalog_semantic_misses = stats.semantic_misses;
   catalog_epoch = stats.latest_epoch;
@@ -165,13 +162,10 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
       << " found, " << summary.none << " none, " << summary.aborted
       << " aborted, " << summary.deadline_exceeded << " deadline-exceeded, "
       << summary.rejected << " rejected, " << summary.errors << " errors\n";
-  out << "cache: " << summary.cache.hits << " hits, " << summary.cache.misses
-      << " misses, " << summary.cache.evictions << " evictions\n";
   out << "catalog: " << summary.catalogs_built << " built, epoch "
-      << summary.catalog_epoch << ", " << summary.catalog_plans_built
-      << " plans built, " << summary.catalog_plan_hits << " plan hits, "
-      << summary.catalog_semantic_hits << " semantic hits, "
-      << summary.catalog_semantic_misses << " semantic misses\n";
+      << summary.catalog_epoch << ", " << summary.catalog_semantic_hits
+      << " semantic hits, " << summary.catalog_semantic_misses
+      << " semantic misses\n";
   if (options.print_stats) {
     out << "phase-1: " << summary.rewrite.canonical_databases
         << " databases visited, "
@@ -192,9 +186,7 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << ", \"aborted\": " << summary.aborted
         << ", \"deadline_exceeded\": " << summary.deadline_exceeded
         << ", \"rejected\": " << summary.rejected << ", \"errors\": "
-        << summary.errors << ", \"cache_hits\": " << summary.cache.hits
-        << ", \"cache_misses\": " << summary.cache.misses
-        << ", \"canonical_databases\": "
+        << summary.errors << ", \"canonical_databases\": "
         << summary.rewrite.canonical_databases
         << ", \"kept_canonical_databases\": "
         << summary.rewrite.kept_canonical_databases
@@ -205,8 +197,6 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
         << ", \"phase1_ns\": " << summary.rewrite.phase1_ns
         << ", \"phase2_ns\": " << summary.rewrite.phase2_ns
         << ", \"catalogs_built\": " << summary.catalogs_built
-        << ", \"catalog_plans_built\": " << summary.catalog_plans_built
-        << ", \"catalog_plan_hits\": " << summary.catalog_plan_hits
         << ", \"catalog_semantic_hits\": " << summary.catalog_semantic_hits
         << ", \"catalog_semantic_misses\": "
         << summary.catalog_semantic_misses
@@ -311,8 +301,6 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
   for (const RewriteStats& s : job_stats) summary.rewrite.Merge(s);
   if (obs::MetricsActive()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    // memo_cache.hits/misses were recorded per check by each job's run.
-    reg.counter("memo_cache.evictions").Add(summary.cache.evictions);
     reg.counter("batch.jobs").Add(summary.jobs_total);
     reg.gauge("threadpool.max_queue_depth").Max(pool.max_queue_depth());
     reg.counter("threadpool.tasks_stolen").Add(pool.tasks_stolen());

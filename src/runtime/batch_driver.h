@@ -9,7 +9,6 @@
 
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
-#include "runtime/memo_cache.h"
 
 namespace cqac {
 
@@ -58,18 +57,15 @@ struct BatchSummary {
   int64_t deadline_exceeded = 0;  // jobs cancelled by their deadline
   int64_t rejected = 0;   // jobs shed by admission control or drain
   int64_t errors = 0;     // jobs that failed to parse
-  MemoCacheStats cache;   // catalogs' containment memos, summed
   RewriteStats rewrite;   // per-job RewriteStats, merged over all jobs
 
   // Catalog counters (catalog/view_catalog.h), over resident catalogs.
   int64_t catalogs_built = 0;
-  int64_t catalog_plans_built = 0;
-  int64_t catalog_plan_hits = 0;
   int64_t catalog_semantic_hits = 0;
   int64_t catalog_semantic_misses = 0;
   uint64_t catalog_epoch = 0;  // newest resident catalog's epoch
 
-  /// Fills `cache` and the catalog counters from a registry snapshot.
+  /// Fills the catalog counters from a registry snapshot.
   void SetCatalogStats(const CatalogRegistryStats& stats);
 };
 
@@ -114,8 +110,8 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
 /// thread pool, and writes one result block per job to `out` — in input
 /// order, whatever order the jobs finished in.  Every job is answered by
 /// ViewCatalog::Rewrite through one CatalogRegistry, so each distinct
-/// view set in the batch is compiled once and its plans, Phase-1 memo,
-/// containment memo and semantic result cache serve the batch's jobs.
+/// view set in the batch is compiled once and its semantic result cache
+/// serves the batch's jobs.
 ///
 /// Input format (line oriented; `%` or `#` starts a comment):
 ///

@@ -1,87 +1,11 @@
 #include "runtime/memo_cache.h"
 
 #include <atomic>
-#include <functional>
 #include <utility>
 
 #include "ast/comparison.h"
 
 namespace cqac {
-
-// ---------------------------------------------------------------------------
-// MemoCache
-// ---------------------------------------------------------------------------
-
-MemoCache::MemoCache(size_t capacity, int num_shards) {
-  if (num_shards < 1) num_shards = 1;
-  per_shard_capacity_ = capacity / static_cast<size_t>(num_shards);
-  if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-MemoCache::Shard& MemoCache::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>()(key) % shards_.size()];
-}
-
-const MemoCache::Shard& MemoCache::ShardFor(const std::string& key) const {
-  return *shards_[std::hash<std::string>()(key) % shards_.size()];
-}
-
-std::optional<bool> MemoCache::Get(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  ++shard.stats.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
-}
-
-void MemoCache::Put(const std::string& key, bool value) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = value;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
-  }
-  shard.lru.emplace_front(key, value);
-  shard.index.emplace(key, shard.lru.begin());
-  ++shard.stats.insertions;
-}
-
-MemoCacheStats MemoCache::Stats() const {
-  MemoCacheStats total;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.insertions += shard->stats.insertions;
-    total.evictions += shard->stats.evictions;
-  }
-  return total;
-}
-
-size_t MemoCache::size() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
-}
 
 // ---------------------------------------------------------------------------
 // Phase1Memo
@@ -277,14 +201,6 @@ std::string NormalizedQueryKey(const ConjunctiveQuery& q) {
     norm.AppendTerm(c.rhs(), &key);
     key += ';';
   }
-  return key;
-}
-
-std::string ContainmentMemoKey(const ConjunctiveQuery& q1,
-                               const ConjunctiveQuery& q2) {
-  std::string key = NormalizedQueryKey(q1);
-  key += "<=";
-  key += NormalizedQueryKey(q2);
   return key;
 }
 

@@ -3,10 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -15,65 +13,12 @@
 
 namespace cqac {
 
-/// Aggregated counters of a MemoCache.
+/// Counters of a Phase1Memo.
 struct MemoCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
-};
-
-/// A sharded, mutex-striped LRU cache of boolean verdicts keyed by
-/// normalized strings — in this codebase, containment-check verdicts
-/// keyed by ContainmentMemoKey.
-///
-/// Shards are selected by key hash; each shard holds its own mutex, LRU
-/// list, and counters, so concurrent lookups from the rewriting runtime's
-/// worker threads stripe across `num_shards` locks instead of serializing
-/// on one.  Verdicts are pure functions of their normalized key, so
-/// sharing a cache across threads (or across jobs in the batch driver)
-/// never changes results — only how much work is repeated.
-class MemoCache {
- public:
-  /// `capacity` is the total entry budget, split evenly across shards
-  /// (minimum 1 per shard).
-  explicit MemoCache(size_t capacity = 1 << 16, int num_shards = 16);
-
-  MemoCache(const MemoCache&) = delete;
-  MemoCache& operator=(const MemoCache&) = delete;
-
-  /// The cached verdict for `key`, refreshing its recency; nullopt on
-  /// miss.
-  std::optional<bool> Get(const std::string& key);
-
-  /// Inserts (or refreshes) `key`, evicting the shard's least recently
-  /// used entry when the shard is full.
-  void Put(const std::string& key, bool value);
-
-  /// Counters summed over all shards.
-  MemoCacheStats Stats() const;
-
-  /// Entries currently resident, summed over all shards.
-  size_t size() const;
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
- private:
-  struct Shard {
-    std::mutex mu;
-    // Front = most recently used.  The map points into the list.
-    std::list<std::pair<std::string, bool>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, bool>>::iterator>
-        index;
-    MemoCacheStats stats;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
-
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 /// A 128-bit structural fingerprint (two independently seeded 64-bit
@@ -116,9 +61,9 @@ struct Phase1Entry {
 /// Phase-1 conclusions, shared by the worker threads of one rewriting
 /// run.  Entries are verified on hit (full key comparison) and the first
 /// writer wins; inserts beyond the capacity are dropped — the memo is an
-/// accelerator, never a source of truth.  Unlike MemoCache, entries are
-/// meaningful only within a single run: keys do not identify the query or
-/// views, so a Phase1Memo is created per run and discarded with it.
+/// accelerator, never a source of truth.  Entries are meaningful only
+/// within a single run: keys do not identify the query or views, so a
+/// Phase1Memo is created per run and discarded with it.
 class Phase1Memo {
  public:
   explicit Phase1Memo(size_t capacity = 1 << 16, int num_shards = 16);
@@ -160,12 +105,6 @@ class Phase1Memo {
 /// variables — produce equal keys.  Head predicate names are dropped
 /// (containment ignores them); body predicate names are kept.
 std::string NormalizedQueryKey(const ConjunctiveQuery& q);
-
-/// The memo key for the containment check `q1 ⊑ q2`: the two normalized
-/// keys joined with a direction marker.  The two queries are closed
-/// formulas, so they are normalized independently.
-std::string ContainmentMemoKey(const ConjunctiveQuery& q1,
-                               const ConjunctiveQuery& q2);
 
 namespace internal {
 

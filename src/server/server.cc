@@ -291,8 +291,8 @@ void Server::ConnectionLoop(std::shared_ptr<Connection> conn) {
       response.status = ResponseStatus::kBadRequest;
       response.outcome = JobOutcome::kError;
       response.error = error;
-      WriteResponse(*conn, 0, response);
       CountOutcome(JobOutcome::kError, nullptr);
+      WriteResponse(*conn, 0, response);
       if (obs::MetricsActive()) {
         obs::MetricsRegistry::Global().counter("server.bad_frames").Add(1);
       }
@@ -326,8 +326,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     response.status = ResponseStatus::kBadRequest;
     response.outcome = JobOutcome::kError;
     response.error = error;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kError, nullptr);
+    WriteResponse(*conn, frame.id, response);
     return;
   }
 
@@ -337,8 +337,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     response.outcome = JobOutcome::kRejected;
     response.error = "server is draining; no new work accepted";
     response.trace_id = request.trace_id;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kRejected, nullptr);
+    WriteResponse(*conn, frame.id, response);
     return;
   }
 
@@ -379,8 +379,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                      " requests in flight (limit " +
                      std::to_string(options_.max_inflight) + "); retry later";
     response.trace_id = request.trace_id;
-    WriteResponse(*conn, frame.id, response);
     CountOutcome(JobOutcome::kRejected, nullptr);
+    WriteResponse(*conn, frame.id, response);
     if (obs::MetricsActive()) {
       obs::MetricsRegistry::Global().counter("server.requests_shed").Add(1);
     }

@@ -4,7 +4,6 @@
 
 #include "catalog/view_catalog.h"
 #include "containment/homomorphism.h"
-#include "runtime/memo_cache.h"
 
 namespace cqac {
 namespace testing {
@@ -13,7 +12,6 @@ std::string LatticeConfig::Name() const {
   std::ostringstream out;
   out << "jobs=" << jobs;
   if (phase1_dedup) out << " dedup";
-  if (memo_cache) out << " memo";
   if (legacy_orders) out << " legacy-orders";
   if (legacy_homomorphism) out << " legacy-homomorphism";
   if (verify) out << " verify";
@@ -42,10 +40,6 @@ std::vector<LatticeConfig> FullConfigLattice() {
       lattice.push_back(c);
     }
     // Engine toggles, one at a time, under both schedulers.
-    LatticeConfig memo;
-    memo.jobs = jobs;
-    memo.memo_cache = true;
-    lattice.push_back(memo);
     LatticeConfig orders;
     orders.jobs = jobs;
     orders.legacy_orders = true;
@@ -65,7 +59,7 @@ std::vector<LatticeConfig> FullConfigLattice() {
   LatticeConfig catalog;  // catalog-served, replayed from the semantic cache
   catalog.use_catalog = true;
   lattice.push_back(catalog);
-  LatticeConfig catalog_parallel;  // catalog plan under the parallel driver
+  LatticeConfig catalog_parallel;  // catalog-served, parallel driver
   catalog_parallel.use_catalog = true;
   catalog_parallel.jobs = 4;
   lattice.push_back(catalog_parallel);
@@ -77,7 +71,6 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   lattice.push_back(LatticeConfig{});  // serial baseline
   LatticeConfig parallel;
   parallel.jobs = 4;
-  parallel.memo_cache = true;
   lattice.push_back(parallel);
   LatticeConfig no_dedup;
   no_dedup.phase1_dedup = false;
@@ -104,7 +97,8 @@ bool RunSignature::operator==(const RunSignature& other) const {
          mcds_formed == other.mcds_formed &&
          mcds_kept_total == other.mcds_kept_total &&
          view_tuples_total == other.view_tuples_total &&
-         phase2_checks == other.phase2_checks;
+         phase2_checks == other.phase2_checks &&
+         phase2_orders == other.phase2_orders;
 }
 
 std::string RunSignature::ToString() const {
@@ -130,6 +124,7 @@ std::string RunSignature::ToString() const {
   out << "\nmcds_kept_total=" << mcds_kept_total;
   out << "\nview_tuples_total=" << view_tuples_total;
   out << "\nphase2_checks=" << phase2_checks;
+  out << "\nphase2_orders=" << phase2_orders;
   return out.str();
 }
 
@@ -147,6 +142,7 @@ RunSignature SignatureOf(const RewriteResult& result) {
   sig.mcds_kept_total = result.stats.mcds_kept_total;
   sig.view_tuples_total = result.stats.view_tuples_total;
   sig.phase2_checks = result.stats.phase2_checks;
+  sig.phase2_orders = result.stats.phase2_orders;
   return sig;
 }
 
@@ -162,51 +158,74 @@ ScopedEngineSelection::~ScopedEngineSelection() {
   internal::ForceLegacyContainmentMappingForTest(saved_homomorphism_);
 }
 
-RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config) {
+namespace {
+
+/// One run a lattice point makes, named for the divergence report.
+struct NamedRun {
+  std::string name;
+  RewriteResult result;
+};
+
+/// The runs of one lattice point: a single one-shot run, or for a catalog
+/// point the cold run through a fresh catalog followed by its replay
+/// from the semantic cache.
+std::vector<NamedRun> RunsOf(const FuzzCase& c, const LatticeConfig& config) {
   ScopedEngineSelection selection(config);
-  if (config.use_catalog) {
-    // Cold run populates the caches, warm run replays from the semantic
-    // cache; returning the warm result makes the lattice diff prove the
-    // replay is byte-identical to a fresh run.
-    ViewCatalog catalog(c.views);
-    (void)catalog.Rewrite(c.query, config.ToOptions());
-    return catalog.Rewrite(c.query, config.ToOptions());
+  std::vector<NamedRun> runs;
+  if (!config.use_catalog) {
+    runs.push_back(
+        {config.Name(),
+         EquivalentRewriter(c.query, c.views, config.ToOptions()).Run()});
+    return runs;
   }
-  MemoCache memo(/*capacity=*/1 << 14, /*num_shards=*/4);
-  EquivalentRewriter rewriter(c.query, c.views, config.ToOptions(),
-                              config.memo_cache ? &memo : nullptr);
-  return rewriter.Run();
+  ViewCatalog catalog(c.views);
+  runs.push_back({config.Name() + " (cold)",
+                  catalog.Rewrite(c.query, config.ToOptions())});
+  runs.push_back({config.Name() + " (replay)",
+                  catalog.Rewrite(c.query, config.ToOptions())});
+  return runs;
+}
+
+}  // namespace
+
+RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config) {
+  return std::move(RunsOf(c, config).back().result);
 }
 
 DifferentialReport RunConfigLattice(
     const FuzzCase& c, const std::vector<LatticeConfig>& lattice) {
   DifferentialReport report;
-  for (size_t i = 0; i < lattice.size(); ++i) {
-    const LatticeConfig& config = lattice[i];
-    RewriteResult result = RunWithConfig(c, config);
-    if (config.verify && result.outcome == RewriteOutcome::kRewritingFound &&
-        !result.verified) {
-      report.ok = false;
-      report.divergent_config = config.Name();
-      report.failure =
-          "verify-enabled config found a rewriting that failed its own "
-          "verification:\n" +
-          result.rewriting.ToString();
-      return report;
-    }
-    const RunSignature sig = SignatureOf(result);
-    if (i == 0) {
-      report.baseline = sig;
-      report.baseline_result = std::move(result);
-      continue;
-    }
-    if (sig != report.baseline) {
-      report.ok = false;
-      report.divergent_config = config.Name();
-      report.failure = "signature diverges from serial baseline\n--- baseline\n" +
-                       report.baseline.ToString() + "\n--- " + config.Name() +
-                       "\n" + sig.ToString();
-      return report;
+  bool have_baseline = false;
+  for (const LatticeConfig& config : lattice) {
+    for (NamedRun& run : RunsOf(c, config)) {
+      const RewriteResult& result = run.result;
+      if (config.verify &&
+          result.outcome == RewriteOutcome::kRewritingFound &&
+          !result.verified) {
+        report.ok = false;
+        report.divergent_config = run.name;
+        report.failure =
+            "verify-enabled config found a rewriting that failed its own "
+            "verification:\n" +
+            result.rewriting.ToString();
+        return report;
+      }
+      const RunSignature sig = SignatureOf(result);
+      if (!have_baseline) {
+        have_baseline = true;
+        report.baseline = sig;
+        report.baseline_result = std::move(run.result);
+        continue;
+      }
+      if (sig != report.baseline) {
+        report.ok = false;
+        report.divergent_config = run.name;
+        report.failure =
+            "signature diverges from serial baseline\n--- baseline\n" +
+            report.baseline.ToString() + "\n--- " + run.name + "\n" +
+            sig.ToString();
+        return report;
+      }
     }
   }
   return report;

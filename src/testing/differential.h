@@ -12,7 +12,8 @@ namespace cqac {
 namespace testing {
 
 /// One point of the configuration lattice: a choice of scheduler,
-/// memoization, enumeration engine, and mapping engine.  Every point must
+/// Phase-1 memoization, enumeration engine, mapping engine, and serving
+/// path.  Every point must
 /// produce the same answer; the differential driver proves it per input.
 struct LatticeConfig {
   /// RewriteOptions::jobs — 1 runs the driver's units inline, anything
@@ -21,9 +22,6 @@ struct LatticeConfig {
 
   /// RewriteOptions::phase1_dedup — the Phase-1 fingerprint memo.
   bool phase1_dedup = true;
-
-  /// Share a Phase-2 MemoCache across the run (the batch-service cache).
-  bool memo_cache = false;
 
   /// Route ForEachSatisfyingOrderPruned through the legacy
   /// enumerate-then-filter reference (internal::ForceSatisfyingOrderFallbackForTest).
@@ -39,11 +37,12 @@ struct LatticeConfig {
 
   /// Serve the case through a freshly built ViewCatalog
   /// (catalog/view_catalog.h), running it twice so the second run replays
-  /// from the semantic cache — the signature diffed against the baseline
-  /// is the warm one, proving cached results are byte-identical.
+  /// from the semantic cache.  Both runs are diffed against the baseline,
+  /// proving the catalog-served computation and its cached replay are
+  /// byte-identical to a fresh run.
   bool use_catalog = false;
 
-  /// E.g. "jobs=4 dedup memo legacy-orders".
+  /// E.g. "jobs=4 dedup legacy-orders".
   std::string Name() const;
 
   /// The RewriteOptions this point runs under.
@@ -51,10 +50,10 @@ struct LatticeConfig {
 };
 
 /// The full lattice the fuzzer sweeps: every combination the acceptance
-/// criteria name — serial vs parallel, Phase-1 memo on/off, Phase-2 memo
-/// cache on/off, pruned vs legacy order enumeration, compiled vs legacy
-/// containment mapping — plus one verify-enabled point as a semantic
-/// anchor.  (Not the 2^6 cube: engine toggles are varied one at a time
+/// criteria name — serial vs parallel, Phase-1 memo on/off, pruned vs
+/// legacy order enumeration, compiled vs legacy containment mapping,
+/// one-shot vs catalog-served — plus one verify-enabled point as a
+/// semantic anchor.  (Not the 2^6 cube: engine toggles are varied one at a time
 /// against both schedulers, which still covers every pairwise interaction
 /// the engines can have with the drivers.)
 std::vector<LatticeConfig> FullConfigLattice();
@@ -64,10 +63,9 @@ std::vector<LatticeConfig> FullConfigLattice();
 std::vector<LatticeConfig> SmokeConfigLattice();
 
 /// The configuration-invariant projection of a RewriteResult.  Fields
-/// excluded on purpose: stats.phase2_orders (legitimately drops when a
-/// memo cache serves a verdict), stats.phase1_memo_hits/misses (the very
-/// thing phase1_dedup toggles), and trace (explain-only).  Everything
-/// here must be byte-identical across the lattice.
+/// excluded on purpose: stats.phase1_memo_hits/misses (the very thing
+/// phase1_dedup toggles), the wall times, and trace (explain-only).
+/// Everything here must be byte-identical across the lattice.
 struct RunSignature {
   RewriteOutcome outcome = RewriteOutcome::kNoRewriting;
   std::string rewriting;  // UnionQuery::ToString(), "" when not found
@@ -79,6 +77,7 @@ struct RunSignature {
   int64_t mcds_kept_total = 0;
   int64_t view_tuples_total = 0;
   int64_t phase2_checks = 0;
+  int64_t phase2_orders = 0;
 
   bool operator==(const RunSignature& other) const;
   bool operator!=(const RunSignature& other) const {
@@ -112,7 +111,8 @@ class ScopedEngineSelection {
   bool saved_homomorphism_;
 };
 
-/// Runs one lattice point on one case.
+/// Runs one lattice point on one case; for a catalog point, returns the
+/// semantic-cache replay.
 RewriteResult RunWithConfig(const FuzzCase& c, const LatticeConfig& config);
 
 /// The verdict of a lattice sweep on one case.
@@ -124,13 +124,14 @@ struct DifferentialReport {
   RunSignature baseline;
   RewriteResult baseline_result;
 
-  /// Filled when ok is false: which config diverged and how.
+  /// Filled when ok is false: which config diverged and how.  A catalog
+  /// point names its run: "<config> (cold)" or "<config> (replay)".
   std::string divergent_config;
   std::string failure;
 };
 
-/// Runs every config on `c` and diffs the invariant signatures against
-/// the first config's.  Also fails when a verify-enabled config reports a
+/// Runs every config on `c` and diffs the invariant signatures of all
+/// its runs against the first config's.  Also fails when a verify-enabled config reports a
 /// found rewriting with verified == false.  Stops at the first
 /// divergence.
 DifferentialReport RunConfigLattice(const FuzzCase& c,

@@ -88,8 +88,9 @@ TEST(BatchDriverTest, SharedCacheServesDuplicateJobs) {
   EXPECT_EQ(text.substr(first_prefix.size(), second - first_prefix.size()),
             text.substr(second + second_prefix.size(),
                         footer - second - second_prefix.size()));
-  EXPECT_NE(text.find("cache: "), std::string::npos);
+  EXPECT_EQ(text.find("cache: "), std::string::npos);  // removed in v9
   EXPECT_NE(text.find("catalog: 1 built"), std::string::npos);
+  EXPECT_EQ(text.find("plan"), std::string::npos);
 }
 
 TEST(BatchDriverTest, ParseErrorsAreLocalizedToTheirJob) {
@@ -163,12 +164,15 @@ TEST(BatchDriverTest, JsonSummaryIncludesMemoCounters) {
   BatchOptions options;
   options.json_summary = true;
   RunBatch(in, out, options);
-  EXPECT_NE(out.str().find("{\"schema_version\": 8, \"jobs\": 1"),
+  EXPECT_NE(out.str().find("{\"schema_version\": 9, \"jobs\": 1"),
             std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_misses\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_ns\": "), std::string::npos);
   EXPECT_EQ(out.str().find("tier"), std::string::npos);  // removed in v8
+  // Removed in v9 with the containment memo and the plan cache.
+  EXPECT_EQ(out.str().find("\"cache_"), std::string::npos);
+  EXPECT_EQ(out.str().find("plan"), std::string::npos);
 }
 
 TEST(BatchDriverTest, FooterCarriesTheServiceCounters) {

@@ -1,5 +1,6 @@
 #include "constraints/orders.h"
 
+#include <limits>
 #include <set>
 
 #include "constraints/ac_solver.h"
@@ -44,6 +45,12 @@ TEST(OrdersTest, CountTotalOrdersClosedForm) {
   EXPECT_EQ(CountTotalOrders(6), 4683);
   EXPECT_EQ(CountTotalOrders(7), 47293);
   EXPECT_EQ(CountTotalOrders(8), 545835);
+  // The largest Fubini number that fits in int64_t, then saturation.
+  EXPECT_EQ(CountTotalOrders(18), 3385534663256845323);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const int n : {19, 20, 40, 100}) {
+    EXPECT_EQ(CountTotalOrders(n), kMax) << n;
+  }
 }
 
 TEST(OrdersTest, OneVariableOneConstant) {

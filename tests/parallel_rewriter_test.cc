@@ -14,7 +14,6 @@
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/explain.h"
-#include "runtime/memo_cache.h"
 #include "runtime/thread_pool.h"
 #include "workload/generator.h"
 
@@ -46,15 +45,14 @@ void ExpectResultsEqual(const RewriteResult& serial,
 // RunPreparedRewrite over a freshly prepared work context, the way
 // EquivalentRewriter::Run calls it, but with the pool and report exposed.
 RewriteResult RunDirect(const ConjunctiveQuery& query, const ViewSet& views,
-                        const RewriteOptions& options, MemoCache* memo,
-                        ThreadPool* pool, ParallelRewriteReport* report) {
+                        const RewriteOptions& options, ThreadPool* pool,
+                        ParallelRewriteReport* report) {
   if (std::optional<RewriteResult> empty =
           RewriteOfUnsatisfiableQuery(query, views, options)) {
     return *std::move(empty);
   }
   const RewriteWork work = PrepareRewriteWork(query, views, options);
-  return RunPreparedRewrite(work, options, memo, /*phase1_memo=*/nullptr,
-                            pool, report);
+  return RunPreparedRewrite(work, options, pool, report);
 }
 
 TEST(ParallelRewriterTest, MergeIsElementwiseSum) {
@@ -105,7 +103,7 @@ TEST(ParallelRewriterTest, DeterministicAcrossThreadCountsOnWorkloads) {
       ParallelRewriteReport report;
       const RewriteResult parallel =
           RunDirect(instance.query, instance.views, parallel_options,
-                    /*memo=*/nullptr, /*pool=*/nullptr, &report);
+                    /*pool=*/nullptr, &report);
       if (report.db_tasks_total > 0) {
         EXPECT_EQ(report.jobs, jobs);
       }
@@ -193,7 +191,7 @@ TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
   ThreadPool pool(4);
   ParallelRewriteReport report;
   const RewriteResult parallel =
-      RunDirect(query, views, options, /*memo=*/nullptr, &pool, &report);
+      RunDirect(query, views, options, &pool, &report);
   ExpectResultsEqual(serial, parallel, "cancellation");
   EXPECT_EQ(report.jobs, 4);
 
@@ -231,75 +229,6 @@ TEST(ParallelRewriterTest, AbortBudgetParity) {
   if (serial.outcome == RewriteOutcome::kAborted) {
     EXPECT_EQ(serial.stats.canonical_databases, 11);
   }
-}
-
-// A shared memo cache never changes answers, and a second identical run
-// is served from it.
-TEST(ParallelRewriterTest, SharedMemoCacheIsTransparent) {
-  const ConjunctiveQuery query = Parser::MustParseRule(
-      "q(A) :- r(A), s(A,A), A <= 8");
-  const ViewSet views(Parser::MustParseProgram(
-      "v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z."));
-
-  RewriteOptions options;
-  options.jobs = 2;
-  MemoCache memo;
-  ThreadPool pool(2);
-
-  ParallelRewriteReport first_report;
-  const RewriteResult first =
-      RunDirect(query, views, options, &memo, &pool, &first_report);
-  ParallelRewriteReport second_report;
-  const RewriteResult second =
-      RunDirect(query, views, options, &memo, &pool, &second_report);
-
-  EXPECT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
-  EXPECT_EQ(first.rewriting.ToString(), second.rewriting.ToString());
-  EXPECT_EQ(first_report.cache_hits, 0);
-  EXPECT_GT(second_report.cache_hits, 0);
-  EXPECT_EQ(second_report.cache_misses, 0);
-  // Memoized checks report zero enumerated orders; everything else about
-  // the result is unchanged.
-  EXPECT_EQ(second.stats.phase2_checks, first.stats.phase2_checks);
-  EXPECT_EQ(second.stats.phase2_orders, 0);
-}
-
-// The memo_cache.* counters are recorded once per Phase-2 check by the
-// driver's merge, identically on both schedules, and only when a memo is
-// attached.
-TEST(ParallelRewriterTest, MemoCacheMetricsMatchAcrossSchedules) {
-  const ConjunctiveQuery query = Parser::MustParseRule(
-      "q(A) :- r(A), s(A,A), A <= 8");
-  const ViewSet views(Parser::MustParseProgram(
-      "v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z."));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  obs::Counter& hits = reg.counter("memo_cache.hits");
-  obs::Counter& misses = reg.counter("memo_cache.misses");
-  obs::EnableMetrics(true);
-  std::vector<std::pair<int64_t, int64_t>> with_memo;
-  for (const int jobs : {1, 4}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    RewriteOptions options;
-    options.jobs = jobs;
-    int64_t hits_before = hits.value();
-    int64_t misses_before = misses.value();
-    EquivalentRewriter(query, views, options).Run();
-    EXPECT_EQ(hits.value(), hits_before);
-    EXPECT_EQ(misses.value(), misses_before);
-
-    MemoCache memo;
-    hits_before = hits.value();
-    misses_before = misses.value();
-    const RewriteResult result =
-        EquivalentRewriter(query, views, options, &memo).Run();
-    with_memo.emplace_back(hits.value() - hits_before,
-                           misses.value() - misses_before);
-    EXPECT_EQ(with_memo.back().first + with_memo.back().second,
-              result.stats.phase2_checks);
-    EXPECT_GT(result.stats.phase2_checks, 0);
-  }
-  obs::EnableMetrics(false);
-  EXPECT_EQ(with_memo[0], with_memo[1]);
 }
 
 // jobs=0 resolves to hardware concurrency and still matches serial.

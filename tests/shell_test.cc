@@ -174,6 +174,8 @@ TEST(ShellTest, RewriteStatsFlagPrintsPhase1Breakdown) {
   EXPECT_NE(out.find("phase-1: "), std::string::npos);
   EXPECT_NE(out.find("databases visited"), std::string::npos);
   EXPECT_NE(out.find("deduped (memo hits)"), std::string::npos);
+  EXPECT_NE(out.find("catalog: epoch "), std::string::npos);
+  EXPECT_EQ(out.find("plans built"), std::string::npos);  // no plan cache
   // Without the flag, the breakdown is absent.
   const std::string quiet = RunSession(
       "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z.\n"
@@ -187,7 +189,7 @@ TEST(ShellTest, RewriteJsonFlagEmitsCounterRecord) {
       "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z.\n"
       "query q(A) :- r(A), s(A,A), A <= 8.\n"
       "rewrite json\n");
-  EXPECT_NE(out.find("{\"schema_version\": 8, \"outcome\": \"found\""),
+  EXPECT_NE(out.find("{\"schema_version\": 9, \"outcome\": \"found\""),
             std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_misses\": "), std::string::npos);

@@ -60,8 +60,8 @@ void PrintUsage(std::ostream& out) {
          "                   default (requests can override per job)\n"
          "  --catalog        accepted and ignored: every view set is always\n"
          "                   compiled once into a shared ViewCatalog whose\n"
-         "                   plans, memos, and semantic result cache\n"
-         "                   persist across requests\n"
+         "                   semantic result cache persists across\n"
+         "                   requests\n"
          "  --catalog-views FILE\n"
          "                   compile FILE (a block of `view` directives)\n"
          "                   as the default catalog at startup; query-only\n"

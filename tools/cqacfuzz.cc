@@ -3,9 +3,9 @@
 //
 // Per generated (or corpus) case it
 //   1. runs every configuration-lattice point (serial vs parallel, Phase-1
-//      memo on/off, Phase-2 memo cache on/off, pruned vs legacy order
-//      enumeration, compiled vs legacy containment mapping, verify) and
-//      diffs the invariant signatures;
+//      memo on/off, pruned vs legacy order enumeration, compiled vs
+//      legacy containment mapping, verify, catalog-served) and diffs the
+//      invariant signatures;
 //   2. checks any found rewriting against the brute-force semantic oracle
 //      (canonical, random, and exhaustive small databases);
 //   3. applies a random metamorphic mutation and asserts its declared

@@ -40,9 +40,9 @@ void PrintUsage(std::ostream& out) {
          "                 default: all cores; 1 = serial; max 4096)\n"
          "  --serve-batch  read rewriting jobs from stdin and execute them\n"
          "                 concurrently, compiling each distinct view set\n"
-         "                 once into a shared ViewCatalog whose plans,\n"
-         "                 memos, and semantic result cache persist across\n"
-         "                 the batch's jobs; otherwise run the interactive\n"
+         "                 once into a shared ViewCatalog whose semantic\n"
+         "                 result cache persists across the batch's jobs;\n"
+         "                 otherwise run the interactive\n"
          "                 shell (which uses a session catalog)\n"
          "  --stats        print the Phase-1 breakdown (databases visited /\n"
          "                 pruned / deduped) and the per-phase wall times\n"

@@ -11,7 +11,7 @@
 #
 # With no arguments, re-runs the benches whose .txt snapshots are
 # checked in.  Each bench writes results/<name>.txt (console output)
-# and results/<name>.json (trajectory record, cold caches: no --memo).
+# and results/<name>.json (trajectory record).
 #
 # The pseudo-bench `server_throughput` is not a google-benchmark binary:
 # it starts cqacd on a Unix socket and sweeps `cqacc --load` over

@@ -45,13 +45,13 @@ done
 [ -S "$sock" ] || { echo "error: cqacd did not come up" >&2; cat "$work/cqacd.out" >&2; exit 1; }
 
 # 1. Byte-identical bodies: cqacc output == cqacsh --serve-batch output
-#    minus its three footer lines (batch, cache, catalog), twice in a
+#    minus its two footer lines (batch, catalog), twice in a
 #    row: the warm pass replays every answer from the daemon's catalogs.
 #    Both exit 1 (the stream contains two deliberate job-level errors),
 #    which is itself part of the parity.
 cqacsh_status=0
 "$build/tools/cqacsh" --serve-batch < "$work/jobs.txt" > "$work/cqacsh.out" || cqacsh_status=$?
-head -n -3 "$work/cqacsh.out" > "$work/cqacsh.body"
+head -n -2 "$work/cqacsh.out" > "$work/cqacsh.body"
 for pass in cold warm; do
   pass_status=0
   "$build/tools/cqacc" --unix "$sock" < "$work/jobs.txt" \
