@@ -1,187 +1,175 @@
 #include "constraints/ac_solver.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace cqac {
 
-namespace {
-
-/// Internal graph over the terms of a conjunction.  Node ids index
-/// `nodes`; edges are `<=`-edges, some marked strict.
-struct LeqGraph {
-  std::vector<Term> nodes;
-  std::unordered_map<std::string, int> var_ids;
-  std::map<Rational, int> const_ids;
-  // adjacency[u] = list of (v, strict).
-  std::vector<std::vector<std::pair<int, bool>>> adjacency;
-  // Pairs of node ids constrained to differ.
-  std::vector<std::pair<int, int>> disequalities;
-  bool trivially_unsat = false;
-
-  int NodeFor(const Term& t) {
-    if (t.IsVariable()) {
-      auto it = var_ids.find(t.name());
-      if (it != var_ids.end()) return it->second;
-      const int id = static_cast<int>(nodes.size());
-      var_ids.emplace(t.name(), id);
-      nodes.push_back(t);
-      adjacency.emplace_back();
-      return id;
-    }
-    auto it = const_ids.find(t.value());
-    if (it != const_ids.end()) return it->second;
-    const int id = static_cast<int>(nodes.size());
-    const_ids.emplace(t.value(), id);
-    nodes.push_back(t);
-    adjacency.emplace_back();
-    return id;
+int AcCore::Intern(const Term& t) {
+  for (size_t id = 0; id < terms_.size(); ++id) {
+    if (terms_[id] == t) return static_cast<int>(id);
   }
-
-  void AddEdge(int u, int v, bool strict) {
-    adjacency[u].push_back({v, strict});
+  const int id = static_cast<int>(terms_.size());
+  terms_.push_back(t);
+  if (t.IsConstant()) {
+    constants_.push_back(id);
+    constants_sorted_ = false;
   }
+  return id;
+}
 
-  void AddComparison(const Comparison& c) {
-    // Constant-constant comparisons are decided immediately.
-    if (c.lhs().IsConstant() && c.rhs().IsConstant()) {
-      if (!EvalCompOp(c.lhs().value(), c.op(), c.rhs().value())) {
-        trivially_unsat = true;
-      }
-      return;
-    }
-    const int u = NodeFor(c.lhs());
-    const int v = NodeFor(c.rhs());
-    switch (c.op()) {
+void AcCore::Activate(int u) {
+  if (stamp_[u] == run_) return;
+  stamp_[u] = run_;
+  std::fill_n(Row(u), words_, uint64_t{0});
+  active_.push_back(u);
+}
+
+bool AcCore::Satisfiable(const std::vector<IdComparison>& comparisons,
+                         int skip, const IdComparison* extra) {
+  ++checks_;
+  if (!constants_sorted_) {
+    std::sort(constants_.begin(), constants_.end(), [this](int a, int b) {
+      return terms_[a].value() < terms_[b].value();
+    });
+    constants_sorted_ = true;
+  }
+  const size_t n = terms_.size();
+  words_ = (n + 63) / 64;
+  if (reach_.size() < n * words_) reach_.resize(n * words_);
+  if (stamp_.size() < n) stamp_.resize(n, run_);
+  if (++run_ == 0) {  // Wrapped: no stale stamp may equal the new run.
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    run_ = 1;
+  }
+  active_.clear();
+  strict_.clear();
+  unequal_.clear();
+
+  auto add = [this](const IdComparison& c) {
+    const int u = c.lhs;
+    const int v = c.rhs;
+    Activate(u);
+    Activate(v);
+    switch (c.op) {
       case CompOp::kLt:
-        AddEdge(u, v, /*strict=*/true);
+        AddEdge(u, v);
+        strict_.push_back({u, v});
         break;
       case CompOp::kLe:
-        AddEdge(u, v, /*strict=*/false);
+        AddEdge(u, v);
         break;
       case CompOp::kEq:
-        AddEdge(u, v, /*strict=*/false);
-        AddEdge(v, u, /*strict=*/false);
+        AddEdge(u, v);
+        AddEdge(v, u);
         break;
       case CompOp::kNe:
-        disequalities.push_back({u, v});
+        unequal_.push_back({u, v});
         break;
       case CompOp::kGe:
-        AddEdge(v, u, /*strict=*/false);
+        AddEdge(v, u);
         break;
       case CompOp::kGt:
-        AddEdge(v, u, /*strict=*/true);
+        AddEdge(v, u);
+        strict_.push_back({v, u});
         break;
     }
+  };
+  for (size_t i = 0; i < comparisons.size(); ++i) {
+    if (static_cast<int>(i) != skip) add(comparisons[i]);
+  }
+  if (extra != nullptr) add(*extra);
+  // The numeric order of the constants, so that any constraint
+  // contradicting it closes a strict cycle.
+  for (size_t i = 1; i < constants_.size(); ++i) {
+    add({constants_[i - 1], CompOp::kLt, constants_[i]});
   }
 
-  /// Adds the implicit strict order between every pair of adjacent
-  /// constants, so that any constraint contradicting the numeric order of
-  /// the constants closes a strict cycle.
-  void AddConstantOrderEdges() {
-    int prev = -1;
-    for (const auto& [value, id] : const_ids) {
-      if (prev >= 0) AddEdge(prev, id, /*strict=*/true);
-      prev = id;
+  // Warshall over the touched terms: afterwards row u holds every term
+  // reachable from u by a non-empty <=-path.
+  for (const int k : active_) {
+    const uint64_t* row_k = Row(k);
+    for (const int i : active_) {
+      if (!Reaches(i, k)) continue;
+      uint64_t* row_i = Row(i);
+      for (size_t w = 0; w < words_; ++w) row_i[w] |= row_k[w];
     }
   }
-};
-
-LeqGraph BuildGraph(const std::vector<Comparison>& comparisons) {
-  LeqGraph g;
-  for (const Comparison& c : comparisons) g.AddComparison(c);
-  g.AddConstantOrderEdges();
-  return g;
-}
-
-/// Iterative Tarjan SCC; returns component id per node (components are
-/// numbered in reverse topological order).
-std::vector<int> ComputeSccs(const LeqGraph& g, int* num_components) {
-  const int n = static_cast<int>(g.nodes.size());
-  std::vector<int> index(n, -1), lowlink(n, 0), component(n, -1);
-  std::vector<bool> on_stack(n, false);
-  std::vector<int> stack;
-  int next_index = 0;
-  int next_component = 0;
-
-  // Explicit DFS stack of (node, next-edge-position).
-  std::vector<std::pair<int, size_t>> dfs;
-  for (int start = 0; start < n; ++start) {
-    if (index[start] != -1) continue;
-    dfs.push_back({start, 0});
-    index[start] = lowlink[start] = next_index++;
-    stack.push_back(start);
-    on_stack[start] = true;
-    while (!dfs.empty()) {
-      auto& [u, edge_pos] = dfs.back();
-      if (edge_pos < g.adjacency[u].size()) {
-        const int v = g.adjacency[u][edge_pos].first;
-        ++edge_pos;
-        if (index[v] == -1) {
-          index[v] = lowlink[v] = next_index++;
-          stack.push_back(v);
-          on_stack[v] = true;
-          dfs.push_back({v, 0});
-        } else if (on_stack[v]) {
-          lowlink[u] = std::min(lowlink[u], index[v]);
-        }
-      } else {
-        if (lowlink[u] == index[u]) {
-          for (;;) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            component[w] = next_component;
-            if (w == u) break;
-          }
-          ++next_component;
-        }
-        const int finished = u;
-        dfs.pop_back();
-        if (!dfs.empty()) {
-          const int parent = dfs.back().first;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[finished]);
-        }
-      }
-    }
+  for (const auto& [u, v] : strict_) {
+    if (u == v || Reaches(v, u)) return false;
   }
-  *num_components = next_component;
-  return component;
-}
-
-bool GraphSatisfiable(const LeqGraph& g) {
-  if (g.trivially_unsat) return false;
-  int num_components = 0;
-  const std::vector<int> component = ComputeSccs(g, &num_components);
-  const int n = static_cast<int>(g.nodes.size());
-  for (int u = 0; u < n; ++u) {
-    for (const auto& [v, strict] : g.adjacency[u]) {
-      if (strict && component[u] == component[v]) return false;
-    }
-  }
-  for (const auto& [u, v] : g.disequalities) {
-    if (component[u] == component[v]) return false;
+  for (const auto& [u, v] : unequal_) {
+    if (u == v || (Reaches(u, v) && Reaches(v, u))) return false;
   }
   return true;
+}
+
+void AcCore::RemoveRedundant(std::vector<IdComparison>* comparisons) {
+  if (!Satisfiable(*comparisons)) return;
+  for (size_t i = 0; i < comparisons->size();) {
+    if (Implies(*comparisons, static_cast<int>(i), (*comparisons)[i])) {
+      comparisons->erase(comparisons->begin() + i);
+    } else {
+      ++i;
+    }
+  }
+}
+
+bool AcCore::ForcedEqualities(const std::vector<IdComparison>& comparisons,
+                              std::vector<int>* representative) {
+  if (!Satisfiable(comparisons)) return false;
+  representative->resize(terms_.size());
+  for (int u = 0; u < size(); ++u) (*representative)[u] = u;
+  // Over a dense order the forced equalities are exactly the strongly
+  // connected components of the <=-graph: a != b stays consistent unless
+  // there are <=-paths both ways.  A satisfiable component holds at most
+  // one constant; it wins, else the least variable name.
+  for (const int u : active_) {
+    int rep = u;
+    for (const int v : active_) {
+      if (v == rep || !Reaches(u, v) || !Reaches(v, u)) continue;
+      const Term& best = terms_[rep];
+      const Term& t = terms_[v];
+      if (t.IsConstant() ||
+          (best.IsVariable() && t.IsVariable() && t.name() < best.name())) {
+        rep = v;
+      }
+    }
+    (*representative)[u] = rep;
+  }
+  return true;
+}
+
+namespace {
+
+std::vector<IdComparison> InternAll(AcCore* core,
+                                    const std::vector<Comparison>& comparisons) {
+  std::vector<IdComparison> ids;
+  ids.reserve(comparisons.size());
+  for (const Comparison& c : comparisons) ids.push_back(core->Intern(c));
+  return ids;
 }
 
 }  // namespace
 
 bool AcSolver::IsSatisfiable(const std::vector<Comparison>& comparisons) {
-  return GraphSatisfiable(BuildGraph(comparisons));
+  AcCore core;
+  const std::vector<IdComparison> ids = InternAll(&core, comparisons);
+  return core.Satisfiable(ids);
 }
 
 bool AcSolver::Implies(const std::vector<Comparison>& axioms,
                        const Comparison& conclusion) {
-  std::vector<Comparison> refutation = axioms;
-  refutation.push_back(conclusion.Negated());
-  return !IsSatisfiable(refutation);
+  AcCore core;
+  const std::vector<IdComparison> ids = InternAll(&core, axioms);
+  return core.Implies(ids, -1, core.Intern(conclusion));
 }
 
 bool AcSolver::ImpliesAll(const std::vector<Comparison>& axioms,
                           const std::vector<Comparison>& conclusions) {
+  AcCore core;
+  const std::vector<IdComparison> ids = InternAll(&core, axioms);
   for (const Comparison& c : conclusions) {
-    if (!Implies(axioms, c)) return false;
+    if (!core.Implies(ids, -1, core.Intern(c))) return false;
   }
   return true;
 }
@@ -193,47 +181,28 @@ bool AcSolver::Equivalent(const std::vector<Comparison>& a,
 
 std::optional<CompOp> AcSolver::ImpliedRelation(
     const std::vector<Comparison>& axioms, const Term& lhs, const Term& rhs) {
+  AcCore core;
+  const std::vector<IdComparison> ids = InternAll(&core, axioms);
+  const int l = core.Intern(lhs);
+  const int r = core.Intern(rhs);
   for (CompOp op : {CompOp::kEq, CompOp::kLt, CompOp::kGt, CompOp::kLe,
                     CompOp::kGe, CompOp::kNe}) {
-    if (Implies(axioms, Comparison(lhs, op, rhs))) return op;
+    if (core.Implies(ids, -1, {l, op, r})) return op;
   }
   return std::nullopt;
 }
 
 std::optional<Substitution> AcSolver::ForcedEqualities(
     const std::vector<Comparison>& comparisons) {
-  LeqGraph g = BuildGraph(comparisons);
-  if (!GraphSatisfiable(g)) return std::nullopt;
-  int num_components = 0;
-  const std::vector<int> component = ComputeSccs(g, &num_components);
-
-  // Forced equalities over a dense order are exactly the SCCs of the
-  // <=-graph: a != b would be consistent with the axioms unless there are
-  // <=-paths both ways, and those paths are all in the conjunction's
-  // consequences.
-  std::vector<std::optional<Term>> representative(num_components);
-  const int n = static_cast<int>(g.nodes.size());
-  // Pick per component: a constant if present, else the least variable.
-  for (int u = 0; u < n; ++u) {
-    const Term& t = g.nodes[u];
-    std::optional<Term>& rep = representative[component[u]];
-    if (!rep.has_value()) {
-      rep = t;
-      continue;
-    }
-    if (t.IsConstant() && rep->IsVariable()) {
-      rep = t;
-    } else if (t.IsVariable() && rep->IsVariable() &&
-               t.name() < rep->name()) {
-      rep = t;
-    }
-  }
+  AcCore core;
+  const std::vector<IdComparison> ids = InternAll(&core, comparisons);
+  std::vector<int> representative;
+  if (!core.ForcedEqualities(ids, &representative)) return std::nullopt;
   Substitution result;
-  for (int u = 0; u < n; ++u) {
-    const Term& t = g.nodes[u];
-    if (!t.IsVariable()) continue;
-    const Term& rep = *representative[component[u]];
-    if (rep != t) result.Bind(t.name(), rep);
+  for (int u = 0; u < core.size(); ++u) {
+    if (core.term(u).IsVariable() && representative[u] != u) {
+      result.Bind(core.term(u).name(), core.term(representative[u]));
+    }
   }
   return result;
 }
@@ -261,21 +230,14 @@ bool AcSolver::SatisfiedBy(const std::vector<Comparison>& comparisons,
 
 std::vector<Comparison> AcSolver::RemoveRedundant(
     std::vector<Comparison> comparisons) {
-  if (!IsSatisfiable(comparisons)) return comparisons;
-  // Greedily drop any comparison implied by the others.
-  for (size_t i = 0; i < comparisons.size();) {
-    std::vector<Comparison> rest;
-    rest.reserve(comparisons.size() - 1);
-    for (size_t j = 0; j < comparisons.size(); ++j) {
-      if (j != i) rest.push_back(comparisons[j]);
-    }
-    if (Implies(rest, comparisons[i])) {
-      comparisons = std::move(rest);
-    } else {
-      ++i;
-    }
-  }
-  return comparisons;
+  AcCore core;
+  std::vector<IdComparison> ids = InternAll(&core, comparisons);
+  core.RemoveRedundant(&ids);
+  if (ids.size() == comparisons.size()) return comparisons;
+  std::vector<Comparison> kept;
+  kept.reserve(ids.size());
+  for (const IdComparison& c : ids) kept.push_back(core.ToComparison(c));
+  return kept;
 }
 
 }  // namespace cqac

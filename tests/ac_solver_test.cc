@@ -1,7 +1,11 @@
 #include "constraints/ac_solver.h"
 
+#include <random>
+
+#include "constraints/orders.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
+#include "workload/prand.h"
 
 namespace cqac {
 namespace {
@@ -239,6 +243,163 @@ TEST_P(AcSolverGridProperty, ImpliedComparisonsHoldOnGrid) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AcSolverGridProperty,
                          ::testing::Range(0, 5));
+
+// Randomized two-direction check of every AcSolver service against brute
+// force: over a dense order a conjunction's truth depends only on the
+// relative order of its terms, so enumerating the total orders of its
+// variables among its constants (ForEachTotalOrder) and evaluating one
+// witness assignment per order decides satisfiability and implication
+// exactly.  Up to 5 variables, 3 constants, all six operators.
+class AcSolverOracleProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(AcSolverOracleProperty, AgreesWithTotalOrderEnumeration) {
+  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
+  auto draw = [&rng](int lo, int hi) {
+    return PortableUniformInt(rng, lo, hi);
+  };
+  const std::vector<Rational> constant_pool = {Rational(-1), Rational(0),
+                                               Rational(1, 2), Rational(3)};
+  std::vector<Term> terms;
+  std::vector<std::string> variables;
+  for (int i = draw(1, 5); i > 0; --i) {
+    variables.push_back("V" + std::to_string(variables.size()));
+    terms.push_back(Term::Variable(variables.back()));
+  }
+  std::vector<Rational> constants;
+  for (const Rational& c : constant_pool) {
+    if (static_cast<int>(constants.size()) < 3 && draw(0, 1) == 1) {
+      constants.push_back(c);
+      terms.push_back(Term::Constant(c));
+    }
+  }
+  const CompOp ops[] = {CompOp::kLt, CompOp::kLe, CompOp::kEq,
+                        CompOp::kNe, CompOp::kGe, CompOp::kGt};
+  auto random_comparison = [&]() {
+    const Term& lhs = terms[draw(0, static_cast<int>(terms.size()) - 1)];
+    const Term& rhs = terms[draw(0, static_cast<int>(terms.size()) - 1)];
+    return Comparison(lhs, ops[draw(0, 5)], rhs);
+  };
+  std::vector<Comparison> axioms;
+  for (int i = draw(0, 6); i > 0; --i) axioms.push_back(random_comparison());
+  std::vector<Comparison> conclusions;
+  for (int i = 0; i < 8; ++i) conclusions.push_back(random_comparison());
+  const std::vector<Comparison> reduced = AcSolver::RemoveRedundant(axioms);
+
+  // One pass over the total orders collects every brute-force answer.
+  bool satisfiable = false;
+  std::vector<bool> conclusion_holds(conclusions.size(), true);
+  bool reduced_equivalent = true;
+  // dropped_i_consistent[i]: some order satisfies reduced minus i but not
+  // reduced[i], i.e. reduced[i] is not implied by the rest.
+  std::vector<bool> not_implied_by_rest(reduced.size(), false);
+  ForEachTotalOrder(variables, constants, [&](const TotalOrder& order) {
+    const std::map<std::string, Rational> a = order.ToAssignment();
+    const bool holds = AcSolver::SatisfiedBy(axioms, a);
+    if (AcSolver::SatisfiedBy(reduced, a) != holds) reduced_equivalent = false;
+    if (holds) {
+      satisfiable = true;
+      for (size_t i = 0; i < conclusions.size(); ++i) {
+        if (!AcSolver::SatisfiedBy({conclusions[i]}, a)) {
+          conclusion_holds[i] = false;
+        }
+      }
+    }
+    for (size_t i = 0; i < reduced.size(); ++i) {
+      std::vector<Comparison> rest = reduced;
+      rest.erase(rest.begin() + i);
+      if (AcSolver::SatisfiedBy(rest, a) &&
+          !AcSolver::SatisfiedBy({reduced[i]}, a)) {
+        not_implied_by_rest[i] = true;
+      }
+    }
+    return true;
+  });
+
+  std::string context;
+  for (const Comparison& c : axioms) context += c.ToString() + ", ";
+  SCOPED_TRACE("axioms: " + context);
+  EXPECT_EQ(AcSolver::IsSatisfiable(axioms), satisfiable);
+  for (size_t i = 0; i < conclusions.size(); ++i) {
+    EXPECT_EQ(AcSolver::Implies(axioms, conclusions[i]), conclusion_holds[i])
+        << conclusions[i].ToString();
+  }
+  EXPECT_TRUE(reduced_equivalent);
+  if (satisfiable) {
+    for (size_t i = 0; i < reduced.size(); ++i) {
+      EXPECT_TRUE(not_implied_by_rest[i])
+          << reduced[i].ToString() << " is implied by the rest";
+    }
+  } else {
+    EXPECT_EQ(reduced, axioms);
+  }
+
+  // Forced equalities: two variables share a representative iff the
+  // axioms imply their equality.
+  const std::optional<Substitution> forced =
+      AcSolver::ForcedEqualities(axioms);
+  ASSERT_EQ(forced.has_value(), satisfiable);
+  if (satisfiable) {
+    for (const Term& x : terms) {
+      for (const Term& y : terms) {
+        if (!x.IsVariable()) continue;
+        EXPECT_EQ(forced->Apply(x) == forced->Apply(y),
+                  AcSolver::Implies(axioms, Comparison(x, CompOp::kEq, y)))
+            << x.ToString() << " vs " << y.ToString();
+      }
+    }
+  }
+
+  // Term-table invariant: padding the core's table with constants and
+  // variables no comparison mentions, before and after the real terms,
+  // changes no answer.
+  AcCore plain;
+  AcCore padded;
+  padded.Intern(Term::Constant(Rational(7)));
+  padded.Intern(Term::Variable("P0"));
+  padded.Intern(Term::Constant(Rational(-5, 3)));
+  std::vector<IdComparison> plain_ids;
+  std::vector<IdComparison> padded_ids;
+  for (const Comparison& c : axioms) {
+    plain_ids.push_back(plain.Intern(c));
+    padded_ids.push_back(padded.Intern(c));
+  }
+  padded.Intern(Term::Constant(Rational(1, 4)));
+  padded.Intern(Term::Variable("P1"));
+  padded.Intern(Term::Constant(Rational(100)));
+  EXPECT_EQ(padded.Satisfiable(padded_ids), plain.Satisfiable(plain_ids));
+  for (const Comparison& c : conclusions) {
+    EXPECT_EQ(padded.Implies(padded_ids, -1, padded.Intern(c)),
+              plain.Implies(plain_ids, -1, plain.Intern(c)))
+        << c.ToString();
+  }
+  for (size_t skip = 0; skip < axioms.size(); ++skip) {
+    EXPECT_EQ(padded.Satisfiable(padded_ids, static_cast<int>(skip)),
+              plain.Satisfiable(plain_ids, static_cast<int>(skip)));
+  }
+  std::vector<IdComparison> plain_reduced = plain_ids;
+  std::vector<IdComparison> padded_reduced = padded_ids;
+  plain.RemoveRedundant(&plain_reduced);
+  padded.RemoveRedundant(&padded_reduced);
+  ASSERT_EQ(plain_reduced.size(), padded_reduced.size());
+  for (size_t i = 0; i < plain_reduced.size(); ++i) {
+    EXPECT_EQ(plain.ToComparison(plain_reduced[i]),
+              padded.ToComparison(padded_reduced[i]));
+  }
+  std::vector<int> plain_rep;
+  std::vector<int> padded_rep;
+  ASSERT_EQ(plain.ForcedEqualities(plain_ids, &plain_rep),
+            padded.ForcedEqualities(padded_ids, &padded_rep));
+  if (satisfiable) {
+    for (int p = 0; p < plain.size(); ++p) {
+      const int q = padded.Intern(plain.term(p));  // already in the table
+      EXPECT_EQ(plain.term(plain_rep[p]), padded.term(padded_rep[q]))
+          << plain.term(p).ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AcSolverOracleProperty,
+                         ::testing::Range(0, 200));
 
 }  // namespace
 }  // namespace cqac

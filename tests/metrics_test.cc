@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "parser/parser.h"
+#include "rewriting/expansion.h"
 
 namespace cqac {
 namespace {
@@ -253,6 +255,43 @@ TEST(MetricsTest, RegistryWindowedIsStableAndResets) {
   EXPECT_EQ(w.Snap().count, 1);
   reg.Reset();
   EXPECT_EQ(w.Snap().count, 0);
+}
+
+/// The simplify.* counters of one SimplifyQuery call on a query that
+/// needs both fold kinds: W -> Z is a single-variable fold, while the
+/// chain r(A,X), r(X,Y) folds onto r(A,U), r(U,V) only as a whole (the
+/// SearchFold theta-search).  Counts derived by hand in the comments.
+TEST(MetricsTest, SimplifyCountersForOneQuery) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const char* names[] = {"simplify.fold_candidates", "simplify.single_folds",
+                         "simplify.sat_checks", "simplify.search_leaf_checks"};
+  int64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = registry.counter(names[i]).value();
+  const std::optional<ConjunctiveQuery> simplified =
+      SimplifyQuery(Parser::MustParseRule(
+          "q(A) :- r(A,X), r(X,Y), r(A,U), r(U,V), s(A,W), s(A,Z), "
+          "X < 5, U < 5, W <= Z"));
+  ASSERT_TRUE(simplified.has_value());
+  EXPECT_EQ(simplified->ToString(), "q(A) :- r(A,U), r(U,V), s(A,Z), U < 5");
+  int64_t delta[4];
+  for (int i = 0; i < 4; ++i) {
+    delta[i] = registry.counter(names[i]).value() - before[i];
+  }
+  // Candidates X, Y, U, V, W, Z against targets A, X, Y, U, V, W, Z: the
+  // first four fail every atom check (4 x 6 pairs); W -> A fails, W -> X,
+  // W -> Y, W -> U, W -> V fail their atom checks, W -> Z succeeds
+  // (24 + 6 = 30).  After the fold, X, Y, U, V, Z against A, X, Y, U, V,
+  // Z find nothing (5 x 5 = 25).  After the theta fold, U, V, Z against
+  // A, U, V, Z find nothing (3 x 3 = 9).
+  EXPECT_EQ(delta[0], 30 + 25 + 9);
+  EXPECT_EQ(delta[1], 1);
+  // Forced equalities (1); RemoveRedundant on 3 comparisons (1 + 3);
+  // W -> Z's image Z <= Z (1); RemoveRedundant after it on X < 5,
+  // U < 5, Z <= Z (1 + 3, dropping Z <= Z); after the theta fold on
+  // U < 5, U < 5 (1 + 2, dropping one).
+  EXPECT_EQ(delta[2], 1 + 4 + 1 + 4 + 3);
+  // The theta-search reaches one leaf and checks both comparisons.
+  EXPECT_EQ(delta[3], 2);
 }
 
 }  // namespace
