@@ -33,7 +33,7 @@ void BM_EnumerateAllOrders(benchmark::State& state) {
   }
   state.counters["orders"] = static_cast<double>(count);
   state.counters["expected"] =
-      static_cast<double>(cqac::CountTotalOrders(n));
+      static_cast<double>(cqac::CountTotalOrders(n, 0));
 }
 
 void BM_EnumerateWithConstants(benchmark::State& state) {

@@ -138,18 +138,23 @@ std::string TotalOrder::ToString() const {
 
 namespace {
 
-/// Recursively inserts `variables[next..]` into `order`, calling `fn` on
-/// every completed order.  Returns false once `fn` asks to stop.
-bool InsertRemaining(const std::vector<std::string>& variables, size_t next,
-                     TotalOrder* order,
-                     const std::function<bool(const TotalOrder&)>& fn) {
-  if (next == variables.size()) return fn(*order);
-  const std::string& var = variables[next];
+using OrderFn = std::function<bool(const TotalOrder&)>;
+
+/// Recursively inserts `vars[next..end)` into `order`, calling `fn`
+/// on every completed order.  `enter`, when non-null, is asked at every
+/// tree node (the root and the leaves included) whether to descend into
+/// it.  Returns false once `fn` asks to stop.
+bool InsertRemaining(const std::vector<std::string>& vars, size_t next,
+                     size_t end, TotalOrder* order, const OrderFn& fn,
+                     const OrderFn* enter = nullptr) {
+  if (enter != nullptr && !(*enter)(*order)) return true;
+  if (next == end) return fn(*order);
+  const std::string& var = vars[next];
   // Option 1: join each existing block.  Indexed loop: deeper recursion
   // levels insert and erase blocks, which invalidates references.
   for (size_t b = 0; b < order->blocks.size(); ++b) {
     order->blocks[b].variables.push_back(var);
-    if (!InsertRemaining(variables, next + 1, order, fn)) return false;
+    if (!InsertRemaining(vars, next + 1, end, order, fn, enter)) return false;
     order->blocks[b].variables.pop_back();
   }
   // Option 2: open a new block in each gap.
@@ -157,44 +162,11 @@ bool InsertRemaining(const std::vector<std::string>& variables, size_t next,
   fresh.variables.push_back(var);
   for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
     order->blocks.insert(order->blocks.begin() + gap, fresh);
-    if (!InsertRemaining(variables, next + 1, order, fn)) return false;
+    if (!InsertRemaining(vars, next + 1, end, order, fn, enter)) return false;
     order->blocks.erase(order->blocks.begin() + gap);
   }
   return true;
 }
-
-}  // namespace
-
-void ForEachTotalOrder(const std::vector<std::string>& variables,
-                       const std::vector<Rational>& constants,
-                       const std::function<bool(const TotalOrder&)>& fn) {
-  std::vector<Rational> sorted_constants = constants;
-  std::sort(sorted_constants.begin(), sorted_constants.end());
-  sorted_constants.erase(
-      std::unique(sorted_constants.begin(), sorted_constants.end()),
-      sorted_constants.end());
-
-  TotalOrder base;
-  for (const Rational& c : sorted_constants) {
-    OrderBlock block;
-    block.constant = c;
-    base.blocks.push_back(block);
-  }
-  InsertRemaining(variables, 0, &base, fn);
-}
-
-std::vector<TotalOrder> EnumerateTotalOrders(
-    const std::vector<std::string>& variables,
-    const std::vector<Rational>& constants) {
-  std::vector<TotalOrder> out;
-  ForEachTotalOrder(variables, constants, [&out](const TotalOrder& order) {
-    out.push_back(order);
-    return true;
-  });
-  return out;
-}
-
-namespace {
 
 std::vector<Rational> SortedUniqueConstants(
     const std::vector<Rational>& constants) {
@@ -204,15 +176,53 @@ std::vector<Rational> SortedUniqueConstants(
   return sorted;
 }
 
-TotalOrder BaseOrder(const std::vector<Rational>& sorted_constants) {
+/// The constants-only order: one block per distinct constant, ascending.
+TotalOrder BaseOrder(const std::vector<Rational>& constants) {
   TotalOrder base;
-  for (const Rational& c : sorted_constants) {
+  for (const Rational& c : SortedUniqueConstants(constants)) {
     OrderBlock block;
     block.constant = c;
     base.blocks.push_back(block);
   }
   return base;
 }
+
+}  // namespace
+
+std::vector<TotalOrder> TotalOrderPrefixes(
+    const std::vector<std::string>& variables,
+    const std::vector<Rational>& constants, int depth) {
+  std::vector<TotalOrder> prefixes;
+  TotalOrder base = BaseOrder(constants);
+  InsertRemaining(variables, 0, static_cast<size_t>(depth), &base,
+                  [&prefixes](const TotalOrder& prefix) {
+                    prefixes.push_back(prefix);
+                    return true;
+                  });
+  return prefixes;
+}
+
+void ForEachCompletion(const std::vector<std::string>& variables, int depth,
+                       TotalOrder prefix,
+                       const std::function<bool(const TotalOrder&)>& fn) {
+  InsertRemaining(variables, static_cast<size_t>(depth), variables.size(),
+                  &prefix, fn);
+}
+
+void ForEachTotalOrder(const std::vector<std::string>& variables,
+                       const std::vector<Rational>& constants,
+                       const std::function<bool(const TotalOrder&)>& fn) {
+  ForEachCompletion(variables, 0, BaseOrder(constants), fn);
+}
+
+std::vector<TotalOrder> EnumerateTotalOrders(
+    const std::vector<std::string>& variables,
+    const std::vector<Rational>& constants) {
+  return TotalOrderPrefixes(variables, constants,
+                            static_cast<int>(variables.size()));
+}
+
+namespace {
 
 int64_t SatMul(int64_t a, int64_t b) {
   if (a == 0 || b == 0) return 0;
@@ -276,7 +286,7 @@ class PrunedOrderEnumerator {
            const std::function<bool(const TotalOrder&, int64_t)>& fn) {
     if (impossible_) return;
     if (incomplete_) {
-      InsertFallback(0, order, fn);
+      RunFallback(order, fn);
       return;
     }
     ++stats_->nodes_visited;  // Root: the constants-only base order.
@@ -577,38 +587,26 @@ class PrunedOrderEnumerator {
   /// Reference behavior for axioms the positional encoding cannot
   /// represent: solver-based prefix pruning, solver-verified leaves, no
   /// symmetry reduction (multiplicity 1).
-  bool InsertFallback(size_t next, TotalOrder* order,
-                      const std::function<bool(const TotalOrder&, int64_t)>& fn) {
-    combined_ = axioms_;
-    const std::vector<Comparison> placed = order->ToComparisons();
-    combined_.insert(combined_.end(), placed.begin(), placed.end());
-    if (!AcSolver::IsSatisfiable(combined_)) {
-      ++stats_->nodes_pruned;
-      return true;
-    }
-    ++stats_->nodes_visited;
-    if (next == variables_.size()) {
-      if (!AcSolver::SatisfiedBy(axioms_, order->ToAssignment())) return true;
-      ++stats_->orders_emitted;
-      ++stats_->orders_weighted;
-      return fn(*order, 1);
-    }
-    const std::string& var = variables_[next];
-    for (size_t b = 0; b < order->blocks.size(); ++b) {
-      order->blocks[b].variables.push_back(var);
-      const bool keep_going = InsertFallback(next + 1, order, fn);
-      order->blocks[b].variables.pop_back();
-      if (!keep_going) return false;
-    }
-    OrderBlock fresh;
-    fresh.variables.push_back(var);
-    for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
-      order->blocks.insert(order->blocks.begin() + gap, fresh);
-      const bool keep_going = InsertFallback(next + 1, order, fn);
-      order->blocks.erase(order->blocks.begin() + gap);
-      if (!keep_going) return false;
-    }
-    return true;
+  void RunFallback(TotalOrder* order,
+                   const std::function<bool(const TotalOrder&, int64_t)>& fn) {
+    std::vector<Comparison> combined;
+    const OrderFn satisfiable_prefix = [&](const TotalOrder& prefix) {
+      combined = axioms_;
+      const std::vector<Comparison> placed = prefix.ToComparisons();
+      combined.insert(combined.end(), placed.begin(), placed.end());
+      const bool ok = AcSolver::IsSatisfiable(combined);
+      ++(ok ? stats_->nodes_visited : stats_->nodes_pruned);
+      return ok;
+    };
+    InsertRemaining(
+        variables_, 0, variables_.size(), order,
+        [&](const TotalOrder& leaf) {
+          if (!AcSolver::SatisfiedBy(axioms_, leaf.ToAssignment())) return true;
+          ++stats_->orders_emitted;
+          ++stats_->orders_weighted;
+          return fn(leaf, 1);
+        },
+        &satisfiable_prefix);
   }
 
   /// A new block opened at `gap`: every tracked placement at or after it
@@ -655,7 +653,6 @@ class PrunedOrderEnumerator {
   std::vector<std::vector<int>> group_stack_;  // placed members' positions
   bool incomplete_ = false;
   bool impossible_ = false;
-  std::vector<Comparison> combined_;
 };
 
 }  // namespace
@@ -785,64 +782,39 @@ void ForEachSatisfyingOrderLegacy(
     OrderEnumerationStats* stats) {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
-  const std::vector<Rational> sorted_constants =
-      SortedUniqueConstants(constants);
-  TotalOrder base = BaseOrder(sorted_constants);
-  std::function<bool(size_t, TotalOrder*)> insert = [&](size_t next,
-                                                        TotalOrder* order) {
+  TotalOrder base = BaseOrder(constants);
+  const OrderFn count_node = [stats](const TotalOrder&) {
     ++stats->nodes_visited;
-    if (next == variables.size()) {
-      if (!AcSolver::SatisfiedBy(axioms, order->ToAssignment())) return true;
-      ++stats->orders_emitted;
-      ++stats->orders_weighted;
-      return fn(*order);
-    }
-    const std::string& var = variables[next];
-    for (size_t b = 0; b < order->blocks.size(); ++b) {
-      order->blocks[b].variables.push_back(var);
-      const bool keep_going = insert(next + 1, order);
-      order->blocks[b].variables.pop_back();
-      if (!keep_going) return false;
-    }
-    OrderBlock fresh;
-    fresh.variables.push_back(var);
-    for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
-      order->blocks.insert(order->blocks.begin() + gap, fresh);
-      const bool keep_going = insert(next + 1, order);
-      order->blocks.erase(order->blocks.begin() + gap);
-      if (!keep_going) return false;
-    }
     return true;
   };
-  insert(0, &base);
+  InsertRemaining(
+      variables, 0, variables.size(), &base,
+      [&](const TotalOrder& order) {
+        if (!AcSolver::SatisfiedBy(axioms, order.ToAssignment())) return true;
+        ++stats->orders_emitted;
+        ++stats->orders_weighted;
+        return fn(order);
+      },
+      &count_node);
 }
 
 }  // namespace internal
 
-int64_t CountTotalOrders(int num_variables) {
-  if (num_variables < 0) return 0;
+int64_t CountOrderCompletions(int blocks, int remaining) {
+  if (blocks < 0 || remaining < 0) return 0;
   constexpr int64_t kSaturated = std::numeric_limits<int64_t>::max();
-  // Fubini numbers: a(n) = sum_{k=1..n} C(n,k) a(n-k), a(0) = 1.  The
-  // sequence is increasing, so the first a(n) that overflows (n = 19)
-  // saturates every later one too.
-  std::vector<int64_t> a(num_variables + 1, 0);
-  a[0] = 1;
-  for (int n = 1; n <= num_variables; ++n) {
-    // Binomial row C(n, k) computed incrementally.
-    int64_t binom = 1;
-    int64_t total = 0;
-    for (int k = 1; k <= n; ++k) {
-      if (__builtin_mul_overflow(binom, n - k + 1, &binom)) return kSaturated;
-      binom /= k;
-      int64_t term;
-      if (__builtin_mul_overflow(binom, a[n - k], &term) ||
-          __builtin_add_overflow(total, term, &total)) {
-        return kSaturated;
-      }
+  // f[k - blocks] holds f(k, step) for the block counts k still needed.
+  // Every f(k, r) with a nonzero coefficient is at most the final count,
+  // so an intermediate saturates only when the answer does.
+  std::vector<int64_t> f(static_cast<size_t>(remaining) + 1, 1);
+  for (int step = 1; step <= remaining; ++step) {
+    for (int i = 0; i + step <= remaining; ++i) {
+      const int64_t join = SatMul(blocks + i, f[i]);
+      const int64_t open = SatMul(blocks + i + 1, f[i + 1]);
+      f[i] = join > kSaturated - open ? kSaturated : join + open;
     }
-    a[n] = total;
   }
-  return a[num_variables];
+  return f[0];
 }
 
 }  // namespace cqac

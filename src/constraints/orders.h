@@ -72,8 +72,22 @@ void ForEachTotalOrder(const std::vector<std::string>& variables,
                        const std::vector<Rational>& constants,
                        const std::function<bool(const TotalOrder&)>& fn);
 
-/// Materializes all total orders.  Convenient for tests; prefer
-/// ForEachTotalOrder in algorithmic code.
+/// The nodes at depth `depth` of ForEachTotalOrder's insertion tree (the
+/// first `depth` variables placed), in DFS order.  Completing them in turn
+/// with ForEachCompletion replays ForEachTotalOrder's exact sequence.
+std::vector<TotalOrder> TotalOrderPrefixes(
+    const std::vector<std::string>& variables,
+    const std::vector<Rational>& constants, int depth);
+
+/// Invokes `fn` on every completion of `prefix`, a depth-`depth` node of
+/// the insertion tree, in ForEachTotalOrder's order; stops early when `fn`
+/// returns false.  ForEachTotalOrder completes the depth-0 node.
+void ForEachCompletion(const std::vector<std::string>& variables, int depth,
+                       TotalOrder prefix,
+                       const std::function<bool(const TotalOrder&)>& fn);
+
+/// Materializes all total orders (the depth-|variables| prefixes).
+/// Convenient for tests; prefer ForEachTotalOrder in algorithmic code.
 std::vector<TotalOrder> EnumerateTotalOrders(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants);
@@ -161,9 +175,16 @@ void ForEachSatisfyingOrderPruned(
 std::vector<std::vector<std::string>> InterchangeableVariableGroups(
     const ConjunctiveQuery& query);
 
-/// The number of total orders of `num_variables` variables with no
-/// constants (ordered Bell / Fubini number).  Saturates at INT64_MAX.
-int64_t CountTotalOrders(int num_variables);
+/// The completions of a `blocks`-block partial order by `remaining` more
+/// variables: f(b, 0) = 1, f(b, r) = b f(b, r-1) + (b+1) f(b+1, r-1) (join
+/// a block, or open one in a gap).  Saturates at INT64_MAX.
+int64_t CountOrderCompletions(int blocks, int remaining);
+
+/// The orders ForEachTotalOrder visits for `num_constants` distinct
+/// constants (ordered Bell numbers when 0).  Saturates at INT64_MAX.
+inline int64_t CountTotalOrders(int num_variables, int num_constants) {
+  return CountOrderCompletions(num_constants, num_variables);
+}
 
 namespace internal {
 

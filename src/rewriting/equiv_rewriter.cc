@@ -4,11 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
@@ -139,6 +141,41 @@ void RecordRunMetrics(const RewriteStats& stats,
     reg.counter("parallel.phase2_tasks_cancelled")
         .Add(report.phase2_tasks_cancelled);
     reg.counter("threadpool.tasks_stolen").Add(report.tasks_stolen);
+  }
+}
+
+/// Runs `run(i)` for every i in [0, n), as pool tasks or, with a null
+/// `pool`, inline in order; calls `merge(i)` on the calling thread in index
+/// order once task i and every earlier one are done.  Every task has
+/// finished when FanOut returns (they may reference the caller's state).
+void FanOut(ThreadPool* pool, int64_t n,
+            const std::function<void(int64_t)>& run,
+            const std::function<void(int64_t)>& merge) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<char> done(static_cast<size_t>(n), 0);  // guarded by `mu`
+  for (int64_t i = 0; i < n; ++i) {
+    const auto task = [&, i] {
+      run(i);
+      // Notify while holding the lock: the merging thread owns cv's stack
+      // frame and may destroy it the moment it observes the last `done`,
+      // which the lock delays until the notify has returned.
+      std::lock_guard<std::mutex> lock(mu);
+      done[static_cast<size_t>(i)] = 1;
+      cv.notify_all();
+    };
+    if (pool == nullptr) {
+      task();
+    } else {
+      pool->Submit(task);
+    }
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return done[static_cast<size_t>(i)] != 0; });
+    }
+    merge(i);
   }
 }
 
@@ -657,49 +694,50 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   }
 
   // --- Phase 1: one Pre-Rewriting per kept canonical database ---
+  //
+  // One task per enumeration subtree, split at the smallest depth giving
+  // 16 per pool thread (jobs == 1: the depth-0 tree, on this thread).
 
-  std::vector<ConjunctiveQuery> pre_rewritings;
-  std::set<std::string> pre_rewriting_keys;
-  bool failed = false;
-  bool budget_exceeded = false;
+  const std::vector<std::string> variables = work.query.AllVariables();
+  const int num_variables = static_cast<int>(variables.size());
+  int depth = 0;
+  while (pool != nullptr && depth < num_variables &&
+         CountTotalOrders(depth, static_cast<int>(work.constants.size())) <
+             int64_t{16} * pool->num_threads()) {
+    ++depth;
+  }
+  const std::vector<TotalOrder> prefixes =
+      TotalOrderPrefixes(variables, work.constants, depth);
 
-  // The in-order merge of one database's outcome: stats, trace, the first
-  // failure, and Pre-Rewriting dedup.  Both schedules call it in
-  // enumeration order and stop at the first failure, so the result is the
-  // same prefix whichever schedule produced the outcomes.
-  const auto merge_database = [&](DatabaseOutcome& out) {
-    ++result.stats.canonical_databases;
-    result.stats.Merge(out.stats);
-    if (explain) result.trace.databases.push_back(std::move(out.trace));
-    if (out.status == DatabaseOutcome::Status::kFailed) {
-      failed = true;
-      result.failure_reason = std::move(out.failure_reason);
-    } else if (out.status == DatabaseOutcome::Status::kKept &&
-               pre_rewriting_keys.insert(out.pre_rewriting->ToString())
-                   .second) {
-      pre_rewritings.push_back(*std::move(out.pre_rewriting));
+  // The budget aborts upon enumerating database max+1, after the first max
+  // were fully processed: subtree s may visit limits[s] databases (-1: no
+  // cap), and subtrees starting past the budget never run.
+  std::vector<int64_t> limits;
+  bool over_budget = false;  // database max+1 exists
+  int64_t left = driver.max_canonical_databases;
+  for (const TotalOrder& prefix : prefixes) {
+    if (left == 0) {
+      over_budget = true;
+      break;
     }
-  };
+    limits.push_back(left);
+    if (left < 0) continue;
+    const int64_t count = CountOrderCompletions(
+        static_cast<int>(prefix.blocks.size()), num_variables - depth);
+    over_budget = count > left;
+    left -= std::min(count, left);
+  }
+  const int64_t num_tasks = static_cast<int64_t>(limits.size());
 
-  // The pooled schedule's state.  The number of total orders is factorial
-  // in |variables| + |constants|, so the worklist is never materialized:
-  // the enumeration submits index i into ring slot i % window and merges
-  // completed slots in enumeration order to free them, keeping memory O(1)
-  // in the number of databases.  `done` is guarded by `mu`, which also
-  // publishes a task's `outcome` write to the merging thread.
-  struct DbSlot {
-    TotalOrder order;
-    bool done = false;
-    DatabaseOutcome outcome;
+  // One subtree's databases up to and including its first failure.  Its
+  // Pre-Rewritings are deduplicated locally and keep their key.
+  struct SubtreeOutcome {
+    RewriteStats stats;  // canonical_databases: the databases it visited
+    std::vector<CanonicalDatabaseTrace> traces;
+    std::vector<std::pair<std::string, ConjunctiveQuery>> pre_rewritings;
+    std::optional<std::string> failure_reason;  // set iff it failed
   };
-  const int64_t window =
-      pool != nullptr
-          ? std::max<int64_t>(static_cast<int64_t>(pool->num_threads()) * 8,
-                              64)
-          : 0;
-  std::vector<DbSlot> db_slots(static_cast<size_t>(window));
-  std::mutex mu;
-  std::condition_variable cv;
+  std::vector<SubtreeOutcome> subtrees(static_cast<size_t>(num_tasks));
   PrefixCancel db_cancel;
   std::atomic<int64_t> db_executed{0};
   // Steady-clock time of the first observed failure, or 0; lets the drain
@@ -711,85 +749,77 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     first_fail_ns.compare_exchange_strong(expected, NowNs(),
                                           std::memory_order_relaxed);
   };
-  int64_t merged = 0;  // pooled: slots consumed, in enumeration order
 
-  // Waits for the slot at enumeration index `merged` and frees it,
-  // merging its outcome unless the run already failed: after a failure
-  // the remaining in-flight slots are only drained, exactly as the inline
-  // schedule never reaches them.
-  const auto consume_next = [&] {
-    DbSlot& slot = db_slots[static_cast<size_t>(merged % window)];
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return slot.done; });
-      slot.done = false;
+  // A failing subtree cancels the subtrees past it, never those below it
+  // (see PrefixCancel).
+  const auto run_subtree = [&](int64_t s) {
+    if (!db_cancel.ShouldRun(s) || cancelled()) return;
+    db_executed.fetch_add(1, std::memory_order_relaxed);
+    // Filled locally and stored once: the neighbouring slots belong to
+    // other workers, so writing the slot per database would share lines.
+    SubtreeOutcome out;
+    std::set<std::string> seen;
+    ForEachCompletion(
+        variables, depth, prefixes[static_cast<size_t>(s)],
+        [&](const TotalOrder& order) {
+          if (cancelled() || !db_cancel.ShouldRun(s) ||
+              out.stats.canonical_databases == limits[s]) {
+            return false;
+          }
+          DatabaseOutcome db =
+              ProcessCanonicalDatabase(work, order, phase1_memo);
+          ++out.stats.canonical_databases;
+          out.stats.Merge(db.stats);
+          if (explain) out.traces.push_back(std::move(db.trace));
+          if (db.status == DatabaseOutcome::Status::kFailed) {
+            out.failure_reason = std::move(db.failure_reason);
+            db_cancel.FailAt(s);
+            note_failure();
+            return false;
+          }
+          if (db.status == DatabaseOutcome::Status::kKept) {
+            std::string key = db.pre_rewriting->ToString();
+            if (seen.insert(key).second) {
+              out.pre_rewritings.emplace_back(std::move(key),
+                                              *std::move(db.pre_rewriting));
+            }
+          }
+          return true;
+        });
+    subtrees[static_cast<size_t>(s)] = std::move(out);
+  };
+
+  // The one merge, in subtree order; it frees each subtree.  After a
+  // failure the rest are only freed, as the inline loop never reaches them.
+  std::vector<ConjunctiveQuery> pre_rewritings;
+  std::set<std::string> pre_rewriting_keys;
+  bool failed = false;
+  const auto merge_subtree = [&](int64_t s) {
+    SubtreeOutcome out = std::move(subtrees[static_cast<size_t>(s)]);
+    if (failed) return;
+    result.stats.Merge(out.stats);
+    for (CanonicalDatabaseTrace& db : out.traces) {
+      result.trace.databases.push_back(std::move(db));
     }
-    ++merged;
-    if (!failed) merge_database(slot.outcome);
-    slot.outcome = DatabaseOutcome();
+    for (auto& [key, pre] : out.pre_rewritings) {
+      if (pre_rewriting_keys.insert(std::move(key)).second) {
+        pre_rewritings.push_back(std::move(pre));
+      }
+    }
+    if (out.failure_reason.has_value()) {
+      failed = true;
+      result.failure_reason = *std::move(out.failure_reason);
+    }
   };
 
   const int64_t enumerate_t0 = NowNs();
   {
     CQAC_TRACE_SPAN("phase1.enumerate");
-    int64_t& submitted = report->db_tasks_total;
-    ForEachTotalOrder(
-        work.query.AllVariables(), work.constants,
-        [&](const TotalOrder& order) {
-          if (cancelled()) return false;
-          // The budget aborts upon enumerating database max+1, after the
-          // first max were fully processed.
-          if (driver.max_canonical_databases >= 0 &&
-              submitted >= driver.max_canonical_databases) {
-            budget_exceeded = true;
-            return false;
-          }
-          if (pool == nullptr) {
-            ++submitted;
-            DatabaseOutcome out =
-                ProcessCanonicalDatabase(work, order, phase1_memo);
-            ++report->db_tasks_executed;
-            merge_database(out);
-            return !failed;
-          }
-          // Reusing ring slot i % window requires its previous occupant
-          // (index i - window) to have been merged first.
-          while (submitted - merged >= window) {
-            consume_next();
-            if (failed) return false;
-          }
-          const int64_t i = submitted++;
-          db_slots[static_cast<size_t>(i % window)].order = order;
-          pool->Submit([&, i] {
-            DbSlot& slot = db_slots[static_cast<size_t>(i % window)];
-            // The first failing D_i cancels everything past it; work at or
-            // below the cutoff must still run so the merge sees the same
-            // prefix as the inline schedule (see PrefixCancel).
-            if (db_cancel.ShouldRun(i) && !cancelled()) {
-              slot.outcome =
-                  ProcessCanonicalDatabase(work, slot.order, phase1_memo);
-              db_executed.fetch_add(1, std::memory_order_relaxed);
-              if (slot.outcome.status == DatabaseOutcome::Status::kFailed) {
-                db_cancel.FailAt(i);
-                note_failure();
-              }
-            }
-            // Notify while holding the lock: the merging thread owns cv's
-            // stack frame and may destroy it the moment it observes
-            // `done`, which the lock delays until the notify has returned.
-            std::lock_guard<std::mutex> lock(mu);
-            slot.done = true;
-            cv.notify_all();
-          });
-          return true;
-        });
-    // Every submitted task must finish before its captured state dies.
-    if (pool != nullptr) {
-      while (merged < report->db_tasks_total) consume_next();
-      report->db_tasks_executed = db_executed.load();
-    }
+    FanOut(pool, num_tasks, run_subtree, merge_subtree);
   }
   result.stats.enumeration_ns = NowNs() - enumerate_t0;
+  report->db_tasks_total = num_tasks;
+  report->db_tasks_executed = db_executed.load();
   report->db_tasks_cancelled =
       report->db_tasks_total - report->db_tasks_executed;
 
@@ -798,8 +828,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   // from the merged outcomes would rest on partial work.  The token is
   // monotonic, so re-checking here also catches a cancel that landed
   // after the last enumeration callback.  A failure merged from the first
-  // max databases beats the budget abort, which the pooled schedule can
-  // only tell apart after its tail is merged.
+  // max databases beats the budget abort.
   const auto finish = [&](RewriteOutcome outcome, std::string reason) {
     result.outcome = outcome;
     if (!reason.empty()) result.failure_reason = std::move(reason);
@@ -821,7 +850,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     return finish(RewriteOutcome::kAborted, kCancelledReason);
   }
   if (failed) return finish(RewriteOutcome::kNoRewriting, "");
-  if (budget_exceeded) {
+  if (over_budget) {
     // The abort-triggering database is counted.
     ++result.stats.canonical_databases;
     return finish(RewriteOutcome::kAborted,
@@ -839,35 +868,21 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   const int64_t num_pres = static_cast<int64_t>(pre_rewritings.size());
   report->phase2_tasks_total = num_pres;
   std::vector<Phase2Outcome> checks(static_cast<size_t>(num_pres));
-  if (pool == nullptr) {
-    for (int64_t i = 0; i < num_pres && !cancelled(); ++i) {
-      checks[i] = CheckExpansionContained(work, pre_rewritings[i]);
-      ++report->phase2_tasks_executed;
-      if (!checks[i].contained) break;
-    }
-  } else {
-    PrefixCancel p2_cancel;
-    std::atomic<int64_t> p2_executed{0};
-    int64_t p2_done = 0;
-    for (int64_t i = 0; i < num_pres; ++i) {
-      pool->Submit([&, i] {
-        if (p2_cancel.ShouldRun(i) && !cancelled()) {
-          checks[i] = CheckExpansionContained(work, pre_rewritings[i]);
-          p2_executed.fetch_add(1, std::memory_order_relaxed);
-          if (!checks[i].contained) {
-            p2_cancel.FailAt(i);
-            note_failure();
-          }
+  PrefixCancel p2_cancel;
+  std::atomic<int64_t> p2_executed{0};
+  FanOut(
+      pool, num_pres,
+      [&](int64_t i) {
+        if (!p2_cancel.ShouldRun(i) || cancelled()) return;
+        checks[i] = CheckExpansionContained(work, pre_rewritings[i]);
+        p2_executed.fetch_add(1, std::memory_order_relaxed);
+        if (!checks[i].contained) {
+          p2_cancel.FailAt(i);
+          note_failure();
         }
-        std::lock_guard<std::mutex> lock(mu);
-        ++p2_done;
-        cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return p2_done == num_pres; });
-    report->phase2_tasks_executed = p2_executed.load();
-  }
+      },
+      [](int64_t) {});
+  report->phase2_tasks_executed = p2_executed.load();
   report->phase2_tasks_cancelled = num_pres - report->phase2_tasks_executed;
 
   // Same ordering argument as after Phase 1: a token observed by any check

@@ -325,13 +325,14 @@ void FinalizeFoundRewriting(const RewriteWork& work,
 /// RewriteStats (which is byte-identical for every schedule), these
 /// counters describe the execution itself and
 /// legitimately vary run to run: a cancelled task is work the early abort
-/// saved.  On the inline schedule nothing is ever cancelled.
+/// saved.  The db_tasks_* counters count Phase-1 enumeration subtrees (the
+/// inline schedule runs one), not canonical databases.
 struct ParallelRewriteReport {
   int jobs = 0;  // threads the units ran on (1 = inline)
 
-  int64_t db_tasks_total = 0;      // canonical databases handed out
-  int64_t db_tasks_executed = 0;   // ran to completion
-  int64_t db_tasks_cancelled = 0;  // skipped by the cancellation token
+  int64_t db_tasks_total = 0;      // subtree tasks handed out
+  int64_t db_tasks_executed = 0;   // started their databases
+  int64_t db_tasks_cancelled = 0;  // skipped: past a failure, or cancelled
 
   int64_t phase2_tasks_total = 0;
   int64_t phase2_tasks_executed = 0;
@@ -344,17 +345,18 @@ struct ParallelRewriteReport {
 /// context.  EquivalentRewriter::Run and ViewCatalog::Rewrite (which
 /// prepares the work from its compiled view data) both end here.
 ///
-/// The schedule is the only thing `driver.jobs` changes.  With jobs == 1
-/// every ProcessCanonicalDatabase and CheckExpansionContained call runs
-/// inline on the calling thread, in enumeration order, stopping at the
-/// first failure.  Otherwise the units fan out over `pool` (or, when null,
-/// over a pool of ThreadPool::ResolveJobs(jobs) threads owned by the run);
-/// Phase 1 streams the enumeration through a bounded sliding window, and a
-/// PrefixCancel skips every unit past the first failing one (the paper's
-/// "some D_i has no MCR => no rewriting exists" short-circuit).  Either
-/// way the outcomes are merged in enumeration order by the same code, so
-/// the result (outcome, rewriting, failure reason, trace, and every stat
-/// but the wall times and the Phase-1 memo hit/miss split) is
+/// The schedule is the only thing `driver.jobs` changes.  Phase 1 splits
+/// the order enumeration tree at the smallest prefix depth giving 16
+/// subtrees per pool thread; each subtree is one task running the inline
+/// loop over its canonical databases.  With jobs == 1 the whole tree is one
+/// subtree and every unit runs inline on the calling thread; otherwise the
+/// subtrees and the Phase-2 checks fan out over `pool` (or, when null, over
+/// a pool of ThreadPool::ResolveJobs(jobs) threads owned by the run), and a
+/// PrefixCancel skips every task past the first failing one (the paper's
+/// "some D_i has no MCR => no rewriting exists" short-circuit).  Outcomes
+/// merge in enumeration order, each subtree once it and every earlier one
+/// are done, so the result (outcome, rewriting, failure reason, trace, and
+/// every stat but the wall times and the Phase-1 memo hit/miss split) is
 /// byte-identical for every thread count and task interleaving.
 ///
 /// Phase semantics (pruning, simplification, explain, ...) come from

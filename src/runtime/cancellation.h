@@ -22,18 +22,14 @@ class CancellationToken {
 };
 
 /// Prefix cancellation for deterministic early abort over an indexed task
-/// range.
+/// range (RunPreparedRewrite's enumeration subtrees and Phase-2 checks).
 ///
 /// The algorithm stops at the FIRST failing canonical database, as the
-/// inline schedule of RunPreparedRewrite (rewriting/equiv_rewriter.h)
-/// does; a pooled run may observe failures out of order.  To reproduce the
-/// inline answer byte-for-byte, a failure at index i only cancels work at
-/// indices strictly greater than i: tasks below i must still run, because
-/// one of them may fail at an even smaller index and become the failure
-/// the inline run would have reported.  `cutoff()` therefore converges to
-/// the minimal failing index — exactly the database the inline schedule
-/// stops at — and everything merged afterwards is the prefix the inline
-/// run would have produced.
+/// inline schedule does; a pooled run may observe failures out of order.
+/// So a failure in task i only cancels tasks past i: those below must still
+/// run, as one may fail at a smaller index and be the failure the inline
+/// run reports.  The cutoff converges to the minimal failing index, and
+/// everything merged up to it is the inline run's prefix.
 class PrefixCancel {
  public:
   static constexpr int64_t kNone = std::numeric_limits<int64_t>::max();
@@ -52,14 +48,6 @@ class PrefixCancel {
   bool ShouldRun(int64_t index) const {
     return index <= cutoff_.load(std::memory_order_relaxed);
   }
-
-  bool triggered() const {
-    return cutoff_.load(std::memory_order_relaxed) != kNone;
-  }
-
-  /// The minimal failing index seen so far (kNone when none).  Only final
-  /// once every task at or below the current value has completed.
-  int64_t cutoff() const { return cutoff_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> cutoff_{kNone};

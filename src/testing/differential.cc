@@ -69,9 +69,11 @@ std::vector<LatticeConfig> FullConfigLattice() {
 std::vector<LatticeConfig> SmokeConfigLattice() {
   std::vector<LatticeConfig> lattice;
   lattice.push_back(LatticeConfig{});  // serial baseline
-  LatticeConfig parallel;
-  parallel.jobs = 4;
-  lattice.push_back(parallel);
+  for (const int jobs : {2, 4}) {  // the pooled driver, two pool sizes
+    LatticeConfig parallel;
+    parallel.jobs = jobs;
+    lattice.push_back(parallel);
+  }
   LatticeConfig no_dedup;
   no_dedup.phase1_dedup = false;
   lattice.push_back(no_dedup);

@@ -59,7 +59,7 @@ struct LatticeConfig {
 std::vector<LatticeConfig> FullConfigLattice();
 
 /// The cheap subset for time-boxed smoke runs and corpus replay: serial
-/// baseline, parallel, no-dedup, legacy engines, verify.
+/// baseline, jobs 2 and 4, no-dedup, legacy engines, verify, catalog.
 std::vector<LatticeConfig> SmokeConfigLattice();
 
 /// The configuration-invariant projection of a RewriteResult.  Fields

@@ -2,6 +2,8 @@
 
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "constraints/ac_solver.h"
 #include "gtest/gtest.h"
@@ -36,20 +38,84 @@ TEST(OrdersTest, CountsMatchOrderedBellNumbers) {
 }
 
 TEST(OrdersTest, CountTotalOrdersClosedForm) {
-  EXPECT_EQ(CountTotalOrders(0), 1);
-  EXPECT_EQ(CountTotalOrders(1), 1);
-  EXPECT_EQ(CountTotalOrders(2), 3);
-  EXPECT_EQ(CountTotalOrders(3), 13);
-  EXPECT_EQ(CountTotalOrders(4), 75);
-  EXPECT_EQ(CountTotalOrders(5), 541);
-  EXPECT_EQ(CountTotalOrders(6), 4683);
-  EXPECT_EQ(CountTotalOrders(7), 47293);
-  EXPECT_EQ(CountTotalOrders(8), 545835);
+  EXPECT_EQ(CountTotalOrders(0, 0), 1);
+  EXPECT_EQ(CountTotalOrders(1, 0), 1);
+  EXPECT_EQ(CountTotalOrders(2, 0), 3);
+  EXPECT_EQ(CountTotalOrders(3, 0), 13);
+  EXPECT_EQ(CountTotalOrders(4, 0), 75);
+  EXPECT_EQ(CountTotalOrders(5, 0), 541);
+  EXPECT_EQ(CountTotalOrders(6, 0), 4683);
+  EXPECT_EQ(CountTotalOrders(7, 0), 47293);
+  EXPECT_EQ(CountTotalOrders(8, 0), 545835);
   // The largest Fubini number that fits in int64_t, then saturation.
-  EXPECT_EQ(CountTotalOrders(18), 3385534663256845323);
+  EXPECT_EQ(CountTotalOrders(18, 0), 3385534663256845323);
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   for (const int n : {19, 20, 40, 100}) {
-    EXPECT_EQ(CountTotalOrders(n), kMax) << n;
+    EXPECT_EQ(CountTotalOrders(n, 0), kMax) << n;
+  }
+}
+
+// CountTotalOrders with constants is exactly what ForEachTotalOrder visits.
+TEST(OrdersTest, CountTotalOrdersMatchesEnumerationWithConstants) {
+  for (int n = 0; n <= 6; ++n) {
+    for (int k = 0; k <= 3; ++k) {
+      std::vector<std::string> vars;
+      for (int i = 0; i < n; ++i) vars.push_back("V" + std::to_string(i));
+      std::vector<Rational> constants;
+      for (int i = 0; i < k; ++i) constants.push_back(Rational(10 * i));
+      int64_t count = 0;
+      ForEachTotalOrder(vars, constants, [&count](const TotalOrder&) {
+        ++count;
+        return true;
+      });
+      EXPECT_EQ(count, CountTotalOrders(n, k)) << n << " vars, " << k;
+    }
+  }
+  // 6 variables and one constant: the chain query's 47293 databases.
+  EXPECT_EQ(CountTotalOrders(6, 1), 47293);
+  EXPECT_EQ(CountOrderCompletions(2, 0), 1);
+  EXPECT_EQ(CountOrderCompletions(-1, 2), 0);
+  EXPECT_EQ(CountOrderCompletions(1, -1), 0);
+  EXPECT_EQ(CountOrderCompletions(40, 40),
+            std::numeric_limits<int64_t>::max());
+}
+
+// The depth-d prefixes split the enumeration: their completion counts sum
+// to the total, and completing them in order replays ForEachTotalOrder's
+// exact sequence.
+TEST(OrdersTest, PrefixCompletionsReplayTheEnumeration) {
+  const std::vector<std::string> vars = {"A", "B", "C", "D", "E"};
+  for (const std::vector<Rational>& constants :
+       {std::vector<Rational>{}, std::vector<Rational>{Rational(8)},
+        std::vector<Rational>{Rational(9), Rational(1)}}) {
+    std::vector<std::string> expected;
+    ForEachTotalOrder(vars, constants, [&expected](const TotalOrder& o) {
+      expected.push_back(o.ToString());
+      return true;
+    });
+    const int k = static_cast<int>(constants.size());
+    for (int depth = 0; depth <= static_cast<int>(vars.size()); ++depth) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + ", " +
+                   std::to_string(k) + " constants");
+      const std::vector<TotalOrder> prefixes =
+          TotalOrderPrefixes(vars, constants, depth);
+      EXPECT_EQ(static_cast<int64_t>(prefixes.size()),
+                CountTotalOrders(depth, k));
+      int64_t counted = 0;
+      std::vector<std::string> replayed;
+      for (const TotalOrder& prefix : prefixes) {
+        counted += CountOrderCompletions(
+            static_cast<int>(prefix.blocks.size()),
+            static_cast<int>(vars.size()) - depth);
+        ForEachCompletion(vars, depth, prefix,
+                          [&replayed](const TotalOrder& o) {
+                            replayed.push_back(o.ToString());
+                            return true;
+                          });
+      }
+      EXPECT_EQ(counted, CountTotalOrders(static_cast<int>(vars.size()), k));
+      EXPECT_EQ(replayed, expected);
+    }
   }
 }
 
@@ -208,7 +274,7 @@ TEST_P(OrdersCountProperty, EnumerationMatchesFubini) {
     ++count;
     return true;
   });
-  EXPECT_EQ(count, CountTotalOrders(n));
+  EXPECT_EQ(count, CountTotalOrders(n, 0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OrdersCountProperty, ::testing::Range(1, 6));

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "constraints/orders.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "parser/parser.h"
@@ -171,12 +172,12 @@ TEST(ParallelRewriterTest, DeterministicWithOutputOptions) {
 }
 
 // A guaranteed-failing canonical database (views over a predicate foreign
-// to the query produce no tuples anywhere) must cancel outstanding tasks,
-// observable via the scheduling report — and still reproduce the serial
-// answer, which stops at the FIRST failing database.
+// to the query produce no tuples anywhere) must cancel outstanding subtree
+// tasks, observable via the scheduling report — and still reproduce the
+// serial answer, which stops at the FIRST failing database.
 TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
   const ConjunctiveQuery query = Parser::MustParseRule(
-      "q(X) :- p0(X,Y), p0(Y,Z), p0(Z,W)");
+      "q(X) :- p0(X,Y), p0(Y,Z), p0(Z,W), p0(W,U)");
   const ViewSet views(
       Parser::MustParseProgram("v(A) :- z9(A,B)."));
 
@@ -195,16 +196,148 @@ TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
   ExpectResultsEqual(serial, parallel, "cancellation");
   EXPECT_EQ(report.jobs, 4);
 
-  // 4 variables => 75 canonical databases, but the driver streams them
-  // through a bounded window and stops enumerating once the first
-  // failure merges, so the fan-out may stop short of 75; the first
-  // failure cancels (almost) everything fanned out behind it.
-  EXPECT_GT(report.db_tasks_total, 0);
-  EXPECT_LE(report.db_tasks_total, 75);
+  // 5 variables => 541 canonical databases.  Four threads want at least
+  // 64 subtrees, so the split is at depth 4: 75 subtree tasks, all handed
+  // out.  The failure in subtree 0 cancels every later subtree that has
+  // not started yet.
+  EXPECT_EQ(report.db_tasks_total, 75);
   EXPECT_GT(report.db_tasks_cancelled, 0);
   EXPECT_EQ(report.db_tasks_executed + report.db_tasks_cancelled,
             report.db_tasks_total);
   EXPECT_LT(report.db_tasks_executed, report.db_tasks_total);
+}
+
+// A chain query of the perfbench `chain` shape, one variable shorter:
+// 5 variables and the constant 8, so 4683 canonical databases.  Two and
+// four threads both split it at depth 3 into 75 subtrees.
+constexpr char kChainQuery[] =
+    "q(A) :- r1(A,B), r2(B,C), r3(C,D), r4(D,E), A <= 8";
+constexpr char kChainViews[] =
+    "v1(A,C) :- r1(A,B), r2(B,C).\n"
+    "v2(C) :- r3(C,D), r4(D,E).";
+constexpr int kChainSplitDepth = 3;
+
+// offsets[s]: the serial index of subtree s's first database; the last
+// entry is the total.
+std::vector<int64_t> ChainSubtreeOffsets() {
+  std::vector<int64_t> offsets = {0};
+  for (const TotalOrder& prefix : TotalOrderPrefixes(
+           {"A", "B", "C", "D", "E"}, {Rational(8)}, kChainSplitDepth)) {
+    offsets.push_back(offsets.back() +
+                      CountOrderCompletions(
+                          static_cast<int>(prefix.blocks.size()),
+                          5 - kChainSplitDepth));
+  }
+  return offsets;
+}
+
+// Every run of `query` at jobs 1/2/4 under `options` must agree, including
+// the explain tableau.  Returns the serial result.
+RewriteResult ExpectChainParity(const std::string& query,
+                                const ViewSet& views, RewriteOptions options,
+                                const std::string& context) {
+  const ConjunctiveQuery q = Parser::MustParseRule(query);
+  options.jobs = 1;
+  const RewriteResult serial = EquivalentRewriter(q, views, options).Run();
+  for (const int jobs : {2, 4}) {
+    options.jobs = jobs;
+    ThreadPool pool(jobs);
+    ParallelRewriteReport report;
+    const RewriteResult parallel = RunDirect(q, views, options, &pool, &report);
+    const std::string where = context + " jobs=" + std::to_string(jobs);
+    ExpectResultsEqual(serial, parallel, where);
+    EXPECT_EQ(TableauToString(serial.trace), TableauToString(parallel.trace))
+        << where;
+    EXPECT_LE(report.db_tasks_total, 75) << where;
+    EXPECT_EQ(report.db_tasks_executed + report.db_tasks_cancelled,
+              report.db_tasks_total)
+        << where;
+  }
+  return serial;
+}
+
+TEST(ParallelRewriterTest, ChainQueryParityWithExplain) {
+  EXPECT_EQ(CountTotalOrders(5, 1), 4683);
+  EXPECT_EQ(ChainSubtreeOffsets().size(), 76u);
+  const ViewSet views(Parser::MustParseProgram(kChainViews));
+  RewriteOptions options;
+  const RewriteResult plain =
+      ExpectChainParity(kChainQuery, views, options, "plain");
+  EXPECT_EQ(plain.outcome, RewriteOutcome::kRewritingFound);
+  EXPECT_EQ(plain.stats.canonical_databases, 4683);
+
+  // Every subtree is handed out and runs when nothing fails.
+  ParallelRewriteReport report;
+  options.jobs = 2;
+  RunDirect(Parser::MustParseRule(kChainQuery), views, options, nullptr,
+            &report);
+  EXPECT_EQ(report.db_tasks_total, 75);
+  EXPECT_EQ(report.db_tasks_executed, 75);
+
+  options.explain = true;
+  const RewriteResult explained =
+      ExpectChainParity(kChainQuery, views, options, "explain");
+  EXPECT_EQ(static_cast<int64_t>(explained.trace.databases.size()), 4683);
+}
+
+// max_canonical_databases inside a subtree, exactly on the boundaries
+// after the first and second subtrees, and on and past the total.
+TEST(ParallelRewriterTest, ChainQueryBudgetParity) {
+  const std::vector<int64_t> offsets = ChainSubtreeOffsets();
+  ASSERT_EQ(offsets[1], 13);
+  ASSERT_EQ(offsets[2], 44);
+  ASSERT_EQ(offsets.back(), 4683);
+
+  const ViewSet views(Parser::MustParseProgram(kChainViews));
+  for (const int64_t budget : {int64_t{7}, offsets[1], offsets[2],
+                               int64_t{30}, int64_t{4682}, int64_t{4683},
+                               int64_t{5000}}) {
+    const std::string context = "budget=" + std::to_string(budget);
+    RewriteOptions options;
+    options.max_canonical_databases = budget;
+    const RewriteResult serial =
+        ExpectChainParity(kChainQuery, views, options, context);
+    if (budget < 4683) {
+      EXPECT_EQ(serial.outcome, RewriteOutcome::kAborted) << context;
+      // The abort-triggering database is counted.
+      EXPECT_EQ(serial.stats.canonical_databases, budget + 1) << context;
+    } else {
+      EXPECT_EQ(serial.outcome, RewriteOutcome::kRewritingFound) << context;
+      EXPECT_EQ(serial.stats.canonical_databases, 4683) << context;
+    }
+  }
+}
+
+// v1 covers r1/r2 only when B <= 8, so the first kept database with B > 8
+// fails.  The query keeps only databases with D > B, which puts that
+// failure deep inside subtree 8 of 75 (prefix A = C = 8 < B): the
+// subtrees before it must all merge, and the ones after it, running
+// meanwhile, are cancelled and dropped.
+TEST(ParallelRewriterTest, ChainQueryFailureInMiddleSubtree) {
+  const ViewSet views(Parser::MustParseProgram(
+      "v1(A,C) :- r1(A,B), r2(B,C), B <= 8.\n"
+      "v2(C) :- r3(C,D), r4(D,E)."));
+  const std::string query = std::string(kChainQuery) + ", D > B";
+  const RewriteResult serial =
+      ExpectChainParity(query, views, RewriteOptions(), "middle failure");
+  ASSERT_EQ(serial.outcome, RewriteOutcome::kNoRewriting);
+  // Subtree 8's first 24 orders have D <= B and are skipped; the 25th
+  // places D above B and fails.
+  const std::vector<int64_t> offsets = ChainSubtreeOffsets();
+  EXPECT_EQ(offsets[8], 308);
+  EXPECT_EQ(serial.stats.canonical_databases, offsets[8] + 25);
+  EXPECT_LT(offsets[8] + 25, offsets[9]);
+
+  // Subtrees 0-8 all run (any of them could hold an earlier failure);
+  // some of the 66 after the failing one are cancelled.
+  ThreadPool pool(4);
+  ParallelRewriteReport report;
+  RewriteOptions options;
+  options.jobs = 4;
+  RunDirect(Parser::MustParseRule(query), views, options, &pool, &report);
+  EXPECT_EQ(report.db_tasks_total, 75);
+  EXPECT_GE(report.db_tasks_executed, 9);
+  EXPECT_GT(report.db_tasks_cancelled, 0);
 }
 
 // The serial abort semantics (budget counts the abort-triggering
