@@ -72,9 +72,8 @@ void BM_Homomorphism_Legacy(benchmark::State& state) {
   state.counters["mappings"] = static_cast<double>(mappings);
 }
 
-// First-mapping-only: the decision variant MiniCon and the bucket
-// algorithm actually call; dominated by compile + first dive, not
-// enumeration.
+// First-mapping-only: the decision variant CQ containment calls;
+// dominated by compile + first dive, not enumeration.
 void BM_Homomorphism_Find_Compiled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const cqac::ConjunctiveQuery from = Chain(n);

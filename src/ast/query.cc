@@ -47,18 +47,6 @@ std::vector<std::string> ConjunctiveQuery::AllVariables() const {
   return out;
 }
 
-std::vector<std::string> ConjunctiveQuery::NondistinguishedVariables() const {
-  std::unordered_set<std::string> head_vars;
-  for (const Term& t : head_.args()) {
-    if (t.IsVariable()) head_vars.insert(t.name());
-  }
-  std::vector<std::string> out;
-  for (const std::string& v : BodyVariables()) {
-    if (head_vars.find(v) == head_vars.end()) out.push_back(v);
-  }
-  return out;
-}
-
 std::vector<Rational> ConjunctiveQuery::Constants() const {
   std::set<Rational, std::less<Rational>> seen;
   auto collect = [&seen](const Term& t) {

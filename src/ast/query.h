@@ -62,10 +62,6 @@ class ConjunctiveQuery {
   /// first-seen order.
   std::vector<std::string> AllVariables() const;
 
-  /// Variables that occur in the body but not in the head (the
-  /// nondistinguished/existential variables).
-  std::vector<std::string> NondistinguishedVariables() const;
-
   /// Distinct constants occurring anywhere in the query (head, ordinary
   /// subgoals, and comparisons), in ascending order.
   std::vector<Rational> Constants() const;

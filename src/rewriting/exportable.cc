@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <unordered_set>
 
 #include "constraints/ac_solver.h"
-#include "constraints/inequality_graph.h"
 
 namespace cqac {
 
@@ -30,26 +30,30 @@ void ForEachPartition(int n, const std::function<void(
   rec(0, -1);
 }
 
-}  // namespace
-
-std::vector<std::string> ExportableVariables(const ConjunctiveQuery& view) {
-  const InequalityGraph graph(view.comparisons());
-  const std::vector<std::string> distinguished = view.HeadVariables();
-  std::vector<std::string> out;
-  for (const std::string& x : view.NondistinguishedVariables()) {
-    if (graph.IsExportable(x, distinguished)) out.push_back(x);
+/// Hash compatible with `operator==` over the head and body; variants
+/// carry no comparisons.
+struct VariantHash {
+  size_t operator()(const ConjunctiveQuery& q) const {
+    size_t h = q.head().Hash();
+    for (const Atom& a : q.body()) {
+      h ^= a.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return h;
   }
-  return out;
-}
+};
+
+}  // namespace
 
 std::vector<ConjunctiveQuery> BuildV0Variants(const ConjunctiveQuery& view) {
   const std::vector<std::string> head_vars = view.HeadVariables();
   const int n = static_cast<int>(head_vars.size());
 
+  // Bell(n) candidates: dedup through a hash set, keeping first
+  // occurrences in enumeration order.
   std::vector<ConjunctiveQuery> variants;
-  auto add_variant = [&variants](ConjunctiveQuery candidate) {
-    if (std::find(variants.begin(), variants.end(), candidate) ==
-        variants.end()) {
+  std::unordered_set<ConjunctiveQuery, VariantHash> seen;
+  auto add_variant = [&variants, &seen](ConjunctiveQuery candidate) {
+    if (seen.insert(candidate).second) {
       variants.push_back(std::move(candidate));
     }
   };

@@ -1,7 +1,6 @@
 #ifndef CQAC_REWRITING_EXPORTABLE_H_
 #define CQAC_REWRITING_EXPORTABLE_H_
 
-#include <string>
 #include <vector>
 
 #include "ast/query.h"
@@ -29,11 +28,6 @@ namespace cqac {
 /// comparisons, and deduplicates the results.  The original head predicate
 /// is kept, so variants are usable wherever the view is.
 std::vector<ConjunctiveQuery> BuildV0Variants(const ConjunctiveQuery& view);
-
-/// The variables of `view` that are exportable per Lemma 1 (nonempty
-/// leq-set and geq-set in the inequality graph).  Exposed for tests and
-/// diagnostics; BuildV0Variants does not depend on it.
-std::vector<std::string> ExportableVariables(const ConjunctiveQuery& view);
 
 }  // namespace cqac
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "containment/cq_containment.h"
+#include "engine/evaluate.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 #include "rewriting/expansion.h"
@@ -202,6 +203,26 @@ TEST(MiniConRewritingsTest, NoRewritingWhenSubgoalUncoverable) {
   const UnionQuery rewritings =
       MiniConRewritings(q, Rules("v(T) :- a(T)"));
   EXPECT_TRUE(rewritings.empty());
+}
+
+TEST(MiniConRewritingsTest, AnswersOverViewExtension) {
+  // The union of the MiniCon rewritings, evaluated over a view extension,
+  // gives the certain answers of a plain CQ.
+  const ConjunctiveQuery q =
+      Parser::MustParseRule("q(X,Z) :- a(X,Y), b(Y,Z)");
+  const std::vector<ConjunctiveQuery> views = Rules(
+      "v1(T,W) :- a(T,W).\n"
+      "v2(W,U) :- b(W,U).\n"
+      "v3(T,U) :- a(T,W), b(W,U).");
+
+  Database extension;
+  extension.Insert("v1", {Rational(1), Rational(2)});
+  extension.Insert("v2", {Rational(2), Rational(3)});
+  extension.Insert("v3", {Rational(7), Rational(9)});
+
+  const Relation answers =
+      Evaluate(MiniConRewritings(q, views), extension);
+  EXPECT_EQ(answers.ToString(), "{(1,3), (7,9)}");
 }
 
 }  // namespace

@@ -47,12 +47,6 @@ TEST(QueryTest, AllVariablesIncludesComparisonOnlyVars) {
   EXPECT_EQ(q.AllVariables(), (std::vector<std::string>{"X", "W"}));
 }
 
-TEST(QueryTest, NondistinguishedVariables) {
-  const ConjunctiveQuery q = Parser::MustParseRule("q(X) :- a(X,Y), b(Y,Z)");
-  EXPECT_EQ(q.NondistinguishedVariables(),
-            (std::vector<std::string>{"Y", "Z"}));
-}
-
 TEST(QueryTest, ConstantsSortedAndDeduped) {
   const ConjunctiveQuery q =
       Parser::MustParseRule("q(X) :- a(X,7), b(2,X), X < 7, X > 0.5");
