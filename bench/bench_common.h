@@ -183,9 +183,9 @@ inline std::string BuildType() {
 /// (--jobs N, --json <path>), hands the rest to Google Benchmark, and
 /// writes the trajectory record when asked.  The JSON schema is {name,
 /// git_commit, build_type, cpus, debug_build, wall_ms, jobs,
-/// benchmarks[]} — one file per run, accumulated as BENCH_*.json
-/// trajectory files under results/.  Exits 1 when a run
-/// errored (SkipWithError), so a perfsmoke test fails on a wrong answer.
+/// benchmarks[]} — one file per run, as the bench_*.json records under
+/// results/.  Exits 1 when a run errored (SkipWithError), so a wrong
+/// answer fails the binary.
 inline int BenchMain(int argc, char** argv) {
   if (kDebugBuild) {
     std::fprintf(
@@ -195,7 +195,7 @@ inline int BenchMain(int argc, char** argv) {
         "Assertions are on; timings are NOT comparable to the\n"
         "checked-in results/.  Rebuild with\n"
         "  cmake -DCMAKE_BUILD_TYPE=Release\n"
-        "(tools/run_benches.sh does this) before recording numbers.\n"
+        "before recording numbers.\n"
         "========================================================\n");
   }
   std::string name = argc > 0 ? argv[0] : "bench";

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewriting/exportable.h"
+#include "runtime/memo_cache.h"
 
 namespace cqac {
 

@@ -47,7 +47,6 @@
 #include "ast/query.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_set.h"
-#include "runtime/memo_cache.h"
 
 namespace cqac {
 
@@ -65,7 +64,10 @@ struct CatalogStats {
   int64_t semantic_hits = 0;
   int64_t semantic_misses = 0;
   // Always 0; read by perfbench/src/served.cc:398-401.
-  MemoCacheStats containment;
+  struct {
+    int64_t hits = 0;
+    int64_t misses = 0;
+  } containment;
 };
 
 class ViewCatalog {

@@ -192,7 +192,7 @@ namespace internal {
 /// ForEachTotalOrder insertion tree and tests the axioms with the
 /// constraint solver at every leaf.  Retained as the differential-testing
 /// oracle for ForEachSatisfyingOrderPruned and as the "unpruned" side of
-/// bench_phase1's node counts.
+/// the node counts phase1_incremental_test pins.
 void ForEachSatisfyingOrderLegacy(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants,

@@ -84,8 +84,8 @@ class CanonicalFreezer {
   const FlatInstance& Freeze(const TotalOrder& order);
 
   /// Freezes from scratch (clear + refill), marking every relation
-  /// changed.  Same result as Freeze; retained as the reference path and
-  /// as the "full" side of bench_phase1's delta-vs-full comparison.
+  /// changed.  Same result as Freeze; retained as the reference path that
+  /// phase1_incremental_test holds the delta form to.
   const FlatInstance& FreezeFull(const TotalOrder& order);
 
   /// The frozen head tuple of the last Freeze.  Empty for boolean queries.

@@ -353,26 +353,23 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
   }
 
   // Databases with equal structural keys share one Phase-1 conclusion:
-  // on a (verified) fingerprint hit the kept count, combination verdict,
-  // and Pre-Rewriting body are replayed, and only the order-dependent
-  // projected comparisons are rebuilt.  Explain runs bypass the memo so
-  // every database's trace stays complete.
+  // on a memo hit the kept count, combination verdict, and Pre-Rewriting
+  // body are replayed, and only the order-dependent projected comparisons
+  // are rebuilt.  Explain runs bypass the memo so every database's trace
+  // stays complete.
   if (options.explain) memo = nullptr;
   std::string memo_key;
-  Phase1Fingerprint memo_fp;
   if (memo != nullptr) {
-    Phase1Entry entry;
-    bool hit;
+    const Phase1Entry* entry = nullptr;
     {
       CQAC_TRACE_SPAN("phase1.memo_probe");
       memo_key = BuildPhase1Key(*cache.freezer, *cache.evaluator);
-      memo_fp = FingerprintPhase1Key(memo_key);
-      hit = memo->Get(memo_fp, memo_key, &entry);
+      entry = memo->Find(memo_key);
     }
-    if (hit) {
+    if (entry != nullptr) {
       ++out.stats.phase1_memo_hits;
-      out.stats.mcds_kept_total += entry.mcds_kept;
-      if (!entry.combination_exists) {
+      out.stats.mcds_kept_total += entry->mcds_kept;
+      if (!entry->combination_exists) {
         out.status = DatabaseOutcome::Status::kFailed;
         out.failure_reason =
             "no MiniCon combination covers the query on canonical "
@@ -381,13 +378,13 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
         return out;
       }
       std::vector<Atom> body;
-      body.reserve(entry.body_mcds.size());
-      for (const int i : entry.body_mcds) {
+      body.reserve(entry->body_mcds.size());
+      for (const int i : entry->body_mcds) {
         body.push_back(work.mcds[i].view_tuple);
       }
       out.pre_rewriting =
           ConjunctiveQuery(work.query.head(), std::move(body),
-                           order.ProjectedComparisons(entry.body_vars));
+                           order.ProjectedComparisons(entry->body_vars));
       out.status = DatabaseOutcome::Status::kKept;
       return out;
     }
@@ -451,11 +448,9 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
   // Step 3.5: MiniCon phase 2 as an existence check.
   if (!McdCombinationExists(work.mcds, kept, work.num_subgoals)) {
     if (memo != nullptr) {
-      memo->Put(memo_fp,
-                Phase1Entry{std::move(memo_key), false,
-                            static_cast<int64_t>(kept.size()),
-                            {},
-                            {}});
+      memo->Insert(std::move(memo_key),
+                   Phase1Entry{false, static_cast<int64_t>(kept.size()), {},
+                               {}});
     }
     out.status = DatabaseOutcome::Status::kFailed;
     out.failure_reason =
@@ -520,10 +515,9 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     }
   }
   if (memo != nullptr) {
-    memo->Put(memo_fp,
-              Phase1Entry{std::move(memo_key), true,
-                          static_cast<int64_t>(kept.size()), body_idx,
-                          body_vars});
+    memo->Insert(std::move(memo_key),
+                 Phase1Entry{true, static_cast<int64_t>(kept.size()),
+                             body_idx, body_vars});
   }
   ConjunctiveQuery pre(work.query.head(), std::move(body),
                        order.ProjectedComparisons(body_vars));
@@ -680,19 +674,6 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   report->jobs = pool != nullptr ? pool->num_threads() : 1;
   const int64_t stolen_before = pool != nullptr ? pool->tasks_stolen() : 0;
 
-  // The Phase-1 memo lives and dies with this run (its entries index
-  // into `work`).  Shared by every worker (sharded; first writer wins):
-  // which worker takes the miss for a structural key races, so the
-  // hit/miss *split* can vary with the schedule, but every replayed
-  // conclusion is verified against the full key, so outcomes,
-  // Pre-Rewritings, and the hit+miss total cannot.
-  std::optional<Phase1Memo> local_memo;
-  Phase1Memo* phase1_memo = nullptr;
-  if (driver.phase1_dedup && !explain) {
-    local_memo.emplace();
-    phase1_memo = &*local_memo;
-  }
-
   // --- Phase 1: one Pre-Rewriting per kept canonical database ---
   //
   // One task per enumeration subtree, split at the smallest depth giving
@@ -759,6 +740,9 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     // other workers, so writing the slot per database would share lines.
     SubtreeOutcome out;
     std::set<std::string> seen;
+    // The subtree's own Phase-1 memo: one thread runs the subtree start
+    // to finish, so the hit/miss split depends only on the partition.
+    Phase1Memo memo;
     ForEachCompletion(
         variables, depth, prefixes[static_cast<size_t>(s)],
         [&](const TotalOrder& order) {
@@ -766,8 +750,8 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
               out.stats.canonical_databases == limits[s]) {
             return false;
           }
-          DatabaseOutcome db =
-              ProcessCanonicalDatabase(work, order, phase1_memo);
+          DatabaseOutcome db = ProcessCanonicalDatabase(
+              work, order, driver.phase1_dedup ? &memo : nullptr);
           ++out.stats.canonical_databases;
           out.stats.Merge(db.stats);
           if (explain) out.traces.push_back(std::move(db.trace));

@@ -68,14 +68,14 @@ struct RewriteOptions {
   /// disjunct.
   bool minimize_output = false;
 
-  /// Share Phase-1 conclusions between canonical databases with equal
-  /// structural fingerprints (same unfrozen view-tuple multiset and
-  /// variable-to-block map): the pruning, combination check, and
-  /// Pre-Rewriting body are computed once and replayed, with only the
-  /// order-dependent comparisons rebuilt per database.  Results are
-  /// byte-identical either way; only the phase1_memo_* counters and wall
-  /// time change.  Treated as false when `explain` is set, so traces stay
-  /// complete.
+  /// Share Phase-1 conclusions between the canonical databases of one
+  /// Phase-1 subtree task that have equal structural keys (same unfrozen
+  /// view-tuple multiset and variable-to-block map): the pruning,
+  /// combination check, and Pre-Rewriting body are computed once and
+  /// replayed, with only the order-dependent comparisons rebuilt per
+  /// database.  Results are byte-identical either way; only the
+  /// phase1_memo_* counters and wall time change.  Treated as false when
+  /// `explain` is set, so traces stay complete.
   bool phase1_dedup = true;
 
   /// Collect a per-canonical-database trace (RewriteResult::trace),
@@ -294,8 +294,8 @@ struct DatabaseOutcome {
 /// `memo`, when non-null, deduplicates the pruning / combination /
 /// body-assembly work across canonical databases with equal structural
 /// keys (see Phase1Entry in runtime/memo_cache.h).  The memo must belong
-/// to this run — its entries index into work.mcds — and sharing it across
-/// worker threads is safe.  Results are byte-identical with or without it.
+/// to this run — its entries index into work.mcds — and to the calling
+/// thread.  Results are byte-identical with or without it.
 DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
                                          const TotalOrder& order,
                                          Phase1Memo* memo = nullptr);
@@ -357,14 +357,15 @@ struct ParallelRewriteReport {
 /// merge in enumeration order, each subtree once it and every earlier one
 /// are done, so the result (outcome, rewriting, failure reason, trace, and
 /// every stat but the wall times and the Phase-1 memo hit/miss split) is
-/// byte-identical for every thread count and task interleaving.
+/// byte-identical for every thread count and task interleaving.  The split
+/// depends on the subtree partition, so it is fixed for a given `jobs`.
 ///
 /// Phase semantics (pruning, simplification, explain, ...) come from
 /// work.options; `driver` supplies only the scheduling-level knobs read per
 /// request: `jobs`, `cancel`, `max_canonical_databases` and
 /// `phase1_dedup`.  For the one-shot path the two are the same object.
 ///
-/// The Phase-1 memo is run-local, created per driver.phase1_dedup.
+/// With driver.phase1_dedup, each subtree task owns one Phase-1 memo.
 /// `report`, when non-null, receives the scheduling telemetry.  The run's
 /// counters are folded into the metrics registry (obs/metrics.h).
 ///

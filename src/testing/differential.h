@@ -20,7 +20,8 @@ struct LatticeConfig {
   /// else fans them out over a work-stealing thread pool.
   int jobs = 1;
 
-  /// RewriteOptions::phase1_dedup — the Phase-1 fingerprint memo.
+  /// RewriteOptions::phase1_dedup — the per-subtree Phase-1 memo; off is
+  /// the lattice's no-memo reference.
   bool phase1_dedup = true;
 
   /// Route ForEachSatisfyingOrderPruned through the legacy

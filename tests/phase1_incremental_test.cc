@@ -1,16 +1,14 @@
 // Differential and property tests for the incremental Phase-1 pipeline:
 // the prefix-pruned satisfying-order enumeration (against the naive
 // enumerate-then-filter reference), symmetry-orbit expansion, delta
-// freezing, the indexed frozen-tuple matcher, and the fingerprint memo.
+// freezing, the indexed frozen-tuple matcher, and the Phase-1 memo.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -537,13 +535,13 @@ TEST(Phase1MemoTest, DedupOnAndOffAreByteIdentical) {
   }
 }
 
-TEST(Phase1MemoTest, ParallelRunSharesOneMemoAndStaysIdentical) {
+TEST(Phase1MemoTest, ParallelMemoSplitIsDeterministic) {
   WorkloadConfig config;
   config.num_variables = 4;
   config.num_constants = 2;
   config.num_subgoals = 3;
   config.num_views = 4;
-  config.seed = 1001;
+  config.seed = 1002;
   const WorkloadInstance instance = WorkloadGenerator(config).Generate();
   RewriteOptions serial_options;
   serial_options.phase1_dedup = false;
@@ -552,17 +550,21 @@ TEST(Phase1MemoTest, ParallelRunSharesOneMemoAndStaysIdentical) {
   parallel_options.jobs = 4;
   const RewriteResult serial =
       EquivalentRewriter(instance.query, instance.views, serial_options).Run();
-  const RewriteResult parallel =
+  const RewriteResult first =
       EquivalentRewriter(instance.query, instance.views, parallel_options)
           .Run();
-  ExpectSameResultModuloMemoCounters(serial, parallel);
-  // The hit/miss *split* races (first writer wins), but the total is the
-  // number of databases that consulted the memo.
-  if (parallel.outcome == RewriteOutcome::kRewritingFound) {
-    EXPECT_EQ(
-        parallel.stats.phase1_memo_hits + parallel.stats.phase1_memo_misses,
-        parallel.stats.kept_canonical_databases);
-  }
+  const RewriteResult second =
+      EquivalentRewriter(instance.query, instance.views, parallel_options)
+          .Run();
+  ExpectSameResultModuloMemoCounters(serial, first);
+  ASSERT_EQ(first.outcome, RewriteOutcome::kRewritingFound);
+  // Each subtree task owns its memo, so the hit/miss split is a function
+  // of the jobs-dependent subtree partition, not of the interleaving.
+  EXPECT_EQ(first.stats.phase1_memo_hits, second.stats.phase1_memo_hits);
+  EXPECT_EQ(first.stats.phase1_memo_misses, second.stats.phase1_memo_misses);
+  EXPECT_EQ(first.stats.phase1_memo_hits + first.stats.phase1_memo_misses,
+            first.stats.kept_canonical_databases);
+  EXPECT_GT(first.stats.phase1_memo_hits, 0);
 }
 
 TEST(Phase1MemoTest, ExplainBypassesTheMemo) {
@@ -579,82 +581,22 @@ TEST(Phase1MemoTest, ExplainBypassesTheMemo) {
   EXPECT_FALSE(result.trace.databases.empty());
 }
 
-TEST(Phase1MemoTest, VerifyOnHitNeverReturnsAForeignEntry) {
-  // Same fingerprint can only collide across distinct keys by luck; force
-  // the issue by storing under one key and probing with another that maps
-  // to the same shard bucket only if the fingerprints truly collide (they
-  // will not, but the Get must key-compare regardless).
-  Phase1Memo memo;
-  Phase1Entry entry;
-  entry.key = "alpha";
-  entry.combination_exists = true;
-  entry.mcds_kept = 3;
-  memo.Put(FingerprintPhase1Key("alpha"), entry);
-  Phase1Entry out;
-  EXPECT_TRUE(memo.Get(FingerprintPhase1Key("alpha"), "alpha", &out));
-  EXPECT_EQ(out.mcds_kept, 3);
-  // Probing the *right* fingerprint with the *wrong* key must miss.
-  EXPECT_FALSE(memo.Get(FingerprintPhase1Key("alpha"), "beta", &out));
-  const MemoCacheStats stats = memo.Stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-}
-
 TEST(Phase1MemoTest, CapacityBoundsResidentEntries) {
-  Phase1Memo memo(/*capacity=*/32, /*num_shards=*/4);
+  Phase1Memo memo(/*capacity=*/32);
   for (int i = 0; i < 1000; ++i) {
     Phase1Entry entry;
-    entry.key = "key" + std::to_string(i);
-    memo.Put(FingerprintPhase1Key(entry.key), entry);
+    entry.mcds_kept = i;
+    memo.Insert("key" + std::to_string(i), entry);
+    memo.Insert("key0", entry);  // The first insert of a key wins.
   }
-  EXPECT_LE(memo.size(), 32u);
-  const MemoCacheStats stats = memo.Stats();
-  EXPECT_EQ(stats.insertions + stats.evictions, 1000);
-}
-
-TEST(Phase1MemoTest, ConcurrentHammerKeepsEntriesConsistent) {
-  // Exercised under tsan via the test's label.  Writers race on a small
-  // key universe; first-writer-wins means every Get must observe the
-  // deterministic payload derived from the key, never a torn mix.
-  Phase1Memo memo(/*capacity=*/256, /*num_shards=*/4);
-  constexpr int kKeys = 64;
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 4000;
-  std::atomic<int64_t> verified{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(t);
-      std::uniform_int_distribution<int> pick(0, kKeys - 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const int k = pick(rng);
-        const std::string key = "db-key-" + std::to_string(k);
-        const Phase1Fingerprint fp = FingerprintPhase1Key(key);
-        Phase1Entry out;
-        if (memo.Get(fp, key, &out)) {
-          // Payload is a pure function of the key for every writer.
-          EXPECT_EQ(out.key, key);
-          EXPECT_EQ(out.mcds_kept, k);
-          ASSERT_EQ(out.body_mcds.size(), 1u);
-          EXPECT_EQ(out.body_mcds[0], k);
-          verified.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Phase1Entry entry;
-          entry.key = key;
-          entry.combination_exists = (k % 2) == 0;
-          entry.mcds_kept = k;
-          entry.body_mcds = {k};
-          entry.body_vars = {"X" + std::to_string(k)};
-          memo.Put(fp, entry);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_GT(verified.load(), 0);
-  EXPECT_LE(memo.size(), 256u);
-  const MemoCacheStats stats = memo.Stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
+  EXPECT_EQ(memo.size(), 32u);
+  // The first 32 keys stay resident; the rest were dropped.
+  const Phase1Entry* first = memo.Find("key0");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->mcds_kept, 0);
+  EXPECT_NE(memo.Find("key31"), nullptr);
+  EXPECT_EQ(memo.Find("key32"), nullptr);
+  EXPECT_EQ(memo.Find("key999"), nullptr);
 }
 
 }  // namespace

@@ -92,6 +92,21 @@ TEST(StructureTest, SemiIntervalQuery) {
                    "q(A) :- v0(A,B), B < A, A < 5",
                    "q(A) :- v0(A,B), A < B, B < 5",
                    "q(A) :- v0(A,B), A < 5, 5 < B"});
+
+  // A dense semi-interval self-join: ten r atoms over five variables.
+  const char* dense =
+      "q(X0) :- r(X0,X1), r(X1,X2), r(X2,X3), r(X3,X4), r(X0,X2), "
+      "r(X1,X3), r(X2,X4), r(X0,X3), r(X1,X4), r(X0,X4), X0 < 10, "
+      "X1 < 10, X2 >= 10, X3 >= 10, X4 >= 10";
+  const ViewSet dense_views =
+      Views({"v0(A,B,C) :- r(A,B), r(B,C), A < 10", "v1(A,B) :- r(A,B)"});
+  const RewriteResult serial = Rewrite(dense, dense_views, 1);
+  ASSERT_EQ(serial.outcome, RewriteOutcome::kRewritingFound)
+      << serial.failure_reason;
+  EXPECT_TRUE(serial.verified);
+  EXPECT_EQ(serial.rewriting.size(), 344u);
+  EXPECT_EQ(Rewrite(dense, dense_views, 4).rewriting.ToString(),
+            serial.rewriting.ToString());
 }
 
 TEST(StructureTest, UnsatisfiableComparisonsYieldTheEmptyUnion) {

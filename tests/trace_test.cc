@@ -141,9 +141,10 @@ struct Workload {
 };
 
 /// Span-name multiset of one traced rewrite at the given thread count.
-/// `phase1_dedup` is off: which worker takes the memo miss for a given
-/// structural key races, so the probe/replay span split is the one part
-/// of the pipeline that is thread-count-dependent by design.
+/// `phase1_dedup` is off: each Phase-1 subtree task owns its memo, and
+/// the subtree partition depends on the thread count, so the probe/replay
+/// span split is the one part of the pipeline that varies with `jobs` by
+/// design.
 std::map<std::string, int> SpanCounts(int jobs) {
   Workload w;
   RewriteOptions options;

@@ -73,8 +73,8 @@ void Usage() {
       "  --jobs N            threads for the parallel lattice points\n"
       "                      (default 4, 0 = all cores, max 4096)\n"
       "  --inject-fault none|memo  deliberately break the Phase-1 memo\n"
-      "                      (narrow fingerprints, skip verify-on-hit); the\n"
-      "                      fuzzer must then find and shrink a divergence\n"
+      "                      (4-bit memo keys); the fuzzer must then\n"
+      "                      find and shrink a divergence\n"
       "  --dump-workloads N  print N generated cases as corpus files to\n"
       "                      --out and exit (corpus seeding helper)\n"
       "  --verbose           per-case progress\n");
@@ -303,15 +303,14 @@ class Fuzzer {
 
   int Run() {
     if (flags_.inject_fault == "memo") {
-      // Make natural fingerprint collisions overwhelmingly likely AND
-      // disable the verify-on-hit key compare that would turn them into
-      // harmless misses: the memo now serves wrong entries, and the
-      // phase1_dedup lattice points must diverge from the rest.
-      internal::SetPhase1FingerprintBitsForTest(4);
-      internal::SetPhase1MemoVerifyOnHitForTest(false);
+      // Key every memo entry on a 4-bit hash of its key: unrelated
+      // canonical databases share entries, the memo serves wrong
+      // conclusions, and the phase1_dedup lattice points must diverge
+      // from the rest.
+      internal::SetPhase1MemoKeyCollisionsForTest(true);
       std::fprintf(stderr,
-                   "cqacfuzz: fault injected (4-bit fingerprints, "
-                   "verify-on-hit off); expecting findings\n");
+                   "cqacfuzz: fault injected (4-bit Phase-1 memo keys); "
+                   "expecting findings\n");
     }
 
     if (!flags_.corpus_dir.empty()) {
