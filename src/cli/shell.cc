@@ -204,17 +204,7 @@ void Shell::CmdRewrite(const std::string& args) {
        << " kept, " << result.stats.mcds_formed << " MCDs, "
        << result.stats.phase2_checks << " phase-2 checks\n";
   if (print_stats) {
-    out_ << "phase-1: " << result.stats.canonical_databases
-         << " databases visited, "
-         << result.stats.canonical_databases -
-                result.stats.kept_canonical_databases
-         << " pruned, " << result.stats.phase1_memo_hits
-         << " deduped (memo hits), " << result.stats.phase1_memo_misses
-         << " computed in full\n";
-    out_ << "phase-times: enumeration " << result.stats.enumeration_ns
-         << " ns, freeze " << result.stats.freeze_ns << " ns, phase1 "
-         << result.stats.phase1_ns << " ns, phase2 "
-         << result.stats.phase2_ns << " ns\n";
+    out_ << RenderPhaseLines(result.stats);
     const CatalogStats cstats = catalog_->Stats();
     out_ << "catalog: epoch " << cstats.epoch << ", "
          << (result.from_semantic_cache ? "semantic hit" : "computed") << ", "
@@ -222,26 +212,9 @@ void Shell::CmdRewrite(const std::string& args) {
          << cstats.semantic_misses << " semantic misses\n";
   }
   if (json_stats) {
-    const char* outcome = result.outcome == RewriteOutcome::kRewritingFound
-                              ? "found"
-                          : result.outcome == RewriteOutcome::kNoRewriting
-                              ? "none"
-                              : "aborted";
-    out_ << "{\"schema_version\": " << kStatsJsonSchemaVersion
-         << ", \"outcome\": \"" << outcome << "\", \"disjuncts\": "
-         << result.rewriting.size()
-         << ", \"canonical_databases\": " << result.stats.canonical_databases
-         << ", \"kept_canonical_databases\": "
-         << result.stats.kept_canonical_databases
-         << ", \"mcds_formed\": " << result.stats.mcds_formed
-         << ", \"phase2_checks\": " << result.stats.phase2_checks
-         << ", \"phase2_orders\": " << result.stats.phase2_orders
-         << ", \"phase1_memo_hits\": " << result.stats.phase1_memo_hits
-         << ", \"phase1_memo_misses\": " << result.stats.phase1_memo_misses
-         << ", \"enumeration_ns\": " << result.stats.enumeration_ns
-         << ", \"freeze_ns\": " << result.stats.freeze_ns
-         << ", \"phase1_ns\": " << result.stats.phase1_ns
-         << ", \"phase2_ns\": " << result.stats.phase2_ns
+    out_ << "{"
+         << RenderStatsFields(RewriteOutcomeName(result.outcome),
+                              result.rewriting.size(), result.stats)
          << ", \"semantic_cache_hit\": " << (result.from_semantic_cache ? 1 : 0)
          << ", \"catalog_epoch\": " << result.catalog_epoch
          << ", \"trace_id\": \"" << obs::TraceIdHex(trace_id) << "\"}\n";

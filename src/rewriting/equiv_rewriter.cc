@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "constraints/ac_solver.h"
@@ -196,6 +197,50 @@ void RewriteStats::Merge(const RewriteStats& other) {
   freeze_ns += other.freeze_ns;
   phase1_ns += other.phase1_ns;
   phase2_ns += other.phase2_ns;
+}
+
+const char* RewriteOutcomeName(RewriteOutcome outcome) {
+  switch (outcome) {
+    case RewriteOutcome::kRewritingFound: return "found";
+    case RewriteOutcome::kNoRewriting: return "none";
+    case RewriteOutcome::kAborted: return "aborted";
+  }
+  return "unknown";
+}
+
+std::string RenderStatsFields(const std::string& outcome, int64_t disjuncts,
+                              const RewriteStats& stats) {
+  const auto field = [](const char* name, int64_t value) {
+    return std::string(", \"") + name + "\": " + std::to_string(value);
+  };
+  return "\"schema_version\": " + std::to_string(kStatsJsonSchemaVersion) +
+         ", \"outcome\": \"" + outcome + "\"" +
+         field("disjuncts", disjuncts) +
+         field("canonical_databases", stats.canonical_databases) +
+         field("kept_canonical_databases", stats.kept_canonical_databases) +
+         field("mcds_formed", stats.mcds_formed) +
+         field("phase2_checks", stats.phase2_checks) +
+         field("phase2_orders", stats.phase2_orders) +
+         field("phase1_memo_hits", stats.phase1_memo_hits) +
+         field("phase1_memo_misses", stats.phase1_memo_misses) +
+         field("enumeration_ns", stats.enumeration_ns) +
+         field("freeze_ns", stats.freeze_ns) +
+         field("phase1_ns", stats.phase1_ns) +
+         field("phase2_ns", stats.phase2_ns);
+}
+
+std::string RenderPhaseLines(const RewriteStats& stats) {
+  return "phase-1: " + std::to_string(stats.canonical_databases) +
+         " databases visited, " +
+         std::to_string(stats.canonical_databases -
+                        stats.kept_canonical_databases) +
+         " pruned, " + std::to_string(stats.phase1_memo_hits) +
+         " deduped (memo hits), " + std::to_string(stats.phase1_memo_misses) +
+         " computed in full\nphase-times: enumeration " +
+         std::to_string(stats.enumeration_ns) + " ns, freeze " +
+         std::to_string(stats.freeze_ns) + " ns, phase1 " +
+         std::to_string(stats.phase1_ns) + " ns, phase2 " +
+         std::to_string(stats.phase2_ns) + " ns\n";
 }
 
 RewriteWork PrepareRewriteWork(const ConjunctiveQuery& query,

@@ -148,11 +148,24 @@ struct RewriteStats {
 /// docs/SYNTAX.md.
 inline constexpr int kStatsJsonSchemaVersion = 9;
 
+/// The per-rewrite record's fields, `"schema_version"` through
+/// `"phase2_ns"`, without braces: the shell's `--json` record and the
+/// service's `counters` object open with them.  `outcome` is its wire name.
+std::string RenderStatsFields(const std::string& outcome, int64_t disjuncts,
+                              const RewriteStats& stats);
+
+/// The `phase-1:` and `phase-times:` lines of the shell's and the batch
+/// driver's `stats` output.
+std::string RenderPhaseLines(const RewriteStats& stats);
+
 enum class RewriteOutcome {
   kRewritingFound,
   kNoRewriting,
   kAborted,  // max_canonical_databases exceeded
 };
+
+/// "found", "none" or "aborted", as the stats records and reports print it.
+const char* RewriteOutcomeName(RewriteOutcome outcome);
 
 /// The algorithm's answer.
 struct RewriteResult {

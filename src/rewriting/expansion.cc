@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "constraints/ac_solver.h"
-#include "containment/homomorphism.h"
+#include "containment/binding_trail.h"
 #include "obs/metrics.h"
 
 namespace cqac {
@@ -22,14 +22,12 @@ ConjunctiveQuery Expand(const ConjunctiveQuery& rewriting,
       body.push_back(subgoal);  // Base relation; copy through.
       continue;
     }
-    // Rename the whole view apart, then unify its head with the subgoal.
-    const std::string prefix = "_e" + std::to_string(counter++) + "_";
-    const ConjunctiveQuery renamed = view->RenameVariables(prefix);
-
-    Substitution theta;  // view head var -> subgoal argument.
-    const int arity = std::min(renamed.head().arity(), subgoal.arity());
+    // One substitution over the view's own names: head variables onto the
+    // subgoal's arguments, any other i-th view variable onto `_e<k>_<i>`.
+    Substitution theta;
+    const int arity = std::min(view->head().arity(), subgoal.arity());
     for (int i = 0; i < arity; ++i) {
-      const Term& head_term = renamed.head().args()[i];
+      const Term& head_term = view->head().args()[i];
       const Term& arg = subgoal.args()[i];
       if (head_term.IsConstant()) {
         // Head constant: the subgoal argument must equal it.
@@ -48,10 +46,17 @@ ConjunctiveQuery Expand(const ConjunctiveQuery& rewriting,
         theta.Bind(head_term.name(), arg);
       }
     }
-    for (const Atom& view_atom : renamed.body()) {
+    const std::string prefix = "_e" + std::to_string(counter++) + "_";
+    const std::vector<std::string> variables = view->AllVariables();
+    for (size_t i = 0; i < variables.size(); ++i) {
+      if (!theta.IsBound(variables[i])) {
+        theta.Bind(variables[i], Term::Variable(prefix + std::to_string(i)));
+      }
+    }
+    for (const Atom& view_atom : view->body()) {
       body.push_back(theta.Apply(view_atom));
     }
-    for (const Comparison& view_comp : renamed.comparisons()) {
+    for (const Comparison& view_comp : view->comparisons()) {
       comparisons.push_back(theta.Apply(view_comp));
     }
   }
@@ -69,58 +74,6 @@ UnionQuery Expand(const UnionQuery& rewriting, const ViewSet& views) {
 
 namespace {
 
-/// Backtracking search for a folding homomorphism: maps every body atom
-/// into `body` minus the atom at `victim`, extending `theta`.  Atoms are
-/// chosen most-constrained-first (most already-bound variables), which
-/// keeps the branching factor near one on chain-shaped bodies even when
-/// all atoms share a predicate.  At the leaf, checks that the query's
-/// comparisons imply their own image under theta, counting each leaf
-/// check in `*leaf_checks`.  `budget` bounds unification attempts;
-/// exhaustion means "no fold found".
-bool SearchFold(const std::vector<Atom>& body,
-                const std::vector<Comparison>& comparisons,
-                std::vector<bool>& mapped, int remaining, size_t victim,
-                const Substitution& theta, int* budget, Substitution* out,
-                int64_t* leaf_checks) {
-  if (remaining == 0) {
-    for (const Comparison& c : comparisons) {
-      ++*leaf_checks;
-      if (!AcSolver::Implies(comparisons, theta.Apply(c))) return false;
-    }
-    *out = theta;
-    return true;
-  }
-  // Pick the unmapped atom with the most bound variables.
-  int best = -1;
-  int best_bound = -1;
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (mapped[i]) continue;
-    int bound = 0;
-    for (const Term& t : body[i].args()) {
-      if (t.IsConstant() || theta.IsBound(t.name())) ++bound;
-    }
-    if (bound > best_bound) {
-      best_bound = bound;
-      best = static_cast<int>(i);
-    }
-  }
-  mapped[best] = true;
-  for (size_t target = 0; target < body.size(); ++target) {
-    if (target == victim) continue;
-    if (--*budget <= 0) break;
-    std::optional<Substitution> extended =
-        UnifyAtomOnto(body[best], body[target], theta);
-    if (!extended.has_value()) continue;
-    if (SearchFold(body, comparisons, mapped, remaining - 1, victim,
-                   *extended, budget, out, leaf_checks)) {
-      mapped[best] = false;
-      return true;
-    }
-  }
-  mapped[best] = false;
-  return false;
-}
-
 /// An ordinary subgoal over the ids of an AcCore term table.
 struct IdAtom {
   int pred;
@@ -133,11 +86,11 @@ struct IdAtom {
 
 /// One simplification: the query interned once into an AcCore term table
 /// (atoms become predicate and argument ids, comparisons id triples), so
-/// that forced-equality collapse, redundancy removal and every
-/// single-variable fold run on int compares over the same table, without
-/// copying the query.  Folds only map variables onto terms already in the
-/// table, so the table never grows after construction (see AcCore's
-/// term-table invariant).
+/// that forced-equality collapse, redundancy removal, every single-variable
+/// fold and the budgeted fold search run on int compares over the same
+/// table, without copying the query.  Folds only map variables onto terms
+/// already in the table, so the table never grows after construction (see
+/// AcCore's term-table invariant).
 ///
 /// The fold order defines the output, which is the Phase-2 containment
 /// check's input and must stay byte-stable: candidates are the
@@ -178,44 +131,10 @@ class Simplifier {
     Deduplicate();
     while (FoldOneVariable()) {
     }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      if (body_.size() <= 1) break;
-      const ConjunctiveQuery current = ToQuery();
-      // The homomorphism must fix the head: seed with the identity on the
-      // head variables.
-      Substitution seed;
-      for (const std::string& hv : current.HeadVariables()) {
-        seed.Bind(hv, Term::Variable(hv));
-      }
-      for (size_t victim = 0; victim < current.body().size(); ++victim) {
-        int budget = 50000;
-        Substitution theta;
-        std::vector<bool> mapped(current.body().size(), false);
-        if (!SearchFold(current.body(), current.comparisons(), mapped,
-                        static_cast<int>(current.body().size()), victim, seed,
-                        &budget, &theta, &search_leaf_checks_)) {
-          // An exhausted budget means "no fold found", not "no fold
-          // exists": the result stays equivalent but may keep redundant
-          // atoms.  Counted so the bound is never hit silently.
-          if (budget <= 0) ++budget_exhausted_;
-          continue;
-        }
-        // theta maps body variables onto body terms, all in the table.
-        std::vector<std::pair<int, int>> bindings;
-        for (const auto& [var, term] : theta.bindings()) {
-          bindings.push_back(
-              {core_.Intern(Term::Variable(var)), core_.Intern(term)});
-        }
-        ResetImage();
-        for (const auto& [from, to] : bindings) image_[from] = to;
-        Substitute();
-        Clean();
-        while (FoldOneVariable()) {
-        }
-        changed = true;
-        break;
+    while (body_.size() > 1 && FoldAtom()) {
+      Substitute();
+      Clean();
+      while (FoldOneVariable()) {
       }
     }
   }
@@ -373,6 +292,89 @@ class Simplifier {
     return true;
   }
 
+  /// Finds a homomorphism theta that fixes the head and maps the body into
+  /// itself minus one victim atom (victims in body order) and writes it
+  /// into image_.  An exhausted budget means "no fold found", not "no fold
+  /// exists"; it is counted so the bound is never hit silently.
+  bool FoldAtom() {
+    for (size_t victim = 0; victim < body_.size(); ++victim) {
+      theta_.Reset(core_.size());
+      for (const int t : head_) {
+        if (!theta_.IsBound(t)) theta_.Bind(t, t);
+      }
+      mapped_.assign(body_.size(), false);
+      int budget = 50000;
+      if (SearchFold(body_.size(), victim, &budget)) {
+        ResetImage();
+        for (const uint32_t x : theta_.trail()) image_[x] = theta_.Get(x);
+        return true;
+      }
+      if (budget <= 0) ++budget_exhausted_;
+    }
+    return false;
+  }
+
+  /// Extends theta_ until every body atom maps into the body minus the
+  /// atom at `victim`.  The unmapped atom with the most constant or bound
+  /// arguments goes first (lowest index on ties), which keeps the branching
+  /// factor near one on chain-shaped bodies; targets go in body order, one
+  /// budget unit per unification attempt.  The leaf checks that the
+  /// comparisons imply their image.  On success theta_ keeps the fold.
+  bool SearchFold(size_t remaining, size_t victim, int* budget) {
+    if (remaining == 0) {
+      for (const IdComparison& c : comparisons_) {
+        ++search_leaf_checks_;
+        const IdComparison image{Theta(c.lhs), c.op, Theta(c.rhs)};
+        if (!core_.Implies(comparisons_, -1, image)) return false;
+      }
+      return true;
+    }
+    size_t best = 0;
+    int best_bound = -1;
+    for (size_t i = 0; i < body_.size(); ++i) {
+      if (mapped_[i]) continue;
+      int bound = 0;
+      for (const int t : body_[i].args) {
+        if (core_.term(t).IsConstant() || theta_.IsBound(t)) ++bound;
+      }
+      if (bound > best_bound) {
+        best_bound = bound;
+        best = i;
+      }
+    }
+    mapped_[best] = true;
+    bool found = false;
+    for (size_t target = 0; target < body_.size() && !found; ++target) {
+      if (target == victim) continue;
+      if (--*budget <= 0) break;
+      const size_t mark = theta_.Mark();
+      found = Unify(body_[best], body_[target]) &&
+              SearchFold(remaining - 1, victim, budget);
+      if (!found) theta_.UndoTo(mark);
+    }
+    mapped_[best] = false;
+    return found;
+  }
+
+  /// Extends theta_ to map `from` onto `to`; false on a clash, possibly
+  /// leaving partial bindings for the caller to undo.
+  bool Unify(const IdAtom& from, const IdAtom& to) {
+    if (from.pred != to.pred || from.args.size() != to.args.size()) {
+      return false;
+    }
+    for (size_t k = 0; k < from.args.size(); ++k) {
+      const int f = from.args[k];
+      if (!core_.term(f).IsConstant() && !theta_.IsBound(f)) {
+        theta_.Bind(f, to.args[k]);
+      }
+      if (Theta(f) != to.args[k]) return false;
+    }
+    return true;
+  }
+
+  /// The image of term id t under theta_ (constants map to themselves).
+  int Theta(int t) const { return theta_.IsBound(t) ? theta_.Get(t) : t; }
+
   AcCore core_;
   std::string head_pred_;
   std::vector<int> head_;
@@ -380,6 +382,8 @@ class Simplifier {
   std::vector<IdAtom> body_;
   std::vector<IdComparison> comparisons_;
   std::vector<int> image_;  // per term id: its image under the substitution
+  BindingTrail theta_;      // the fold search's theta over term ids
+  std::vector<bool> mapped_;  // per body atom: mapped by the search so far
 
   int64_t fold_candidates_ = 0;
   int64_t single_folds_ = 0;

@@ -167,17 +167,7 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
       << " semantic hits, " << summary.catalog_semantic_misses
       << " semantic misses\n";
   if (options.print_stats) {
-    out << "phase-1: " << summary.rewrite.canonical_databases
-        << " databases visited, "
-        << summary.rewrite.canonical_databases -
-               summary.rewrite.kept_canonical_databases
-        << " pruned, " << summary.rewrite.phase1_memo_hits
-        << " deduped (memo hits), " << summary.rewrite.phase1_memo_misses
-        << " computed in full\n";
-    out << "phase-times: enumeration " << summary.rewrite.enumeration_ns
-        << " ns, freeze " << summary.rewrite.freeze_ns << " ns, phase1 "
-        << summary.rewrite.phase1_ns << " ns, phase2 "
-        << summary.rewrite.phase2_ns << " ns\n";
+    out << RenderPhaseLines(summary.rewrite);
   }
   if (options.json_summary) {
     out << "{\"schema_version\": " << kStatsJsonSchemaVersion

@@ -229,27 +229,12 @@ std::string EncodeServiceResponse(const ServiceResponse& response) {
     AppendJsonString(&out, obs::TraceIdHex(response.trace_id));
   }
   if (response.has_counters) {
-    // Mirrors the shell's per-rewrite record (docs/SYNTAX.md) so service
+    // The shell's per-rewrite record (docs/SYNTAX.md), so service
     // consumers and --json consumers read one shape.
-    const RewriteStats& s = response.stats;
-    out += ", \"counters\": {\"schema_version\": " +
-           std::to_string(kStatsJsonSchemaVersion) + ", \"outcome\": ";
-    AppendJsonString(&out, JobOutcomeName(response.outcome));
-    out += ", \"disjuncts\": " + std::to_string(response.disjuncts) +
-           ", \"canonical_databases\": " +
-           std::to_string(s.canonical_databases) +
-           ", \"kept_canonical_databases\": " +
-           std::to_string(s.kept_canonical_databases) +
-           ", \"mcds_formed\": " + std::to_string(s.mcds_formed) +
-           ", \"phase2_checks\": " + std::to_string(s.phase2_checks) +
-           ", \"phase2_orders\": " + std::to_string(s.phase2_orders) +
-           ", \"phase1_memo_hits\": " + std::to_string(s.phase1_memo_hits) +
-           ", \"phase1_memo_misses\": " +
-           std::to_string(s.phase1_memo_misses) +
-           ", \"enumeration_ns\": " + std::to_string(s.enumeration_ns) +
-           ", \"freeze_ns\": " + std::to_string(s.freeze_ns) +
-           ", \"phase1_ns\": " + std::to_string(s.phase1_ns) +
-           ", \"phase2_ns\": " + std::to_string(s.phase2_ns) + "}";
+    out += ", \"counters\": {" +
+           RenderStatsFields(JobOutcomeName(response.outcome),
+                             response.disjuncts, response.stats) +
+           "}";
   }
   if (response.catalog_epoch > 0) {
     out += ", \"catalog_epoch\": " + std::to_string(response.catalog_epoch) +

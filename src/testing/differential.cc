@@ -105,18 +105,7 @@ bool RunSignature::operator==(const RunSignature& other) const {
 
 std::string RunSignature::ToString() const {
   std::ostringstream out;
-  out << "outcome=";
-  switch (outcome) {
-    case RewriteOutcome::kRewritingFound:
-      out << "found";
-      break;
-    case RewriteOutcome::kNoRewriting:
-      out << "none";
-      break;
-    case RewriteOutcome::kAborted:
-      out << "aborted";
-      break;
-  }
+  out << "outcome=" << RewriteOutcomeName(outcome);
   out << "\nrewriting=" << rewriting;
   out << "\nfailure_reason=" << failure_reason;
   out << "\ncanonical_databases=" << canonical_databases;

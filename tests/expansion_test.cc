@@ -2,6 +2,7 @@
 
 #include "containment/cqac_containment.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 
 namespace cqac {
@@ -97,6 +98,21 @@ TEST(ExpansionTest, TwoSubgoalsGetDisjointFreshVariables) {
   EXPECT_NE(expansion.body()[0].args()[1], expansion.body()[1].args()[1]);
 }
 
+TEST(ExpansionTest, FreshNamesFollowTheViewsVariableOrder) {
+  // Head variables take the subgoal's arguments; the i-th other variable
+  // of the k-th view subgoal becomes _e<k>_<i>.  Recorded at c923873.
+  const ViewSet views = Views(
+      "v(T,T,3) :- a(T,S), b(S,R), S < R.\n"
+      "w(A) :- c(A,B).");
+  const ConjunctiveQuery expansion = Expand(
+      Parser::MustParseRule("q(X,Y) :- v(X,Y,Z), w(Y), v(Y,Y,3), c(X,X)"),
+      views);
+  EXPECT_EQ(expansion.ToString(),
+            "q(X,Y) :- a(X,_e0_1), b(_e0_1,_e0_2), c(Y,_e1_1), a(Y,_e2_1), "
+            "b(_e2_1,_e2_2), c(X,X), X = Y, Z = 3, _e0_1 < _e0_2, "
+            "_e2_1 < _e2_2");
+}
+
 TEST(ExpansionTest, UnionExpansion) {
   const ViewSet views = Views(
       "v1() :- p(X), X = 0.\n"
@@ -157,6 +173,103 @@ TEST(SimplifyQueryTest, DeduplicatesSubgoals) {
   const std::optional<ConjunctiveQuery> s = SimplifyQuery(q);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->body().size(), 1u);
+}
+
+// Folds that no single-variable fold reaches, only the budgeted search
+// for a homomorphism into the body minus one atom.  Expected outputs and
+// counter deltas were recorded at c923873.
+class FoldSearchTest : public ::testing::Test {
+ protected:
+  struct Run {
+    std::string simplified;
+    std::string folded;  // FoldExistentialVariables
+    int64_t single_folds = 0;
+    int64_t leaf_checks = 0;
+  };
+
+  static Run Simplify(const std::string& rule) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    obs::Counter& single = registry.counter("simplify.single_folds");
+    obs::Counter& leaf = registry.counter("simplify.search_leaf_checks");
+    const int64_t single_before = single.value();
+    const int64_t leaf_before = leaf.value();
+    const ConjunctiveQuery q = Parser::MustParseRule(rule);
+    const std::optional<ConjunctiveQuery> simplified = SimplifyQuery(q);
+    Run run;
+    run.simplified = simplified.has_value() ? simplified->ToString() : "unsat";
+    run.single_folds = single.value() - single_before;
+    run.leaf_checks = leaf.value() - leaf_before;
+    run.folded = FoldExistentialVariables(q).ToString();
+    return run;
+  }
+};
+
+TEST_F(FoldSearchTest, TwoAtomFold) {
+  // Y -> W alone would need e(W,Z), W -> Y alone e(Y,V); only the pair
+  // {Y -> W, Z -> V} maps the body into itself minus e(X,Y).
+  const Run run = Simplify("q(X) :- e(X,Y), e(Y,Z), e(X,W), e(W,V)");
+  EXPECT_EQ(run.simplified, "q(X) :- e(X,W), e(W,V)");
+  EXPECT_EQ(run.folded, "q(X) :- e(X,W), e(W,V)");
+  EXPECT_EQ(run.single_folds, 0);
+  EXPECT_EQ(run.leaf_checks, 0);
+}
+
+TEST_F(FoldSearchTest, LeafCheckKeepsTheComparedBranch) {
+  // The fold onto W's branch maps W < 5 to itself: one leaf check passes.
+  const Run run = Simplify("q(X) :- e(X,Y), e(Y,Z), e(X,W), e(W,V), W < 5");
+  EXPECT_EQ(run.simplified, "q(X) :- e(X,W), e(W,V), W < 5");
+  EXPECT_EQ(run.folded, "q(X) :- e(X,W), e(W,V), W < 5");
+  EXPECT_EQ(run.single_folds, 0);
+  EXPECT_EQ(run.leaf_checks, 1);
+}
+
+TEST_F(FoldSearchTest, FailedLeafImplicationKeepsEveryAtom) {
+  // Each direction maps a comparison to one the query does not imply
+  // (W < 5 to Y < 5, or Y > 5 to W > 5): the leaves reject every fold.
+  const std::string rule =
+      "q(X) :- e(X,Y), e(Y,Z), e(X,W), e(W,V), W < 5, Y > 5";
+  const Run run = Simplify(rule);
+  EXPECT_EQ(run.simplified, rule);
+  EXPECT_EQ(run.folded, rule);
+  EXPECT_EQ(run.single_folds, 0);
+  EXPECT_EQ(run.leaf_checks, 6);
+}
+
+TEST_F(FoldSearchTest, TargetsAreTriedInBodyOrder) {
+  // Three isomorphic branches: which one survives, and how many leaves the
+  // search reaches on the way, depend on the order targets are tried in.
+  const Run run = Simplify(
+      "q(X) :- e(X,Y), e(Y,Z), e(X,W), e(W,V), e(X,U), e(U,T), "
+      "Y < 3, W < 4, U < 5");
+  EXPECT_EQ(run.simplified, "q(X) :- e(X,Y), e(Y,Z), Y < 3");
+  EXPECT_EQ(run.leaf_checks, 19);
+  EXPECT_EQ(Simplify("q(X) :- e(X,Y), e(Y,Z), e(X,W), e(W,V), e(X,U), "
+                     "e(U,T)")
+                .simplified,
+            "q(X) :- e(X,W), e(W,V)");
+}
+
+TEST_F(FoldSearchTest, TiesGoToTheLowestIndex) {
+  // Which of the equally bound atoms the search maps first shows only in
+  // the number of leaves it reaches.
+  const Run run = Simplify("q(X) :- e(X,B), e(D,C), e(F,A), D != 5");
+  EXPECT_EQ(run.simplified, "q(X) :- e(X,B), e(D,C), D != 5");
+  EXPECT_EQ(run.leaf_checks, 8);
+}
+
+TEST_F(FoldSearchTest, BodyConstantsMustMatch) {
+  const Run same =
+      Simplify("q(X) :- e(X,Y), e(Y,Z), f(Z,3), e(X,W), e(W,V), f(V,3)");
+  EXPECT_EQ(same.simplified, "q(X) :- e(X,W), e(W,V), f(V,3)");
+  EXPECT_EQ(same.folded, "q(X) :- e(X,W), e(W,V), f(V,3)");
+  EXPECT_EQ(same.single_folds, 0);
+
+  const std::string rule =
+      "q(X) :- e(X,Y), e(Y,Z), f(Z,3), e(X,W), e(W,V), f(V,4)";
+  const Run different = Simplify(rule);
+  EXPECT_EQ(different.simplified, rule);
+  EXPECT_EQ(different.folded, rule);
+  EXPECT_EQ(different.leaf_checks, 0);
 }
 
 }  // namespace

@@ -287,9 +287,10 @@ TEST(MetricsTest, SimplifyCountersForOneQuery) {
   EXPECT_EQ(delta[1], 1);
   // Forced equalities (1); RemoveRedundant on 3 comparisons (1 + 3);
   // W -> Z's image Z <= Z (1); RemoveRedundant after it on X < 5,
-  // U < 5, Z <= Z (1 + 3, dropping Z <= Z); after the theta fold on
-  // U < 5, U < 5 (1 + 2, dropping one).
-  EXPECT_EQ(delta[2], 1 + 4 + 1 + 4 + 3);
+  // U < 5, Z <= Z (1 + 3, dropping Z <= Z); the theta-search's leaf
+  // checks below (2); after the theta fold on U < 5, U < 5 (1 + 2,
+  // dropping one).
+  EXPECT_EQ(delta[2], 1 + 4 + 1 + 4 + 2 + 3);
   // The theta-search reaches one leaf and checks both comparisons.
   EXPECT_EQ(delta[3], 2);
 }

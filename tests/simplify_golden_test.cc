@@ -32,6 +32,7 @@
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/expansion.h"
@@ -108,6 +109,33 @@ TEST(SimplifyGoldenTest, ConcurrentCallsMatchSerial) {
       EXPECT_EQ(results[t][i], serial[i]) << "thread " << t << ": "
                                           << inputs[i].ToString();
     }
+  }
+}
+
+// The fold order defines the counters as well as the output: one pass over
+// the golden inputs must add exactly these totals, measured at commit
+// c923873 (a Release build, before the budgeted fold search moved onto term
+// ids).  simplify.sat_checks is not pinned: since that move it also counts
+// the search's leaf implication checks.
+TEST(SimplifyGoldenTest, FoldCountersMatchRecordedTotals) {
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      {"simplify.fold_candidates", 7524},
+      {"simplify.single_folds", 1029},
+      {"simplify.search_leaf_checks", 34},
+      {"simplify.fold_budget_exhausted", 0},
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  std::vector<int64_t> before;
+  for (const auto& [name, total] : expected) {
+    before.push_back(registry.counter(name).value());
+  }
+  for (const GoldenCase& c : LoadGolden()) {
+    SimplifyQuery(Parser::MustParseRule(c.input));
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(registry.counter(expected[i].first).value() - before[i],
+              expected[i].second)
+        << expected[i].first;
   }
 }
 
