@@ -157,13 +157,6 @@ bool AcSolver::IsSatisfiable(const std::vector<Comparison>& comparisons) {
   return core.Satisfiable(ids);
 }
 
-bool AcSolver::Implies(const std::vector<Comparison>& axioms,
-                       const Comparison& conclusion) {
-  AcCore core;
-  const std::vector<IdComparison> ids = InternAll(&core, axioms);
-  return core.Implies(ids, -1, core.Intern(conclusion));
-}
-
 bool AcSolver::ImpliesAll(const std::vector<Comparison>& axioms,
                           const std::vector<Comparison>& conclusions) {
   AcCore core;
@@ -172,24 +165,6 @@ bool AcSolver::ImpliesAll(const std::vector<Comparison>& axioms,
     if (!core.Implies(ids, -1, core.Intern(c))) return false;
   }
   return true;
-}
-
-bool AcSolver::Equivalent(const std::vector<Comparison>& a,
-                          const std::vector<Comparison>& b) {
-  return ImpliesAll(a, b) && ImpliesAll(b, a);
-}
-
-std::optional<CompOp> AcSolver::ImpliedRelation(
-    const std::vector<Comparison>& axioms, const Term& lhs, const Term& rhs) {
-  AcCore core;
-  const std::vector<IdComparison> ids = InternAll(&core, axioms);
-  const int l = core.Intern(lhs);
-  const int r = core.Intern(rhs);
-  for (CompOp op : {CompOp::kEq, CompOp::kLt, CompOp::kGt, CompOp::kLe,
-                    CompOp::kGe, CompOp::kNe}) {
-    if (core.Implies(ids, -1, {l, op, r})) return op;
-  }
-  return std::nullopt;
 }
 
 std::optional<Substitution> AcSolver::ForcedEqualities(

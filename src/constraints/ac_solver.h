@@ -139,25 +139,11 @@ class AcSolver {
   /// comparison.  The empty conjunction is satisfiable.
   static bool IsSatisfiable(const std::vector<Comparison>& comparisons);
 
-  /// True iff every assignment satisfying `axioms` also satisfies
-  /// `conclusion` (refutation: `axioms && !conclusion` unsatisfiable).
-  /// Vacuously true when `axioms` is unsatisfiable.
-  static bool Implies(const std::vector<Comparison>& axioms,
-                      const Comparison& conclusion);
-
-  /// True iff `axioms` implies every element of `conclusions`.
+  /// True iff every assignment satisfying `axioms` also satisfies every
+  /// element of `conclusions` (refutation: `axioms && !c` unsatisfiable
+  /// for each c).  Vacuously true when `axioms` is unsatisfiable.
   static bool ImpliesAll(const std::vector<Comparison>& axioms,
                          const std::vector<Comparison>& conclusions);
-
-  /// True iff the two conjunctions imply each other (logical equivalence).
-  static bool Equivalent(const std::vector<Comparison>& a,
-                         const std::vector<Comparison>& b);
-
-  /// The strongest operator `op` such that `axioms` implies `lhs op rhs`,
-  /// or nullopt when neither `<=`, `>=` nor `!=` is implied.  Preference
-  /// order: `=`, `<`, `>`, `<=`, `>=`, `!=`.
-  static std::optional<CompOp> ImpliedRelation(
-      const std::vector<Comparison>& axioms, const Term& lhs, const Term& rhs);
 
   /// A substitution that maps each variable forced equal to a constant to
   /// that constant, and collapses every class of variables forced equal to

@@ -94,6 +94,13 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
   }
   head_.reserve(q.head().args().size());
   for (const Term& t : q.head().args()) head_.push_back(compile_term(t));
+  for (const Comparison& c : q.comparisons()) {
+    for (const Term* t : {&c.lhs(), &c.rhs()}) {
+      if (t->IsVariable() && var_slots_.count(t->name()) == 0) {
+        UnslottedVariableRepId(t->name());
+      }
+    }
+  }
   var_values_.resize(var_slots_.size());
   var_blocks_.resize(var_slots_.size());
   rel_epochs_.resize(instance_.NumRelations(), 0);
@@ -101,13 +108,23 @@ CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
 
 void CanonicalFreezer::LoadOrder(const TotalOrder& order, bool track) {
   order.BlockValues(&block_values_);
-  block_reps_.clear();
-  block_reps_.reserve(order.blocks.size());
+  block_rep_ids_.clear();
   if (track) changed_.assign(var_values_.size(), 0);
+  size_t constants_seen = 0;
   for (size_t b = 0; b < order.blocks.size(); ++b) {
-    block_reps_.push_back(order.blocks[b].Representative());
-    for (const std::string& v : order.blocks[b].variables) {
+    const OrderBlock& block = order.blocks[b];
+    // A variable representative's id comes from the slot lookup below.
+    block_rep_ids_.push_back(
+        block.constant.has_value()
+            ? ConstantRepId(*block.constant, constants_seen++)
+            : kOutsideBlocks);
+    for (const std::string& v : block.variables) {
       const auto it = var_slots_.find(v);
+      if (block_rep_ids_.back() == kOutsideBlocks) {
+        block_rep_ids_.back() = it != var_slots_.end()
+                                    ? it->second
+                                    : UnslottedVariableRepId(v);
+      }
       if (it == var_slots_.end()) continue;
       var_blocks_[it->second] = static_cast<uint32_t>(b);
       const Rational& value = block_values_[b];
@@ -187,13 +204,47 @@ const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
   return instance_;
 }
 
-Term CanonicalFreezer::UnfreezeValue(const Rational& value) const {
+uint32_t CanonicalFreezer::UnslottedVariableRepId(const std::string& name) {
+  const auto [it, inserted] = unslotted_ids_.try_emplace(
+      name,
+      static_cast<uint32_t>(slot_names_.size() + unslotted_ids_.size()));
+  if (inserted) unslotted_names_.push_back(name);
+  return it->second;
+}
+
+uint32_t CanonicalFreezer::ConstantRepId(const Rational& value, size_t hint) {
+  if (hint < rep_constants_.size() && rep_constants_[hint] == value) {
+    return kConstantRepId + static_cast<uint32_t>(hint);
+  }
+  auto it = std::find(rep_constants_.begin(), rep_constants_.end(), value);
+  if (it == rep_constants_.end()) {
+    rep_constants_.push_back(value);
+    it = rep_constants_.end() - 1;
+  }
+  return kConstantRepId + static_cast<uint32_t>(it - rep_constants_.begin());
+}
+
+uint32_t CanonicalFreezer::RepIdOfValue(const Rational& value) const {
   const auto it =
       std::lower_bound(block_values_.begin(), block_values_.end(), value);
   if (it != block_values_.end() && *it == value) {
-    return block_reps_[it - block_values_.begin()];
+    return block_rep_ids_[it - block_values_.begin()];
   }
-  return Term::Constant(value);
+  return kOutsideBlocks;
+}
+
+Term CanonicalFreezer::RepTerm(uint32_t id) const {
+  if (id >= kConstantRepId) {
+    return Term::Constant(rep_constants_[id - kConstantRepId]);
+  }
+  return Term::Variable(id < slot_names_.size()
+                            ? slot_names_[id]
+                            : unslotted_names_[id - slot_names_.size()]);
+}
+
+Term CanonicalFreezer::UnfreezeValue(const Rational& value) const {
+  const uint32_t id = RepIdOfValue(value);
+  return id == kOutsideBlocks ? Term::Constant(value) : RepTerm(id);
 }
 
 CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q) {

@@ -113,10 +113,28 @@ class CanonicalFreezer {
   /// Slot index -> index of the last order's block holding the variable.
   const std::vector<uint32_t>& var_blocks() const { return var_blocks_; }
 
-  /// The last order's per-block values (strictly increasing) and
-  /// representative terms (the block's constant, else its first variable).
+  /// The last order's per-block values (strictly increasing).
   const std::vector<Rational>& block_values() const { return block_values_; }
-  const std::vector<Term>& block_reps() const { return block_reps_; }
+
+  /// Constant representatives' ids start here; every variable id is below.
+  static constexpr uint32_t kConstantRepId = 0x80000000u;
+  /// RepIdOfValue's answer for a value outside every block.
+  static constexpr uint32_t kOutsideBlocks = 0xFFFFFFFFu;
+
+  /// The last order's per-block representative ids.  A block's
+  /// representative is its constant, else its first variable; equal ids
+  /// mean equal representatives for the freezer's lifetime.  A
+  /// variable's id is its slot; variables without a slot (those only in
+  /// comparisons, in comparison order, then any variable the query
+  /// lacks) number on from slot_names().size().  A constant's id is
+  /// kConstantRepId + k, k numbering constants in the order the freezer
+  /// first saw them: ascending, when every order holds the same
+  /// constants, so freezers of one run agree.
+  const std::vector<uint32_t>& block_rep_ids() const { return block_rep_ids_; }
+
+  /// The representative id of the block holding `value` in the last
+  /// order, or kOutsideBlocks.  Integer form of UnfreezeValue.
+  uint32_t RepIdOfValue(const Rational& value) const;
 
   /// Maps a value of the last frozen instance back to its order block's
   /// representative term; values outside every block (e.g. constants
@@ -136,10 +154,16 @@ class CanonicalFreezer {
     std::vector<CompiledTerm> terms;
   };
 
-  /// Refreshes block_values_/block_reps_/var_blocks_/var_values_ from
+  /// Refreshes block_values_/block_rep_ids_/var_blocks_/var_values_ from
   /// `order`; when `track` is set, changed_ records which slots moved.
   void LoadOrder(const TotalOrder& order, bool track);
   void RebuildHead();
+  /// The representative term behind a block_rep_ids() entry.
+  Term RepTerm(uint32_t id) const;
+  /// Rep id of a variable without a slot; interns it if new.
+  uint32_t UnslottedVariableRepId(const std::string& name);
+  /// Rep id of constant `value`, expected at position `hint`.
+  uint32_t ConstantRepId(const Rational& value, size_t hint);
 
   std::unordered_map<std::string, uint32_t> var_slots_;
   std::vector<std::string> slot_names_;
@@ -147,7 +171,10 @@ class CanonicalFreezer {
   std::vector<CompiledTerm> head_;
   FlatInstance instance_;
   std::vector<Rational> block_values_;
-  std::vector<Term> block_reps_;
+  std::vector<uint32_t> block_rep_ids_;
+  std::unordered_map<std::string, uint32_t> unslotted_ids_;
+  std::vector<std::string> unslotted_names_;  // id - slot count -> name
+  std::vector<Rational> rep_constants_;  // constant k of kConstantRepId + k
   std::vector<Rational> var_values_;  // slot -> value under current order
   std::vector<uint32_t> var_blocks_;  // slot -> block index
   std::vector<char> changed_;         // slot -> moved in the last delta?

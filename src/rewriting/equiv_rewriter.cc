@@ -11,6 +11,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "constraints/ac_solver.h"
@@ -85,39 +87,93 @@ bool FoldsOntoTuple(const Atom& tuple, const Atom& other) {
 }
 
 /// The structural key of the current canonical database for Phase-1
-/// deduplication: every view's ground tuples rendered unfrozen (block
-/// representatives), plus the variable -> block-representative map.  The
-/// kept MCD set under every pruning mode, the combination verdict, and the
-/// Pre-Rewriting body are pure functions of this key — only the projected
-/// order comparisons are not, and those are rebuilt per database.
-std::string BuildPhase1Key(const CanonicalFreezer& freezer,
-                           const ViewTupleEvaluator& ev) {
-  std::string key;
-  key.reserve(256);
+/// deduplication, into `key`: per view, its ground-tuple count and each
+/// value as the representative id of its order block (a value outside
+/// every block as an escape word plus its numerator and denominator),
+/// then every slot's representative id.  Equal keys mean equal rendered
+/// view tuples and variable -> representative maps (the reference string
+/// form is testing::BuildPhase1Key).  The kept MCD set under every
+/// pruning mode, the combination verdict, and the Pre-Rewriting body are
+/// pure functions of this key; only the projected order comparisons are
+/// not.
+void BuildPhase1MemoKey(const CanonicalFreezer& freezer,
+                        const ViewTupleEvaluator& ev, Phase1Key* key) {
+  key->clear();
   for (int v = 0; v < ev.view_count(); ++v) {
-    key += '#';
-    key += std::to_string(v);
-    for (const Tuple& ground : ev.ground(v).tuples()) {
-      key += '(';
+    const std::set<Tuple>& tuples = ev.ground(v).tuples();
+    key->push_back(static_cast<uint32_t>(tuples.size()));
+    for (const Tuple& ground : tuples) {
       for (const Rational& value : ground) {
-        key += freezer.UnfreezeValue(value).ToString();
-        key += ',';
+        const uint32_t id = freezer.RepIdOfValue(value);
+        key->push_back(id);
+        if (id != CanonicalFreezer::kOutsideBlocks) continue;
+        for (const int64_t part : {value.num(), value.den()}) {
+          const auto bits = static_cast<uint64_t>(part);
+          key->push_back(static_cast<uint32_t>(bits));
+          key->push_back(static_cast<uint32_t>(bits >> 32));
+        }
       }
-      key += ')';
     }
   }
-  key += '|';
-  const std::vector<std::string>& names = freezer.slot_names();
-  const std::vector<uint32_t>& blocks = freezer.var_blocks();
-  const std::vector<Term>& reps = freezer.block_reps();
-  for (size_t s = 0; s < names.size(); ++s) {
-    key += names[s];
-    key += '=';
-    key += reps[blocks[s]].ToString();
-    key += ';';
+  const std::vector<uint32_t>& rep_ids = freezer.block_rep_ids();
+  for (const uint32_t block : freezer.var_blocks()) {
+    key->push_back(rep_ids[block]);
   }
-  return key;
 }
+
+/// The key of the Pre-Rewriting `entry` yields on the current canonical
+/// database, into `key`: the body's size and MCD indices, then, per body
+/// variable with a slot, 2 * (rank of its block among the visible blocks)
+/// + (1 if the block holds a constant).  A block is visible when it holds
+/// a body variable or a constant; the visible blocks in order, with the
+/// run's fixed constants, are what TotalOrder::ProjectedComparisons
+/// renders, so equal keys mean equal Pre-Rewritings.  `rank` is scratch.
+void BuildPreRewritingKey(const Phase1Entry& entry,
+                          const CanonicalFreezer& freezer,
+                          std::vector<uint32_t>* rank, Phase1Key* key) {
+  const std::vector<uint32_t>& blocks = freezer.var_blocks();
+  const std::vector<uint32_t>& rep_ids = freezer.block_rep_ids();
+  rank->assign(rep_ids.size(), 0);
+  for (const uint32_t slot : entry.body_slots) {
+    if (slot != Phase1Entry::kNoSlot) (*rank)[blocks[slot]] = 1;
+  }
+  uint32_t visible = 0;
+  for (size_t b = 0; b < rep_ids.size(); ++b) {
+    const uint32_t constant =
+        rep_ids[b] >= CanonicalFreezer::kConstantRepId ? 1 : 0;
+    if ((*rank)[b] != 0 || constant != 0) {
+      (*rank)[b] = 2 * visible++ + constant;
+    }
+  }
+  key->assign(1, static_cast<uint32_t>(entry.body_mcds.size()));
+  key->insert(key->end(), entry.body_mcds.begin(), entry.body_mcds.end());
+  for (const uint32_t slot : entry.body_slots) {
+    if (slot != Phase1Entry::kNoSlot) key->push_back((*rank)[blocks[slot]]);
+  }
+}
+
+/// The Pre-Rewriting PR_i' of `entry` on the database of `order`: the
+/// body's view tuples plus the order projected onto their variables.
+ConjunctiveQuery BuildPreRewriting(const RewriteWork& work,
+                                   const Phase1Entry& entry,
+                                   const TotalOrder& order) {
+  std::vector<Atom> body;
+  body.reserve(entry.body_mcds.size());
+  for (const int i : entry.body_mcds) body.push_back(work.mcds[i].view_tuple);
+  return ConjunctiveQuery(work.query.head(), std::move(body),
+                          order.ProjectedComparisons(entry.body_vars));
+}
+
+std::atomic<internal::Phase1KeyObserver> g_key_observer{nullptr};
+
+/// Hashes and compares view tuples through pointers, so PrepareRewriteWork
+/// can index them without copying.
+struct AtomPtrHash {
+  size_t operator()(const Atom* a) const { return a->Hash(); }
+};
+struct AtomPtrEq {
+  bool operator()(const Atom* a, const Atom* b) const { return *a == *b; }
+};
 
 /// Folds a finished run's counters into the global metrics registry: the
 /// rewrite.* counters and the Phase-1 memo split for every run, and the
@@ -301,17 +357,13 @@ RewriteWork PrepareRewriteWork(
   work.mcd_rank.resize(m);
   work.mcd_folds.assign(m * m, 0);
   std::vector<int> distinct;
+  std::unordered_map<const Atom*, int, AtomPtrHash, AtomPtrEq> first_of;
+  first_of.reserve(m);
   for (size_t i = 0; i < m; ++i) {
-    work.mcd_dup_of[i] = static_cast<int>(i);
-    for (size_t j = 0; j < i; ++j) {
-      if (work.mcds[j].view_tuple == work.mcds[i].view_tuple) {
-        work.mcd_dup_of[i] = work.mcd_dup_of[j];
-        break;
-      }
-    }
-    if (work.mcd_dup_of[i] == static_cast<int>(i)) {
-      distinct.push_back(static_cast<int>(i));
-    }
+    const auto [it, inserted] =
+        first_of.try_emplace(&work.mcds[i].view_tuple, static_cast<int>(i));
+    work.mcd_dup_of[i] = it->second;
+    if (inserted) distinct.push_back(static_cast<int>(i));
     for (size_t j = 0; j < m; ++j) {
       work.mcd_folds[i * m + j] =
           FoldsOntoTuple(work.mcds[i].view_tuple, work.mcds[j].view_tuple);
@@ -329,31 +381,25 @@ RewriteWork PrepareRewriteWork(
   return work;
 }
 
-/// Phase-1 steps 2-3.7 proper; the public ProcessCanonicalDatabase wraps
-/// it with the per-database span and wall-time accounting (kept outside so
-/// the duration lands in the returned stats after the body finishes).
-static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
-                                                    const TotalOrder& order,
-                                                    Phase1Memo* memo) {
-  const RewriteOptions& options = work.options;
-  DatabaseOutcome out;
-  if (options.explain) out.trace.order = order.ToString();
+namespace {
 
-  // Keep only databases on which the query computes its frozen head
-  // (general evaluation: the identity freezing need not be the witnessing
-  // embedding).  The keep-test runs on a delta freeze with the shared
-  // prepared plan — consecutive orders differ in few blocks, so the
-  // freezer patches only the moved rows, and the view evaluator re-derives
-  // only views whose relations changed.  The caches are per-thread
-  // (ProcessCanonicalDatabase runs on worker threads) and are recompiled
-  // when a different run's work arrives.
-  struct Phase1Cache {
-    uint64_t work_id = 0;
-    std::optional<CanonicalFreezer> freezer;
-    std::optional<ViewTupleEvaluator> evaluator;
-    std::optional<FrozenTupleMatcher> matcher;
-    PreparedQuery::Scratch scratch;
-  };
+/// The per-thread Phase-1 state (ProcessCanonicalDatabase runs on worker
+/// threads).  The freezer, evaluator and matcher are recompiled when a
+/// different run's work arrives; the buffers keep their capacity, so a
+/// memo hit allocates nothing here.
+struct Phase1Cache {
+  uint64_t work_id = 0;
+  std::optional<CanonicalFreezer> freezer;
+  std::optional<ViewTupleEvaluator> evaluator;
+  std::optional<FrozenTupleMatcher> matcher;
+  PreparedQuery::Scratch scratch;
+  Phase1Key memo_key;
+  Phase1Key pre_key;
+  std::vector<uint32_t> block_rank;  // BuildPreRewritingKey's scratch
+  Phase1Entry computed;              // the conclusion of the last miss
+};
+
+Phase1Cache& ThreadPhase1Cache(const RewriteWork& work) {
   static thread_local Phase1Cache cache;
   if (cache.work_id != work.work_id) {
     cache.freezer.emplace(work.query);
@@ -364,78 +410,14 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
     cache.matcher.emplace(std::move(mcd_tuples), *cache.freezer);
     cache.work_id = work.work_id;
   }
-  bool computes_head;
-  {
-    CQAC_TRACE_SPAN("phase1.freeze");
-    const int64_t freeze_t0 = NowNs();
-    const FlatInstance& inst = cache.freezer->Freeze(order);
-    computes_head = work.prepared_query.Run(
-        inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
-    out.stats.freeze_ns += NowNs() - freeze_t0;
-  }
-  if (!computes_head) {
-    out.status = DatabaseOutcome::Status::kSkipped;
-    if (options.explain) out.trace.status = "skipped";
-    return out;
-  }
-  out.trace.computes_head = true;
-  ++out.stats.kept_canonical_databases;
+  return cache;
+}
 
-  // Step 3.1-3.2: view tuples T_i(V), from the epoch-gated evaluator.
-  {
-    CQAC_TRACE_SPAN("phase1.view_tuples");
-    cache.evaluator->Refresh(*cache.freezer);
-  }
-  out.stats.view_tuples_total += cache.evaluator->total();
-  if (options.explain) out.trace.view_tuples = cache.evaluator->total();
-  if (cache.evaluator->total() == 0) {
-    out.status = DatabaseOutcome::Status::kFailed;
-    out.failure_reason =
-        "no view produces any tuple on canonical database [" +
-        order.ToString() + "]";
-    if (options.explain) out.trace.status = "no-view-tuples";
-    return out;
-  }
-
-  // Databases with equal structural keys share one Phase-1 conclusion:
-  // on a memo hit the kept count, combination verdict, and Pre-Rewriting
-  // body are replayed, and only the order-dependent projected comparisons
-  // are rebuilt.  Explain runs bypass the memo so every database's trace
-  // stays complete.
-  if (options.explain) memo = nullptr;
-  std::string memo_key;
-  if (memo != nullptr) {
-    const Phase1Entry* entry = nullptr;
-    {
-      CQAC_TRACE_SPAN("phase1.memo_probe");
-      memo_key = BuildPhase1Key(*cache.freezer, *cache.evaluator);
-      entry = memo->Find(memo_key);
-    }
-    if (entry != nullptr) {
-      ++out.stats.phase1_memo_hits;
-      out.stats.mcds_kept_total += entry->mcds_kept;
-      if (!entry->combination_exists) {
-        out.status = DatabaseOutcome::Status::kFailed;
-        out.failure_reason =
-            "no MiniCon combination covers the query on canonical "
-            "database [" +
-            order.ToString() + "]";
-        return out;
-      }
-      std::vector<Atom> body;
-      body.reserve(entry->body_mcds.size());
-      for (const int i : entry->body_mcds) {
-        body.push_back(work.mcds[i].view_tuple);
-      }
-      out.pre_rewriting =
-          ConjunctiveQuery(work.query.head(), std::move(body),
-                           order.ProjectedComparisons(entry->body_vars));
-      out.status = DatabaseOutcome::Status::kKept;
-      return out;
-    }
-    ++out.stats.phase1_memo_misses;
-  }
-
+/// Steps 3.4-3.7 on the current database, in full: bucket pruning, the
+/// MiniCon existence check and the Pre-Rewriting body, into `entry`.
+void ComputePhase1Entry(const RewriteWork& work, Phase1Cache& cache,
+                        Phase1Entry* entry) {
+  const RewriteOptions& options = work.options;
   // Step 3.4: prune bucket entries against the database's tuples.  Kept
   // MCDs are tracked by index into work.mcds; nothing is copied until the
   // surviving tuples enter the Pre-Rewriting body.
@@ -485,27 +467,15 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
       }
     }
   }
-  out.stats.mcds_kept_total += static_cast<int64_t>(kept.size());
-  if (options.explain) {
-    out.trace.kept_mcds = static_cast<int64_t>(kept.size());
-  }
+  entry->mcds_kept = static_cast<int64_t>(kept.size());
+  entry->body_mcds.clear();
+  entry->body_vars.clear();
+  entry->body_slots.clear();
 
   // Step 3.5: MiniCon phase 2 as an existence check.
-  if (!McdCombinationExists(work.mcds, kept, work.num_subgoals)) {
-    if (memo != nullptr) {
-      memo->Insert(std::move(memo_key),
-                   Phase1Entry{false, static_cast<int64_t>(kept.size()), {},
-                               {}});
-    }
-    out.status = DatabaseOutcome::Status::kFailed;
-    out.failure_reason =
-        "no MiniCon combination covers the query on canonical "
-        "database [" +
-        order.ToString() + "]";
-    if (options.explain) out.trace.status = "no-mcr";
-    return out;
-  }
-  if (options.explain) out.trace.combination_exists = true;
+  entry->combination_exists =
+      McdCombinationExists(work.mcds, kept, work.num_subgoals);
+  if (!entry->combination_exists) return;
 
   // Steps 3.6-3.7 and Phase 2 task (a): the Pre-Rewriting holds all
   // surviving view tuples plus the database's order constraints projected
@@ -536,51 +506,158 @@ static DatabaseOutcome ProcessCanonicalDatabaseImpl(const RewriteWork& work,
         }
       }
     }
-    std::vector<int> reduced;
     for (size_t i = 0; i < body_idx.size(); ++i) {
-      if (!dropped[i]) reduced.push_back(body_idx[i]);
+      if (!dropped[i]) entry->body_mcds.push_back(body_idx[i]);
     }
-    body_idx = std::move(reduced);
   }
-  std::sort(body_idx.begin(), body_idx.end(), [&work](int a, int b) {
-    return work.mcd_rank[a] < work.mcd_rank[b];
-  });
-  std::vector<Atom> body;
-  body.reserve(body_idx.size());
-  for (const int i : body_idx) body.push_back(work.mcds[i].view_tuple);
-  std::vector<std::string> body_vars;
-  {
-    std::set<std::string> seen;
-    for (const Atom& a : body) {
-      for (const Term& t : a.args()) {
-        if (t.IsVariable() && seen.insert(t.name()).second) {
-          body_vars.push_back(t.name());
-        }
+  std::sort(entry->body_mcds.begin(), entry->body_mcds.end(),
+            [&work](int a, int b) {
+              return work.mcd_rank[a] < work.mcd_rank[b];
+            });
+  const std::unordered_map<std::string, uint32_t>& slots =
+      cache.freezer->var_slots();
+  for (const int i : entry->body_mcds) {
+    for (const Term& t : work.mcds[i].view_tuple.args()) {
+      if (!t.IsVariable() ||
+          std::find(entry->body_vars.begin(), entry->body_vars.end(),
+                    t.name()) != entry->body_vars.end()) {
+        continue;
       }
+      entry->body_vars.push_back(t.name());
+      const auto slot = slots.find(t.name());
+      entry->body_slots.push_back(slot != slots.end() ? slot->second
+                                                      : Phase1Entry::kNoSlot);
     }
   }
-  if (memo != nullptr) {
-    memo->Insert(std::move(memo_key),
-                 Phase1Entry{true, static_cast<int64_t>(kept.size()),
-                             body_idx, body_vars});
+}
+
+/// A kept database's Pre-Rewriting before it is built: its key and the
+/// entry building it takes.  Both point into the calling thread's
+/// Phase-1 state and stay valid until the thread's next database.
+struct PendingPreRewriting {
+  const Phase1Key* key = nullptr;
+  const Phase1Entry* entry = nullptr;
+};
+
+/// Phase-1 steps 2-3.7 proper.  With `pending` null the Pre-Rewriting of
+/// a kept database is built into the outcome; otherwise `pending`
+/// receives its key and entry, and only an explain run (whose trace
+/// renders it) or the key observer builds it.
+DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
+                          Phase1Memo* memo, PendingPreRewriting* pending) {
+  const RewriteOptions& options = work.options;
+  DatabaseOutcome out;
+  if (options.explain) out.trace.order = order.ToString();
+
+  // Keep only databases on which the query computes its frozen head
+  // (general evaluation: the identity freezing need not be the witnessing
+  // embedding).  The keep-test runs on a delta freeze with the shared
+  // prepared plan — consecutive orders differ in few blocks, so the
+  // freezer patches only the moved rows, and the view evaluator re-derives
+  // only views whose relations changed.
+  Phase1Cache& cache = ThreadPhase1Cache(work);
+  bool computes_head;
+  {
+    CQAC_TRACE_SPAN("phase1.freeze");
+    const int64_t freeze_t0 = NowNs();
+    const FlatInstance& inst = cache.freezer->Freeze(order);
+    computes_head = work.prepared_query.Run(
+        inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
+    out.stats.freeze_ns += NowNs() - freeze_t0;
   }
-  ConjunctiveQuery pre(work.query.head(), std::move(body),
-                       order.ProjectedComparisons(body_vars));
+  if (!computes_head) {
+    out.status = DatabaseOutcome::Status::kSkipped;
+    if (options.explain) out.trace.status = "skipped";
+    return out;
+  }
+  out.trace.computes_head = true;
+  ++out.stats.kept_canonical_databases;
+
+  // Step 3.1-3.2: view tuples T_i(V), from the epoch-gated evaluator.
+  {
+    CQAC_TRACE_SPAN("phase1.view_tuples");
+    cache.evaluator->Refresh(*cache.freezer);
+  }
+  out.stats.view_tuples_total += cache.evaluator->total();
+  if (options.explain) out.trace.view_tuples = cache.evaluator->total();
+  if (cache.evaluator->total() == 0) {
+    out.status = DatabaseOutcome::Status::kFailed;
+    out.failure_reason =
+        "no view produces any tuple on canonical database [" +
+        order.ToString() + "]";
+    if (options.explain) out.trace.status = "no-view-tuples";
+    return out;
+  }
+
+  // Databases with equal structural keys share one Phase-1 conclusion:
+  // on a memo hit the kept count, combination verdict, and Pre-Rewriting
+  // body are replayed, and only the order-dependent projected comparisons
+  // are rebuilt.  Explain runs bypass the memo so every database's trace
+  // stays complete.
+  if (options.explain) memo = nullptr;
+  const Phase1Entry* entry = nullptr;
+  if (memo != nullptr) {
+    CQAC_TRACE_SPAN("phase1.memo_probe");
+    BuildPhase1MemoKey(*cache.freezer, *cache.evaluator, &cache.memo_key);
+    entry = memo->Find(cache.memo_key);
+  }
+  if (entry != nullptr) {
+    ++out.stats.phase1_memo_hits;
+  } else {
+    if (memo != nullptr) ++out.stats.phase1_memo_misses;
+    ComputePhase1Entry(work, cache, &cache.computed);
+    if (memo != nullptr) memo->Insert(cache.memo_key, cache.computed);
+    entry = &cache.computed;
+  }
+  out.stats.mcds_kept_total += entry->mcds_kept;
+  if (options.explain) out.trace.kept_mcds = entry->mcds_kept;
+
+  const internal::Phase1KeyObserver observer =
+      g_key_observer.load(std::memory_order_relaxed);
+  internal::Phase1KeyProbe probe{&order, cache.freezer.operator->(),
+                                 cache.evaluator.operator->(),
+                                 memo != nullptr ? &cache.memo_key : nullptr,
+                                 nullptr, nullptr};
+  if (!entry->combination_exists) {
+    out.status = DatabaseOutcome::Status::kFailed;
+    out.failure_reason =
+        "no MiniCon combination covers the query on canonical "
+        "database [" +
+        order.ToString() + "]";
+    if (options.explain) out.trace.status = "no-mcr";
+    if (observer != nullptr) observer(probe);
+    return out;
+  }
+  if (options.explain) out.trace.combination_exists = true;
+
+  BuildPreRewritingKey(*entry, *cache.freezer, &cache.block_rank,
+                       &cache.pre_key);
+  if (pending == nullptr || options.explain || observer != nullptr) {
+    out.pre_rewriting = BuildPreRewriting(work, *entry, order);
+  }
+  if (pending != nullptr) *pending = {&cache.pre_key, entry};
   if (options.explain) {
-    out.trace.pre_rewriting = pre.ToString();
+    out.trace.pre_rewriting = out.pre_rewriting->ToString();
     out.trace.status = "ok";
   }
-  out.pre_rewriting = std::move(pre);
+  if (observer != nullptr) {
+    probe.pre_rewriting_key = &cache.pre_key;
+    probe.pre_rewriting = &*out.pre_rewriting;
+    observer(probe);
+  }
   out.status = DatabaseOutcome::Status::kKept;
   return out;
 }
 
-DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
-                                         const TotalOrder& order,
-                                         Phase1Memo* memo) {
+/// RunPhase1 with the per-database span and wall-time accounting (kept
+/// outside so the duration lands in the returned stats after the body
+/// finishes).
+DatabaseOutcome RunPhase1Timed(const RewriteWork& work,
+                               const TotalOrder& order, Phase1Memo* memo,
+                               PendingPreRewriting* pending) {
   CQAC_TRACE_SPAN("phase1.database");
   const int64_t t0 = NowNs();
-  DatabaseOutcome out = ProcessCanonicalDatabaseImpl(work, order, memo);
+  DatabaseOutcome out = RunPhase1(work, order, memo, pending);
   const int64_t dur = NowNs() - t0;
   out.stats.phase1_ns += dur;
   if (obs::MetricsActive()) {
@@ -591,6 +668,22 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
     wall.Observe(dur);
   }
   return out;
+}
+
+}  // namespace
+
+namespace internal {
+
+void SetPhase1KeyObserverForTest(Phase1KeyObserver observer) {
+  g_key_observer.store(observer, std::memory_order_relaxed);
+}
+
+}  // namespace internal
+
+DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
+                                         const TotalOrder& order,
+                                         Phase1Memo* memo) {
+  return RunPhase1Timed(work, order, memo, nullptr);
 }
 
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
@@ -760,7 +853,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   struct SubtreeOutcome {
     RewriteStats stats;  // canonical_databases: the databases it visited
     std::vector<CanonicalDatabaseTrace> traces;
-    std::vector<std::pair<std::string, ConjunctiveQuery>> pre_rewritings;
+    std::vector<std::pair<Phase1Key, ConjunctiveQuery>> pre_rewritings;
     std::optional<std::string> failure_reason;  // set iff it failed
   };
   std::vector<SubtreeOutcome> subtrees(static_cast<size_t>(num_tasks));
@@ -784,7 +877,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     // Filled locally and stored once: the neighbouring slots belong to
     // other workers, so writing the slot per database would share lines.
     SubtreeOutcome out;
-    std::set<std::string> seen;
+    std::unordered_set<Phase1Key, Phase1KeyHash> seen;
     // The subtree's own Phase-1 memo: one thread runs the subtree start
     // to finish, so the hit/miss split depends only on the partition.
     Phase1Memo memo;
@@ -795,8 +888,9 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
               out.stats.canonical_databases == limits[s]) {
             return false;
           }
-          DatabaseOutcome db = ProcessCanonicalDatabase(
-              work, order, driver.phase1_dedup ? &memo : nullptr);
+          PendingPreRewriting pending;
+          DatabaseOutcome db = RunPhase1Timed(
+              work, order, driver.phase1_dedup ? &memo : nullptr, &pending);
           ++out.stats.canonical_databases;
           out.stats.Merge(db.stats);
           if (explain) out.traces.push_back(std::move(db.trace));
@@ -806,12 +900,16 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
             note_failure();
             return false;
           }
-          if (db.status == DatabaseOutcome::Status::kKept) {
-            std::string key = db.pre_rewriting->ToString();
-            if (seen.insert(key).second) {
-              out.pre_rewritings.emplace_back(std::move(key),
-                                              *std::move(db.pre_rewriting));
-            }
+          // Only a subtree's first database with a given key builds its
+          // Pre-Rewriting.
+          if (db.status == DatabaseOutcome::Status::kKept &&
+              seen.find(*pending.key) == seen.end()) {
+            seen.insert(*pending.key);
+            out.pre_rewritings.emplace_back(
+                *pending.key,
+                db.pre_rewriting.has_value()
+                    ? *std::move(db.pre_rewriting)
+                    : BuildPreRewriting(work, *pending.entry, order));
           }
           return true;
         });
@@ -821,7 +919,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   // The one merge, in subtree order; it frees each subtree.  After a
   // failure the rest are only freed, as the inline loop never reaches them.
   std::vector<ConjunctiveQuery> pre_rewritings;
-  std::set<std::string> pre_rewriting_keys;
+  std::unordered_set<Phase1Key, Phase1KeyHash> pre_rewriting_keys;
   bool failed = false;
   const auto merge_subtree = [&](int64_t s) {
     SubtreeOutcome out = std::move(subtrees[static_cast<size_t>(s)]);

@@ -19,8 +19,10 @@
 namespace cqac {
 
 struct AcyclicPlan;  // Never defined; see RewriteWork::acyclic_plan.
-class Phase1Memo;  // runtime/memo_cache.h
-class ThreadPool;  // runtime/thread_pool.h
+class CanonicalFreezer;    // engine/canonical.h
+class Phase1Memo;          // runtime/memo_cache.h
+class ThreadPool;          // runtime/thread_pool.h
+class ViewTupleEvaluator;  // rewriting/view_tuples.h
 
 /// Options controlling the equivalent-rewriting algorithm.
 struct RewriteOptions {
@@ -312,6 +314,32 @@ struct DatabaseOutcome {
 DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
                                          const TotalOrder& order,
                                          Phase1Memo* memo = nullptr);
+
+namespace internal {
+
+/// One canonical database past Phase 1's view-tuple step, as the key
+/// observer sees it.  Every pointer is valid only during the call.
+struct Phase1KeyProbe {
+  const TotalOrder* order;
+  const CanonicalFreezer* freezer;  // frozen under `order`
+  const ViewTupleEvaluator* evaluator;
+  /// The integer memo key; null when the database ran without a memo.
+  const std::vector<uint32_t>* memo_key;
+  /// The integer Pre-Rewriting key and the Pre-Rewriting it stands for;
+  /// null unless the database produced one.
+  const std::vector<uint32_t>* pre_rewriting_key;
+  const ConjunctiveQuery* pre_rewriting;
+};
+using Phase1KeyObserver = void (*)(const Phase1KeyProbe&);
+
+/// Test-only: while set, Phase 1 calls `observer` for every database past
+/// the view-tuple step, on the thread that ran it, and builds every
+/// Pre-Rewriting for it.  The key parity test holds the integer keys to
+/// their string forms this way.  Relaxed atomic: set or clear (nullptr)
+/// only between runs.
+void SetPhase1KeyObserverForTest(Phase1KeyObserver observer);
+
+}  // namespace internal
 
 /// What the Phase-2 containment check concluded about one Pre-Rewriting.
 struct Phase2Outcome {

@@ -1,7 +1,6 @@
 #include "runtime/memo_cache.h"
 
 #include <atomic>
-#include <functional>
 #include <utility>
 
 #include "ast/comparison.h"
@@ -12,13 +11,19 @@ namespace cqac {
 // Phase1Memo
 // ---------------------------------------------------------------------------
 
+size_t Phase1KeyHash::operator()(const Phase1Key& key) const {
+  uint64_t h = key.size();
+  for (const uint32_t word : key) h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h ^ (h >> 32));
+}
+
 namespace {
 
 std::atomic<bool> g_key_collisions{false};
 
 /// The 4-bit stand-in key of the key-collision fault.
-std::string CollidingKey(const std::string& key) {
-  return std::to_string(std::hash<std::string>{}(key) & 0xF);
+Phase1Key CollidingKey(const Phase1Key& key) {
+  return {static_cast<uint32_t>(Phase1KeyHash{}(key) & 0xF)};
 }
 
 }  // namespace
@@ -31,19 +36,20 @@ void SetPhase1MemoKeyCollisionsForTest(bool enabled) {
 
 }  // namespace internal
 
-const Phase1Entry* Phase1Memo::Find(const std::string& key) const {
+const Phase1Entry* Phase1Memo::Find(const Phase1Key& key) const {
   const auto it = g_key_collisions.load(std::memory_order_relaxed)
                       ? entries_.find(CollidingKey(key))
                       : entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void Phase1Memo::Insert(std::string key, Phase1Entry entry) {
+void Phase1Memo::Insert(const Phase1Key& key, Phase1Entry entry) {
   if (entries_.size() >= capacity_) return;  // The memo stays bounded.
   if (g_key_collisions.load(std::memory_order_relaxed)) {
-    key = CollidingKey(key);
+    entries_.try_emplace(CollidingKey(key), std::move(entry));
+    return;
   }
-  entries_.try_emplace(std::move(key), std::move(entry));  // First wins.
+  entries_.try_emplace(key, std::move(entry));  // First wins.
 }
 
 // ---------------------------------------------------------------------------

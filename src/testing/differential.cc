@@ -1,9 +1,11 @@
 #include "testing/differential.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "catalog/view_catalog.h"
 #include "containment/homomorphism.h"
+#include "workload/prand.h"
 
 namespace cqac {
 namespace testing {
@@ -220,6 +222,21 @@ DifferentialReport RunConfigLattice(
     }
   }
   return report;
+}
+
+WorkloadConfig DrawFuzzConfig(std::mt19937_64& meta) {
+  WorkloadConfig config;
+  config.num_variables = PortableUniformInt(meta, 2, 4);
+  config.num_constants =
+      PortableUniformInt(meta, 0, std::min(2, 7 - config.num_variables - 3));
+  config.num_subgoals = PortableUniformInt(meta, 2, 3);
+  config.num_predicates = PortableUniformInt(meta, 2, 3);
+  config.num_query_comparisons = PortableUniformInt(meta, 0, 2);
+  config.num_views = PortableUniformInt(meta, 1, 4);
+  config.view_subgoals = PortableUniformInt(meta, 1, 2);
+  config.distractor_fraction = 0.25;
+  config.seed = meta();
+  return config;
 }
 
 }  // namespace testing

@@ -2,11 +2,13 @@
 #define CQAC_TESTING_DIFFERENTIAL_H_
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "rewriting/equiv_rewriter.h"
 #include "testing/corpus.h"
+#include "workload/generator.h"
 
 namespace cqac {
 namespace testing {
@@ -137,6 +139,12 @@ struct DifferentialReport {
 /// divergence.
 DifferentialReport RunConfigLattice(const FuzzCase& c,
                                     const std::vector<LatticeConfig>& lattice);
+
+/// The workload parameters of cqacfuzz's next generated case, drawn from
+/// `meta`.  The guard `variables + constants <= 7` keeps the oracle's
+/// order enumeration (and the rewriter's own Phase 1) within budget — 7
+/// terms is under 50k orders.
+WorkloadConfig DrawFuzzConfig(std::mt19937_64& meta);
 
 }  // namespace testing
 }  // namespace cqac

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -19,6 +21,9 @@
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/view_tuples.h"
 #include "runtime/memo_cache.h"
+#include "testing/corpus.h"
+#include "testing/differential.h"
+#include "testing/phase1_keys.h"
 #include "workload/generator.h"
 
 namespace cqac {
@@ -583,20 +588,206 @@ TEST(Phase1MemoTest, ExplainBypassesTheMemo) {
 
 TEST(Phase1MemoTest, CapacityBoundsResidentEntries) {
   Phase1Memo memo(/*capacity=*/32);
-  for (int i = 0; i < 1000; ++i) {
+  const auto key = [](uint32_t i) { return Phase1Key{i, 7}; };
+  for (uint32_t i = 0; i < 1000; ++i) {
     Phase1Entry entry;
     entry.mcds_kept = i;
-    memo.Insert("key" + std::to_string(i), entry);
-    memo.Insert("key0", entry);  // The first insert of a key wins.
+    memo.Insert(key(i), entry);
+    memo.Insert(key(0), entry);  // The first insert of a key wins.
   }
   EXPECT_EQ(memo.size(), 32u);
   // The first 32 keys stay resident; the rest were dropped.
-  const Phase1Entry* first = memo.Find("key0");
+  const Phase1Entry* first = memo.Find(key(0));
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->mcds_kept, 0);
-  EXPECT_NE(memo.Find("key31"), nullptr);
-  EXPECT_EQ(memo.Find("key32"), nullptr);
-  EXPECT_EQ(memo.Find("key999"), nullptr);
+  EXPECT_NE(memo.Find(key(31)), nullptr);
+  EXPECT_EQ(memo.Find(key(32)), nullptr);
+  EXPECT_EQ(memo.Find(key(999)), nullptr);
+  EXPECT_EQ(memo.Find(Phase1Key{0}), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Key parity: within a run, two databases share an integer memo key
+// exactly when they share the reference string key, and two
+// Pre-Rewritings share an integer key exactly when they render equal.
+
+/// Every key pair the observer saw in one run, and the first mismatch.
+struct KeyParity {
+  std::mutex mu;
+  std::map<std::string, Phase1Key> memo_of_string;
+  std::map<Phase1Key, std::string> string_of_memo;
+  std::map<std::string, Phase1Key> pre_of_string;
+  std::map<Phase1Key, std::string> string_of_pre;
+  int64_t databases = 0;
+  int64_t pre_rewritings = 0;
+  std::string mismatch;
+};
+
+KeyParity* g_parity = nullptr;
+
+/// Records a <-> b, both directions; false when either already maps to a
+/// different partner.
+template <typename A, typename B>
+bool Pair(std::map<A, B>* forward, std::map<B, A>* backward, const A& a,
+          const B& b) {
+  const auto f = forward->try_emplace(a, b).first;
+  const auto r = backward->try_emplace(b, a).first;
+  return f->second == b && r->second == a;
+}
+
+void ObserveKeys(const internal::Phase1KeyProbe& probe) {
+  const std::string memo_string =
+      testing::BuildPhase1Key(*probe.freezer, *probe.evaluator, *probe.order);
+  const std::string pre_string = probe.pre_rewriting != nullptr
+                                     ? probe.pre_rewriting->ToString()
+                                     : std::string();
+  std::lock_guard<std::mutex> lock(g_parity->mu);
+  ++g_parity->databases;
+  if (probe.memo_key == nullptr) {
+    g_parity->mismatch = "no memo key";
+  } else if (!Pair(&g_parity->memo_of_string, &g_parity->string_of_memo,
+                   memo_string, *probe.memo_key) &&
+             g_parity->mismatch.empty()) {
+    g_parity->mismatch = "memo key of " + memo_string;
+  }
+  if ((probe.pre_rewriting_key == nullptr) != (probe.pre_rewriting == nullptr)) {
+    g_parity->mismatch = "Pre-Rewriting without its key";
+  }
+  if (probe.pre_rewriting_key == nullptr) return;
+  ++g_parity->pre_rewritings;
+  if (!Pair(&g_parity->pre_of_string, &g_parity->string_of_pre, pre_string,
+            *probe.pre_rewriting_key) &&
+      g_parity->mismatch.empty()) {
+    g_parity->mismatch = "Pre-Rewriting key of " + pre_string;
+  }
+}
+
+/// Runs `c` at jobs 1, 2 and 4 under the key observer and checks each
+/// run's key classes.  Adds the observed databases and Pre-Rewritings to
+/// the totals.
+void ExpectKeyParity(const ConjunctiveQuery& query, const ViewSet& views,
+                     const std::string& context, int64_t* databases,
+                     int64_t* pre_rewritings) {
+  for (const int jobs : {1, 2, 4}) {
+    KeyParity parity;
+    g_parity = &parity;
+    internal::SetPhase1KeyObserverForTest(&ObserveKeys);
+    RewriteOptions options;
+    options.jobs = jobs;
+    const RewriteResult result = EquivalentRewriter(query, views, options).Run();
+    internal::SetPhase1KeyObserverForTest(nullptr);
+    g_parity = nullptr;
+    EXPECT_EQ(parity.mismatch, "") << context << " jobs=" << jobs;
+    // Every database past the view-tuple step hits or misses the memo.
+    // Pooled subtrees past a failure may run but are never merged.
+    const int64_t merged =
+        result.stats.phase1_memo_hits + result.stats.phase1_memo_misses;
+    if (jobs == 1 || result.outcome == RewriteOutcome::kRewritingFound) {
+      EXPECT_EQ(parity.databases, merged) << context << " jobs=" << jobs;
+    } else {
+      EXPECT_GE(parity.databases, merged) << context << " jobs=" << jobs;
+    }
+    *databases += parity.databases;
+    *pre_rewritings += parity.pre_rewritings;
+  }
+}
+
+TEST(Phase1KeyParityTest, ChainQueries) {
+  const ViewSet chain_views(Parser::MustParseProgram(
+      "v1(A,C) :- r1(A,B), r2(B,C).\n"
+      "v2(C) :- r3(C,D), r4(D,E)."));
+  const ViewSet failing_views(Parser::MustParseProgram(
+      "v1(A,C) :- r1(A,B), r2(B,C), B <= 8.\n"
+      "v2(C) :- r3(C,D), r4(D,E)."));
+  const std::string chain =
+      "q(A) :- r1(A,B), r2(B,C), r3(C,D), r4(D,E), A <= 8";
+  int64_t databases = 0;
+  int64_t pre_rewritings = 0;
+  ExpectKeyParity(Parser::MustParseRule(chain), chain_views, "chain",
+                  &databases, &pre_rewritings);
+  ExpectKeyParity(Parser::MustParseRule(chain + ", D > B"), failing_views,
+                  "chain failure", &databases, &pre_rewritings);
+  EXPECT_GT(databases, 1000);
+  EXPECT_GT(pre_rewritings, 1000);
+}
+
+TEST(Phase1KeyParityTest, CorpusCases) {
+  std::string error;
+  const std::optional<std::vector<testing::CorpusEntry>> corpus =
+      testing::LoadCorpusDir(CQAC_CORPUS_DIR, &error);
+  ASSERT_TRUE(corpus.has_value()) << error;
+  ASSERT_FALSE(corpus->empty());
+  int64_t databases = 0;
+  int64_t pre_rewritings = 0;
+  for (const testing::CorpusEntry& entry : *corpus) {
+    ExpectKeyParity(entry.c.query, entry.c.views, entry.name, &databases,
+                    &pre_rewritings);
+  }
+  EXPECT_GT(databases, 0);
+  EXPECT_GT(pre_rewritings, 0);
+}
+
+// The cases cqacfuzz generates (as --dump-workloads draws them), seeds 1-2.
+TEST(Phase1KeyParityTest, FuzzGeneratedCases) {
+  int64_t databases = 0;
+  int64_t pre_rewritings = 0;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    std::mt19937_64 meta(seed);
+    for (int i = 0; i < 25; ++i) {
+      const WorkloadInstance instance =
+          WorkloadGenerator(testing::DrawFuzzConfig(meta)).Generate();
+      ExpectKeyParity(instance.query, instance.views,
+                      "seed " + std::to_string(seed) + " case " +
+                          std::to_string(i),
+                      &databases, &pre_rewritings);
+    }
+  }
+  EXPECT_GT(databases, 0);
+  EXPECT_GT(pre_rewritings, 0);
+}
+
+// ---------------------------------------------------------------------------
+// PrepareRewriteWork's MCD relations against the quadratic reference.
+
+TEST(PrepareRewriteWorkTest, McdDupOfAndRankMatchTheQuadraticReference) {
+  std::string error;
+  const std::optional<std::vector<testing::CorpusEntry>> corpus =
+      testing::LoadCorpusDir(CQAC_CORPUS_DIR, &error);
+  ASSERT_TRUE(corpus.has_value()) << error;
+  int64_t duplicates = 0;
+  for (const testing::CorpusEntry& entry : *corpus) {
+    const RewriteOptions options;
+    const RewriteWork work =
+        PrepareRewriteWork(entry.c.query, entry.c.views, options);
+    const size_t m = work.mcds.size();
+    std::vector<int> dup_of(m);
+    std::vector<int> distinct;
+    for (size_t i = 0; i < m; ++i) {
+      dup_of[i] = static_cast<int>(i);
+      for (size_t j = 0; j < i; ++j) {
+        if (work.mcds[j].view_tuple == work.mcds[i].view_tuple) {
+          dup_of[i] = dup_of[j];
+          break;
+        }
+      }
+      if (dup_of[i] == static_cast<int>(i)) {
+        distinct.push_back(static_cast<int>(i));
+      } else {
+        ++duplicates;
+      }
+    }
+    std::sort(distinct.begin(), distinct.end(), [&work](int a, int b) {
+      return work.mcds[a].view_tuple < work.mcds[b].view_tuple;
+    });
+    std::vector<int> rank(m);
+    for (size_t r = 0; r < distinct.size(); ++r) {
+      rank[distinct[r]] = static_cast<int>(r);
+    }
+    for (size_t i = 0; i < m; ++i) rank[i] = rank[dup_of[i]];
+    EXPECT_EQ(work.mcd_dup_of, dup_of) << entry.name;
+    EXPECT_EQ(work.mcd_rank, rank) << entry.name;
+  }
+  EXPECT_GT(duplicates, 0);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@
 #include "testing/oracle.h"
 #include "testing/shrinker.h"
 #include "workload/generator.h"
-#include "workload/prand.h"
 
 namespace cqac {
 namespace testing {
@@ -154,25 +153,6 @@ std::optional<FuzzFlags> ParseFlags(int argc, char** argv) {
     }
   }
   return flags;
-}
-
-/// Small-case workload parameters drawn per iteration.  The guard
-/// `variables + constants <= 7` keeps the oracle's order enumeration (and
-/// the rewriter's own Phase 1) within budget — 7 terms is under 50k
-/// orders.
-WorkloadConfig DrawConfig(std::mt19937_64& meta) {
-  WorkloadConfig config;
-  config.num_variables = PortableUniformInt(meta, 2, 4);
-  config.num_constants =
-      PortableUniformInt(meta, 0, std::min(2, 7 - config.num_variables - 3));
-  config.num_subgoals = PortableUniformInt(meta, 2, 3);
-  config.num_predicates = PortableUniformInt(meta, 2, 3);
-  config.num_query_comparisons = PortableUniformInt(meta, 0, 2);
-  config.num_views = PortableUniformInt(meta, 1, 4);
-  config.view_subgoals = PortableUniformInt(meta, 1, 2);
-  config.distractor_fraction = 0.25;
-  config.seed = meta();
-  return config;
 }
 
 struct Finding {
@@ -345,7 +325,7 @@ class Fuzzer {
     }
     for (int64_t iter = 0; iter < per_seed_iterations && !TimeUp(); ++iter) {
       for (size_t i = 0; i < num_seeds && !TimeUp(); ++i) {
-        const WorkloadConfig config = DrawConfig(metas[i]);
+        const WorkloadConfig config = DrawFuzzConfig(metas[i]);
         WorkloadGenerator generator(config);
         const WorkloadInstance instance = generator.Generate();
         const std::string origin = "seed " +
@@ -376,7 +356,7 @@ class Fuzzer {
     std::filesystem::create_directories(flags_.out_dir, ec);
     std::mt19937_64 meta(flags_.seed_lo);
     for (int i = 0; i < flags_.dump_workloads; ++i) {
-      const WorkloadConfig config = DrawConfig(meta);
+      const WorkloadConfig config = DrawFuzzConfig(meta);
       WorkloadGenerator generator(config);
       const WorkloadInstance instance = generator.Generate();
       char name[64];
