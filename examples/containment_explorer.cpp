@@ -43,7 +43,7 @@ void ShowCqac(const char* q1_text, const char* q2_text) {
   const bool implication = CqacContainedImplication(q1, q2);
   std::printf("  %-42s %s %s   [canonical dbs checked: %lld]%s\n", q1_text,
               canonical ? "⊑ " : "⋢ ", q2_text,
-              static_cast<long long>(stats.orders_satisfying),
+              static_cast<long long>(stats.orders_enumerated),
               canonical == implication ? "" : "  METHODS DISAGREE!");
 }
 

@@ -10,12 +10,12 @@ namespace cqac {
 
 /// Maps strings (variable and predicate names) to dense `uint32_t` ids.
 ///
-/// The compiled containment/evaluation engine lowers the string-based AST
-/// into flat integer form once per check; every later operation — binding a
-/// variable, matching a predicate, indexing a relation — is then an array
-/// access instead of a string-map lookup.  Ids are assigned densely in
-/// first-intern order, so they double as indices into side arrays
-/// (binding stores, candidate lists, value slots).
+/// The evaluation engine (FlatInstance, query plans) lowers the
+/// string-based AST into flat integer form once; every later operation —
+/// binding a variable, matching a predicate, indexing a relation — is then
+/// an array access instead of a string-map lookup.  Ids are assigned
+/// densely in first-intern order, so they double as indices into side
+/// arrays (binding slots, relation tables).
 ///
 /// Not thread-safe; each compilation owns its interner.
 class SymbolInterner {

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <utility>
 
 #include "constraints/ac_solver.h"
 
@@ -232,28 +230,11 @@ int64_t SatMul(int64_t a, int64_t b) {
   return a * b;
 }
 
-/// C(n, k), saturating.  The running product is exactly divisible by `i`
-/// at every step (it is C(n-k+i, i) * i!/i! in disguise).
-int64_t Binomial(int64_t n, int64_t k) {
-  int64_t r = 1;
-  for (int64_t i = 1; i <= k; ++i) {
-    const int64_t factor = n - k + i;
-    if (r > std::numeric_limits<int64_t>::max() / factor) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    r = r * factor / i;
-  }
-  return r;
-}
-
-/// The prefix-pruned enumeration tree behind ForEachSatisfyingOrder and
-/// ForEachSatisfyingOrderPruned.
+/// The prefix-pruned enumeration tree behind ForEachSatisfyingOrder.
 ///
 /// Emits exactly the satisfying orders the naive enumerate-then-filter
-/// reference would (ForEachSatisfyingOrderLegacy), in the same sequence,
-/// modulo the symmetry reduction: pruning only removes subtrees containing
-/// no satisfying leaf, and symmetry only collapses orbits whose members
-/// the caller declared equivalent.
+/// reference would (ForEachSatisfyingOrderLegacy), in the same sequence:
+/// pruning only removes subtrees containing no satisfying leaf.
 ///
 /// The key invariant making prefix checks sound: once two terms are both
 /// placed, their relative order (<, =, >) never changes anywhere in the
@@ -265,25 +246,17 @@ int64_t Binomial(int64_t n, int64_t k) {
 /// the axioms are closed under transitivity across variables and constants
 /// at compile time, and the closure's constraints are checked positionally
 /// the same way.
-///
-/// Symmetry reduction: for each group of interchangeable variables the
-/// tree only generates placements in which the group's members sit at
-/// nondecreasing block positions (in group order).  Each emitted order
-/// represents its whole orbit; the orbit size — the multinomial of the
-/// group's per-block occupancy — is reported as the multiplicity.
 class PrunedOrderEnumerator {
  public:
   PrunedOrderEnumerator(const std::vector<std::string>& variables,
                         const std::vector<Rational>& sorted_constants,
                         const std::vector<Comparison>& axioms,
-                        const OrderSymmetry& symmetry,
                         OrderEnumerationStats* stats)
       : variables_(variables), axioms_(axioms), stats_(stats) {
-    Compile(sorted_constants, axioms, symmetry);
+    Compile(sorted_constants, axioms);
   }
 
-  void Run(TotalOrder* order,
-           const std::function<bool(const TotalOrder&, int64_t)>& fn) {
+  void Run(TotalOrder* order, const OrderFn& fn) {
     if (impossible_) return;
     if (incomplete_) {
       RunFallback(order, fn);
@@ -296,7 +269,6 @@ class PrunedOrderEnumerator {
  private:
   static constexpr int kUnplaced = -1;
   static constexpr int kNotTracked = -1;
-  static constexpr int kNoGroup = -1;
 
   enum class CheckOp { kLt, kLe, kNe };
 
@@ -311,8 +283,7 @@ class PrunedOrderEnumerator {
   };
 
   void Compile(const std::vector<Rational>& sorted_constants,
-               const std::vector<Comparison>& axioms,
-               const OrderSymmetry& symmetry) {
+               const std::vector<Comparison>& axioms) {
     auto var_slot = [this](const std::string& name) -> int {
       auto [it, inserted] =
           var_ids_.emplace(name, static_cast<int>(var_block_.size()));
@@ -451,23 +422,6 @@ class PrunedOrderEnumerator {
     for (size_t i = 0; i < sorted_constants.size(); ++i) {
       const_block_[i] = static_cast<int>(i);
     }
-    // Symmetry groups: keep members that are enumerated here and carry no
-    // axiom (tracked members would make orbit outcomes diverge).
-    insertion_group_.assign(variables_.size(), kNoGroup);
-    for (const std::vector<std::string>& group : symmetry.groups) {
-      std::vector<size_t> steps;
-      for (size_t i = 0; i < variables_.size(); ++i) {
-        if (insertion_var_[i] != kNotTracked) continue;
-        if (std::find(group.begin(), group.end(), variables_[i]) !=
-            group.end()) {
-          steps.push_back(i);
-        }
-      }
-      if (steps.size() < 2) continue;
-      const int gid = static_cast<int>(group_stack_.size());
-      for (const size_t step : steps) insertion_group_[step] = gid;
-      group_stack_.emplace_back();
-    }
   }
 
   /// All positional checks incident to `slot` whose endpoints are both
@@ -491,49 +445,15 @@ class PrunedOrderEnumerator {
     return true;
   }
 
-  /// Orbit size of the current complete placement: per group, the
-  /// multinomial coefficient of its per-block occupancy counts.
-  int64_t Multiplicity() const {
-    int64_t m = 1;
-    for (const std::vector<int>& stack : group_stack_) {
-      if (stack.size() < 2) continue;
-      int64_t cum = 0;
-      size_t i = 0;
-      while (i < stack.size()) {
-        size_t j = i;
-        while (j < stack.size() && stack[j] == stack[i]) ++j;
-        const int64_t run = static_cast<int64_t>(j - i);
-        cum += run;
-        m = SatMul(m, Binomial(cum, run));
-        i = j;
-      }
-    }
-    return m;
-  }
-
-  bool Insert(size_t next, TotalOrder* order,
-              const std::function<bool(const TotalOrder&, int64_t)>& fn) {
+  bool Insert(size_t next, TotalOrder* order, const OrderFn& fn) {
     if (next == variables_.size()) {
-      const int64_t mult = Multiplicity();
       ++stats_->orders_emitted;
-      stats_->orders_weighted += mult;
-      return fn(*order, mult);
+      return fn(*order);
     }
     const std::string& var = variables_[next];
     const int tracked = insertion_var_[next];
-    const int gid = insertion_group_[next];
-    const int prev = gid != kNoGroup && !group_stack_[gid].empty()
-                         ? group_stack_[gid].back()
-                         : kUnplaced;
-    // Option 1: join an existing block.  Canonical representatives place
-    // group members at nondecreasing positions, so blocks before the
-    // group's previous member are skipped wholesale.
-    size_t b = 0;
-    if (prev != kUnplaced) {
-      b = static_cast<size_t>(prev);
-      stats_->nodes_symmetry_skipped += prev;
-    }
-    for (; b < order->blocks.size(); ++b) {
+    // Option 1: join an existing block.
+    for (size_t b = 0; b < order->blocks.size(); ++b) {
       if (tracked != kNotTracked) {
         var_block_[tracked] = static_cast<int>(b);
         if (!PlacementOk(tracked)) {
@@ -543,24 +463,16 @@ class PrunedOrderEnumerator {
         }
       }
       order->blocks[b].variables.push_back(var);
-      if (gid != kNoGroup) group_stack_[gid].push_back(static_cast<int>(b));
       ++stats_->nodes_visited;
       const bool keep_going = Insert(next + 1, order, fn);
-      if (gid != kNoGroup) group_stack_[gid].pop_back();
       order->blocks[b].variables.pop_back();
       if (tracked != kNotTracked) var_block_[tracked] = kUnplaced;
       if (!keep_going) return false;
     }
-    // Option 2: open a new block in a gap (strictly after the group's
-    // previous member: the new singleton block must not precede it).
+    // Option 2: open a new block in a gap.
     OrderBlock fresh;
     fresh.variables.push_back(var);
-    size_t gap = 0;
-    if (prev != kUnplaced) {
-      gap = static_cast<size_t>(prev) + 1;
-      stats_->nodes_symmetry_skipped += prev + 1;
-    }
-    for (; gap <= order->blocks.size(); ++gap) {
+    for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
       ShiftUp(static_cast<int>(gap));
       if (tracked != kNotTracked) {
         var_block_[tracked] = static_cast<int>(gap);
@@ -572,10 +484,8 @@ class PrunedOrderEnumerator {
         }
       }
       order->blocks.insert(order->blocks.begin() + gap, fresh);
-      if (gid != kNoGroup) group_stack_[gid].push_back(static_cast<int>(gap));
       ++stats_->nodes_visited;
       const bool keep_going = Insert(next + 1, order, fn);
-      if (gid != kNoGroup) group_stack_[gid].pop_back();
       order->blocks.erase(order->blocks.begin() + gap);
       if (tracked != kNotTracked) var_block_[tracked] = kUnplaced;
       ShiftDown(static_cast<int>(gap));
@@ -585,10 +495,8 @@ class PrunedOrderEnumerator {
   }
 
   /// Reference behavior for axioms the positional encoding cannot
-  /// represent: solver-based prefix pruning, solver-verified leaves, no
-  /// symmetry reduction (multiplicity 1).
-  void RunFallback(TotalOrder* order,
-                   const std::function<bool(const TotalOrder&, int64_t)>& fn) {
+  /// represent: solver-based prefix pruning, solver-verified leaves.
+  void RunFallback(TotalOrder* order, const OrderFn& fn) {
     std::vector<Comparison> combined;
     const OrderFn satisfiable_prefix = [&](const TotalOrder& prefix) {
       combined = axioms_;
@@ -603,8 +511,7 @@ class PrunedOrderEnumerator {
         [&](const TotalOrder& leaf) {
           if (!AcSolver::SatisfiedBy(axioms_, leaf.ToAssignment())) return true;
           ++stats_->orders_emitted;
-          ++stats_->orders_weighted;
-          return fn(leaf, 1);
+          return fn(leaf);
         },
         &satisfiable_prefix);
   }
@@ -618,11 +525,6 @@ class PrunedOrderEnumerator {
     for (int& b : const_block_) {
       if (b >= gap) ++b;
     }
-    for (std::vector<int>& stack : group_stack_) {
-      for (int& b : stack) {
-        if (b >= gap) ++b;
-      }
-    }
   }
 
   /// Inverse of ShiftUp after the block at `gap` is removed.
@@ -632,11 +534,6 @@ class PrunedOrderEnumerator {
     }
     for (int& b : const_block_) {
       if (b > gap) --b;
-    }
-    for (std::vector<int>& stack : group_stack_) {
-      for (int& b : stack) {
-        if (b > gap) --b;
-      }
     }
   }
 
@@ -649,115 +546,29 @@ class PrunedOrderEnumerator {
   std::vector<int> var_block_;    // tracked variable -> block, or kUnplaced
   std::vector<int> const_block_;  // constant slot -> block (always placed)
   std::vector<int> insertion_var_;
-  std::vector<int> insertion_group_;  // insertion step -> group, or kNoGroup
-  std::vector<std::vector<int>> group_stack_;  // placed members' positions
   bool incomplete_ = false;
   bool impossible_ = false;
 };
 
 }  // namespace
 
-void ForEachSatisfyingOrderPruned(
-    const std::vector<std::string>& variables,
-    const std::vector<Rational>& constants,
-    const std::vector<Comparison>& axioms, const OrderSymmetry& symmetry,
-    const std::function<bool(const TotalOrder&, int64_t)>& fn,
-    OrderEnumerationStats* stats) {
+void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
+                            const std::vector<Rational>& constants,
+                            const std::vector<Comparison>& axioms,
+                            const std::function<bool(const TotalOrder&)>& fn,
+                            OrderEnumerationStats* stats) {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
   if (internal::SatisfyingOrderFallbackForcedForTest()) {
-    internal::ForEachSatisfyingOrderLegacy(
-        variables, constants, axioms,
-        [&fn](const TotalOrder& order) { return fn(order, 1); }, stats);
+    internal::ForEachSatisfyingOrderLegacy(variables, constants, axioms, fn,
+                                           stats);
     return;
   }
   const std::vector<Rational> sorted_constants =
       SortedUniqueConstants(constants);
   TotalOrder base = BaseOrder(sorted_constants);
-  PrunedOrderEnumerator(variables, sorted_constants, axioms, symmetry, stats)
+  PrunedOrderEnumerator(variables, sorted_constants, axioms, stats)
       .Run(&base, fn);
-}
-
-void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
-                            const std::vector<Rational>& constants,
-                            const std::vector<Comparison>& axioms,
-                            const std::function<bool(const TotalOrder&)>& fn) {
-  ForEachSatisfyingOrderPruned(
-      variables, constants, axioms, OrderSymmetry{},
-      [&fn](const TotalOrder& order, int64_t) { return fn(order); });
-}
-
-std::vector<std::vector<std::string>> InterchangeableVariableGroups(
-    const ConjunctiveQuery& query) {
-  // Candidates: body variables that appear in neither the head nor any
-  // comparison.  (A head or comparison occurrence makes a swap observable.)
-  std::set<std::string> excluded;
-  for (const Term& t : query.head().args()) {
-    if (t.IsVariable()) excluded.insert(t.name());
-  }
-  for (const Comparison& c : query.comparisons()) {
-    if (c.lhs().IsVariable()) excluded.insert(c.lhs().name());
-    if (c.rhs().IsVariable()) excluded.insert(c.rhs().name());
-  }
-  std::vector<std::string> candidates;
-  for (const std::string& v : query.BodyVariables()) {
-    if (excluded.find(v) == excluded.end()) candidates.push_back(v);
-  }
-  if (candidates.size() < 2) return {};
-
-  auto body_strings = [&query](const std::string* u, const std::string* v) {
-    std::vector<std::string> atoms;
-    atoms.reserve(query.body().size());
-    for (const Atom& a : query.body()) {
-      std::vector<Term> args;
-      args.reserve(a.args().size());
-      for (const Term& t : a.args()) {
-        if (u != nullptr && t.IsVariable() && t.name() == *u) {
-          args.push_back(Term::Variable(*v));
-        } else if (u != nullptr && t.IsVariable() && t.name() == *v) {
-          args.push_back(Term::Variable(*u));
-        } else {
-          args.push_back(t);
-        }
-      }
-      atoms.push_back(Atom(a.predicate(), std::move(args)).ToString());
-    }
-    std::sort(atoms.begin(), atoms.end());
-    return atoms;
-  };
-  const std::vector<std::string> base = body_strings(nullptr, nullptr);
-
-  // Union-find over candidates: transpositions compose, so pairwise swap
-  // invariance extends to every permutation within a class.
-  std::vector<int> parent(candidates.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    for (size_t j = i + 1; j < candidates.size(); ++j) {
-      if (find(static_cast<int>(i)) == find(static_cast<int>(j))) continue;
-      if (body_strings(&candidates[i], &candidates[j]) == base) {
-        parent[find(static_cast<int>(i))] = find(static_cast<int>(j));
-      }
-    }
-  }
-  std::map<int, std::vector<std::string>> classes;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    classes[find(static_cast<int>(i))].push_back(candidates[i]);
-  }
-  std::vector<std::vector<std::string>> groups;
-  for (auto& [root, members] : classes) {
-    if (members.size() >= 2) groups.push_back(std::move(members));
-  }
-  // Deterministic group order: by first member (members are already in
-  // BodyVariables order).
-  std::sort(groups.begin(), groups.end());
-  return groups;
 }
 
 namespace internal {
@@ -792,7 +603,6 @@ void ForEachSatisfyingOrderLegacy(
       [&](const TotalOrder& order) {
         if (!AcSolver::SatisfiedBy(axioms, order.ToAssignment())) return true;
         ++stats->orders_emitted;
-        ++stats->orders_weighted;
         return fn(order);
       },
       &count_node);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ast/comparison.h"
-#include "ast/query.h"
 #include "ast/term.h"
 #include "ast/value.h"
 
@@ -92,51 +91,25 @@ std::vector<TotalOrder> EnumerateTotalOrders(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants);
 
-/// Like ForEachTotalOrder, but only visits orders whose witness assignment
-/// satisfies `axioms`, pruning inconsistent prefixes during construction:
-/// a partial placement whose order constraints already contradict the
-/// axioms can never extend to a satisfying order.  When the axioms chain
-/// most variables (e.g. the expanded Pre-Rewritings of Phase 2, which
-/// carry a full total order over the query's variables), this visits a
-/// tiny fraction of the ordered-Bell-many orders.
-///
-/// `constants` must include every constant occurring in `axioms`;
-/// otherwise an axiom's truth is not determined by the order and the
-/// enumeration may miss satisfying orders.
-void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
-                            const std::vector<Rational>& constants,
-                            const std::vector<Comparison>& axioms,
-                            const std::function<bool(const TotalOrder&)>& fn);
-
 /// Counters for one satisfying-order enumeration.  A "node" is a state of
 /// the enumeration tree: the root (constants only) plus every accepted
 /// placement of a variable into a partial order.  A candidate placement
-/// rejected by an axiom check before recursion counts as pruned; one
-/// skipped by the canonical-prefix symmetry restriction counts as
-/// symmetry-skipped (its whole subtree is represented by a sibling).
+/// rejected by an axiom check before recursion counts as pruned.
 struct OrderEnumerationStats {
   int64_t nodes_visited = 0;
   int64_t nodes_pruned = 0;
-  int64_t nodes_symmetry_skipped = 0;
-  /// Orders handed to the callback (one canonical representative per
-  /// symmetry orbit).
+  /// Orders handed to the callback.
   int64_t orders_emitted = 0;
-  /// Sum of the emitted orders' multiplicities: the number of satisfying
-  /// orders the naive enumerate-then-filter reference would visit.
-  int64_t orders_weighted = 0;
 };
 
-/// Disjoint groups of pairwise interchangeable variables: the caller
-/// asserts that renaming any group member to any other (a transposition,
-/// and hence any permutation within a group) does not change whatever
-/// verdict it derives from an order.  Members that also occur in the
-/// axioms or outside `variables` are ignored for safety.
-struct OrderSymmetry {
-  std::vector<std::vector<std::string>> groups;
-};
-
-/// The prefix-pruned, symmetry-reduced enumeration tree behind
-/// ForEachSatisfyingOrder.
+/// Like ForEachTotalOrder, but only visits orders whose witness assignment
+/// satisfies `axioms`, in ForEachTotalOrder's sequence, pruning
+/// inconsistent prefixes during construction: a partial placement whose
+/// order constraints already contradict the axioms can never extend to a
+/// satisfying order.  When the axioms chain most variables (e.g. the
+/// expanded Pre-Rewritings of Phase 2, which carry a full total order over
+/// the query's variables), this visits a tiny fraction of the
+/// ordered-Bell-many orders.
 ///
 /// Each axiom is checked against the *partial* block sequence the moment
 /// its second endpoint is placed (a block chain totally orders everything
@@ -146,34 +119,17 @@ struct OrderSymmetry {
 /// transitivity (through constants too), which lets the tree also cut
 /// placements that only *implied* constraints forbid.
 ///
-/// Orders differing only by a permutation of variables within one
-/// `symmetry` group are collapsed to a single canonical representative
-/// (group members appear in nondecreasing block position, in group order);
-/// `fn` receives the orbit size as `multiplicity`.  With empty `symmetry`,
-/// every multiplicity is 1 and the emitted sequence is exactly the
-/// ForEachSatisfyingOrder sequence.
-///
-/// When an axiom mentions a constant outside `constants` or a variable
-/// outside `variables`, positional checks cannot decide it; the
-/// enumeration falls back to the reference solver-based filter and ignores
-/// `symmetry` (every multiplicity is 1).
-void ForEachSatisfyingOrderPruned(
-    const std::vector<std::string>& variables,
-    const std::vector<Rational>& constants,
-    const std::vector<Comparison>& axioms, const OrderSymmetry& symmetry,
-    const std::function<bool(const TotalOrder&, int64_t multiplicity)>& fn,
-    OrderEnumerationStats* stats = nullptr);
-
-/// Groups of `query` variables that are interchangeable for any
-/// order-based verdict: non-head variables that occur in no comparison and
-/// whose pairwise swap leaves the body atom multiset unchanged (a
-/// structural automorphism).  Swapping two such variables maps every
-/// canonical database of `query` to an identical one, so any per-order
-/// predicate — head computation by an arbitrary second query included —
-/// is constant on each orbit.  Suitable as OrderSymmetry::groups for
-/// enumerations over this query's variables.
-std::vector<std::vector<std::string>> InterchangeableVariableGroups(
-    const ConjunctiveQuery& query);
+/// `constants` must include every constant occurring in `axioms`;
+/// otherwise an axiom's truth is not determined by the order and the
+/// enumeration may miss satisfying orders.  When an axiom mentions a
+/// constant outside `constants` or a variable outside `variables`,
+/// positional checks cannot decide it; the enumeration then falls back to
+/// solver-based prefix pruning with solver-verified leaves.
+void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
+                            const std::vector<Rational>& constants,
+                            const std::vector<Comparison>& axioms,
+                            const std::function<bool(const TotalOrder&)>& fn,
+                            OrderEnumerationStats* stats = nullptr);
 
 /// The completions of a `blocks`-block partial order by `remaining` more
 /// variables: f(b, 0) = 1, f(b, r) = b f(b, r-1) + (b+1) f(b+1, r-1) (join
@@ -191,8 +147,8 @@ namespace internal {
 /// The naive enumerate-then-filter reference: walks the full
 /// ForEachTotalOrder insertion tree and tests the axioms with the
 /// constraint solver at every leaf.  Retained as the differential-testing
-/// oracle for ForEachSatisfyingOrderPruned and as the "unpruned" side of
-/// the node counts phase1_incremental_test pins.
+/// oracle for ForEachSatisfyingOrder and as the "unpruned" side of the
+/// node counts phase1_incremental_test pins.
 void ForEachSatisfyingOrderLegacy(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants,
@@ -200,12 +156,11 @@ void ForEachSatisfyingOrderLegacy(
     const std::function<bool(const TotalOrder&)>& fn,
     OrderEnumerationStats* stats = nullptr);
 
-/// Test-only switch: while forced, ForEachSatisfyingOrderPruned routes
-/// every enumeration through ForEachSatisfyingOrderLegacy (symmetry
-/// ignored, every multiplicity 1).  By the enumerator's contract the
-/// emitted satisfying orders are identical either way — only node/orbit
-/// counters change — and the differential fuzzer flips this switch to
-/// prove it on whole-algorithm outputs.  The flag is a relaxed atomic:
+/// Test-only switch: while forced, ForEachSatisfyingOrder routes every
+/// enumeration through ForEachSatisfyingOrderLegacy.  By the enumerator's
+/// contract the emitted satisfying orders are identical either way — only
+/// the node counters change — and the differential fuzzer flips this
+/// switch to prove it on whole-algorithm outputs.  The flag is a relaxed atomic:
 /// flip it only while no enumeration is in flight.
 void ForceSatisfyingOrderFallbackForTest(bool forced);
 bool SatisfyingOrderFallbackForcedForTest();

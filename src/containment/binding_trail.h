@@ -6,12 +6,12 @@
 
 namespace cqac {
 
-/// A trail-based binding store for backtracking search, replacing the
-/// copy-per-branch `Substitution` maps of the string engine.
+/// A trail-based binding store for backtracking search, in place of
+/// copy-per-branch `Substitution` maps (the Simplifier's fold search keeps
+/// its theta here).
 ///
 /// Variables are dense ids 0..n-1; values are arbitrary non-negative
-/// int32 codes (the compiled engines encode variables and constant-pool
-/// slots into them).  `Bind` and `Get` are O(1) array accesses; a search
+/// int32 codes (term ids, for the fold search).  `Bind` and `Get` are O(1) array accesses; a search
 /// node records `Mark()` on entry and calls `UndoTo(mark)` on backtrack,
 /// which unbinds exactly the variables bound since — in reverse binding
 /// order — without touching earlier bindings and without allocating

@@ -54,22 +54,11 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
   const PreparedQuery prepared(q2);
   PreparedQuery::Scratch scratch;
 
-  // Prefix-pruned, symmetry-reduced enumeration: swapping two
-  // interchangeable q1 variables maps each canonical database to an
-  // identical one, so the per-order verdict is constant on every orbit
-  // and one representative decides it.
-  OrderSymmetry symmetry;
-  symmetry.groups = InterchangeableVariableGroups(q1);
-
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  ForEachSatisfyingOrderPruned(
-      q1.AllVariables(), constants, q1.comparisons(), symmetry,
-      [&](const TotalOrder& order, int64_t multiplicity) {
-        if (stats != nullptr) {
-          ++stats->orders_enumerated;
-          stats->orders_satisfying += multiplicity;
-        }
+  ForEachSatisfyingOrder(
+      q1.AllVariables(), constants, q1.comparisons(),
+      [&](const TotalOrder& order) {
         const FlatInstance& inst = freezer.Freeze(order);
         if (!prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch)) {
           contained = false;
@@ -77,8 +66,9 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
         }
         return true;
       },
-      stats != nullptr ? &enum_stats : nullptr);
+      &enum_stats);
   if (stats != nullptr) {
+    stats->orders_enumerated += enum_stats.orders_emitted;
     stats->nodes_visited += enum_stats.nodes_visited;
     stats->nodes_pruned += enum_stats.nodes_pruned;
   }
@@ -98,10 +88,7 @@ bool CqacContainedImplication(const ConjunctiveQuery& q1,
   ForEachSatisfyingOrder(
       q1.AllVariables(), constants, q1.comparisons(),
       [&](const TotalOrder& order) {
-        if (stats != nullptr) {
-          ++stats->orders_enumerated;
-          ++stats->orders_satisfying;
-        }
+        if (stats != nullptr) ++stats->orders_enumerated;
         const std::map<std::string, Rational> assignment =
             order.ToAssignment();
         // Collapse q1 by the order's equalities and look for a containment
@@ -147,10 +134,7 @@ bool CqacContainedNormalized(const ConjunctiveQuery& q1,
   ForEachSatisfyingOrder(
       q1n.AllVariables(), constants, q1n.comparisons(),
       [&](const TotalOrder& order) {
-        if (stats != nullptr) {
-          ++stats->orders_enumerated;
-          ++stats->orders_satisfying;
-        }
+        if (stats != nullptr) ++stats->orders_enumerated;
         const std::map<std::string, Rational> assignment =
             order.ToAssignment();
         // Pin every q1n variable to its value; a mapping works when its
@@ -241,21 +225,11 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
   }
   PreparedQuery::Scratch scratch;
 
-  // Same orbit argument as CqacContainedCanonical: "some disjunct
-  // computes the frozen head" is a per-order verdict derived from the
-  // canonical database alone.
-  OrderSymmetry symmetry;
-  symmetry.groups = InterchangeableVariableGroups(q);
-
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  ForEachSatisfyingOrderPruned(
-      q.AllVariables(), constants, q.comparisons(), symmetry,
-      [&](const TotalOrder& order, int64_t multiplicity) {
-        if (stats != nullptr) {
-          ++stats->orders_enumerated;
-          stats->orders_satisfying += multiplicity;
-        }
+  ForEachSatisfyingOrder(
+      q.AllVariables(), constants, q.comparisons(),
+      [&](const TotalOrder& order) {
         const FlatInstance& inst = freezer.Freeze(order);
         bool some_disjunct_computes = false;
         for (const PreparedQuery& pq : prepared) {
@@ -273,8 +247,9 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
         }
         return true;
       },
-      stats != nullptr ? &enum_stats : nullptr);
+      &enum_stats);
   if (stats != nullptr) {
+    stats->orders_enumerated += enum_stats.orders_emitted;
     stats->nodes_visited += enum_stats.nodes_visited;
     stats->nodes_pruned += enum_stats.nodes_pruned;
   }

@@ -34,20 +34,15 @@ struct AcyclicPlan;  // Never defined; named by perfbench/src/layers.cc:119.
 
 /// Counters describing the work a containment test performed.
 ///
-/// The canonical-database tests (CqacContainedCanonical /
-/// CqacContainedInUnion) enumerate with the prefix-pruned,
-/// symmetry-reduced tree of ForEachSatisfyingOrderPruned:
-/// `orders_enumerated` counts physical callbacks (one canonical
-/// representative per symmetry orbit), while `orders_satisfying`
-/// accumulates orbit multiplicities — i.e. the number of satisfying
-/// orders the naive enumerate-then-filter reference would visit.  The
-/// implication/normalized tests use the plain enumeration, where the two
-/// counters coincide.
+/// Every test walks q1's satisfying total orders with the prefix-pruned
+/// tree of ForEachSatisfyingOrder; `orders_enumerated` counts the orders
+/// it checked (fewer than all satisfying ones when a counterexample stops
+/// the walk early).
 struct ContainmentStats {
   int64_t orders_enumerated = 0;
-  int64_t orders_satisfying = 0;
   /// Enumeration-tree nodes accepted / cut by a partial-order axiom check
-  /// (see OrderEnumerationStats); zero for the non-pruned tests.
+  /// (see OrderEnumerationStats); filled by the canonical-database tests
+  /// (CqacContainedCanonical / CqacContainedInUnion) only.
   int64_t nodes_visited = 0;
   int64_t nodes_pruned = 0;
 };

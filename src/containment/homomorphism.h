@@ -39,28 +39,6 @@ std::vector<Substitution> AllContainmentMappings(const ConjunctiveQuery& from,
 std::optional<Substitution> UnifyAtomOnto(const Atom& from, const Atom& to,
                                           Substitution base);
 
-namespace internal {
-
-/// Reference implementation of ForEachContainmentMapping that searches over
-/// string substitutions (copied per branch).  Exposed only so tests can
-/// cross-check the compiled trail-based engine against it; production
-/// callers should use ForEachContainmentMapping.
-void ForEachContainmentMappingLegacy(
-    const ConjunctiveQuery& from, const ConjunctiveQuery& to,
-    const std::function<bool(const Substitution&)>& fn);
-
-/// Test-only switch: while forced, ForEachContainmentMapping delegates to
-/// ForEachContainmentMappingLegacy.  The two engines emit the same mapping
-/// *set* (possibly in a different order — the compiled engine reorders
-/// subgoals most-constrained-first), so every exists-a-mapping verdict is
-/// identical; the differential fuzzer flips this switch to prove it on
-/// whole-algorithm outputs.  Relaxed atomic: flip only while no search is
-/// in flight.
-void ForceLegacyContainmentMappingForTest(bool forced);
-bool LegacyContainmentMappingForcedForTest();
-
-}  // namespace internal
-
 }  // namespace cqac
 
 #endif  // CQAC_CONTAINMENT_HOMOMORPHISM_H_

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "catalog/view_catalog.h"
-#include "containment/homomorphism.h"
+#include "constraints/orders.h"
 #include "workload/prand.h"
 
 namespace cqac {
@@ -15,7 +15,6 @@ std::string LatticeConfig::Name() const {
   out << "jobs=" << jobs;
   if (phase1_dedup) out << " dedup";
   if (legacy_orders) out << " legacy-orders";
-  if (legacy_homomorphism) out << " legacy-homomorphism";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
   return out.str();
@@ -41,20 +40,12 @@ std::vector<LatticeConfig> FullConfigLattice() {
       if (jobs == 1 && dedup) continue;  // the baseline again
       lattice.push_back(c);
     }
-    // Engine toggles, one at a time, under both schedulers.
+    // The legacy enumeration engine under both schedulers.
     LatticeConfig orders;
     orders.jobs = jobs;
     orders.legacy_orders = true;
     lattice.push_back(orders);
-    LatticeConfig hom;
-    hom.jobs = jobs;
-    hom.legacy_homomorphism = true;
-    lattice.push_back(hom);
   }
-  LatticeConfig both_legacy;  // the two legacy engines interacting
-  both_legacy.legacy_orders = true;
-  both_legacy.legacy_homomorphism = true;
-  lattice.push_back(both_legacy);
   LatticeConfig verify;  // semantic anchor
   verify.verify = true;
   lattice.push_back(verify);
@@ -81,7 +72,6 @@ std::vector<LatticeConfig> SmokeConfigLattice() {
   lattice.push_back(no_dedup);
   LatticeConfig legacy;
   legacy.legacy_orders = true;
-  legacy.legacy_homomorphism = true;
   lattice.push_back(legacy);
   LatticeConfig verify;
   verify.verify = true;
@@ -140,15 +130,12 @@ RunSignature SignatureOf(const RewriteResult& result) {
 }
 
 ScopedEngineSelection::ScopedEngineSelection(const LatticeConfig& config)
-    : saved_orders_(internal::SatisfyingOrderFallbackForcedForTest()),
-      saved_homomorphism_(internal::LegacyContainmentMappingForcedForTest()) {
+    : saved_orders_(internal::SatisfyingOrderFallbackForcedForTest()) {
   internal::ForceSatisfyingOrderFallbackForTest(config.legacy_orders);
-  internal::ForceLegacyContainmentMappingForTest(config.legacy_homomorphism);
 }
 
 ScopedEngineSelection::~ScopedEngineSelection() {
   internal::ForceSatisfyingOrderFallbackForTest(saved_orders_);
-  internal::ForceLegacyContainmentMappingForTest(saved_homomorphism_);
 }
 
 namespace {

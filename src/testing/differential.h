@@ -14,9 +14,9 @@ namespace cqac {
 namespace testing {
 
 /// One point of the configuration lattice: a choice of scheduler,
-/// Phase-1 memoization, enumeration engine, mapping engine, and serving
-/// path.  Every point must
-/// produce the same answer; the differential driver proves it per input.
+/// Phase-1 memoization, enumeration engine, and serving path.  Every point
+/// must produce the same answer; the differential driver proves it per
+/// input.
 struct LatticeConfig {
   /// RewriteOptions::jobs — 1 runs the driver's units inline, anything
   /// else fans them out over a work-stealing thread pool.
@@ -26,13 +26,9 @@ struct LatticeConfig {
   /// the lattice's no-memo reference.
   bool phase1_dedup = true;
 
-  /// Route ForEachSatisfyingOrderPruned through the legacy
+  /// Route ForEachSatisfyingOrder through the legacy
   /// enumerate-then-filter reference (internal::ForceSatisfyingOrderFallbackForTest).
   bool legacy_orders = false;
-
-  /// Route ForEachContainmentMapping through the legacy backtracking
-  /// search (internal::ForceLegacyContainmentMappingForTest).
-  bool legacy_homomorphism = false;
 
   /// RewriteOptions::verify — found rewritings are independently
   /// re-checked; the driver requires verified == true whenever this is on.
@@ -52,17 +48,16 @@ struct LatticeConfig {
   RewriteOptions ToOptions() const;
 };
 
-/// The full lattice the fuzzer sweeps: every combination the acceptance
-/// criteria name — serial vs parallel, Phase-1 memo on/off, pruned vs
-/// legacy order enumeration, compiled vs legacy containment mapping,
-/// one-shot vs catalog-served — plus one verify-enabled point as a
-/// semantic anchor.  (Not the 2^6 cube: engine toggles are varied one at a time
-/// against both schedulers, which still covers every pairwise interaction
-/// the engines can have with the drivers.)
+/// The full lattice the fuzzer sweeps (9 points): serial vs parallel,
+/// Phase-1 memo on/off, pruned vs legacy order enumeration, one-shot vs
+/// catalog-served — plus one verify-enabled point as a semantic anchor.
+/// (Not the full cube: the legacy enumeration is toggled against both
+/// schedulers, which covers every pairwise interaction it can have with
+/// the drivers.)
 std::vector<LatticeConfig> FullConfigLattice();
 
 /// The cheap subset for time-boxed smoke runs and corpus replay: serial
-/// baseline, jobs 2 and 4, no-dedup, legacy engines, verify, catalog.
+/// baseline, jobs 2 and 4, no-dedup, legacy orders, verify, catalog.
 std::vector<LatticeConfig> SmokeConfigLattice();
 
 /// The configuration-invariant projection of a RewriteResult.  Fields
@@ -94,9 +89,9 @@ struct RunSignature {
 /// Projects a result onto its invariant signature.
 RunSignature SignatureOf(const RewriteResult& result);
 
-/// RAII application of a config's engine-selection hooks (legacy order
-/// enumeration, legacy containment mapping).  Restores the previous flags
-/// on destruction.  The hooks are process-global relaxed atomics, so no
+/// RAII application of a config's engine-selection hook (legacy order
+/// enumeration).  Restores the previous flag on destruction.  The hook is
+/// a process-global relaxed atomic, so no
 /// rewriting run may be in flight on another thread while a selection is
 /// alive — the differential driver runs lattice points strictly one at a
 /// time for exactly this reason (the `jobs` parallelism inside one run is
@@ -111,7 +106,6 @@ class ScopedEngineSelection {
 
  private:
   bool saved_orders_;
-  bool saved_homomorphism_;
 };
 
 /// Runs one lattice point on one case; for a catalog point, returns the

@@ -40,9 +40,9 @@ TEST(AllocGateTest, SteadyStateFreezeAndEvaluateAllocatesNothing) {
   PreparedQuery::Scratch scratch;
 
   std::vector<TotalOrder> orders;
-  ForEachSatisfyingOrderPruned(
-      q1.AllVariables(), q1.Constants(), q1.comparisons(), OrderSymmetry{},
-      [&](const TotalOrder& order, int64_t) {
+  ForEachSatisfyingOrder(
+      q1.AllVariables(), q1.Constants(), q1.comparisons(),
+      [&](const TotalOrder& order) {
         orders.push_back(order);
         return orders.size() < 64;
       });

@@ -1,5 +1,7 @@
 #include "containment/homomorphism.h"
 
+#include <string>
+
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 
@@ -131,6 +133,50 @@ TEST(ContainmentMappingTest, ForEachStopsEarly) {
     return seen < 2;
   });
   EXPECT_EQ(seen, 2);
+}
+
+TEST(ContainmentMappingTest, EarlyStopVisitsExactlyOneMapping) {
+  const ConjunctiveQuery from = Parser::MustParseRule("q(X) :- p(X,Y)");
+  const ConjunctiveQuery to =
+      Parser::MustParseRule("q(A) :- p(A,B), p(A,C), p(A,D)");
+  int visited = 0;
+  ForEachContainmentMapping(from, to, [&visited](const Substitution&) {
+    ++visited;
+    return false;
+  });
+  EXPECT_EQ(visited, 1);
+}
+
+TEST(ContainmentMappingTest, HandWrittenCornerCaseCounts) {
+  struct Case {
+    const char* from;
+    const char* to;
+    size_t mappings;
+  };
+  const Case cases[] = {
+      // Repeated variables and constants in both queries: only
+      // p(X,3) -> p(Y,3) after the head sends X to Y.
+      {"q(X) :- p(X,X), p(X,3)", "q(Y) :- p(Y,Y), p(Y,3)", 1},
+      // Different head predicates: no mappings at all.
+      {"q(X) :- p(X,Y)", "r(A) :- p(A,B)", 0},
+      // Multiple images per subgoal (fanout), shared variables:
+      // Y,Z -> A,A / A,B / B,C.
+      {"q(X) :- p(X,Y), p(Y,Z)", "q(A) :- p(A,A), p(A,B), p(B,C)", 3},
+      // Constants that only exist on one side.
+      {"q(X) :- p(X,5)", "q(A) :- p(A,7)", 0},
+      // Boolean queries: r(Y) must follow p(X,Y) onto r(B).
+      {"q() :- p(X,Y), r(Y)", "q() :- p(A,B), r(B), r(C)", 1},
+      // From-query bigger than to-query: everything folds onto p(A,A).
+      {"q(X) :- p(X,Y), p(Y,Z), p(Z,W)", "q(A) :- p(A,A)", 1},
+  };
+  for (const Case& c : cases) {
+    const ConjunctiveQuery from = Parser::MustParseRule(c.from);
+    const ConjunctiveQuery to = Parser::MustParseRule(c.to);
+    const std::string label = std::string(c.from) + "  vs  " + c.to;
+    EXPECT_EQ(AllContainmentMappings(from, to).size(), c.mappings) << label;
+    EXPECT_EQ(FindContainmentMapping(from, to).has_value(), c.mappings > 0)
+        << label;
+  }
 }
 
 TEST(ContainmentMappingTest, NoMappingWhenPredicateMissing) {

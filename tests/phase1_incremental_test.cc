@@ -1,15 +1,12 @@
 // Differential and property tests for the incremental Phase-1 pipeline:
 // the prefix-pruned satisfying-order enumeration (against the naive
-// enumerate-then-filter reference), symmetry-orbit expansion, delta
-// freezing, the indexed frozen-tuple matcher, and the Phase-1 memo.
+// enumerate-then-filter reference), delta freezing, the indexed frozen-tuple matcher, and the Phase-1 memo.
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -74,93 +71,6 @@ Pattern RandomPattern(std::mt19937* rng) {
   return p;
 }
 
-// ---------------------------------------------------------------------------
-// Orbit expansion: all orders reachable from `order` by permuting, within
-// each group, the members' names across the slots they occupy.
-
-void Permutations(std::vector<std::string> members,
-                  std::vector<std::vector<std::string>>* out) {
-  std::sort(members.begin(), members.end());
-  do {
-    out->push_back(members);
-  } while (std::next_permutation(members.begin(), members.end()));
-}
-
-std::vector<std::string> OrbitStrings(
-    const TotalOrder& order, const std::vector<std::vector<std::string>>& groups) {
-  // Positions (block, index-in-block) occupied by each group, in order.
-  std::set<std::string> expanded;
-  std::vector<std::vector<std::pair<size_t, size_t>>> slots(groups.size());
-  std::map<std::string, size_t> group_of;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (const std::string& m : groups[g]) group_of[m] = g;
-  }
-  for (size_t b = 0; b < order.blocks.size(); ++b) {
-    for (size_t i = 0; i < order.blocks[b].variables.size(); ++i) {
-      const auto it = group_of.find(order.blocks[b].variables[i]);
-      if (it != group_of.end()) slots[it->second].push_back({b, i});
-    }
-  }
-  // Cartesian product of per-group permutations, applied to a copy.
-  std::vector<std::vector<std::vector<std::string>>> perms(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    std::vector<std::string> present;
-    for (const auto& [b, i] : slots[g]) {
-      present.push_back(order.blocks[b].variables[i]);
-    }
-    Permutations(present, &perms[g]);
-  }
-  std::vector<size_t> idx(groups.size(), 0);
-  while (true) {
-    TotalOrder variant = order;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (size_t s = 0; s < slots[g].size(); ++s) {
-        const auto& [b, i] = slots[g][s];
-        variant.blocks[b].variables[i] = perms[g][idx[g]][s];
-      }
-    }
-    // Canonicalize within-block member listing: block membership is a set,
-    // but ToString renders insertion order, so sort each block's variables
-    // for comparison purposes.
-    for (OrderBlock& block : variant.blocks) {
-      std::sort(block.variables.begin(), block.variables.end());
-    }
-    expanded.insert(variant.ToString());
-    size_t g = 0;
-    for (; g < groups.size(); ++g) {
-      if (++idx[g] < perms[g].size()) break;
-      idx[g] = 0;
-    }
-    if (g == groups.size()) break;
-  }
-  return std::vector<std::string>(expanded.begin(), expanded.end());
-}
-
-std::string CanonicalString(const TotalOrder& order) {
-  TotalOrder copy = order;
-  for (OrderBlock& block : copy.blocks) {
-    std::sort(block.variables.begin(), block.variables.end());
-  }
-  return copy.ToString();
-}
-
-// Groups valid for *enumeration-level* symmetry in these tests: variables
-// that appear in no axiom are interchangeable for the bare "is the order
-// satisfying" verdict (the axioms cannot see them).
-std::vector<std::vector<std::string>> AxiomFreeGroups(const Pattern& p) {
-  std::set<std::string> in_axioms;
-  for (const Comparison& c : p.axioms) {
-    if (c.lhs().IsVariable()) in_axioms.insert(c.lhs().name());
-    if (c.rhs().IsVariable()) in_axioms.insert(c.rhs().name());
-  }
-  std::vector<std::string> free_vars;
-  for (const std::string& v : p.variables) {
-    if (in_axioms.find(v) == in_axioms.end()) free_vars.push_back(v);
-  }
-  if (free_vars.size() < 2) return {};
-  return {free_vars};
-}
-
 TEST(PrunedOrderDifferentialTest, MatchesLegacyOn500Patterns) {
   std::mt19937 rng(20260807);
   for (int round = 0; round < 500; ++round) {
@@ -176,64 +86,19 @@ TEST(PrunedOrderDifferentialTest, MatchesLegacyOn500Patterns) {
         },
         &legacy_stats);
 
-    // 1. Without symmetry: exactly the same sequence, in the same order.
+    // Exactly the same sequence, in the same order.
     std::vector<std::string> pruned;
     OrderEnumerationStats pruned_stats;
-    ForEachSatisfyingOrderPruned(
-        p.variables, p.constants, p.axioms, OrderSymmetry{},
-        [&pruned](const TotalOrder& order, int64_t mult) {
-          EXPECT_EQ(mult, 1);
+    ForEachSatisfyingOrder(
+        p.variables, p.constants, p.axioms,
+        [&pruned](const TotalOrder& order) {
           pruned.push_back(order.ToString());
           return true;
         },
         &pruned_stats);
     ASSERT_EQ(pruned, legacy) << "round " << round;
-    EXPECT_EQ(pruned_stats.orders_weighted, legacy_stats.orders_weighted);
+    EXPECT_EQ(pruned_stats.orders_emitted, legacy_stats.orders_emitted);
     EXPECT_LE(pruned_stats.nodes_visited, legacy_stats.nodes_visited);
-
-    // 2. With symmetry: orbit expansion reproduces the legacy multiset and
-    // every multiplicity equals its orbit size.  Skipped for patterns with
-    // out-of-universe axiom terms: the fallback path deliberately ignores
-    // symmetry (every order is emitted with multiplicity 1).
-    bool in_universe = true;
-    for (const Comparison& c : p.axioms) {
-      for (const Term* t : {&c.lhs(), &c.rhs()}) {
-        if (t->IsVariable()) {
-          in_universe &= std::find(p.variables.begin(), p.variables.end(),
-                                   t->name()) != p.variables.end();
-        } else {
-          in_universe &= std::find(p.constants.begin(), p.constants.end(),
-                                   t->value()) != p.constants.end();
-        }
-      }
-    }
-    if (!in_universe) continue;
-    OrderSymmetry symmetry;
-    symmetry.groups = AxiomFreeGroups(p);
-    std::vector<std::string> expanded;
-    int64_t weighted = 0;
-    ForEachSatisfyingOrderPruned(
-        p.variables, p.constants, p.axioms, symmetry,
-        [&](const TotalOrder& order, int64_t mult) {
-          const std::vector<std::string> orbit =
-              OrbitStrings(order, symmetry.groups);
-          EXPECT_EQ(static_cast<int64_t>(orbit.size()), mult)
-              << "round " << round << " order " << order.ToString();
-          expanded.insert(expanded.end(), orbit.begin(), orbit.end());
-          weighted += mult;
-          return true;
-        });
-    std::vector<std::string> legacy_canonical;
-    internal::ForEachSatisfyingOrderLegacy(
-        p.variables, p.constants, p.axioms,
-        [&legacy_canonical](const TotalOrder& order) {
-          legacy_canonical.push_back(CanonicalString(order));
-          return true;
-        });
-    std::sort(expanded.begin(), expanded.end());
-    std::sort(legacy_canonical.begin(), legacy_canonical.end());
-    ASSERT_EQ(expanded, legacy_canonical) << "round " << round;
-    EXPECT_EQ(weighted, static_cast<int64_t>(legacy.size()));
   }
 }
 
@@ -242,9 +107,8 @@ TEST(PrunedOrderDifferentialTest, EarlyStopIsHonored) {
   for (int round = 0; round < 50; ++round) {
     const Pattern p = RandomPattern(&rng);
     int64_t total = 0;
-    ForEachSatisfyingOrderPruned(
-        p.variables, p.constants, p.axioms, OrderSymmetry{},
-        [&total](const TotalOrder&, int64_t) { return ++total < 3; });
+    ForEachSatisfyingOrder(p.variables, p.constants, p.axioms,
+                           [&total](const TotalOrder&) { return ++total < 3; });
     int64_t legacy_total = 0;
     internal::ForEachSatisfyingOrderLegacy(
         p.variables, p.constants, p.axioms,
@@ -269,9 +133,9 @@ TEST(PrunedOrderTest, ChainPrunesAtLeastFiveFold) {
       vars, {}, axioms, [](const TotalOrder&) { return true; },
       &legacy_stats);
   OrderEnumerationStats pruned_stats;
-  ForEachSatisfyingOrderPruned(
-      vars, {}, axioms, OrderSymmetry{},
-      [](const TotalOrder&, int64_t) { return true; }, &pruned_stats);
+  ForEachSatisfyingOrder(
+      vars, {}, axioms, [](const TotalOrder&) { return true; },
+      &pruned_stats);
   EXPECT_EQ(legacy_stats.nodes_visited, 634);
   EXPECT_EQ(legacy_stats.orders_emitted, 1);
   EXPECT_EQ(pruned_stats.orders_emitted, 1);
@@ -289,9 +153,9 @@ TEST(PrunedOrderTest, TransitiveClosurePrunesImpliedViolations) {
       Comparison(Term::Variable("Y"), CompOp::kLt, Term::Variable("Z"))};
   OrderEnumerationStats stats;
   std::vector<std::string> orders;
-  ForEachSatisfyingOrderPruned(
-      vars, {}, axioms, OrderSymmetry{},
-      [&orders](const TotalOrder& order, int64_t) {
+  ForEachSatisfyingOrder(
+      vars, {}, axioms,
+      [&orders](const TotalOrder& order) {
         orders.push_back(order.ToString());
         return true;
       },
@@ -321,48 +185,14 @@ TEST(PrunedOrderTest, UnsatisfiableAxiomsEmitNothing) {
       if (c.rhs().IsConstant()) constants.push_back(c.rhs().value());
     }
     int64_t emitted = 0;
-    ForEachSatisfyingOrderPruned(
-        vars, constants, axioms, OrderSymmetry{},
-        [&emitted](const TotalOrder&, int64_t) {
+    ForEachSatisfyingOrder(
+        vars, constants, axioms,
+        [&emitted](const TotalOrder&) {
           ++emitted;
           return true;
         });
     EXPECT_EQ(emitted, 0);
   }
-}
-
-TEST(InterchangeableVariableGroupsTest, FindsStructuralAutomorphisms) {
-  // Y and Z both appear once in the same position of the same predicate;
-  // W is pinned by the head, V by a comparison.
-  const ConjunctiveQuery q = Parser::MustParseRule(
-      "q(W) :- r(W, Y), r(W, Z), s(V), V < 5");
-  const auto groups = InterchangeableVariableGroups(q);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], (std::vector<std::string>{"Y", "Z"}));
-}
-
-TEST(InterchangeableVariableGroupsTest, PositionMattersForSwaps) {
-  // Swapping X and Y maps r(X, Y) to r(Y, X), which is a different atom:
-  // no group.  (This is the soundness case: [X][Y] and [Y][X] can get
-  // different verdicts from a second query comparing the two columns.)
-  const ConjunctiveQuery q = Parser::MustParseRule("q() :- r(X, Y)");
-  EXPECT_TRUE(InterchangeableVariableGroups(q).empty());
-  // But two independent atoms over distinct unary predicates are NOT
-  // interchangeable either: p(X), s(Y) swapped gives p(Y), s(X).
-  const ConjunctiveQuery q2 = Parser::MustParseRule("q() :- p(X), s(Y)");
-  EXPECT_TRUE(InterchangeableVariableGroups(q2).empty());
-  // Same predicate, same column: interchangeable.
-  const ConjunctiveQuery q3 = Parser::MustParseRule("q() :- p(X), p(Y)");
-  const auto groups = InterchangeableVariableGroups(q3);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], (std::vector<std::string>{"X", "Y"}));
-}
-
-TEST(InterchangeableVariableGroupsTest, TransitivityViaSharedPartner) {
-  const ConjunctiveQuery q = Parser::MustParseRule("q() :- p(A), p(B), p(C)");
-  const auto groups = InterchangeableVariableGroups(q);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], (std::vector<std::string>{"A", "B", "C"}));
 }
 
 // ---------------------------------------------------------------------------
