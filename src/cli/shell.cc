@@ -128,10 +128,6 @@ void Shell::CmdRewrite(const std::string& args) {
     out_ << "error: set a query first\n";
     return;
   }
-  if (views_.empty()) {
-    out_ << "error: add at least one view first\n";
-    return;
-  }
   RewriteOptions options;
   options.jobs = default_jobs_;
   std::istringstream flags(args);

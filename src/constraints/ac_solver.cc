@@ -5,8 +5,14 @@
 namespace cqac {
 
 int AcCore::Intern(const Term& t) {
-  for (size_t id = 0; id < terms_.size(); ++id) {
-    if (terms_[id] == t) return static_cast<int>(id);
+  if (t.IsConstant()) {
+    for (const int id : constants_) {
+      if (terms_[id].value() == t.value()) return id;
+    }
+  } else {
+    for (size_t id = 0; id < terms_.size(); ++id) {
+      if (terms_[id] == t) return static_cast<int>(id);
+    }
   }
   const int id = static_cast<int>(terms_.size());
   terms_.push_back(t);

@@ -61,6 +61,13 @@ class AcCore {
   /// order.
   int Intern(const Term& t);
 
+  /// Appends variable `name` without a lookup and returns its id.  The
+  /// caller guarantees the table holds no variable of that name yet.
+  int AddVariable(std::string name) {
+    terms_.push_back(Term::Variable(std::move(name)));
+    return size() - 1;
+  }
+
   /// Interns both sides of `c`.
   IdComparison Intern(const Comparison& c) {
     return {Intern(c.lhs()), c.op(), Intern(c.rhs())};

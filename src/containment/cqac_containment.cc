@@ -38,29 +38,27 @@ Substitution CollapseByOrder(const TotalOrder& order) {
 
 }  // namespace
 
-bool CqacContainedCanonical(const ConjunctiveQuery& q1,
-                            const ConjunctiveQuery& q2,
-                            ContainmentStats* stats, const AcyclicPlan*) {
-  if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;  // q1 empty.
-  if (q1.head().arity() != q2.head().arity()) return false;
+namespace {
 
-  std::vector<Rational> constants = q1.Constants();
-  MergeConstants(q2.Constants(), &constants);
-
-  // Compile both sides once: q1's subgoals freeze into a flat instance per
-  // order, q2 runs as a prepared plan against it.  Head arities match, so
-  // ComputesTuple's arity precheck cannot fire.
-  CanonicalFreezer freezer(q1);
-  const PreparedQuery prepared(q2);
-  PreparedQuery::Scratch scratch;
-
+/// The canonical-database test's enumeration, shared by both front ends:
+/// walks the satisfying orders of q1's `variables` and `constants` (q1's
+/// and q2's) under q1's comparisons `axioms`, freezes q1 with `freezer`
+/// on each, and stops at the first one on which q2 misses the frozen
+/// head.  Head arities must match.
+bool ContainedOnCanonicalDatabases(CanonicalFreezer* freezer,
+                                   const std::vector<std::string>& variables,
+                                   const std::vector<Rational>& constants,
+                                   const std::vector<Comparison>& axioms,
+                                   const PreparedQuery& q2,
+                                   ContainmentStats* stats) {
+  static thread_local PreparedQuery::Scratch scratch;
   bool contained = true;
   OrderEnumerationStats enum_stats;
   ForEachSatisfyingOrder(
-      q1.AllVariables(), constants, q1.comparisons(),
+      variables, constants, axioms,
       [&](const TotalOrder& order) {
-        const FlatInstance& inst = freezer.Freeze(order);
-        if (!prepared.Run(inst, &freezer.frozen_head(), nullptr, &scratch)) {
+        const FlatInstance& inst = freezer->Freeze(order);
+        if (!q2.Run(inst, &freezer->frozen_head(), nullptr, &scratch)) {
           contained = false;
           return false;  // Counterexample found; stop enumerating.
         }
@@ -73,6 +71,40 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
     stats->nodes_pruned += enum_stats.nodes_pruned;
   }
   return contained;
+}
+
+}  // namespace
+
+bool CqacContainedCanonical(const ConjunctiveQuery& q1,
+                            const ConjunctiveQuery& q2,
+                            ContainmentStats* stats, const AcyclicPlan*) {
+  if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;  // q1 empty.
+  if (q1.head().arity() != q2.head().arity()) return false;
+
+  std::vector<Rational> constants = q1.Constants();
+  MergeConstants(q2.Constants(), &constants);
+  CanonicalFreezer freezer(q1);
+  return ContainedOnCanonicalDatabases(&freezer, q1.AllVariables(), constants,
+                                       q1.comparisons(), PreparedQuery(q2),
+                                       stats);
+}
+
+bool CqacContainedPrepared(const IdQuery& q1, const PreparedQuery& q2,
+                           const std::vector<Rational>& q2_constants,
+                           ContainmentStats* stats) {
+  if (static_cast<int>(q1.head.size()) != q2.head_arity()) return false;
+  std::vector<std::string> variables;
+  std::vector<Rational> constants;
+  q1.CollectTerms(&variables, &constants);
+  MergeConstants(q2_constants, &constants);
+  std::vector<Comparison> axioms;
+  axioms.reserve(q1.comparisons.size());
+  for (const IdComparison& c : q1.comparisons) {
+    axioms.push_back(q1.core.ToComparison(c));
+  }
+  CanonicalFreezer freezer(q1);
+  return ContainedOnCanonicalDatabases(&freezer, variables, constants, axioms,
+                                       q2, stats);
 }
 
 bool CqacContainedImplication(const ConjunctiveQuery& q1,

@@ -2,12 +2,15 @@
 #define CQAC_CONTAINMENT_CQAC_CONTAINMENT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "ast/query.h"
 
 namespace cqac {
 
 struct AcyclicPlan;  // Never defined; named by perfbench/src/layers.cc:119.
+struct IdQuery;       // constraints/id_query.h
+class PreparedQuery;  // engine/evaluate.h
 
 /// Containment and equivalence for conjunctive queries with arithmetic
 /// comparisons.  Once comparisons are present, the single-containment-
@@ -53,6 +56,14 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
                             ContainmentStats* stats = nullptr,
                             // Unused; passed by perfbench/src/layers.cc:119.
                             const AcyclicPlan* = nullptr);
+
+/// CqacContainedCanonical on prepared forms, without per-call setup: `q1`
+/// in id form, with satisfiable comparisons (the caller has checked), and
+/// `q2` compiled, with `q2_constants` its constants.  Enumerates the same
+/// orders in the same sequence as CqacContainedCanonical(q1.ToQuery(), q2).
+bool CqacContainedPrepared(const IdQuery& q1, const PreparedQuery& q2,
+                           const std::vector<Rational>& q2_constants,
+                           ContainmentStats* stats = nullptr);
 
 /// q1 ⊑ q2 via the order-refinement implication test.
 bool CqacContainedImplication(const ConjunctiveQuery& q1,

@@ -64,40 +64,46 @@ CanonicalDatabase FreezeQuery(const ConjunctiveQuery& q,
   return FreezeWithAssignment(q, std::move(assignment), std::move(unfreeze));
 }
 
-CanonicalFreezer::CanonicalFreezer(const ConjunctiveQuery& q) {
-  auto compile_term = [this](const Term& t) {
+CanonicalFreezer::CanonicalFreezer(const IdQuery& q) {
+  // Slots number the variables in first occurrence over body, then head.
+  std::vector<int> slot_of(q.core.size(), -1);
+  auto compile_term = [this, &q, &slot_of](int id) {
     CompiledTerm ct;
+    const Term& t = q.core.term(id);
     ct.is_const = t.IsConstant();
     if (ct.is_const) {
       ct.value = t.value();
       ct.slot = 0;
     } else {
-      const auto [it, inserted] = var_slots_.emplace(
-          t.name(), static_cast<uint32_t>(var_slots_.size()));
-      if (inserted) slot_names_.push_back(t.name());
-      ct.slot = it->second;
+      if (slot_of[id] < 0) {
+        slot_of[id] = static_cast<int>(slot_names_.size());
+        var_slots_.emplace(t.name(), static_cast<uint32_t>(slot_of[id]));
+        slot_names_.push_back(t.name());
+      }
+      ct.slot = static_cast<uint32_t>(slot_of[id]);
     }
     return ct;
   };
   std::vector<uint32_t> rows_per_relation;
-  subgoals_.reserve(q.body().size());
-  for (const Atom& atom : q.body()) {
+  subgoals_.reserve(q.body.size());
+  for (const IdAtom& atom : q.body) {
     CompiledSubgoal sg;
-    sg.relation = instance_.RelationId(atom.predicate(), atom.arity());
+    sg.relation = instance_.RelationId(q.preds[atom.pred],
+                                       static_cast<int>(atom.args.size()));
     if (rows_per_relation.size() <= sg.relation) {
       rows_per_relation.resize(sg.relation + 1, 0);
     }
     sg.row = rows_per_relation[sg.relation]++;
-    sg.terms.reserve(atom.args().size());
-    for (const Term& t : atom.args()) sg.terms.push_back(compile_term(t));
+    sg.terms.reserve(atom.args.size());
+    for (const int t : atom.args) sg.terms.push_back(compile_term(t));
     subgoals_.push_back(std::move(sg));
   }
-  head_.reserve(q.head().args().size());
-  for (const Term& t : q.head().args()) head_.push_back(compile_term(t));
-  for (const Comparison& c : q.comparisons()) {
-    for (const Term* t : {&c.lhs(), &c.rhs()}) {
-      if (t->IsVariable() && var_slots_.count(t->name()) == 0) {
-        UnslottedVariableRepId(t->name());
+  head_.reserve(q.head.size());
+  for (const int t : q.head) head_.push_back(compile_term(t));
+  for (const IdComparison& c : q.comparisons) {
+    for (const int id : {c.lhs, c.rhs}) {
+      if (q.core.term(id).IsVariable() && slot_of[id] < 0) {
+        UnslottedVariableRepId(q.core.term(id).name());
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ast/query.h"
+#include "constraints/id_query.h"
 #include "constraints/orders.h"
 #include "engine/database.h"
 #include "engine/evaluate.h"
@@ -75,7 +76,11 @@ CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q);
 /// per thread.
 class CanonicalFreezer {
  public:
-  explicit CanonicalFreezer(const ConjunctiveQuery& q);
+  explicit CanonicalFreezer(const ConjunctiveQuery& q)
+      : CanonicalFreezer(IdQuery(q)) {}
+
+  /// Compiles the query in id form; same freezer as from its ToQuery().
+  explicit CanonicalFreezer(const IdQuery& q);
 
   /// Freezes under `order`, which must cover every variable of the query.
   /// The returned instance and frozen_head() stay valid until the next

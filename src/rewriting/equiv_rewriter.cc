@@ -48,13 +48,10 @@ int64_t NowNs() {
 /// expansions stay as-is (they compute nothing and pass containment
 /// trivially).
 ConjunctiveQuery ExpandForCheck(const ConjunctiveQuery& disjunct,
-                                const ViewSet& views, bool simplify) {
-  ConjunctiveQuery expansion = Expand(disjunct, views);
-  if (simplify) {
-    std::optional<ConjunctiveQuery> simplified = SimplifyQuery(expansion);
-    if (simplified.has_value()) return *std::move(simplified);
-  }
-  return expansion;
+                                const ViewTemplates& views, bool simplify) {
+  IdQuery expansion = ExpandToIds(disjunct, views);
+  if (simplify) SimplifyIds(&expansion);
+  return expansion.ToQuery();
 }
 
 /// True when `tuple`'s MCD-fresh variables (prefix "_f"; unique to one
@@ -331,8 +328,11 @@ RewriteWork PrepareRewriteWork(
     work.mcds = FormMcds(work.q0, work.v0_variants);
   }
 
+  work.view_templates = ViewTemplates(views);
+  work.query_constants = query.Constants();
+
   // All constants of the query and the views participate in the orders.
-  work.constants = query.Constants();
+  work.constants = work.query_constants;
   {
     std::vector<Rational> derived;
     const std::vector<Rational>& vc =
@@ -686,21 +686,44 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
   return RunPhase1Timed(work, order, memo, nullptr);
 }
 
+namespace {
+std::atomic<internal::Phase2Observer> g_phase2_observer{nullptr};
+}  // namespace
+
+namespace internal {
+
+void SetPhase2ObserverForTest(Phase2Observer observer) {
+  g_phase2_observer.store(observer, std::memory_order_relaxed);
+}
+
+}  // namespace internal
+
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre) {
   CQAC_TRACE_SPAN("phase2.check");
   const int64_t t0 = NowNs();
-  ConjunctiveQuery expansion;
+  IdQuery expansion;
+  bool satisfiable = false;
   {
     CQAC_TRACE_SPAN("phase2.expand");
-    expansion =
-        ExpandForCheck(pre, work.views, work.options.simplify_expansions);
+    expansion = ExpandToIds(pre, work.view_templates);
+    satisfiable = work.options.simplify_expansions
+                      ? SimplifyIds(&expansion)
+                      : expansion.core.Satisfiable(expansion.comparisons);
   }
   ContainmentStats cstats;
   Phase2Outcome out;
-  out.contained = CqacContainedCanonical(expansion, work.query, &cstats);
+  // An unsatisfiable expansion computes nothing: contained, with 0 orders.
+  out.contained = !satisfiable ||
+                  CqacContainedPrepared(expansion, work.prepared_query,
+                                        work.query_constants, &cstats);
   out.orders_enumerated = cstats.orders_enumerated;
   out.wall_ns = NowNs() - t0;
+  if (const internal::Phase2Observer observer =
+          g_phase2_observer.load(std::memory_order_relaxed)) {
+    const ConjunctiveQuery rendered = expansion.ToQuery();
+    observer({&work, &pre, &rendered, &out});
+  }
   if (obs::MetricsActive()) {
     static obs::Histogram& wall =
         obs::MetricsRegistry::Global().histogram("phase2.check_wall_ns");
@@ -728,8 +751,8 @@ void FinalizeFoundRewriting(const RewriteWork& work,
   if (options.pruning != RewriteOptions::Pruning::kFrozenMatch) {
     UnionQuery expanded;
     for (const ConjunctiveQuery& d : rewriting.disjuncts()) {
-      expanded.Add(
-          ExpandForCheck(d, work.views, options.simplify_expansions));
+      expanded.Add(ExpandForCheck(d, work.view_templates,
+                                  options.simplify_expansions));
     }
     if (!CqacContainedInUnion(work.query, expanded)) {
       result->outcome = RewriteOutcome::kNoRewriting;
@@ -747,12 +770,12 @@ void FinalizeFoundRewriting(const RewriteWork& work,
       UnionQuery others_expanded;
       for (size_t j = 0; j < disjuncts.size(); ++j) {
         if (j != i) {
-          others_expanded.Add(ExpandForCheck(disjuncts[j], work.views,
-                                             options.simplify_expansions));
+          others_expanded.Add(ExpandForCheck(
+              disjuncts[j], work.view_templates, options.simplify_expansions));
         }
       }
       const ConjunctiveQuery expansion_i = ExpandForCheck(
-          disjuncts[i], work.views, options.simplify_expansions);
+          disjuncts[i], work.view_templates, options.simplify_expansions);
       if (CqacContainedInUnion(expansion_i, others_expanded)) {
         disjuncts.erase(disjuncts.begin() + i);
       } else {
@@ -1073,9 +1096,10 @@ RewriteResult FindEquivalentRewriting(const ConjunctiveQuery& query,
 
 bool RewritingIsEquivalent(const ConjunctiveQuery& query,
                            const UnionQuery& rewriting, const ViewSet& views) {
+  const ViewTemplates templates(views);
   UnionQuery expanded;
   for (const ConjunctiveQuery& disjunct : rewriting.disjuncts()) {
-    expanded.Add(ExpandForCheck(disjunct, views, /*simplify=*/true));
+    expanded.Add(ExpandForCheck(disjunct, templates, /*simplify=*/true));
   }
   return CqacContainedInUnion(query, expanded) &&
          UnionCqacContained(expanded, UnionQuery({query}));

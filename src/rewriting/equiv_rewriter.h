@@ -11,6 +11,7 @@
 #include "ast/query.h"
 #include "constraints/orders.h"
 #include "engine/evaluate.h"
+#include "rewriting/expansion.h"
 #include "rewriting/explain.h"
 #include "rewriting/minicon.h"
 #include "rewriting/view_set.h"
@@ -240,6 +241,12 @@ struct RewriteWork {
   /// detect reuse of a stack address by a different run.
   uint64_t work_id = 0;
 
+  // Phase 2's inputs, compiled once: the views as expansion templates and
+  // the query's constants (the containment test's right-hand side is
+  // prepared_query).
+  ViewTemplates view_templates;
+  std::vector<Rational> query_constants;
+
   ConjunctiveQuery q0;                        // query without comparisons
   std::vector<ConjunctiveQuery> v0_variants;  // exported view variants
   std::vector<Mcd> mcds;                      // buckets, formed once
@@ -350,9 +357,32 @@ struct Phase2Outcome {
 
 /// Expands `pre` with respect to the views (simplifying when the options
 /// say so) and tests containment in the query.  A pure function of its
-/// arguments.
+/// arguments.  The expansion is built once in id form from
+/// work.view_templates, simplified in place, and tested against
+/// work.prepared_query: the same verdict and order count as
+/// CqacContainedCanonical(SimplifyQuery(Expand(pre, views)), query).
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre);
+
+namespace internal {
+
+/// One Phase-2 check as its observer sees it; pointers valid only during
+/// the call.
+struct Phase2Probe {
+  const RewriteWork* work;
+  const ConjunctiveQuery* pre_rewriting;
+  const ConjunctiveQuery* expansion;  // the checked expansion, rendered
+  const Phase2Outcome* outcome;
+};
+using Phase2Observer = void (*)(const Phase2Probe&);
+
+/// Test-only: while set, CheckExpansionContained renders its expansion and
+/// calls `observer` on the thread that ran the check.  The Phase-2 parity
+/// test holds the id-level check to the string reference this way.
+/// Relaxed atomic: set or clear (nullptr) only between runs.
+void SetPhase2ObserverForTest(Phase2Observer observer);
+
+}  // namespace internal
 
 /// The post-Phase-2 tail of the driver: coalescing, the weakened-pruning
 /// Lemma-2 check, output minimization, and optional verification.  Sets

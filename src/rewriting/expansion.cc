@@ -11,86 +11,130 @@
 
 namespace cqac {
 
-ConjunctiveQuery Expand(const ConjunctiveQuery& rewriting,
-                        const ViewSet& views) {
-  std::vector<Atom> body;
-  std::vector<Comparison> comparisons = rewriting.comparisons();
+ViewTemplates::ViewTemplates(const ViewSet& views) {
+  views_.reserve(views.views().size());
+  for (const ConjunctiveQuery& view : views.views()) {
+    const std::vector<std::string> variables = view.AllVariables();
+    auto arg = [&variables](const Term& t) {
+      if (t.IsConstant()) return Arg{-1, t.value()};
+      const auto it = std::find(variables.begin(), variables.end(), t.name());
+      return Arg{static_cast<int>(it - variables.begin()), Rational()};
+    };
+    View v;
+    v.name = view.name();
+    v.num_slots = static_cast<int>(variables.size());
+    for (const Term& t : view.head().args()) v.head.push_back(arg(t));
+    for (const Atom& a : view.body()) {
+      SlotAtom atom{a.predicate(), {}};
+      for (const Term& t : a.args()) atom.args.push_back(arg(t));
+      v.body.push_back(std::move(atom));
+    }
+    for (const Comparison& c : view.comparisons()) {
+      v.comparisons.push_back({arg(c.lhs()), c.op(), arg(c.rhs())});
+    }
+    views_.push_back(std::move(v));
+  }
+}
+
+const ViewTemplates::View* ViewTemplates::Find(const std::string& name) const {
+  for (const View& v : views_) {
+    if (v.name == name) return &v;
+  }
+  return nullptr;
+}
+
+IdQuery ExpandToIds(const ConjunctiveQuery& rewriting,
+                    const ViewTemplates& views) {
+  IdQuery out;
+  out.head_pred = rewriting.name();
+  AcCore& core = out.core;
+  for (const Term& t : rewriting.head().args()) {
+    out.head.push_back(core.Intern(t));
+  }
+  for (const Comparison& c : rewriting.comparisons()) {
+    out.comparisons.push_back(core.Intern(c));
+  }
+  std::vector<int> args;
+  std::vector<int> slot_ids;  // slot -> term id, -1 while unbound
   int counter = 0;
   for (const Atom& subgoal : rewriting.body()) {
-    const ConjunctiveQuery* view = views.Find(subgoal.predicate());
-    if (view == nullptr) {
-      body.push_back(subgoal);  // Base relation; copy through.
+    args.clear();
+    for (const Term& t : subgoal.args()) args.push_back(core.Intern(t));
+    const ViewTemplates::View* view = views.Find(subgoal.predicate());
+    if (view == nullptr) {  // Base relation; copy through.
+      out.body.push_back({out.PredId(subgoal.predicate()), args});
       continue;
     }
-    // One substitution over the view's own names: head variables onto the
-    // subgoal's arguments, any other i-th view variable onto `_e<k>_<i>`.
-    Substitution theta;
-    const int arity = std::min(view->head().arity(), subgoal.arity());
-    for (int i = 0; i < arity; ++i) {
-      const Term& head_term = view->head().args()[i];
-      const Term& arg = subgoal.args()[i];
-      if (head_term.IsConstant()) {
+    auto id_of = [&core, &slot_ids](const ViewTemplates::Arg& a) {
+      return a.slot >= 0 ? slot_ids[a.slot]
+                         : core.Intern(Term::Constant(a.value));
+    };
+    slot_ids.assign(view->num_slots, -1);
+    const size_t arity = std::min(view->head.size(), args.size());
+    for (size_t i = 0; i < arity; ++i) {
+      const ViewTemplates::Arg& head_arg = view->head[i];
+      if (head_arg.slot < 0) {
         // Head constant: the subgoal argument must equal it.
-        if (arg != head_term) {
-          comparisons.push_back(Comparison(arg, CompOp::kEq, head_term));
+        const int constant = id_of(head_arg);
+        if (args[i] != constant) {
+          out.comparisons.push_back({args[i], CompOp::kEq, constant});
         }
-        continue;
-      }
-      if (theta.IsBound(head_term.name())) {
+      } else if (slot_ids[head_arg.slot] >= 0) {
         // Repeated head variable: equate this argument with the first one.
-        const Term& first = theta.Lookup(head_term.name());
-        if (first != arg) {
-          comparisons.push_back(Comparison(first, CompOp::kEq, arg));
+        if (slot_ids[head_arg.slot] != args[i]) {
+          out.comparisons.push_back(
+              {slot_ids[head_arg.slot], CompOp::kEq, args[i]});
         }
       } else {
-        theta.Bind(head_term.name(), arg);
+        slot_ids[head_arg.slot] = args[i];
       }
     }
     const std::string prefix = "_e" + std::to_string(counter++) + "_";
-    const std::vector<std::string> variables = view->AllVariables();
-    for (size_t i = 0; i < variables.size(); ++i) {
-      if (!theta.IsBound(variables[i])) {
-        theta.Bind(variables[i], Term::Variable(prefix + std::to_string(i)));
+    for (int i = 0; i < view->num_slots; ++i) {
+      if (slot_ids[i] < 0) {
+        slot_ids[i] = core.AddVariable(prefix + std::to_string(i));
       }
     }
-    for (const Atom& view_atom : view->body()) {
-      body.push_back(theta.Apply(view_atom));
+    for (const ViewTemplates::SlotAtom& a : view->body) {
+      IdAtom atom{out.PredId(a.predicate), {}};
+      atom.args.reserve(a.args.size());
+      for (const ViewTemplates::Arg& t : a.args) atom.args.push_back(id_of(t));
+      out.body.push_back(std::move(atom));
     }
-    for (const Comparison& view_comp : view->comparisons()) {
-      comparisons.push_back(theta.Apply(view_comp));
+    for (const ViewTemplates::SlotComparison& c : view->comparisons) {
+      out.comparisons.push_back({id_of(c.lhs), c.op, id_of(c.rhs)});
     }
   }
-  return ConjunctiveQuery(rewriting.head(), std::move(body),
-                          std::move(comparisons));
+  return out;
+}
+
+ConjunctiveQuery Expand(const ConjunctiveQuery& rewriting,
+                        const ViewSet& views) {
+  // Compile only the views the subgoals name.
+  ViewSet used;
+  for (const Atom& subgoal : rewriting.body()) {
+    const ConjunctiveQuery* view = views.Find(subgoal.predicate());
+    if (view != nullptr && used.Find(view->name()) == nullptr) used.Add(*view);
+  }
+  return ExpandToIds(rewriting, ViewTemplates(used)).ToQuery();
 }
 
 UnionQuery Expand(const UnionQuery& rewriting, const ViewSet& views) {
+  const ViewTemplates templates(views);
   UnionQuery out;
   for (const ConjunctiveQuery& disjunct : rewriting.disjuncts()) {
-    out.Add(Expand(disjunct, views));
+    out.Add(ExpandToIds(disjunct, templates).ToQuery());
   }
   return out;
 }
 
 namespace {
 
-/// An ordinary subgoal over the ids of an AcCore term table.
-struct IdAtom {
-  int pred;
-  std::vector<int> args;
-
-  friend bool operator==(const IdAtom& a, const IdAtom& b) {
-    return a.pred == b.pred && a.args == b.args;
-  }
-};
-
-/// One simplification: the query interned once into an AcCore term table
-/// (atoms become predicate and argument ids, comparisons id triples), so
-/// that forced-equality collapse, redundancy removal, every single-variable
-/// fold and the budgeted fold search run on int compares over the same
-/// table, without copying the query.  Folds only map variables onto terms
-/// already in the table, so the table never grows after construction (see
-/// AcCore's term-table invariant).
+/// One simplification of a query in id form (IdQuery), in place:
+/// forced-equality collapse, redundancy removal, every single-variable
+/// fold and the budgeted fold search run on int compares over the query's
+/// own term table.  Folds only map variables onto terms already in the
+/// table, so the table never grows (see AcCore's term-table invariant).
 ///
 /// The fold order defines the output, which is the Phase-2 containment
 /// check's input and must stay byte-stable: candidates are the
@@ -100,20 +144,9 @@ struct IdAtom {
 /// deduplication) and the scan restarts.
 class Simplifier {
  public:
-  explicit Simplifier(const ConjunctiveQuery& q) : head_pred_(q.name()) {
-    for (const Term& t : q.head().args()) head_.push_back(core_.Intern(t));
-    body_.reserve(q.body().size());
-    for (const Atom& a : q.body()) {
-      IdAtom atom{PredId(a.predicate()), {}};
-      atom.args.reserve(a.args().size());
-      for (const Term& t : a.args()) atom.args.push_back(core_.Intern(t));
-      body_.push_back(std::move(atom));
-    }
-    comparisons_.reserve(q.comparisons().size());
-    for (const Comparison& c : q.comparisons()) {
-      comparisons_.push_back(core_.Intern(c));
-    }
-  }
+  explicit Simplifier(IdQuery* q)
+      : core_(q->core), head_(q->head), body_(q->body),
+        comparisons_(q->comparisons) {}
 
   /// Applies the equalities forced by the comparisons (each term onto its
   /// component's representative) and drops the comparisons implied by the
@@ -139,27 +172,6 @@ class Simplifier {
     }
   }
 
-  ConjunctiveQuery ToQuery() const {
-    std::vector<Term> head;
-    head.reserve(head_.size());
-    for (const int t : head_) head.push_back(core_.term(t));
-    std::vector<Atom> body;
-    body.reserve(body_.size());
-    for (const IdAtom& a : body_) {
-      std::vector<Term> args;
-      args.reserve(a.args.size());
-      for (const int t : a.args) args.push_back(core_.term(t));
-      body.emplace_back(preds_[a.pred], std::move(args));
-    }
-    std::vector<Comparison> comparisons;
-    comparisons.reserve(comparisons_.size());
-    for (const IdComparison& c : comparisons_) {
-      comparisons.push_back(core_.ToComparison(c));
-    }
-    return ConjunctiveQuery(Atom(head_pred_, std::move(head)), std::move(body),
-                            std::move(comparisons));
-  }
-
   /// Adds this call's tallies to the simplify.* counters, once.
   void Publish() const {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -180,14 +192,6 @@ class Simplifier {
   }
 
  private:
-  int PredId(const std::string& name) {
-    for (size_t id = 0; id < preds_.size(); ++id) {
-      if (preds_[id] == name) return static_cast<int>(id);
-    }
-    preds_.push_back(name);
-    return static_cast<int>(preds_.size()) - 1;
-  }
-
   void ResetImage() {
     image_.resize(core_.size());
     for (int t = 0; t < core_.size(); ++t) image_[t] = t;
@@ -375,12 +379,10 @@ class Simplifier {
   /// The image of term id t under theta_ (constants map to themselves).
   int Theta(int t) const { return theta_.IsBound(t) ? theta_.Get(t) : t; }
 
-  AcCore core_;
-  std::string head_pred_;
-  std::vector<int> head_;
-  std::vector<std::string> preds_;
-  std::vector<IdAtom> body_;
-  std::vector<IdComparison> comparisons_;
+  AcCore& core_;
+  std::vector<int>& head_;
+  std::vector<IdAtom>& body_;
+  std::vector<IdComparison>& comparisons_;
   std::vector<int> image_;  // per term id: its image under the substitution
   BindingTrail theta_;      // the fold search's theta over term ids
   std::vector<bool> mapped_;  // per body atom: mapped by the search so far
@@ -393,22 +395,26 @@ class Simplifier {
 
 }  // namespace
 
-std::optional<ConjunctiveQuery> SimplifyQuery(const ConjunctiveQuery& q) {
+bool SimplifyIds(IdQuery* q) {
   Simplifier simplifier(q);
-  if (!simplifier.Collapse()) {  // Unsatisfiable.
-    simplifier.Publish();
-    return std::nullopt;
-  }
-  simplifier.Fold();
+  const bool satisfiable = simplifier.Collapse();
+  if (satisfiable) simplifier.Fold();
   simplifier.Publish();
-  return simplifier.ToQuery();
+  return satisfiable;
+}
+
+std::optional<ConjunctiveQuery> SimplifyQuery(const ConjunctiveQuery& q) {
+  IdQuery ids(q);
+  if (!SimplifyIds(&ids)) return std::nullopt;
+  return ids.ToQuery();
 }
 
 ConjunctiveQuery FoldExistentialVariables(const ConjunctiveQuery& q) {
-  Simplifier simplifier(q);
+  IdQuery ids(q);
+  Simplifier simplifier(&ids);
   simplifier.Fold();
   simplifier.Publish();
-  return simplifier.ToQuery();
+  return ids.ToQuery();
 }
 
 }  // namespace cqac

@@ -2,11 +2,68 @@
 #define CQAC_REWRITING_EXPANSION_H_
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "ast/query.h"
+#include "constraints/id_query.h"
 #include "rewriting/view_set.h"
 
 namespace cqac {
+
+/// The views of a ViewSet compiled once for expansion into term ids.  Each
+/// view becomes a template over view-local slots, slot i standing for the
+/// i-th variable of the view's AllVariables(): its head positions, its body
+/// atoms and its comparisons, each argument a slot or a constant.
+class ViewTemplates {
+ public:
+  ViewTemplates() = default;
+  explicit ViewTemplates(const ViewSet& views);
+
+  /// A template argument: slot `slot`, or the constant `value` when
+  /// slot < 0.
+  struct Arg {
+    int slot;
+    Rational value;
+  };
+  struct SlotAtom {
+    std::string predicate;
+    std::vector<Arg> args;
+  };
+  struct SlotComparison {
+    Arg lhs;
+    CompOp op;
+    Arg rhs;
+  };
+  struct View {
+    std::string name;
+    std::vector<Arg> head;
+    std::vector<SlotAtom> body;
+    std::vector<SlotComparison> comparisons;
+    int num_slots = 0;
+  };
+
+  /// The template of the first view named `name`, or nullptr.
+  const View* Find(const std::string& name) const;
+
+ private:
+  std::vector<View> views_;
+};
+
+/// Expand (below) into term ids: the rewriting's own terms are interned,
+/// then each view subgoal's template is written straight into the table.
+/// Head slots map to the subgoal's argument ids; every other slot i of the
+/// k-th view subgoal becomes a fresh variable `_e<k>_<i>`, appended
+/// without a lookup.  The names are kept because the Simplifier's
+/// representatives are the lexicographically least names, so they decide
+/// the simplified output.
+IdQuery ExpandToIds(const ConjunctiveQuery& rewriting,
+                    const ViewTemplates& views);
+
+/// SimplifyQuery on the id form, in place.  Returns false, leaving `q`
+/// unchanged, when its comparisons are unsatisfiable.  Adds to the
+/// simplify.* counters like SimplifyQuery.
+bool SimplifyIds(IdQuery* q);
 
 /// Expands a rewriting — a CQAC whose ordinary subgoals are view atoms —
 /// into a CQAC over the base schema by inlining each view definition with
@@ -22,7 +79,9 @@ namespace cqac {
 ///
 /// Subgoals whose predicate is not in `views` are treated as base
 /// relations and copied through unchanged (so the function is harmless on
-/// partially-rewritten queries).
+/// partially-rewritten queries).  The fresh variables are named
+/// `_e<k>_<i>`; the rewriting must not use such names itself.  The result
+/// is `ExpandToIds(rewriting, ViewTemplates(views)).ToQuery()`.
 ConjunctiveQuery Expand(const ConjunctiveQuery& rewriting,
                         const ViewSet& views);
 

@@ -1,11 +1,18 @@
 #include "rewriting/equiv_rewriter.h"
 
+#ifndef CQAC_CORPUS_DIR
+#error "CQAC_CORPUS_DIR must point at tests/corpus"
+#endif
+
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "containment/cqac_containment.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 #include "rewriting/expansion.h"
+#include "testing/corpus.h"
 
 namespace cqac {
 namespace {
@@ -282,6 +289,28 @@ TEST(EquivRewriterTest, NoPruningLosesExample2) {
           .Run();
   EXPECT_EQ(result.outcome, RewriteOutcome::kNoRewriting);
   EXPECT_NE(result.failure_reason.find("Lemma 2"), std::string::npos);
+}
+
+// Expansion simplification only shrinks what the Phase-2 checks enumerate,
+// so turning it off changes no answer: every corpus case gets the same
+// outcome, failure reason and rewriting.
+TEST(EquivRewriterTest, SimplificationOffKeepsEveryCorpusAnswer) {
+  std::string error;
+  const std::optional<std::vector<testing::CorpusEntry>> corpus =
+      testing::LoadCorpusDir(CQAC_CORPUS_DIR, &error);
+  ASSERT_TRUE(corpus.has_value()) << error;
+  ASSERT_FALSE(corpus->empty());
+  RewriteOptions unsimplified;
+  unsimplified.simplify_expansions = false;
+  for (const testing::CorpusEntry& entry : *corpus) {
+    const RewriteResult on =
+        EquivalentRewriter(entry.c.query, entry.c.views).Run();
+    const RewriteResult off =
+        EquivalentRewriter(entry.c.query, entry.c.views, unsimplified).Run();
+    EXPECT_EQ(on.outcome, off.outcome) << entry.name;
+    EXPECT_EQ(on.failure_reason, off.failure_reason) << entry.name;
+    EXPECT_EQ(on.rewriting.ToString(), off.rewriting.ToString()) << entry.name;
+  }
 }
 
 }  // namespace

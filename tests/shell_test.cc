@@ -94,6 +94,17 @@ TEST(ShellTest, RewriteWithoutQueryErrors) {
   EXPECT_NE(out.find("set a query first"), std::string::npos);
 }
 
+// With no views the rewriter runs and answers kNoRewriting, as the library
+// and --serve-batch do (tests/corpus/regress_no_views.cqac).
+TEST(ShellTest, RewriteWithoutViewsRunsTheRewriter) {
+  const std::string out = RunSession(
+      "query q(X) :- p(X,Y), X < 3.\n"
+      "rewrite\n");
+  EXPECT_EQ(out.find("error"), std::string::npos) << out;
+  EXPECT_NE(out.find("no equivalent rewriting exists"), std::string::npos)
+      << out;
+}
+
 TEST(ShellTest, ContainedRewrite) {
   const std::string out = RunSession(
       "view v(T) :- a(T), T < 10.\n"
