@@ -218,8 +218,7 @@ void ViewCatalog::StoreSemantic(const std::string& key,
 }
 
 RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
-                                   const RewriteOptions& options,
-                                   ThreadPool* pool) {
+                                   const RewriteOptions& options) {
   CQAC_TRACE_SPAN("catalog.rewrite");
 
   // Explain runs bypass the semantic cache: traces must be complete and
@@ -251,7 +250,7 @@ RewriteResult ViewCatalog::Rewrite(const ConjunctiveQuery& query,
 
   const RewriteWork work = PrepareRewriteWork(query, views_, options,
                                               &v0_variants_, &view_constants_);
-  RewriteResult result = RunPreparedRewrite(work, options, pool);
+  RewriteResult result = RunPreparedRewrite(work, options);
   result.catalog_epoch = epoch_;
 
   if (result.outcome != RewriteOutcome::kAborted) {
@@ -306,15 +305,20 @@ CatalogRegistry::CatalogRegistry(size_t capacity)
 std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
     const ViewSet& views) {
   const std::string fp = FingerprintViewSet(views);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
     for (auto it = lru_.begin(); it != lru_.end(); ++it) {
       if (it->first == fp) {
         lru_.splice(lru_.begin(), lru_, it);
         return lru_.front().second;
       }
     }
+    if (building_.insert(fp).second) break;
+    // Another thread is building this key: wait for its catalog instead
+    // of compiling a duplicate.
+    built_cv_.wait(lock);
   }
+  lock.unlock();
   std::shared_ptr<ViewCatalog> catalog(
       new ViewCatalog(views), [lifetime = lifetime_](ViewCatalog* retiring) {
         {
@@ -325,20 +329,16 @@ std::shared_ptr<ViewCatalog> CatalogRegistry::GetOrBuild(
         delete retiring;
       });
   {
-    std::lock_guard<std::mutex> lock(lifetime_->mu);
+    std::lock_guard<std::mutex> lifetime_lock(lifetime_->mu);
     lifetime_->live.insert(catalog.get());
   }
   built_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->first == fp) {
-      // A concurrent build won; use its catalog so caches are shared.
-      lru_.splice(lru_.begin(), lru_, it);
-      return lru_.front().second;
-    }
-  }
+  lock.lock();
+  building_.erase(fp);
   lru_.emplace_front(fp, catalog);
   while (lru_.size() > capacity_) lru_.pop_back();
+  lock.unlock();
+  built_cv_.notify_all();
   return catalog;
 }
 

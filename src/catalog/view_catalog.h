@@ -35,11 +35,13 @@
 // number of threads.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,8 +51,6 @@
 #include "rewriting/view_set.h"
 
 namespace cqac {
-
-class ThreadPool;
 
 /// Point-in-time counters of one catalog.
 struct CatalogStats {
@@ -90,13 +90,12 @@ class ViewCatalog {
   /// are reused across calls.
   ///
   /// Driver-level options are honored per request: `jobs` selects the
-  /// RunPreparedRewrite schedule (`pool`, when non-null and jobs != 1,
-  /// supplies the threads), and `cancel` and `max_canonical_databases`
-  /// bound the run.  Explain runs bypass the semantic cache so traces
-  /// stay complete; aborted or cancelled runs are never cached.
+  /// RunPreparedRewrite schedule, and `cancel` and
+  /// `max_canonical_databases` bound the run.  Explain runs bypass the
+  /// semantic cache so traces stay complete; aborted or cancelled runs are
+  /// never cached.
   RewriteResult Rewrite(const ConjunctiveQuery& query,
-                        const RewriteOptions& options,
-                        ThreadPool* pool = nullptr);
+                        const RewriteOptions& options);
 
   CatalogStats Stats() const;
 
@@ -142,8 +141,8 @@ struct CatalogRegistryStats {
 /// A small LRU of catalogs keyed by view-set fingerprint, so long-lived
 /// drivers (the batch driver, the server) serve every distinct view set
 /// they see through one shared catalog.  Thread-safe; builds happen
-/// outside the lock and a concurrent duplicate build resolves to the
-/// first inserted catalog.
+/// outside the lock, and a miss on a key that is being built waits for
+/// that build, so each resident key is built once.
 class CatalogRegistry {
  public:
   explicit CatalogRegistry(size_t capacity = 8);
@@ -173,6 +172,8 @@ class CatalogRegistry {
   mutable std::mutex mu_;
   std::list<std::pair<std::string, std::shared_ptr<ViewCatalog>>>
       lru_;  // front = most recent
+  std::set<std::string> building_;  // keys being built, guarded by mu_
+  std::condition_variable built_cv_;  // signalled when a build lands
   std::atomic<int64_t> built_{0};
 };
 

@@ -252,16 +252,16 @@ class PrunedOrderEnumerator {
                         const std::vector<Rational>& sorted_constants,
                         const std::vector<Comparison>& axioms,
                         OrderEnumerationStats* stats)
-      : variables_(variables), axioms_(axioms), stats_(stats) {
+      : variables_(variables), stats_(stats) {
     Compile(sorted_constants, axioms);
   }
 
+  /// False when an axiom mentions a term outside the universe: the
+  /// position encoding cannot decide it, and Run must not be called.
+  bool complete() const { return !incomplete_; }
+
   void Run(TotalOrder* order, const OrderFn& fn) {
     if (impossible_) return;
-    if (incomplete_) {
-      RunFallback(order, fn);
-      return;
-    }
     ++stats_->nodes_visited;  // Root: the constants-only base order.
     Insert(0, order, fn);
   }
@@ -334,7 +334,7 @@ class PrunedOrderEnumerator {
         if (!placed_ever[s]) incomplete_ = true;
       }
     }
-    if (incomplete_) return;  // Fallback path; nothing below applies.
+    if (incomplete_) return;  // The caller falls back; nothing below applies.
 
     // Transitive closure over terms (tracked variables, then constants).
     // rel[i][j]: 0 none, 1 `i <= j`, 2 `i < j`.  kEq contributes both
@@ -494,28 +494,6 @@ class PrunedOrderEnumerator {
     return true;
   }
 
-  /// Reference behavior for axioms the positional encoding cannot
-  /// represent: solver-based prefix pruning, solver-verified leaves.
-  void RunFallback(TotalOrder* order, const OrderFn& fn) {
-    std::vector<Comparison> combined;
-    const OrderFn satisfiable_prefix = [&](const TotalOrder& prefix) {
-      combined = axioms_;
-      const std::vector<Comparison> placed = prefix.ToComparisons();
-      combined.insert(combined.end(), placed.begin(), placed.end());
-      const bool ok = AcSolver::IsSatisfiable(combined);
-      ++(ok ? stats_->nodes_visited : stats_->nodes_pruned);
-      return ok;
-    };
-    InsertRemaining(
-        variables_, 0, variables_.size(), order,
-        [&](const TotalOrder& leaf) {
-          if (!AcSolver::SatisfiedBy(axioms_, leaf.ToAssignment())) return true;
-          ++stats_->orders_emitted;
-          return fn(leaf);
-        },
-        &satisfiable_prefix);
-  }
-
   /// A new block opened at `gap`: every tracked placement at or after it
   /// moves up one position.  (kUnplaced is negative, so it never shifts.)
   void ShiftUp(int gap) {
@@ -538,7 +516,6 @@ class PrunedOrderEnumerator {
   }
 
   const std::vector<std::string>& variables_;
-  const std::vector<Comparison>& axioms_;
   OrderEnumerationStats* stats_;
   std::map<std::string, int> var_ids_;
   std::vector<PositionalCheck> checks_;
@@ -566,9 +543,16 @@ void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
   }
   const std::vector<Rational> sorted_constants =
       SortedUniqueConstants(constants);
+  PrunedOrderEnumerator enumerator(variables, sorted_constants, axioms, stats);
+  if (!enumerator.complete()) {
+    // An axiom over a term outside the universe: only the reference's
+    // solver check at every leaf decides it.
+    internal::ForEachSatisfyingOrderLegacy(variables, sorted_constants,
+                                           axioms, fn, stats);
+    return;
+  }
   TotalOrder base = BaseOrder(sorted_constants);
-  PrunedOrderEnumerator(variables, sorted_constants, axioms, stats)
-      .Run(&base, fn);
+  enumerator.Run(&base, fn);
 }
 
 namespace internal {

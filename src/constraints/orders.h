@@ -123,8 +123,9 @@ struct OrderEnumerationStats {
 /// otherwise an axiom's truth is not determined by the order and the
 /// enumeration may miss satisfying orders.  When an axiom mentions a
 /// constant outside `constants` or a variable outside `variables`,
-/// positional checks cannot decide it; the enumeration then falls back to
-/// solver-based prefix pruning with solver-verified leaves.
+/// positional checks cannot decide it; the enumeration then runs the
+/// unpruned reference, internal::ForEachSatisfyingOrderLegacy, which
+/// emits the same sequence.
 void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
                             const std::vector<Rational>& constants,
                             const std::vector<Comparison>& axioms,
@@ -146,9 +147,10 @@ namespace internal {
 
 /// The naive enumerate-then-filter reference: walks the full
 /// ForEachTotalOrder insertion tree and tests the axioms with the
-/// constraint solver at every leaf.  Retained as the differential-testing
-/// oracle for ForEachSatisfyingOrder and as the "unpruned" side of the
-/// node counts phase1_incremental_test pins.
+/// constraint solver at every leaf.  The differential-testing oracle for
+/// ForEachSatisfyingOrder, the "unpruned" side of the node counts
+/// phase1_incremental_test pins, and ForEachSatisfyingOrder's own path for
+/// axioms over terms outside its universe.
 void ForEachSatisfyingOrderLegacy(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants,

@@ -9,10 +9,6 @@ bool CqContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   return FindContainmentMapping(q2, q1).has_value();
 }
 
-bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  return CqContained(q1, q2) && CqContained(q2, q1);
-}
-
 ConjunctiveQuery CqMinimize(const ConjunctiveQuery& q) {
   ConjunctiveQuery current = q.Deduplicated();
   bool changed = true;
@@ -36,20 +32,6 @@ ConjunctiveQuery CqMinimize(const ConjunctiveQuery& q) {
     }
   }
   return current;
-}
-
-bool UnionCqContained(const UnionQuery& p, const UnionQuery& q) {
-  for (const ConjunctiveQuery& pi : p.disjuncts()) {
-    bool covered = false;
-    for (const ConjunctiveQuery& qj : q.disjuncts()) {
-      if (CqContained(pi, qj)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-  }
-  return true;
 }
 
 }  // namespace cqac

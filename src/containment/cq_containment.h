@@ -5,27 +5,18 @@
 
 namespace cqac {
 
-/// Containment, equivalence, and minimization for *plain* conjunctive
-/// queries (no comparisons), per Chandra & Merlin: `q1` is contained in
-/// `q2` iff there is a containment mapping from `q2` to `q1`.  Inputs with
-/// comparisons are rejected by returning false (use cqac_containment.h).
+/// Containment and minimization for *plain* conjunctive queries (no
+/// comparisons), per Chandra & Merlin: `q1` is contained in `q2` iff there
+/// is a containment mapping from `q2` to `q1`.  Inputs with comparisons
+/// are rejected by returning false (use cqac_containment.h).
 
 /// True iff q1 ⊑ q2.
 bool CqContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
-
-/// True iff q1 ≡ q2 (containment both ways).
-bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 /// The core of `q`: an equivalent query with a minimal set of subgoals,
 /// computed by repeatedly dropping subgoals whose removal preserves
 /// equivalence.  Unique up to variable renaming for plain CQs.
 ConjunctiveQuery CqMinimize(const ConjunctiveQuery& q);
-
-/// Sagiv–Yannakakis containment of unions of plain CQs: `p ⊑ q` iff every
-/// disjunct of `p` is contained in some disjunct of `q`.  (This
-/// disjunct-wise criterion is *not* complete once comparisons are present;
-/// see UnionCqacContained.)
-bool UnionCqContained(const UnionQuery& p, const UnionQuery& q);
 
 }  // namespace cqac
 

@@ -1,6 +1,7 @@
 #include "containment/cqac_containment.h"
 
 #include <algorithm>
+#include <span>
 
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
@@ -40,16 +41,17 @@ Substitution CollapseByOrder(const TotalOrder& order) {
 
 namespace {
 
-/// The canonical-database test's enumeration, shared by both front ends:
+/// The canonical-database test's enumeration, shared by every front end:
 /// walks the satisfying orders of q1's `variables` and `constants` (q1's
-/// and q2's) under q1's comparisons `axioms`, freezes q1 with `freezer`
-/// on each, and stops at the first one on which q2 misses the frozen
-/// head.  Head arities must match.
+/// and the right-hand sides') under q1's comparisons `axioms`, freezes q1
+/// with `freezer` on each, and stops at the first one on which no query of
+/// `rhs` computes the frozen head.  A right-hand side whose head arity
+/// differs from q1's never computes it.
 bool ContainedOnCanonicalDatabases(CanonicalFreezer* freezer,
                                    const std::vector<std::string>& variables,
                                    const std::vector<Rational>& constants,
                                    const std::vector<Comparison>& axioms,
-                                   const PreparedQuery& q2,
+                                   std::span<const PreparedQuery* const> rhs,
                                    ContainmentStats* stats) {
   static thread_local PreparedQuery::Scratch scratch;
   bool contained = true;
@@ -58,11 +60,15 @@ bool ContainedOnCanonicalDatabases(CanonicalFreezer* freezer,
       variables, constants, axioms,
       [&](const TotalOrder& order) {
         const FlatInstance& inst = freezer->Freeze(order);
-        if (!q2.Run(inst, &freezer->frozen_head(), nullptr, &scratch)) {
-          contained = false;
-          return false;  // Counterexample found; stop enumerating.
+        const Tuple& head = freezer->frozen_head();
+        for (const PreparedQuery* q2 : rhs) {
+          if (q2->head_arity() == static_cast<int>(head.size()) &&
+              q2->Run(inst, &head, nullptr, &scratch)) {
+            return true;
+          }
         }
-        return true;
+        contained = false;
+        return false;  // Counterexample found; stop enumerating.
       },
       &enum_stats);
   if (stats != nullptr) {
@@ -84,9 +90,10 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
   std::vector<Rational> constants = q1.Constants();
   MergeConstants(q2.Constants(), &constants);
   CanonicalFreezer freezer(q1);
+  const PreparedQuery prepared(q2);
+  const PreparedQuery* const rhs[] = {&prepared};
   return ContainedOnCanonicalDatabases(&freezer, q1.AllVariables(), constants,
-                                       q1.comparisons(), PreparedQuery(q2),
-                                       stats);
+                                       q1.comparisons(), rhs, stats);
 }
 
 bool CqacContainedPrepared(const IdQuery& q1, const PreparedQuery& q2,
@@ -103,8 +110,9 @@ bool CqacContainedPrepared(const IdQuery& q1, const PreparedQuery& q2,
     axioms.push_back(q1.core.ToComparison(c));
   }
   CanonicalFreezer freezer(q1);
+  const PreparedQuery* const rhs[] = {&q2};
   return ContainedOnCanonicalDatabases(&freezer, variables, constants, axioms,
-                                       q2, stats);
+                                       rhs, stats);
 }
 
 bool CqacContainedImplication(const ConjunctiveQuery& q1,
@@ -249,43 +257,15 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
     MergeConstants(disjunct.Constants(), &constants);
   }
 
-  CanonicalFreezer freezer(q);
   std::vector<PreparedQuery> prepared;
+  std::vector<const PreparedQuery*> rhs;
   prepared.reserve(u.disjuncts().size());
   for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
-    prepared.emplace_back(disjunct);
+    rhs.push_back(&prepared.emplace_back(disjunct));
   }
-  PreparedQuery::Scratch scratch;
-
-  bool contained = true;
-  OrderEnumerationStats enum_stats;
-  ForEachSatisfyingOrder(
-      q.AllVariables(), constants, q.comparisons(),
-      [&](const TotalOrder& order) {
-        const FlatInstance& inst = freezer.Freeze(order);
-        bool some_disjunct_computes = false;
-        for (const PreparedQuery& pq : prepared) {
-          if (pq.head_arity() != static_cast<int>(freezer.frozen_head().size())) {
-            continue;  // ComputesTuple skips arity-mismatched disjuncts.
-          }
-          if (pq.Run(inst, &freezer.frozen_head(), nullptr, &scratch)) {
-            some_disjunct_computes = true;
-            break;
-          }
-        }
-        if (!some_disjunct_computes) {
-          contained = false;
-          return false;
-        }
-        return true;
-      },
-      &enum_stats);
-  if (stats != nullptr) {
-    stats->orders_enumerated += enum_stats.orders_emitted;
-    stats->nodes_visited += enum_stats.nodes_visited;
-    stats->nodes_pruned += enum_stats.nodes_pruned;
-  }
-  return contained;
+  CanonicalFreezer freezer(q);
+  return ContainedOnCanonicalDatabases(&freezer, q.AllVariables(), constants,
+                                       q.comparisons(), rhs, stats);
 }
 
 bool UnionCqacContained(const UnionQuery& p, const UnionQuery& q) {

@@ -67,14 +67,4 @@ std::optional<Substitution> FindContainmentMapping(
   return found;
 }
 
-std::vector<Substitution> AllContainmentMappings(const ConjunctiveQuery& from,
-                                                 const ConjunctiveQuery& to) {
-  std::vector<Substitution> out;
-  ForEachContainmentMapping(from, to, [&out](const Substitution& s) {
-    out.push_back(s);
-    return true;
-  });
-  return out;
-}
-
 }  // namespace cqac

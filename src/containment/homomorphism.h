@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "ast/query.h"
 #include "ast/substitution.h"
@@ -26,10 +25,6 @@ std::optional<Substitution> FindContainmentMapping(const ConjunctiveQuery& from,
 void ForEachContainmentMapping(
     const ConjunctiveQuery& from, const ConjunctiveQuery& to,
     const std::function<bool(const Substitution&)>& fn);
-
-/// All containment mappings from `from` to `to` (materialized).
-std::vector<Substitution> AllContainmentMappings(const ConjunctiveQuery& from,
-                                                 const ConjunctiveQuery& to);
 
 /// Extends `base` so that `s.Apply(from) == to` for two same-predicate,
 /// same-arity atoms, mapping variables of `from` to the corresponding

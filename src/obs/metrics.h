@@ -19,7 +19,7 @@
 //
 // Naming convention (see docs/OBSERVABILITY.md): lower-case
 // `<component>.<what>`, with `_ns` suffixes on durations, e.g.
-// `threadpool.tasks_stolen`, `phase1.db_wall_ns`.
+// `threadpool.max_queue_depth`, `phase1.db_wall_ns`.
 
 #include <atomic>
 #include <cstdint>

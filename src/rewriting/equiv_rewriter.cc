@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -194,42 +190,6 @@ void RecordRunMetrics(const RewriteStats& stats,
         .Add(report.phase2_tasks_executed);
     reg.counter("parallel.phase2_tasks_cancelled")
         .Add(report.phase2_tasks_cancelled);
-    reg.counter("threadpool.tasks_stolen").Add(report.tasks_stolen);
-  }
-}
-
-/// Runs `run(i)` for every i in [0, n), as pool tasks or, with a null
-/// `pool`, inline in order; calls `merge(i)` on the calling thread in index
-/// order once task i and every earlier one are done.  Every task has
-/// finished when FanOut returns (they may reference the caller's state).
-void FanOut(ThreadPool* pool, int64_t n,
-            const std::function<void(int64_t)>& run,
-            const std::function<void(int64_t)>& merge) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<char> done(static_cast<size_t>(n), 0);  // guarded by `mu`
-  for (int64_t i = 0; i < n; ++i) {
-    const auto task = [&, i] {
-      run(i);
-      // Notify while holding the lock: the merging thread owns cv's stack
-      // frame and may destroy it the moment it observes the last `done`,
-      // which the lock delays until the notify has returned.
-      std::lock_guard<std::mutex> lock(mu);
-      done[static_cast<size_t>(i)] = 1;
-      cv.notify_all();
-    };
-    if (pool == nullptr) {
-      task();
-    } else {
-      pool->Submit(task);
-    }
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done[static_cast<size_t>(i)] != 0; });
-    }
-    merge(i);
   }
 }
 
@@ -808,7 +768,6 @@ std::optional<RewriteResult> RewriteOfUnsatisfiableQuery(
 
 RewriteResult RunPreparedRewrite(const RewriteWork& work,
                                  const RewriteOptions& driver,
-                                 ThreadPool* pool,
                                  ParallelRewriteReport* report) {
   ParallelRewriteReport local_report;
   if (report == nullptr) report = &local_report;
@@ -823,17 +782,13 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   };
 
   // The schedule: inline on this thread (pool stays null), or a fan-out
-  // over the caller's pool or one owned by this run.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (driver.jobs == 1) {
-    pool = nullptr;
-  } else if (pool == nullptr) {
-    owned_pool =
-        std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(driver.jobs));
-    pool = owned_pool.get();
+  // over a pool owned by this run.
+  std::optional<ThreadPool> owned_pool;
+  if (driver.jobs != 1) {
+    owned_pool.emplace(ThreadPool::ResolveJobs(driver.jobs));
   }
+  ThreadPool* const pool = owned_pool.has_value() ? &*owned_pool : nullptr;
   report->jobs = pool != nullptr ? pool->num_threads() : 1;
-  const int64_t stolen_before = pool != nullptr ? pool->tasks_stolen() : 0;
 
   // --- Phase 1: one Pre-Rewriting per kept canonical database ---
   //
@@ -982,15 +937,12 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   const auto finish = [&](RewriteOutcome outcome, std::string reason) {
     result.outcome = outcome;
     if (!reason.empty()) result.failure_reason = std::move(reason);
-    if (pool != nullptr) {
-      report->tasks_stolen = pool->tasks_stolen() - stolen_before;
-      if (obs::MetricsActive()) {
-        obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-        reg.gauge("threadpool.max_queue_depth").Max(pool->max_queue_depth());
-        const int64_t fail_ns = first_fail_ns.load(std::memory_order_relaxed);
-        if (fail_ns != 0) {
-          reg.histogram("parallel.cancel_drain_ns").Observe(NowNs() - fail_ns);
-        }
+    if (pool != nullptr && obs::MetricsActive()) {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+      reg.gauge("threadpool.max_queue_depth").Max(pool->max_queue_depth());
+      const int64_t fail_ns = first_fail_ns.load(std::memory_order_relaxed);
+      if (fail_ns != 0) {
+        reg.histogram("parallel.cancel_drain_ns").Observe(NowNs() - fail_ns);
       }
     }
     RecordRunMetrics(result.stats, *report, pool != nullptr);

@@ -22,7 +22,6 @@ namespace cqac {
 struct AcyclicPlan;  // Never defined; see RewriteWork::acyclic_plan.
 class CanonicalFreezer;    // engine/canonical.h
 class Phase1Memo;          // runtime/memo_cache.h
-class ThreadPool;          // runtime/thread_pool.h
 class ViewTupleEvaluator;  // rewriting/view_tuples.h
 
 /// Options controlling the equivalent-rewriting algorithm.
@@ -408,8 +407,6 @@ struct ParallelRewriteReport {
   int64_t phase2_tasks_total = 0;
   int64_t phase2_tasks_executed = 0;
   int64_t phase2_tasks_cancelled = 0;
-
-  int64_t tasks_stolen = 0;  // pool-level: tasks taken from a sibling queue
 };
 
 /// The rewriting driver: Phases 1-2 plus finalization over a prebuilt work
@@ -421,15 +418,16 @@ struct ParallelRewriteReport {
 /// subtrees per pool thread; each subtree is one task running the inline
 /// loop over its canonical databases.  With jobs == 1 the whole tree is one
 /// subtree and every unit runs inline on the calling thread; otherwise the
-/// subtrees and the Phase-2 checks fan out over `pool` (or, when null, over
-/// a pool of ThreadPool::ResolveJobs(jobs) threads owned by the run), and a
-/// PrefixCancel skips every task past the first failing one (the paper's
-/// "some D_i has no MCR => no rewriting exists" short-circuit).  Outcomes
-/// merge in enumeration order, each subtree once it and every earlier one
-/// are done, so the result (outcome, rewriting, failure reason, trace, and
-/// every stat but the wall times and the Phase-1 memo hit/miss split) is
-/// byte-identical for every thread count and task interleaving.  The split
-/// depends on the subtree partition, so it is fixed for a given `jobs`.
+/// subtrees and the Phase-2 checks fan out (FanOut, runtime/thread_pool.h)
+/// over a pool of ThreadPool::ResolveJobs(jobs) threads owned by the run,
+/// and a PrefixCancel skips every task past the first failing one (the
+/// paper's "some D_i has no MCR => no rewriting exists" short-circuit).
+/// Outcomes merge in enumeration order, each subtree once it and every
+/// earlier one are done, so the result (outcome, rewriting, failure
+/// reason, trace, and every stat but the wall times and the Phase-1 memo
+/// hit/miss split) is byte-identical for every thread count and task
+/// interleaving.  The split depends on the subtree partition, so it is
+/// fixed for a given `jobs`.
 ///
 /// Phase semantics (pruning, simplification, explain, ...) come from
 /// work.options; `driver` supplies only the scheduling-level knobs read per
@@ -444,7 +442,6 @@ struct ParallelRewriteReport {
 /// (RewriteOfUnsatisfiableQuery); `work` must come from a satisfiable query.
 RewriteResult RunPreparedRewrite(const RewriteWork& work,
                                  const RewriteOptions& driver,
-                                 ThreadPool* pool = nullptr,
                                  ParallelRewriteReport* report = nullptr);
 
 /// The answer for a query whose comparisons are contradictory: it computes

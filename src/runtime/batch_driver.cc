@@ -1,8 +1,6 @@
 #include "runtime/batch_driver.h"
 
-#include <condition_variable>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -213,87 +211,70 @@ BatchSummary RunBatch(std::istream& in, std::ostream& out,
   }
 
   // Each job runs its units inline on one worker; the catalog of its
-  // view set carries plans, memos and finished answers across jobs, so
-  // repeated or near-duplicate jobs get cheaper as the batch proceeds.
+  // view set carries compiled views and finished answers across jobs, so
+  // repeated jobs get cheaper as the batch proceeds.
   RewriteOptions per_job = options.rewrite;
   per_job.jobs = 1;
   CatalogRegistry registry;
   ThreadPool pool(ThreadPool::ResolveJobs(options.jobs));
 
-  std::vector<std::string> outputs(jobs.size());
-  std::vector<RewriteOutcome> outcomes(jobs.size(),
-                                       RewriteOutcome::kNoRewriting);
-  std::vector<bool> job_errors(jobs.size(), false);
-  std::vector<RewriteStats> job_stats(jobs.size());
+  // What job i left for the in-order merge.
+  struct Answer {
+    std::string rendered;
+    bool is_error = false;
+    RewriteOutcome outcome = RewriteOutcome::kNoRewriting;
+    RewriteStats stats;
+  };
+  std::vector<Answer> answers(jobs.size());
 
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-
-  {
-  CQAC_TRACE_SPAN("batch.dispatch");
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    pool.Submit([&, i] {
-      // Stamp each job with its own trace id so the flight recorder can
-      // attribute worker spans per request, as the server does.
-      const obs::RequestScope trace_scope(obs::GenerateTraceId());
-      const BatchJob& job = jobs[i];
-      std::string rendered;
-      bool is_error = false;
-      RewriteOutcome outcome = RewriteOutcome::kNoRewriting;
-      RewriteStats stats;
-      if (!job.error.empty()) {
-        rendered = RenderJobError(i, job.error);
-        is_error = true;
-      } else {
-        const RewriteResult result =
-            registry.GetOrBuild(job.views)->Rewrite(*job.query, per_job);
-        outcome = result.outcome;
-        stats = result.stats;
-        rendered = RenderJobResult(i, job, result, options.echo);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      outputs[i] = std::move(rendered);
-      outcomes[i] = outcome;
-      job_errors[i] = is_error;
-      job_stats[i] = stats;
-      ++done;
-      cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == jobs.size(); });
-  }
-  }  // batch.dispatch
-
-  // Results print in input order regardless of completion order.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    out << outputs[i];
-    if (job_errors[i]) {
-      ++summary.errors;
-    } else {
-      switch (outcomes[i]) {
-        case RewriteOutcome::kRewritingFound:
-          ++summary.found;
-          break;
-        case RewriteOutcome::kNoRewriting:
-          ++summary.none;
-          break;
-        case RewriteOutcome::kAborted:
-          ++summary.aborted;
-          break;
-      }
+  const auto run_job = [&](int64_t i) {
+    // Stamp each job with its own trace id so the flight recorder can
+    // attribute worker spans per request, as the server does.
+    const obs::RequestScope trace_scope(obs::GenerateTraceId());
+    const BatchJob& job = jobs[i];
+    Answer& answer = answers[i];
+    if (!job.error.empty()) {
+      answer.rendered = RenderJobError(i, job.error);
+      answer.is_error = true;
+      return;
     }
+    const RewriteResult result =
+        registry.GetOrBuild(job.views)->Rewrite(*job.query, per_job);
+    answer.outcome = result.outcome;
+    answer.stats = result.stats;
+    answer.rendered = RenderJobResult(i, job, result, options.echo);
+  };
+  // Results print in input order regardless of completion order.
+  const auto merge_job = [&](int64_t i) {
+    Answer answer = std::move(answers[i]);
+    out << answer.rendered;
+    if (answer.is_error) {
+      ++summary.errors;
+      return;
+    }
+    summary.rewrite.Merge(answer.stats);
+    switch (answer.outcome) {
+      case RewriteOutcome::kRewritingFound:
+        ++summary.found;
+        break;
+      case RewriteOutcome::kNoRewriting:
+        ++summary.none;
+        break;
+      case RewriteOutcome::kAborted:
+        ++summary.aborted;
+        break;
+    }
+  };
+  {
+    CQAC_TRACE_SPAN("batch.dispatch");
+    FanOut(&pool, summary.jobs_total, run_job, merge_job);
   }
 
   summary.SetCatalogStats(registry.Stats());
-  for (const RewriteStats& s : job_stats) summary.rewrite.Merge(s);
   if (obs::MetricsActive()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.counter("batch.jobs").Add(summary.jobs_total);
     reg.gauge("threadpool.max_queue_depth").Max(pool.max_queue_depth());
-    reg.counter("threadpool.tasks_stolen").Add(pool.tasks_stolen());
   }
   WriteBatchFooter(out, summary, options);
   return summary;

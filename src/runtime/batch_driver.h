@@ -106,12 +106,12 @@ void WriteBatchFooter(std::ostream& out, const BatchSummary& summary,
                       const BatchOptions& options);
 
 /// The batch service driver behind `cqacsh --serve-batch`: reads a stream
-/// of rewriting jobs, executes them concurrently over a work-stealing
-/// thread pool, and writes one result block per job to `out` — in input
-/// order, whatever order the jobs finished in.  Every job is answered by
-/// ViewCatalog::Rewrite through one CatalogRegistry, so each distinct
-/// view set in the batch is compiled once and its semantic result cache
-/// serves the batch's jobs.
+/// of rewriting jobs, executes them concurrently over a thread pool, and
+/// writes one result block per job to `out` — in input order, whatever
+/// order the jobs finished in.  Every job is answered by
+/// ViewCatalog::Rewrite through one CatalogRegistry, so each distinct view
+/// set in the batch is compiled once and its semantic result cache serves
+/// the batch's jobs.
 ///
 /// Input format (line oriented; `%` or `#` starts a comment):
 ///

@@ -6,16 +6,6 @@
 
 namespace cqac {
 
-namespace {
-
-/// Index of the queue owned by the current thread, when it is a pool
-/// worker; -1 on external threads.  Thread-local so recursive Submit from
-/// inside a task lands on the submitter's own queue.
-thread_local int tls_worker_index = -1;
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
-}  // namespace
-
 int ThreadPool::ResolveJobs(int jobs) {
   if (jobs != 0) return std::max(jobs, 1);
   const unsigned hw = std::thread::hardware_concurrency();
@@ -55,42 +45,26 @@ bool ThreadPool::ParseJobsFlag(const std::string& text, int* jobs,
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = ResolveJobs(num_threads);
-  queues_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<TaskQueue>());
-  }
   threads_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stopping_.store(true);
+    stopping_ = true;
   }
   cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(Task task) {
-  int target;
-  if (tls_worker_pool == this && tls_worker_index >= 0) {
-    target = tls_worker_index;
-  } else {
-    target = static_cast<int>(next_queue_.fetch_add(1) % queues_.size());
-  }
-  queues_[target]->Push(std::move(task));
   {
-    // The increment must be serialized with the workers' predicate
-    // evaluation (which runs under mu_): done outside the lock, it can
-    // land between a worker's predicate check and its block in
-    // cv_.wait, and the notify below is lost — with every worker asleep
-    // the task would never run.  Pushing first means a woken worker
-    // always finds the task.
     std::lock_guard<std::mutex> lock(mu_);
-    const int64_t depth = pending_.fetch_add(1) + 1;
+    tasks_.push_back(std::move(task));
+    const auto depth = static_cast<int64_t>(tasks_.size());
     if (depth > max_depth_.load(std::memory_order_relaxed)) {
       // mu_ serializes Submits, so a plain store cannot lose a larger
       // concurrent value.
@@ -100,42 +74,52 @@ void ThreadPool::Submit(Task task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::NextTask(int worker_index, Task* task) {
-  if (queues_[worker_index]->TryPop(task)) return true;
-  const int n = static_cast<int>(queues_.size());
-  for (int i = 1; i < n; ++i) {
-    const int victim = (worker_index + i) % n;
-    if (queues_[victim]->TrySteal(task)) {
-      stolen_.fetch_add(1);
-      return true;
+void ThreadPool::WorkerLoop() {
+  for (;;) {
+    Task task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return !tasks_.empty() || stopping_; });
+      // On shutdown keep draining until the queue is empty: tasks
+      // submitted before (or during) destruction all run.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
+    task();
   }
-  return false;
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  tls_worker_index = worker_index;
-  tls_worker_pool = this;
-  Task task;
-  for (;;) {
-    if (NextTask(worker_index, &task)) {
-      pending_.fetch_sub(1);
-      // Count before running: callers learn of completion through the
-      // task's own side effects (a latch, a cv), so the increment must
-      // happen-before the body for tasks_executed() to read exact once
-      // the last task has signalled.
-      executed_.fetch_add(1);
-      task();
-      task = nullptr;
-      continue;
+void FanOut(ThreadPool* pool, int64_t n,
+            const std::function<void(int64_t)>& run,
+            const std::function<void(int64_t)>& merge) {
+  if (pool == nullptr) {
+    for (int64_t i = 0; i < n; ++i) {
+      run(i);
+      merge(i);
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return pending_.load() > 0 || stopping_.load();
+    return;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<char> done(static_cast<size_t>(n), 0);  // guarded by `mu`
+  for (int64_t i = 0; i < n; ++i) {
+    pool->Submit([&, i] {
+      run(i);
+      // Notify while holding the lock: the merging thread owns cv's stack
+      // frame and may destroy it the moment it observes the last `done`,
+      // which the lock delays until the notify has returned.
+      std::lock_guard<std::mutex> lock(mu);
+      done[static_cast<size_t>(i)] = 1;
+      cv.notify_all();
     });
-    // On shutdown keep draining until every queue is empty: tasks
-    // submitted before (or during) destruction all run.
-    if (stopping_.load() && pending_.load() == 0) return;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return done[static_cast<size_t>(i)] != 0; });
+    }
+    merge(i);
   }
 }
 

@@ -4,32 +4,31 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/task_queue.h"
-
 namespace cqac {
 
-/// A fixed-size thread pool with one work-stealing TaskQueue per worker.
+/// A fixed-size thread pool over one FIFO task queue.
 ///
-/// Submit() distributes tasks round-robin across the per-worker queues
-/// (or onto the submitting worker's own queue when called from inside the
-/// pool, so recursively spawned work stays local).  An idle worker drains
-/// its own queue oldest-first, then scans the other queues in ring order
-/// stealing newest-first (see TaskQueue for why the ends are assigned this
-/// way), then sleeps on a condition variable until new work arrives.
+/// Every idle worker takes the oldest submitted task.  For the rewriting
+/// runtime's ordered fan-outs (FanOut below) that means ascending unit
+/// index, which is the order the prefix-cancellation token and the
+/// in-order merge want: a failure at index i cancels the highest indices,
+/// which have not started yet, not work the merge still needs.  One mutex
+/// and one condition variable guard the queue; the per-task critical
+/// section is a deque operation, negligible next to a work unit.
 ///
-/// The destructor drains every queue — all submitted tasks run — and then
+/// The destructor drains the queue — all submitted tasks run — and then
 /// joins the workers, so a pool can be destroyed immediately after its
 /// last Submit without losing work.
 class ThreadPool {
  public:
-  using Task = TaskQueue::Task;
+  using Task = std::function<void()>;
 
   /// `num_threads == 0` means std::thread::hardware_concurrency() (at
   /// least 1).
@@ -39,16 +38,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task.  Thread-safe; callable from inside pool tasks.
+  /// Enqueues a task.  Thread-safe.
   void Submit(Task task);
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
-
-  /// Tasks executed so far (monotonic; approximate while running).
-  int64_t tasks_executed() const { return executed_.load(); }
-
-  /// Tasks obtained by stealing from another worker's queue.
-  int64_t tasks_stolen() const { return stolen_.load(); }
 
   /// Highest number of submitted-but-not-started tasks observed at any
   /// Submit (monotonic; approximate while running).
@@ -60,8 +53,7 @@ class ThreadPool {
 
   /// Largest worker-thread count any user-facing jobs flag accepts.  A
   /// pool of more threads than this is a configuration mistake, not a
-  /// workload: each worker owns a queue and a stack, and every idle
-  /// worker scans all queues when stealing.
+  /// workload: each worker owns a stack.
   static constexpr int kMaxJobs = 4096;
 
   /// The one parser behind every jobs flag (`cqacsh --jobs`, the shell's
@@ -74,28 +66,25 @@ class ThreadPool {
                             std::string* error = nullptr);
 
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
-  /// Pops from the worker's own queue or steals from a sibling.
-  bool NextTask(int worker_index, Task* task);
-
-  std::vector<std::unique_ptr<TaskQueue>> queues_;
   std::vector<std::thread> threads_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  // Submitted, not yet started.  Incremented under mu_ (after the push)
-  // so the transition is serialized with the workers' wait predicate;
-  // may be transiently negative when a worker pops a task before its
-  // submitter's increment.
-  std::atomic<int64_t> pending_{0};
-  std::atomic<bool> stopping_{false};
+  std::deque<Task> tasks_;  // guarded by mu_
+  bool stopping_ = false;   // guarded by mu_
 
-  std::atomic<uint64_t> next_queue_{0};
-  std::atomic<int64_t> executed_{0};
-  std::atomic<int64_t> stolen_{0};
   std::atomic<int64_t> max_depth_{0};
 };
+
+/// Runs `run(i)` for every i in [0, n), as tasks of `pool` or, with a
+/// null `pool`, inline in order; calls `merge(i)` on the calling thread in
+/// index order once task i and every earlier one are done.  Every task has
+/// finished when FanOut returns, so they may reference the caller's state.
+void FanOut(ThreadPool* pool, int64_t n,
+            const std::function<void(int64_t)>& run,
+            const std::function<void(int64_t)>& merge);
 
 }  // namespace cqac
 

@@ -717,7 +717,6 @@ void Server::Wait() {
   if (obs::MetricsActive() && pool_ != nullptr) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.gauge("threadpool.max_queue_depth").Max(pool_->max_queue_depth());
-    reg.counter("threadpool.tasks_stolen").Add(pool_->tasks_stolen());
   }
   pool_.reset();  // Safe: every job already finished (conns_ drained).
   ::close(drain_pipe_[0]);

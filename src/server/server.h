@@ -5,9 +5,9 @@
 // accepts client connections on a Unix-domain and/or loopback TCP
 // socket, speaks the length-prefixed frame protocol of
 // server/protocol.h, and multiplexes every connection's requests onto
-// one work-stealing ThreadPool.  Every job is answered through one
-// CatalogRegistry (catalog/view_catalog.h), so repeated queries get
-// cheaper across connections, exactly as they do across jobs of one
+// one ThreadPool.  Every job is answered through one CatalogRegistry
+// (catalog/view_catalog.h), so repeated queries get cheaper across
+// connections, exactly as they do across jobs of one
 // `cqacsh --serve-batch` run.
 //
 // Lifecycle: Start() binds, listens, and returns; BeginDrain() (wired to

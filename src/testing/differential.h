@@ -19,7 +19,7 @@ namespace testing {
 /// input.
 struct LatticeConfig {
   /// RewriteOptions::jobs — 1 runs the driver's units inline, anything
-  /// else fans them out over a work-stealing thread pool.
+  /// else fans them out over a thread pool.
   int jobs = 1;
 
   /// RewriteOptions::phase1_dedup — the per-subtree Phase-1 memo; off is

@@ -2,8 +2,8 @@
 // fuzz corpus (semantic hits and semantic misses), alpha-renamed hits,
 // options-keyed entries, fresh-run counters on a semantic miss,
 // epoch-bump invalidation through the registry, batch-driver
-// parity with the reference rewriter, and a concurrent warm/swap hammer
-// for the tsan leg.
+// parity with the reference rewriter, one build per key under concurrent
+// misses, and a concurrent warm/swap hammer for the tsan leg.
 
 #ifndef CQAC_CORPUS_DIR
 #error "CQAC_CORPUS_DIR must point at tests/corpus"
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -325,6 +326,38 @@ TEST(ViewCatalogTest, BatchDriverCatalogPathIsByteIdentical) {
   // Everything up to the footer is the per-job result stream.
   const std::string text = out.str();
   EXPECT_EQ(text.substr(0, text.find("batch:")), expected);
+}
+
+// Threads that miss on one view set at the same moment share one build:
+// every caller gets the same catalog, and the registry counts one build.
+TEST(ViewCatalogTest, ConcurrentMissesBuildOnce) {
+  // Enough views that a build outlasts the threads' release.
+  ViewSet views;
+  for (int i = 0; i < 12; ++i) {
+    const std::string n = std::to_string(i);
+    views.Add(ParseRuleOrDie("v" + n + "(A,B,C) :- r" + n +
+                             "(A,D), s(D,B,C), A <= D, D <= 8."));
+  }
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    CatalogRegistry registry;
+    std::latch start(kThreads);
+    std::vector<std::shared_ptr<ViewCatalog>> got(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = registry.GetOrBuild(views);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], got[0]) << "round " << round << " thread " << t;
+    }
+    EXPECT_EQ(registry.Stats().catalogs_built, 1) << "round " << round;
+  }
 }
 
 // tsan target: concurrent warm traffic against a shared catalog while

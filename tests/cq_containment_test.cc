@@ -11,7 +11,6 @@ namespace {
 TEST(CqContainmentTest, SelfContainment) {
   const ConjunctiveQuery q = Parser::MustParseRule("q(X) :- a(X,Y), b(Y)");
   EXPECT_TRUE(CqContained(q, q));
-  EXPECT_TRUE(CqEquivalent(q, q));
 }
 
 TEST(CqContainmentTest, SpecializationIsContained) {
@@ -55,7 +54,8 @@ TEST(CqContainmentTest, EquivalentUpToRedundantSubgoal) {
   const ConjunctiveQuery redundant =
       Parser::MustParseRule("q(X) :- a(X,Y), a(X,Z)");
   const ConjunctiveQuery minimal = Parser::MustParseRule("q(X) :- a(X,Y)");
-  EXPECT_TRUE(CqEquivalent(redundant, minimal));
+  EXPECT_TRUE(CqContained(redundant, minimal));
+  EXPECT_TRUE(CqContained(minimal, redundant));
 }
 
 TEST(CqMinimizeTest, DropsRedundantSubgoal) {
@@ -63,7 +63,8 @@ TEST(CqMinimizeTest, DropsRedundantSubgoal) {
       Parser::MustParseRule("q(X) :- a(X,Y), a(X,Z)");
   const ConjunctiveQuery minimized = CqMinimize(redundant);
   EXPECT_EQ(minimized.body().size(), 1u);
-  EXPECT_TRUE(CqEquivalent(minimized, redundant));
+  EXPECT_TRUE(CqContained(minimized, redundant));
+  EXPECT_TRUE(CqContained(redundant, minimized));
 }
 
 TEST(CqMinimizeTest, KeepsCore) {
@@ -96,24 +97,6 @@ TEST(CqMinimizeTest, HeadVariablesAnchorSubgoals) {
       Parser::MustParseRule("q(X,Z) :- a(U,U), a(X,Y), a(Y,Z)");
   const ConjunctiveQuery minimized = CqMinimize(q);
   EXPECT_EQ(minimized.body().size(), 3u);
-}
-
-TEST(UnionCqContainmentTest, DisjunctwiseCriterion) {
-  const UnionQuery p = Parser::MustParseUnion(
-      "q(X) :- a(X,X).\n"
-      "q(X) :- a(X,Y), b(Y).");
-  const UnionQuery q = Parser::MustParseUnion(
-      "q(X) :- a(X,Y).\n"
-      "q(X) :- c(X).");
-  EXPECT_TRUE(UnionCqContained(p, q));
-  EXPECT_FALSE(UnionCqContained(q, p));
-}
-
-TEST(UnionCqContainmentTest, EmptyUnionContainedInAnything) {
-  const UnionQuery empty;
-  const UnionQuery q = Parser::MustParseUnion("q(X) :- a(X).");
-  EXPECT_TRUE(UnionCqContained(empty, q));
-  EXPECT_FALSE(UnionCqContained(q, empty));
 }
 
 // Property: containment verdicts agree with evaluation on the canonical

@@ -180,7 +180,8 @@ TEST(MiniConRewritingsTest, SimpleJoinRewriting) {
   const ConjunctiveQuery& r = rewritings.disjuncts()[0];
   // Its expansion must be equivalent to the query (here even equal).
   const ConjunctiveQuery expansion = Expand(r, ViewSet(views));
-  EXPECT_TRUE(CqEquivalent(expansion, q));
+  EXPECT_TRUE(CqContained(expansion, q));
+  EXPECT_TRUE(CqContained(q, expansion));
 }
 
 TEST(MiniConRewritingsTest, EveryDisjunctIsContained) {

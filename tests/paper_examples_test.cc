@@ -38,7 +38,8 @@ TEST(PaperExample3Test, MinimalCqRewritingIsEquivalent) {
   const ViewSet views(Parser::MustParseProgram(kHeptagonViews0));
   const ConjunctiveQuery r = Parser::MustParseRule("q() :- v1(X,Y)");
   const ConjunctiveQuery expansion = Expand(r, views);
-  EXPECT_TRUE(CqEquivalent(expansion, q0));
+  EXPECT_TRUE(CqContained(expansion, q0));
+  EXPECT_TRUE(CqContained(q0, expansion));
 }
 
 TEST(PaperExample3Test, RedundantCqRewritingAlsoEquivalent) {
@@ -49,7 +50,8 @@ TEST(PaperExample3Test, RedundantCqRewritingAlsoEquivalent) {
   const ConjunctiveQuery r =
       Parser::MustParseRule("q() :- v1(X,Y), v2(Z,X), v3(Y,Z)");
   const ConjunctiveQuery expansion = Expand(r, views);
-  EXPECT_TRUE(CqEquivalent(expansion, q0));
+  EXPECT_TRUE(CqContained(expansion, q0));
+  EXPECT_TRUE(CqContained(q0, expansion));
 }
 
 TEST(PaperExample3Test, MiniConCoversTheCycleWithTwoArcs) {

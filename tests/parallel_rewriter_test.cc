@@ -15,7 +15,6 @@
 #include "parser/parser.h"
 #include "rewriting/equiv_rewriter.h"
 #include "rewriting/explain.h"
-#include "runtime/thread_pool.h"
 #include "workload/generator.h"
 
 namespace cqac {
@@ -44,16 +43,16 @@ void ExpectResultsEqual(const RewriteResult& serial,
 }
 
 // RunPreparedRewrite over a freshly prepared work context, the way
-// EquivalentRewriter::Run calls it, but with the pool and report exposed.
+// EquivalentRewriter::Run calls it, but with the report exposed.
 RewriteResult RunDirect(const ConjunctiveQuery& query, const ViewSet& views,
-                        const RewriteOptions& options, ThreadPool* pool,
+                        const RewriteOptions& options,
                         ParallelRewriteReport* report) {
   if (std::optional<RewriteResult> empty =
           RewriteOfUnsatisfiableQuery(query, views, options)) {
     return *std::move(empty);
   }
   const RewriteWork work = PrepareRewriteWork(query, views, options);
-  return RunPreparedRewrite(work, options, pool, report);
+  return RunPreparedRewrite(work, options, report);
 }
 
 TEST(ParallelRewriterTest, MergeIsElementwiseSum) {
@@ -104,7 +103,7 @@ TEST(ParallelRewriterTest, DeterministicAcrossThreadCountsOnWorkloads) {
       ParallelRewriteReport report;
       const RewriteResult parallel =
           RunDirect(instance.query, instance.views, parallel_options,
-                    /*pool=*/nullptr, &report);
+                    &report);
       if (report.db_tasks_total > 0) {
         EXPECT_EQ(report.jobs, jobs);
       }
@@ -189,10 +188,8 @@ TEST(ParallelRewriterTest, FailingDatabaseCancelsOutstandingTasks) {
   EXPECT_EQ(serial.stats.canonical_databases, 1);
 
   options.jobs = 4;
-  ThreadPool pool(4);
   ParallelRewriteReport report;
-  const RewriteResult parallel =
-      RunDirect(query, views, options, &pool, &report);
+  const RewriteResult parallel = RunDirect(query, views, options, &report);
   ExpectResultsEqual(serial, parallel, "cancellation");
   EXPECT_EQ(report.jobs, 4);
 
@@ -241,9 +238,8 @@ RewriteResult ExpectChainParity(const std::string& query,
   const RewriteResult serial = EquivalentRewriter(q, views, options).Run();
   for (const int jobs : {2, 4}) {
     options.jobs = jobs;
-    ThreadPool pool(jobs);
     ParallelRewriteReport report;
-    const RewriteResult parallel = RunDirect(q, views, options, &pool, &report);
+    const RewriteResult parallel = RunDirect(q, views, options, &report);
     const std::string where = context + " jobs=" + std::to_string(jobs);
     ExpectResultsEqual(serial, parallel, where);
     EXPECT_EQ(TableauToString(serial.trace), TableauToString(parallel.trace))
@@ -269,8 +265,7 @@ TEST(ParallelRewriterTest, ChainQueryParityWithExplain) {
   // Every subtree is handed out and runs when nothing fails.
   ParallelRewriteReport report;
   options.jobs = 2;
-  RunDirect(Parser::MustParseRule(kChainQuery), views, options, nullptr,
-            &report);
+  RunDirect(Parser::MustParseRule(kChainQuery), views, options, &report);
   EXPECT_EQ(report.db_tasks_total, 75);
   EXPECT_EQ(report.db_tasks_executed, 75);
 
@@ -330,11 +325,11 @@ TEST(ParallelRewriterTest, ChainQueryFailureInMiddleSubtree) {
 
   // Subtrees 0-8 all run (any of them could hold an earlier failure);
   // some of the 66 after the failing one are cancelled.
-  ThreadPool pool(4);
   ParallelRewriteReport report;
   RewriteOptions options;
   options.jobs = 4;
-  RunDirect(Parser::MustParseRule(query), views, options, &pool, &report);
+  RunDirect(Parser::MustParseRule(query), views, options, &report);
+  EXPECT_EQ(report.jobs, 4);
   EXPECT_EQ(report.db_tasks_total, 75);
   EXPECT_GE(report.db_tasks_executed, 9);
   EXPECT_GT(report.db_tasks_cancelled, 0);

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -32,8 +34,7 @@ TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInSubmissionOrder) {
-  // With one worker and round-robin landing everything on its queue, the
-  // owner's oldest-first pop preserves submission order exactly.
+  // One worker over the FIFO queue runs tasks exactly in submission order.
   std::vector<int> order;
   {
     ThreadPool pool(1);
@@ -74,7 +75,7 @@ TEST(ThreadPoolTest, RecursiveSubmitFromWorkerCompletes) {
   EXPECT_EQ(counter.load(), 60);
 }
 
-TEST(ThreadPoolTest, CountsExecutionsAndIdleWorkersSteal) {
+TEST(ThreadPoolTest, RecordsQueueDepth) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   constexpr int kTasks = 200;
@@ -83,7 +84,7 @@ TEST(ThreadPoolTest, CountsExecutionsAndIdleWorkersSteal) {
   int remaining = kTasks;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
-      // A little work so queues stay non-empty long enough to steal from.
+      // A little work so the queue stays non-empty for a while.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
       counter.fetch_add(1);
       std::lock_guard<std::mutex> lock(mu);
@@ -95,9 +96,65 @@ TEST(ThreadPoolTest, CountsExecutionsAndIdleWorkersSteal) {
     cv.wait(lock, [&] { return remaining == 0; });
   }
   EXPECT_EQ(counter.load(), kTasks);
-  EXPECT_EQ(pool.tasks_executed(), kTasks);
-  EXPECT_GE(pool.tasks_stolen(), 0);
-  EXPECT_LE(pool.tasks_stolen(), pool.tasks_executed());
+  EXPECT_GE(pool.max_queue_depth(), 1);
+  EXPECT_LE(pool.max_queue_depth(), kTasks);
+}
+
+// The ordered fan-out: merge(i) runs on the calling thread, in index
+// order, only after run(i) has finished, whatever order the workers
+// finish in.
+TEST(FanOutTest, MergesInIndexOrderAfterEachRun) {
+  constexpr int64_t kTasks = 64;
+  std::vector<std::atomic<bool>> ran(kTasks);
+  std::vector<int64_t> merged;
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool pool(4);
+  FanOut(
+      &pool, kTasks,
+      [&](int64_t i) {
+        // Later indices finish first more often than not.
+        std::this_thread::sleep_for(std::chrono::microseconds(kTasks - i));
+        ran[i].store(true);
+      },
+      [&](int64_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_TRUE(ran[i].load()) << i;
+        merged.push_back(i);
+      });
+  ASSERT_EQ(merged.size(), static_cast<size_t>(kTasks));
+  for (int64_t i = 0; i < kTasks; ++i) EXPECT_EQ(merged[i], i);
+}
+
+TEST(FanOutTest, NullPoolRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> calls;
+  FanOut(
+      nullptr, 3,
+      [&](int64_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        calls.push_back("run" + std::to_string(i));
+      },
+      [&](int64_t i) { calls.push_back("merge" + std::to_string(i)); });
+  const std::vector<std::string> expected = {"run0",   "merge0", "run1",
+                                             "merge1", "run2",   "merge2"};
+  EXPECT_EQ(calls, expected);
+}
+
+TEST(FanOutTest, EveryTaskFinishedOnReturn) {
+  // The merge is a no-op, so only FanOut's own wait keeps the counter
+  // from being read early.
+  ThreadPool pool(4);
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{100}}) {
+    std::atomic<int64_t> finished{0};
+    FanOut(
+        &pool, n,
+        [&](int64_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          finished.fetch_add(1);
+        },
+        [](int64_t) {});
+    EXPECT_EQ(finished.load(), n);
+  }
 }
 
 TEST(ParseJobsFlagTest, AcceptsPlainCounts) {

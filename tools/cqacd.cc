@@ -10,8 +10,7 @@
 // protocol of src/server/protocol.h) submit rewriting jobs and receive
 // one response frame per job, with a body byte-identical to the
 // corresponding `cqacsh --serve-batch` result block.  All connections
-// share one work-stealing thread pool and one registry of compiled view
-// catalogs.
+// share one thread pool and one registry of compiled view catalogs.
 //
 // SIGTERM or SIGINT triggers a graceful drain: stop accepting, finish
 // in-flight jobs, deliver their responses, print the standard batch

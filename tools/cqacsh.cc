@@ -9,9 +9,9 @@
 //
 // Batch service mode: `cqacsh --serve-batch [--jobs N]` reads a stream of
 // jobs (blocks of `view`/`query` lines separated by `run`, `---`, or a
-// blank line) and executes them concurrently over a work-stealing thread
-// pool, each distinct view set compiled once into a shared ViewCatalog,
-// printing results in input order.  See src/runtime/batch_driver.h for
+// blank line) and executes them concurrently over a thread pool, each
+// distinct view set compiled once into a shared ViewCatalog, printing
+// results in input order.  See src/runtime/batch_driver.h for
 // the format.
 //
 // Observability: `--trace out.json` records phase-level spans for the
