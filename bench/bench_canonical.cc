@@ -36,6 +36,26 @@ void BM_EnumerateAllOrders(benchmark::State& state) {
       static_cast<double>(cqac::CountTotalOrders(n, 0));
 }
 
+// The same tree as the index-form walk Phase 1 and containment consume:
+// no names and no TotalOrder per order.
+void BM_WalkAllOrders(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const cqac::OrderEnumerator tree(n, 0);
+  cqac::OrderState root = tree.Root();
+  int64_t count = 0;
+  const cqac::OrderEnumerator::Visitor visit =
+      [&count](const cqac::OrderState&) {
+        ++count;
+        return true;
+      };
+  for (auto _ : state) {
+    count = 0;
+    tree.Walk(&root, n, visit);
+    benchmark::DoNotOptimize(count);
+  }
+  state.counters["orders"] = static_cast<double>(count);
+}
+
 void BM_EnumerateWithConstants(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<std::string> vars = Vars(n);
@@ -79,6 +99,9 @@ void BM_EnumerateSatisfyingChained(benchmark::State& state) {
 }
 
 BENCHMARK(BM_EnumerateAllOrders)
+    ->DenseRange(1, 8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalkAllOrders)
     ->DenseRange(1, 8)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_EnumerateWithConstants)

@@ -28,18 +28,13 @@ int IdQuery::PredId(const std::string& name) {
   return static_cast<int>(preds.size()) - 1;
 }
 
-void IdQuery::CollectTerms(std::vector<std::string>* variables,
-                           std::vector<Rational>* constants) const {
+void IdQuery::CollectTerms(std::vector<int>* variables,
+                           std::vector<int>* constants) const {
   std::vector<char> seen(core.size(), 0);
   auto visit = [&](int id) {
     if (seen[id]) return;
     seen[id] = 1;
-    const Term& t = core.term(id);
-    if (t.IsVariable()) {
-      variables->push_back(t.name());
-    } else {
-      constants->push_back(t.value());
-    }
+    (core.term(id).IsVariable() ? variables : constants)->push_back(id);
   };
   for (const int t : head) visit(t);
   for (const IdAtom& a : body) {

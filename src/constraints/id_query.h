@@ -34,11 +34,11 @@ struct IdQuery {
   /// The id of predicate `name`, adding it if new.
   int PredId(const std::string& name);
 
-  /// The distinct variable names in ConjunctiveQuery::AllVariables order
-  /// (head, body, comparisons; first occurrence) and the distinct
-  /// constants, as ToQuery() would mention them.
-  void CollectTerms(std::vector<std::string>* variables,
-                    std::vector<Rational>* constants) const;
+  /// The ids of the distinct variables, in the AllVariables order of
+  /// ToQuery() (head, body, comparisons; first occurrence), and of the
+  /// distinct constants in the same order.
+  void CollectTerms(std::vector<int>* variables,
+                    std::vector<int>* constants) const;
 
   ConjunctiveQuery ToQuery() const;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 
 #include "constraints/ac_solver.h"
 
@@ -14,47 +15,52 @@ Term OrderBlock::Representative() const {
   return Term::Variable(variables.front());
 }
 
-void TotalOrder::BlockValues(std::vector<Rational>* out) const {
-  const int n = static_cast<int>(blocks.size());
+void FillBlockValues(int num_blocks, const std::vector<int>& const_block,
+                     const std::vector<Rational>& constants,
+                     std::vector<Rational>* out) {
   std::vector<Rational>& values = *out;
-  values.resize(n);
-
-  // Positions of the blocks that carry constants; their values are fixed.
-  // (Constants appear in ascending order, so the values below are strictly
-  // increasing across blocks.)
-  int first = -1;
-  int last = -1;
-  for (int i = 0; i < n; ++i) {
-    if (blocks[i].constant.has_value()) {
-      values[i] = *blocks[i].constant;
-      if (first < 0) first = i;
-      last = i;
-    }
-  }
-
-  if (first < 0) {
-    for (int i = 0; i < n; ++i) values[i] = Rational(i + 1);
+  values.resize(num_blocks);
+  if (const_block.empty()) {
+    for (int i = 0; i < num_blocks; ++i) values[i] = Rational(i + 1);
     return;
   }
+  // Blocks that carry constants have fixed values.  (Constants appear in
+  // ascending order, so the values below are strictly increasing.)
+  for (size_t k = 0; k < const_block.size(); ++k) {
+    values[const_block[k]] = constants[k];
+  }
+  const int first = const_block.front();
+  const int last = const_block.back();
   // Before the first constant: integers descending below it.
   for (int i = 0; i < first; ++i) {
     values[i] = values[first] - Rational(first - i);
   }
   // Between consecutive constants: evenly spaced rationals (density).
-  int lo = first;
-  for (int hi = first + 1; hi <= last; ++hi) {
-    if (!blocks[hi].constant.has_value()) continue;
+  for (size_t k = 0; k + 1 < const_block.size(); ++k) {
+    const int lo = const_block[k];
+    const int hi = const_block[k + 1];
     const int gap = hi - lo - 1;
     const Rational span = values[hi] - values[lo];
     for (int i = lo + 1; i < hi; ++i) {
       values[i] = values[lo] + span * Rational(i - lo, gap + 1);
     }
-    lo = hi;
   }
   // After the last constant: integers ascending above it.
-  for (int i = last + 1; i < n; ++i) {
+  for (int i = last + 1; i < num_blocks; ++i) {
     values[i] = values[last] + Rational(i - last);
   }
+}
+
+void TotalOrder::BlockValues(std::vector<Rational>* values) const {
+  std::vector<int> const_block;
+  std::vector<Rational> constants;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (!blocks[i].constant.has_value()) continue;
+    const_block.push_back(static_cast<int>(i));
+    constants.push_back(*blocks[i].constant);
+  }
+  FillBlockValues(static_cast<int>(blocks.size()), const_block, constants,
+                  values);
 }
 
 std::map<std::string, Rational> TotalOrder::ToAssignment() const {
@@ -138,79 +144,360 @@ namespace {
 
 using OrderFn = std::function<bool(const TotalOrder&)>;
 
-/// Recursively inserts `vars[next..end)` into `order`, calling `fn`
-/// on every completed order.  `enter`, when non-null, is asked at every
-/// tree node (the root and the leaves included) whether to descend into
-/// it.  Returns false once `fn` asks to stop.
-bool InsertRemaining(const std::vector<std::string>& vars, size_t next,
-                     size_t end, TotalOrder* order, const OrderFn& fn,
-                     const OrderFn* enter = nullptr) {
-  if (enter != nullptr && !(*enter)(*order)) return true;
-  if (next == end) return fn(*order);
-  const std::string& var = vars[next];
-  // Option 1: join each existing block.  Indexed loop: deeper recursion
-  // levels insert and erase blocks, which invalidates references.
-  for (size_t b = 0; b < order->blocks.size(); ++b) {
-    order->blocks[b].variables.push_back(var);
-    if (!InsertRemaining(vars, next + 1, end, order, fn, enter)) return false;
-    order->blocks[b].variables.pop_back();
+int64_t SatMul(int64_t a, int64_t b) {
+  if (a == 0 || b == 0) return 0;
+  if (a > std::numeric_limits<int64_t>::max() / b) {
+    return std::numeric_limits<int64_t>::max();
   }
-  // Option 2: open a new block in each gap.
-  OrderBlock fresh;
-  fresh.variables.push_back(var);
-  for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
-    order->blocks.insert(order->blocks.begin() + gap, fresh);
-    if (!InsertRemaining(vars, next + 1, end, order, fn, enter)) return false;
-    order->blocks.erase(order->blocks.begin() + gap);
-  }
-  return true;
+  return a * b;
 }
 
-std::vector<Rational> SortedUniqueConstants(
-    const std::vector<Rational>& constants) {
+int BlockOf(const OrderState& s, const OrderTerm& t) {
+  return t.is_var ? s.var_block[t.index] : s.const_block[t.index];
+}
+
+/// Whether blocks `i` and `j` stand in relation `op`: blocks are strictly
+/// increasing in value, so positions compare as the values do.
+bool HoldsBetween(int i, CompOp op, int j) {
+  switch (op) {
+    case CompOp::kLt: return i < j;
+    case CompOp::kLe: return i <= j;
+    case CompOp::kEq: return i == j;
+    case CompOp::kNe: return i != j;
+    case CompOp::kGe: return i >= j;
+    case CompOp::kGt: return i > j;
+  }
+  return false;
+}
+
+/// Moves every placed variable before `next`, and every constant, at or
+/// after block `gap` by `delta` (a block opened or closed at `gap`).
+void Shift(OrderState* s, int next, int gap, int delta) {
+  for (int i = 0; i < next; ++i) {
+    if (s->var_block[i] >= gap) s->var_block[i] += delta;
+  }
+  for (int& b : s->const_block) {
+    if (b >= gap) b += delta;
+  }
+}
+
+/// Walks `tree` from `state` to its nodes at `depth`, rendering each over
+/// `variables` and `constants` into one reused order.
+bool WalkRendered(const OrderEnumerator& tree, OrderState* state, int depth,
+                  const std::vector<std::string>& variables,
+                  const std::vector<Rational>& constants, const OrderFn& fn,
+                  OrderEnumerationStats* stats = nullptr) {
+  TotalOrder order;
+  return tree.Walk(
+      state, depth,
+      [&](const OrderState& s) {
+        RenderOrder(s, variables, constants, &order);
+        return fn(order);
+      },
+      stats);
+}
+
+}  // namespace
+
+std::vector<Rational> OrderConstants(const std::vector<Rational>& constants) {
   std::vector<Rational> sorted = constants;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   return sorted;
 }
 
-/// The constants-only order: one block per distinct constant, ascending.
-TotalOrder BaseOrder(const std::vector<Rational>& constants) {
-  TotalOrder base;
-  for (const Rational& c : SortedUniqueConstants(constants)) {
-    OrderBlock block;
-    block.constant = c;
-    base.blocks.push_back(block);
+OrderEnumerator::OrderEnumerator(int num_variables, int num_constants,
+                                 const std::vector<OrderAxiom>& axioms)
+    : num_variables_(num_variables), num_constants_(num_constants) {
+  if (axioms.empty()) return;
+  if (internal::SatisfyingOrderFallbackForcedForTest()) {
+    filter_leaves_ = true;
+    axioms_ = axioms;
+    return;
   }
-  return base;
+  Compile(axioms);
 }
 
-}  // namespace
+void OrderEnumerator::Compile(const std::vector<OrderAxiom>& axioms) {
+  // Transitive closure over terms (variables, then constants).
+  // rel[i][j]: 0 none, 1 `i <= j`, 2 `i < j`.  kEq contributes both
+  // directions; kNe is not transitive and stays a direct check.
+  const int v = num_variables_;
+  const int t = v + num_constants_;
+  std::vector<uint8_t> rel(static_cast<size_t>(t) * t, 0);
+  auto at = [&rel, t](int i, int j) -> uint8_t& { return rel[i * t + j]; };
+  auto seed = [&](int i, int j, uint8_t strength) {
+    if (at(i, j) < strength) at(i, j) = strength;
+  };
+  auto term_id = [v](const OrderTerm& x) {
+    return x.is_var ? x.index : v + x.index;
+  };
+  auto term_of = [v](int id) {
+    return id < v ? OrderTerm{true, id} : OrderTerm{false, id - v};
+  };
+  std::vector<PositionalCheck> ne_checks;
+  for (const OrderAxiom& a : axioms) {
+    const int i = term_id(a.lhs);
+    const int j = term_id(a.rhs);
+    switch (a.op) {
+      case CompOp::kLt: seed(i, j, 2); break;
+      case CompOp::kLe: seed(i, j, 1); break;
+      case CompOp::kEq: seed(i, j, 1); seed(j, i, 1); break;
+      case CompOp::kGe: seed(j, i, 1); break;
+      case CompOp::kGt: seed(j, i, 2); break;
+      case CompOp::kNe:
+        if (i == j) {
+          impossible_ = true;  // X != X or c != c.
+          return;
+        }
+        // Two distinct constants always differ.
+        if (a.lhs.is_var || a.rhs.is_var) {
+          ne_checks.push_back({a.lhs, CompOp::kNe, a.rhs});
+        }
+        break;
+    }
+  }
+  // The constants' own order is part of every total order.
+  for (int i = 0; i + 1 < num_constants_; ++i) seed(v + i, v + i + 1, 2);
+  for (int k = 0; k < t; ++k) {
+    for (int i = 0; i < t; ++i) {
+      if (at(i, k) == 0) continue;
+      for (int j = 0; j < t; ++j) {
+        if (at(k, j) == 0) continue;
+        seed(i, j, std::max(at(i, k), at(k, j)) == 2 ? 2 : 1);
+      }
+    }
+  }
+  for (int i = 0; i < t; ++i) {
+    if (at(i, i) == 2) {
+      impossible_ = true;  // Axioms imply x < x: no satisfying order.
+      return;
+    }
+  }
+  // Closure constraints between two constants are decided now (their
+  // block positions are fixed); the rest become positional checks.
+  for (int i = 0; i < t; ++i) {
+    for (int j = 0; j < t; ++j) {
+      if (i == j || at(i, j) == 0) continue;
+      const bool strict = at(i, j) == 2;
+      if (i >= v && j >= v) {
+        if (strict ? !(i < j) : !(i <= j)) {
+          impossible_ = true;
+          return;
+        }
+        continue;
+      }
+      checks_.push_back(
+          {term_of(i), strict ? CompOp::kLt : CompOp::kLe, term_of(j)});
+    }
+  }
+  checks_.insert(checks_.end(), ne_checks.begin(), ne_checks.end());
+  // A check fires when its last variable is placed: variables are placed
+  // in index order, so that is its highest-indexed variable.
+  fires_at_.resize(v);
+  for (size_t idx = 0; idx < checks_.size(); ++idx) {
+    const PositionalCheck& c = checks_[idx];
+    const int last = std::max(c.lhs.is_var ? c.lhs.index : -1,
+                              c.rhs.is_var ? c.rhs.index : -1);
+    fires_at_[last].push_back(static_cast<int>(idx));
+  }
+}
+
+OrderState OrderEnumerator::Root() const {
+  OrderState s;
+  s.var_block.assign(num_variables_, -1);
+  s.const_block.resize(num_constants_);
+  for (int k = 0; k < num_constants_; ++k) s.const_block[k] = k;
+  s.num_blocks = num_constants_;
+  return s;
+}
+
+bool OrderEnumerator::Walk(OrderState* state, int depth, const Visitor& fn,
+                           OrderEnumerationStats* stats) const {
+  OrderEnumerationStats local;
+  if (stats == nullptr) stats = &local;
+  if (impossible_) return true;
+  ++stats->nodes_visited;  // The start node.
+  return Place(state, state->placed, depth, fn, stats);
+}
+
+bool OrderEnumerator::PlacementOk(const OrderState& s, int var) const {
+  if (fires_at_.empty()) return true;
+  for (const int idx : fires_at_[var]) {
+    const PositionalCheck& c = checks_[idx];
+    if (!HoldsBetween(BlockOf(s, c.lhs), c.op, BlockOf(s, c.rhs))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool OrderEnumerator::SatisfiesAxioms(const OrderState& s) const {
+  for (const OrderAxiom& a : axioms_) {
+    if (!HoldsBetween(BlockOf(s, a.lhs), a.op, BlockOf(s, a.rhs))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool OrderEnumerator::Place(OrderState* s, int next, int depth,
+                            const Visitor& fn,
+                            OrderEnumerationStats* stats) const {
+  if (next == depth) {
+    if (filter_leaves_ && next == num_variables_ && !SatisfiesAxioms(*s)) {
+      return true;
+    }
+    return fn(*s);
+  }
+  s->placed = next + 1;
+  bool keep_going = true;
+  // Option 1: join an existing block.
+  for (int b = 0; b < s->num_blocks && keep_going; ++b) {
+    s->var_block[next] = b;
+    if (!PlacementOk(*s, next)) {
+      ++stats->nodes_pruned;
+      continue;
+    }
+    ++stats->nodes_visited;
+    keep_going = Place(s, next + 1, depth, fn, stats);
+  }
+  // Option 2: open a new block in a gap.
+  for (int gap = 0; gap <= s->num_blocks && keep_going; ++gap) {
+    Shift(s, next, gap, 1);
+    ++s->num_blocks;
+    s->var_block[next] = gap;
+    if (!PlacementOk(*s, next)) {
+      ++stats->nodes_pruned;
+    } else {
+      ++stats->nodes_visited;
+      keep_going = Place(s, next + 1, depth, fn, stats);
+    }
+    --s->num_blocks;
+    Shift(s, next, gap, -1);
+  }
+  s->var_block[next] = -1;
+  s->placed = next;
+  return keep_going;
+}
+
+bool CompileOrderAxioms(const std::vector<std::string>& variables,
+                        const std::vector<Rational>& constants,
+                        const std::vector<Comparison>& axioms,
+                        std::vector<OrderAxiom>* out) {
+  std::unordered_map<std::string, int> index;
+  for (size_t i = 0; i < variables.size(); ++i) {
+    index.emplace(variables[i], static_cast<int>(i));
+  }
+  const auto resolve = [&](const Term& t, OrderTerm* term) {
+    if (t.IsVariable()) {
+      const auto it = index.find(t.name());
+      if (it == index.end()) return false;
+      *term = {true, it->second};
+      return true;
+    }
+    const auto it =
+        std::lower_bound(constants.begin(), constants.end(), t.value());
+    if (it == constants.end() || *it != t.value()) return false;
+    *term = {false, static_cast<int>(it - constants.begin())};
+    return true;
+  };
+  out->clear();
+  out->reserve(axioms.size());
+  for (const Comparison& c : axioms) {
+    OrderAxiom a{{}, c.op(), {}};
+    if (!resolve(c.lhs(), &a.lhs) || !resolve(c.rhs(), &a.rhs)) return false;
+    out->push_back(a);
+  }
+  return true;
+}
+
+void RenderOrder(const OrderState& state,
+                 const std::vector<std::string>& variables,
+                 const std::vector<Rational>& constants, TotalOrder* out) {
+  out->blocks.resize(state.num_blocks);
+  for (OrderBlock& block : out->blocks) {
+    block.variables.clear();
+    block.constant.reset();
+  }
+  for (size_t i = 0; i < state.var_block.size(); ++i) {
+    if (state.var_block[i] >= 0) {
+      out->blocks[state.var_block[i]].variables.push_back(variables[i]);
+    }
+  }
+  for (size_t k = 0; k < state.const_block.size(); ++k) {
+    out->blocks[state.const_block[k]].constant = constants[k];
+  }
+}
+
+bool StateOfOrder(const TotalOrder& order,
+                  const std::vector<std::string>& variables,
+                  const std::vector<Rational>& constants, OrderState* out) {
+  out->var_block.assign(variables.size(), -1);
+  out->const_block.assign(constants.size(), -1);
+  out->num_blocks = static_cast<int>(order.blocks.size());
+  for (size_t b = 0; b < order.blocks.size(); ++b) {
+    const OrderBlock& block = order.blocks[b];
+    for (const std::string& v : block.variables) {
+      const auto it = std::find(variables.begin(), variables.end(), v);
+      if (it != variables.end()) {
+        out->var_block[it - variables.begin()] = static_cast<int>(b);
+      }
+    }
+    if (!block.constant.has_value()) continue;
+    const auto it = std::lower_bound(constants.begin(), constants.end(),
+                                     *block.constant);
+    if (it == constants.end() || *it != *block.constant) return false;
+    out->const_block[it - constants.begin()] = static_cast<int>(b);
+  }
+  out->placed = 0;
+  while (out->placed < static_cast<int>(variables.size()) &&
+         out->var_block[out->placed] >= 0) {
+    ++out->placed;
+  }
+  return std::find(out->const_block.begin(), out->const_block.end(), -1) ==
+         out->const_block.end();
+}
 
 std::vector<TotalOrder> TotalOrderPrefixes(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants, int depth) {
+  const std::vector<Rational> sorted = OrderConstants(constants);
+  const OrderEnumerator tree(static_cast<int>(variables.size()),
+                             static_cast<int>(sorted.size()));
+  OrderState root = tree.Root();
   std::vector<TotalOrder> prefixes;
-  TotalOrder base = BaseOrder(constants);
-  InsertRemaining(variables, 0, static_cast<size_t>(depth), &base,
-                  [&prefixes](const TotalOrder& prefix) {
-                    prefixes.push_back(prefix);
-                    return true;
-                  });
+  WalkRendered(tree, &root, depth, variables, sorted,
+               [&prefixes](const TotalOrder& prefix) {
+                 prefixes.push_back(prefix);
+                 return true;
+               });
   return prefixes;
 }
 
 void ForEachCompletion(const std::vector<std::string>& variables, int depth,
                        TotalOrder prefix,
                        const std::function<bool(const TotalOrder&)>& fn) {
-  InsertRemaining(variables, static_cast<size_t>(depth), variables.size(),
-                  &prefix, fn);
+  std::vector<Rational> constants;
+  for (const OrderBlock& block : prefix.blocks) {
+    if (block.constant.has_value()) constants.push_back(*block.constant);
+  }
+  OrderState state;
+  StateOfOrder(prefix, variables, constants, &state);
+  state.placed = depth;
+  const OrderEnumerator tree(static_cast<int>(variables.size()),
+                             static_cast<int>(constants.size()));
+  WalkRendered(tree, &state, tree.num_variables(), variables, constants, fn);
 }
 
 void ForEachTotalOrder(const std::vector<std::string>& variables,
                        const std::vector<Rational>& constants,
                        const std::function<bool(const TotalOrder&)>& fn) {
-  ForEachCompletion(variables, 0, BaseOrder(constants), fn);
+  const std::vector<Rational> sorted = OrderConstants(constants);
+  const OrderEnumerator tree(static_cast<int>(variables.size()),
+                             static_cast<int>(sorted.size()));
+  OrderState root = tree.Root();
+  WalkRendered(tree, &root, tree.num_variables(), variables, sorted, fn);
 }
 
 std::vector<TotalOrder> EnumerateTotalOrders(
@@ -220,315 +507,6 @@ std::vector<TotalOrder> EnumerateTotalOrders(
                             static_cast<int>(variables.size()));
 }
 
-namespace {
-
-int64_t SatMul(int64_t a, int64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<int64_t>::max() / b) {
-    return std::numeric_limits<int64_t>::max();
-  }
-  return a * b;
-}
-
-/// The prefix-pruned enumeration tree behind ForEachSatisfyingOrder.
-///
-/// Emits exactly the satisfying orders the naive enumerate-then-filter
-/// reference would (ForEachSatisfyingOrderLegacy), in the same sequence:
-/// pruning only removes subtrees containing no satisfying leaf.
-///
-/// The key invariant making prefix checks sound: once two terms are both
-/// placed, their relative order (<, =, >) never changes anywhere in the
-/// subtree — blocks are never merged, and a gap insertion only shifts
-/// positions uniformly.  So every axiom is decided permanently the moment
-/// its second endpoint is placed, and a violated axiom kills the entire
-/// subtree before it is built.  To also cut placements that only *implied*
-/// constraints forbid (X < Y, Y < Z placed as Z..X with Y still pending),
-/// the axioms are closed under transitivity across variables and constants
-/// at compile time, and the closure's constraints are checked positionally
-/// the same way.
-class PrunedOrderEnumerator {
- public:
-  PrunedOrderEnumerator(const std::vector<std::string>& variables,
-                        const std::vector<Rational>& sorted_constants,
-                        const std::vector<Comparison>& axioms,
-                        OrderEnumerationStats* stats)
-      : variables_(variables), stats_(stats) {
-    Compile(sorted_constants, axioms);
-  }
-
-  /// False when an axiom mentions a term outside the universe: the
-  /// position encoding cannot decide it, and Run must not be called.
-  bool complete() const { return !incomplete_; }
-
-  void Run(TotalOrder* order, const OrderFn& fn) {
-    if (impossible_) return;
-    ++stats_->nodes_visited;  // Root: the constants-only base order.
-    Insert(0, order, fn);
-  }
-
- private:
-  static constexpr int kUnplaced = -1;
-  static constexpr int kNotTracked = -1;
-
-  enum class CheckOp { kLt, kLe, kNe };
-
-  /// One positional constraint `lhs op rhs` between tracked-variable slots
-  /// and/or constant slots, checked when its last endpoint is placed.
-  struct PositionalCheck {
-    bool lhs_is_var;
-    bool rhs_is_var;
-    int lhs;
-    int rhs;
-    CheckOp op;
-  };
-
-  void Compile(const std::vector<Rational>& sorted_constants,
-               const std::vector<Comparison>& axioms) {
-    auto var_slot = [this](const std::string& name) -> int {
-      auto [it, inserted] =
-          var_ids_.emplace(name, static_cast<int>(var_block_.size()));
-      if (inserted) var_block_.push_back(kUnplaced);
-      return it->second;
-    };
-    // Resolve every axiom term to a tracked-variable or constant slot.
-    struct Side {
-      bool is_var;
-      int slot;
-    };
-    auto compile_term = [&](const Term& t) -> Side {
-      if (t.IsVariable()) return {true, var_slot(t.name())};
-      const auto it = std::lower_bound(sorted_constants.begin(),
-                                       sorted_constants.end(), t.value());
-      if (it == sorted_constants.end() || *it != t.value()) {
-        // Contract violation (axiom constant outside `constants`): the
-        // position encoding cannot represent it.
-        incomplete_ = true;
-        return {false, 0};
-      }
-      return {false, static_cast<int>(it - sorted_constants.begin())};
-    };
-    struct RawAxiom {
-      Side lhs;
-      Side rhs;
-      CompOp op;
-    };
-    std::vector<RawAxiom> raw;
-    raw.reserve(axioms.size());
-    for (const Comparison& c : axioms) {
-      raw.push_back({compile_term(c.lhs()), compile_term(c.rhs()), c.op()});
-    }
-    // Which tracked variable (if any) each insertion step places.  A
-    // tracked variable outside `variables` would never be placed, leaving
-    // its axioms undecidable by position.
-    insertion_var_.assign(variables_.size(), kNotTracked);
-    for (size_t i = 0; i < variables_.size(); ++i) {
-      const auto it = var_ids_.find(variables_[i]);
-      if (it != var_ids_.end()) insertion_var_[i] = it->second;
-    }
-    {
-      std::vector<bool> placed_ever(var_block_.size(), false);
-      for (const int slot : insertion_var_) {
-        if (slot != kNotTracked) placed_ever[slot] = true;
-      }
-      for (size_t s = 0; s < placed_ever.size(); ++s) {
-        if (!placed_ever[s]) incomplete_ = true;
-      }
-    }
-    if (incomplete_) return;  // The caller falls back; nothing below applies.
-
-    // Transitive closure over terms (tracked variables, then constants).
-    // rel[i][j]: 0 none, 1 `i <= j`, 2 `i < j`.  kEq contributes both
-    // directions; kNe is not transitive and stays a direct check.
-    const int v = static_cast<int>(var_block_.size());
-    const int t = v + static_cast<int>(sorted_constants.size());
-    std::vector<uint8_t> rel(static_cast<size_t>(t) * t, 0);
-    auto at = [&rel, t](int i, int j) -> uint8_t& { return rel[i * t + j]; };
-    auto seed = [&](int i, int j, uint8_t strength) {
-      if (at(i, j) < strength) at(i, j) = strength;
-    };
-    auto term_id = [v](const Side& s) { return s.is_var ? s.slot : v + s.slot; };
-    std::vector<PositionalCheck> ne_checks;
-    for (const RawAxiom& a : raw) {
-      const int i = term_id(a.lhs);
-      const int j = term_id(a.rhs);
-      switch (a.op) {
-        case CompOp::kLt: seed(i, j, 2); break;
-        case CompOp::kLe: seed(i, j, 1); break;
-        case CompOp::kEq: seed(i, j, 1); seed(j, i, 1); break;
-        case CompOp::kGe: seed(j, i, 1); break;
-        case CompOp::kGt: seed(j, i, 2); break;
-        case CompOp::kNe:
-          if (i == j) {
-            impossible_ = true;  // X != X or c != c.
-            return;
-          }
-          ne_checks.push_back(
-              {a.lhs.is_var, a.rhs.is_var, a.lhs.slot, a.rhs.slot, CheckOp::kNe});
-          break;
-      }
-    }
-    // The constants' own order is part of every total order.
-    for (int i = 0; i + 1 < static_cast<int>(sorted_constants.size()); ++i) {
-      seed(v + i, v + i + 1, 2);
-    }
-    for (int k = 0; k < t; ++k) {
-      for (int i = 0; i < t; ++i) {
-        if (at(i, k) == 0) continue;
-        for (int j = 0; j < t; ++j) {
-          if (at(k, j) == 0) continue;
-          seed(i, j, std::max(at(i, k), at(k, j)) == 2 ? 2 : 1);
-        }
-      }
-    }
-    for (int i = 0; i < t; ++i) {
-      if (at(i, i) == 2) {
-        impossible_ = true;  // Axioms imply x < x: no satisfying order.
-        return;
-      }
-    }
-    // Closure constraints between two constants are decided now (their
-    // block positions are fixed); the rest become positional checks.
-    for (int i = 0; i < t; ++i) {
-      for (int j = 0; j < t; ++j) {
-        if (i == j || at(i, j) == 0) continue;
-        const bool strict = at(i, j) == 2;
-        if (i >= v && j >= v) {
-          const int ci = i - v;
-          const int cj = j - v;
-          if (strict ? !(ci < cj) : !(ci <= cj)) {
-            impossible_ = true;
-            return;
-          }
-          continue;
-        }
-        checks_.push_back({i < v, j < v, i < v ? i : i - v, j < v ? j : j - v,
-                           strict ? CheckOp::kLt : CheckOp::kLe});
-      }
-    }
-    checks_.insert(checks_.end(), ne_checks.begin(), ne_checks.end());
-    // Per-variable incident check lists: a check fires when its last
-    // variable endpoint is placed.
-    incident_.resize(v);
-    for (size_t idx = 0; idx < checks_.size(); ++idx) {
-      const PositionalCheck& c = checks_[idx];
-      if (c.lhs_is_var) incident_[c.lhs].push_back(static_cast<int>(idx));
-      if (c.rhs_is_var && !(c.lhs_is_var && c.lhs == c.rhs)) {
-        incident_[c.rhs].push_back(static_cast<int>(idx));
-      }
-    }
-    // Constant blocks start at positions 0..k-1 of the base order and
-    // shift as variable blocks open before them.
-    const_block_.resize(sorted_constants.size());
-    for (size_t i = 0; i < sorted_constants.size(); ++i) {
-      const_block_[i] = static_cast<int>(i);
-    }
-  }
-
-  /// All positional checks incident to `slot` whose endpoints are both
-  /// placed.  Called with `slot` freshly placed, so each axiom is
-  /// evaluated exactly when it becomes decidable.
-  bool PlacementOk(int slot) const {
-    for (const int idx : incident_[slot]) {
-      const PositionalCheck& c = checks_[idx];
-      const int i = c.lhs_is_var ? var_block_[c.lhs] : const_block_[c.lhs];
-      if (i == kUnplaced) continue;
-      const int j = c.rhs_is_var ? var_block_[c.rhs] : const_block_[c.rhs];
-      if (j == kUnplaced) continue;
-      bool ok = false;
-      switch (c.op) {
-        case CheckOp::kLt: ok = i < j; break;
-        case CheckOp::kLe: ok = i <= j; break;
-        case CheckOp::kNe: ok = i != j; break;
-      }
-      if (!ok) return false;
-    }
-    return true;
-  }
-
-  bool Insert(size_t next, TotalOrder* order, const OrderFn& fn) {
-    if (next == variables_.size()) {
-      ++stats_->orders_emitted;
-      return fn(*order);
-    }
-    const std::string& var = variables_[next];
-    const int tracked = insertion_var_[next];
-    // Option 1: join an existing block.
-    for (size_t b = 0; b < order->blocks.size(); ++b) {
-      if (tracked != kNotTracked) {
-        var_block_[tracked] = static_cast<int>(b);
-        if (!PlacementOk(tracked)) {
-          var_block_[tracked] = kUnplaced;
-          ++stats_->nodes_pruned;
-          continue;
-        }
-      }
-      order->blocks[b].variables.push_back(var);
-      ++stats_->nodes_visited;
-      const bool keep_going = Insert(next + 1, order, fn);
-      order->blocks[b].variables.pop_back();
-      if (tracked != kNotTracked) var_block_[tracked] = kUnplaced;
-      if (!keep_going) return false;
-    }
-    // Option 2: open a new block in a gap.
-    OrderBlock fresh;
-    fresh.variables.push_back(var);
-    for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
-      ShiftUp(static_cast<int>(gap));
-      if (tracked != kNotTracked) {
-        var_block_[tracked] = static_cast<int>(gap);
-        if (!PlacementOk(tracked)) {
-          var_block_[tracked] = kUnplaced;
-          ShiftDown(static_cast<int>(gap));
-          ++stats_->nodes_pruned;
-          continue;
-        }
-      }
-      order->blocks.insert(order->blocks.begin() + gap, fresh);
-      ++stats_->nodes_visited;
-      const bool keep_going = Insert(next + 1, order, fn);
-      order->blocks.erase(order->blocks.begin() + gap);
-      if (tracked != kNotTracked) var_block_[tracked] = kUnplaced;
-      ShiftDown(static_cast<int>(gap));
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  /// A new block opened at `gap`: every tracked placement at or after it
-  /// moves up one position.  (kUnplaced is negative, so it never shifts.)
-  void ShiftUp(int gap) {
-    for (int& b : var_block_) {
-      if (b >= gap) ++b;
-    }
-    for (int& b : const_block_) {
-      if (b >= gap) ++b;
-    }
-  }
-
-  /// Inverse of ShiftUp after the block at `gap` is removed.
-  void ShiftDown(int gap) {
-    for (int& b : var_block_) {
-      if (b > gap) --b;
-    }
-    for (int& b : const_block_) {
-      if (b > gap) --b;
-    }
-  }
-
-  const std::vector<std::string>& variables_;
-  OrderEnumerationStats* stats_;
-  std::map<std::string, int> var_ids_;
-  std::vector<PositionalCheck> checks_;
-  std::vector<std::vector<int>> incident_;  // tracked variable -> check idxs
-  std::vector<int> var_block_;    // tracked variable -> block, or kUnplaced
-  std::vector<int> const_block_;  // constant slot -> block (always placed)
-  std::vector<int> insertion_var_;
-  bool incomplete_ = false;
-  bool impossible_ = false;
-};
-
-}  // namespace
-
 void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
                             const std::vector<Rational>& constants,
                             const std::vector<Comparison>& axioms,
@@ -536,23 +514,26 @@ void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
                             OrderEnumerationStats* stats) {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
-  if (internal::SatisfyingOrderFallbackForcedForTest()) {
-    internal::ForEachSatisfyingOrderLegacy(variables, constants, axioms, fn,
+  const std::vector<Rational> sorted = OrderConstants(constants);
+  std::vector<OrderAxiom> compiled;
+  if (internal::SatisfyingOrderFallbackForcedForTest() ||
+      !CompileOrderAxioms(variables, sorted, axioms, &compiled)) {
+    // Forced, or an axiom over a term outside the universe: only the
+    // reference's solver check at every leaf decides it.
+    internal::ForEachSatisfyingOrderLegacy(variables, sorted, axioms, fn,
                                            stats);
     return;
   }
-  const std::vector<Rational> sorted_constants =
-      SortedUniqueConstants(constants);
-  PrunedOrderEnumerator enumerator(variables, sorted_constants, axioms, stats);
-  if (!enumerator.complete()) {
-    // An axiom over a term outside the universe: only the reference's
-    // solver check at every leaf decides it.
-    internal::ForEachSatisfyingOrderLegacy(variables, sorted_constants,
-                                           axioms, fn, stats);
-    return;
-  }
-  TotalOrder base = BaseOrder(sorted_constants);
-  enumerator.Run(&base, fn);
+  const OrderEnumerator tree(static_cast<int>(variables.size()),
+                             static_cast<int>(sorted.size()), compiled);
+  OrderState root = tree.Root();
+  WalkRendered(
+      tree, &root, tree.num_variables(), variables, sorted,
+      [&](const TotalOrder& order) {
+        ++stats->orders_emitted;
+        return fn(order);
+      },
+      stats);
 }
 
 namespace internal {
@@ -577,19 +558,18 @@ void ForEachSatisfyingOrderLegacy(
     OrderEnumerationStats* stats) {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
-  TotalOrder base = BaseOrder(constants);
-  const OrderFn count_node = [stats](const TotalOrder&) {
-    ++stats->nodes_visited;
-    return true;
-  };
-  InsertRemaining(
-      variables, 0, variables.size(), &base,
+  const std::vector<Rational> sorted = OrderConstants(constants);
+  const OrderEnumerator tree(static_cast<int>(variables.size()),
+                             static_cast<int>(sorted.size()));
+  OrderState root = tree.Root();
+  WalkRendered(
+      tree, &root, tree.num_variables(), variables, sorted,
       [&](const TotalOrder& order) {
         if (!AcSolver::SatisfiedBy(axioms, order.ToAssignment())) return true;
         ++stats->orders_emitted;
         return fn(order);
       },
-      &count_node);
+      stats);
 }
 
 }  // namespace internal

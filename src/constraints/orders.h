@@ -57,6 +57,154 @@ struct TotalOrder {
   std::string ToString() const;
 };
 
+/// A node of the order-insertion tree in index form: the tree places the
+/// variables of a list one at a time, in list order, each either into an
+/// existing block or into a new block in some gap.  A variable is named by
+/// its position in the list and a constant by its rank among the
+/// ascending, distinct constants.  Blocks are numbered left to right.
+struct OrderState {
+  std::vector<int> var_block;    // variable -> block, -1 while unplaced
+  std::vector<int> const_block;  // constant -> block (always placed)
+  int num_blocks = 0;
+  int placed = 0;  // variables 0..placed-1 are placed
+};
+
+/// A variable (by list position) or a constant (by ascending rank).
+struct OrderTerm {
+  bool is_var;
+  int index;
+};
+
+/// A comparison between two order terms: an axiom the orders of an
+/// OrderEnumerator must satisfy.
+struct OrderAxiom {
+  OrderTerm lhs;
+  CompOp op;
+  OrderTerm rhs;
+};
+
+/// Counters for one satisfying-order enumeration.  A "node" is a state of
+/// the enumeration tree: the root (constants only) plus every accepted
+/// placement of a variable into a partial order.  A candidate placement
+/// rejected by an axiom check before recursion counts as pruned.
+struct OrderEnumerationStats {
+  int64_t nodes_visited = 0;
+  int64_t nodes_pruned = 0;
+  /// Orders handed to the callback.
+  int64_t orders_emitted = 0;
+};
+
+/// The one order enumeration: a depth-first walk of the insertion tree
+/// over OrderStates, with no names and no values.  Every order-walking
+/// entry point below (ForEachTotalOrder, TotalOrderPrefixes,
+/// ForEachCompletion, ForEachSatisfyingOrder and its legacy reference) is
+/// an adapter over it, as are Phase 1 and the canonical-database
+/// containment test, which consume the states directly.
+///
+/// With axioms, the walk is prefix-pruned: a placement whose order
+/// constraints already contradict the axioms is cut before its subtree is
+/// built, and only satisfying orders are emitted, in the unpruned tree's
+/// sequence.  The invariant making prefix checks sound: once two terms are
+/// both placed, their relative order (<, =, >) never changes anywhere in
+/// the subtree — blocks are never merged, and a gap insertion only shifts
+/// positions uniformly.  So every axiom is decided permanently the moment
+/// its last variable is placed.  To also cut placements that only
+/// *implied* constraints forbid (X < Y, Y < Z placed as Z..X with Y still
+/// pending), the axioms are closed under transitivity across variables
+/// and constants at construction.
+///
+/// While internal::ForceSatisfyingOrderFallbackForTest is set when the
+/// enumerator is built, it prunes nothing and instead tests the axioms at
+/// every leaf: the enumerate-then-filter reference, same emitted sequence.
+///
+/// Immutable after construction: one enumerator can serve concurrent walks,
+/// each over its own OrderState.
+class OrderEnumerator {
+ public:
+  using Visitor = std::function<bool(const OrderState&)>;
+
+  /// Every order of `num_variables` variables and `num_constants`
+  /// constants.
+  OrderEnumerator(int num_variables, int num_constants)
+      : OrderEnumerator(num_variables, num_constants, {}) {}
+
+  /// Only the orders satisfying `axioms`, whose terms must lie in the
+  /// universe.
+  OrderEnumerator(int num_variables, int num_constants,
+                  const std::vector<OrderAxiom>& axioms);
+
+  /// The root: the constants in ascending order, no variable placed.
+  OrderState Root() const;
+
+  /// Walks the subtree of `state` (a node of the tree) down to depth
+  /// `depth`, in depth-first order, calling `fn` on each node there; stops
+  /// early once `fn` returns false and then returns false.  `state` is
+  /// restored before returning.  `stats`, when non-null, counts the start
+  /// node and every node below it.
+  bool Walk(OrderState* state, int depth, const Visitor& fn,
+            OrderEnumerationStats* stats = nullptr) const;
+
+  int num_variables() const { return num_variables_; }
+
+ private:
+  /// One positional constraint `lhs op rhs`, op one of <, <=, != after
+  /// compilation, checked when its last variable is placed.
+  struct PositionalCheck {
+    OrderTerm lhs;
+    CompOp op;
+    OrderTerm rhs;
+  };
+
+  void Compile(const std::vector<OrderAxiom>& axioms);
+  bool Place(OrderState* s, int next, int depth, const Visitor& fn,
+             OrderEnumerationStats* stats) const;
+  bool PlacementOk(const OrderState& s, int var) const;
+  bool SatisfiesAxioms(const OrderState& s) const;
+
+  int num_variables_;
+  int num_constants_;
+  bool impossible_ = false;  // the axioms admit no order
+  bool filter_leaves_ = false;  // the legacy reference: test at the leaves
+  std::vector<OrderAxiom> axioms_;  // as given, for filter_leaves_
+  std::vector<PositionalCheck> checks_;
+  std::vector<std::vector<int>> fires_at_;  // variable -> check indices
+};
+
+/// The constants as an enumeration orders them: ascending, distinct.
+std::vector<Rational> OrderConstants(const std::vector<Rational>& constants);
+
+/// Compiles `axioms` over named `variables` and ascending distinct
+/// `constants` into index form.  False when an axiom mentions a term
+/// outside them (`out` is then incomplete).
+bool CompileOrderAxioms(const std::vector<std::string>& variables,
+                        const std::vector<Rational>& constants,
+                        const std::vector<Comparison>& axioms,
+                        std::vector<OrderAxiom>* out);
+
+/// Renders `state` over `variables` and ascending distinct `constants`
+/// into `out`, reusing its storage: each block lists its placed variables
+/// by list position, then its constant.  This is the order the adapters
+/// hand out; text is rendered only from it.
+void RenderOrder(const OrderState& state,
+                 const std::vector<std::string>& variables,
+                 const std::vector<Rational>& constants, TotalOrder* out);
+
+/// The inverse of RenderOrder: the state of `order` over `variables` and
+/// ascending distinct `constants`.  A listed variable the order lacks
+/// stays unplaced, and `placed` counts the leading placed variables.
+/// False when a constant of either side is missing from the other.
+bool StateOfOrder(const TotalOrder& order,
+                  const std::vector<std::string>& variables,
+                  const std::vector<Rational>& constants, OrderState* out);
+
+/// The per-block values TotalOrder::BlockValues assigns to an order of
+/// `num_blocks` blocks whose constant k, of value constants[k], sits in
+/// block const_block[k].  A function of the block count and the constant
+/// positions only.
+void FillBlockValues(int num_blocks, const std::vector<int>& const_block,
+                     const std::vector<Rational>& constants,
+                     std::vector<Rational>* values);
+
 /// Invokes `fn` once for every total order of `variables` interleaved with
 /// `constants` (which must be duplicate-free; they are sorted internally).
 /// Distinct constants never share a block and always appear in ascending
@@ -91,33 +239,12 @@ std::vector<TotalOrder> EnumerateTotalOrders(
     const std::vector<std::string>& variables,
     const std::vector<Rational>& constants);
 
-/// Counters for one satisfying-order enumeration.  A "node" is a state of
-/// the enumeration tree: the root (constants only) plus every accepted
-/// placement of a variable into a partial order.  A candidate placement
-/// rejected by an axiom check before recursion counts as pruned.
-struct OrderEnumerationStats {
-  int64_t nodes_visited = 0;
-  int64_t nodes_pruned = 0;
-  /// Orders handed to the callback.
-  int64_t orders_emitted = 0;
-};
-
 /// Like ForEachTotalOrder, but only visits orders whose witness assignment
-/// satisfies `axioms`, in ForEachTotalOrder's sequence, pruning
-/// inconsistent prefixes during construction: a partial placement whose
-/// order constraints already contradict the axioms can never extend to a
-/// satisfying order.  When the axioms chain most variables (e.g. the
-/// expanded Pre-Rewritings of Phase 2, which carry a full total order over
-/// the query's variables), this visits a tiny fraction of the
+/// satisfies `axioms`, in ForEachTotalOrder's sequence: OrderEnumerator's
+/// prefix-pruned walk, rendered.  When the axioms chain most variables
+/// (e.g. the expanded Pre-Rewritings of Phase 2, which carry a full total
+/// order over the query's variables), this visits a tiny fraction of the
 /// ordered-Bell-many orders.
-///
-/// Each axiom is checked against the *partial* block sequence the moment
-/// its second endpoint is placed (a block chain totally orders everything
-/// already placed, and later insertions never change the relative order of
-/// two placed terms), so a violating subtree is cut at its root instead of
-/// being walked and filtered at the leaves.  Axioms are first closed under
-/// transitivity (through constants too), which lets the tree also cut
-/// placements that only *implied* constraints forbid.
 ///
 /// `constants` must include every constant occurring in `axioms`;
 /// otherwise an axiom's truth is not determined by the order and the
@@ -159,7 +286,8 @@ void ForEachSatisfyingOrderLegacy(
     OrderEnumerationStats* stats = nullptr);
 
 /// Test-only switch: while forced, ForEachSatisfyingOrder routes every
-/// enumeration through ForEachSatisfyingOrderLegacy.  By the enumerator's
+/// enumeration through ForEachSatisfyingOrderLegacy, and an OrderEnumerator
+/// built with axioms filters leaves instead of pruning.  By the enumerator's
 /// contract the emitted satisfying orders are identical either way — only
 /// the node counters change — and the differential fuzzer flips this
 /// switch to prove it on whole-algorithm outputs.  The flag is a relaxed atomic:

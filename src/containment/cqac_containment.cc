@@ -6,7 +6,6 @@
 #include "constraints/ac_solver.h"
 #include "constraints/orders.h"
 #include "containment/homomorphism.h"
-#include "containment/normalization.h"
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
 
@@ -42,28 +41,39 @@ Substitution CollapseByOrder(const TotalOrder& order) {
 namespace {
 
 /// The canonical-database test's enumeration, shared by every front end:
-/// walks the satisfying orders of q1's `variables` and `constants` (q1's
-/// and the right-hand sides') under q1's comparisons `axioms`, freezes q1
-/// with `freezer` on each, and stops at the first one on which no query of
-/// `rhs` computes the frozen head.  A right-hand side whose head arity
-/// differs from q1's never computes it.
+/// walks the satisfying orders of q1's variables (`var_reps`, their
+/// representative ids in `freezer`, q1's) and `constants` (ascending and
+/// distinct; q1's and the right-hand sides') under q1's comparisons
+/// `axioms`, freezes q1 on each, and stops at the first one on which no
+/// query of `rhs` computes the frozen head.  A right-hand side whose head
+/// arity differs from q1's never computes it.
 bool ContainedOnCanonicalDatabases(CanonicalFreezer* freezer,
-                                   const std::vector<std::string>& variables,
+                                   const std::vector<uint32_t>& var_reps,
                                    const std::vector<Rational>& constants,
-                                   const std::vector<Comparison>& axioms,
+                                   const std::vector<OrderAxiom>& axioms,
                                    std::span<const PreparedQuery* const> rhs,
                                    ContainmentStats* stats) {
   static thread_local PreparedQuery::Scratch scratch;
+  static thread_local std::vector<std::vector<uint32_t>> relations;
+  freezer->BindLayout(var_reps, constants);
+  relations.resize(rhs.size());
+  for (size_t r = 0; r < rhs.size(); ++r) {
+    rhs[r]->ResolveRelations(freezer->instance(), &relations[r]);
+  }
+  const OrderEnumerator tree(static_cast<int>(var_reps.size()),
+                             static_cast<int>(constants.size()), axioms);
+  OrderState root = tree.Root();
   bool contained = true;
   OrderEnumerationStats enum_stats;
-  ForEachSatisfyingOrder(
-      variables, constants, axioms,
-      [&](const TotalOrder& order) {
+  tree.Walk(
+      &root, tree.num_variables(),
+      [&](const OrderState& order) {
+        ++enum_stats.orders_emitted;
         const FlatInstance& inst = freezer->Freeze(order);
         const Tuple& head = freezer->frozen_head();
-        for (const PreparedQuery* q2 : rhs) {
-          if (q2->head_arity() == static_cast<int>(head.size()) &&
-              q2->Run(inst, &head, nullptr, &scratch)) {
+        for (size_t r = 0; r < rhs.size(); ++r) {
+          if (rhs[r]->head_arity() == static_cast<int>(head.size()) &&
+              rhs[r]->Run(inst, relations[r], &head, nullptr, &scratch)) {
             return true;
           }
         }
@@ -79,6 +89,27 @@ bool ContainedOnCanonicalDatabases(CanonicalFreezer* freezer,
   return contained;
 }
 
+/// The same for a q1 in string form, with the constants of q1 and the
+/// right-hand sides in any order.
+bool ContainedOnCanonicalDatabases(const ConjunctiveQuery& q1,
+                                   const std::vector<Rational>& constants,
+                                   std::span<const PreparedQuery* const> rhs,
+                                   ContainmentStats* stats) {
+  const std::vector<std::string> variables = q1.AllVariables();
+  const std::vector<Rational> sorted = OrderConstants(constants);
+  // Always compiles: q1's comparisons mention only q1's terms.
+  std::vector<OrderAxiom> axioms;
+  CompileOrderAxioms(variables, sorted, q1.comparisons(), &axioms);
+  CanonicalFreezer freezer(q1);
+  std::vector<uint32_t> var_reps;
+  var_reps.reserve(variables.size());
+  for (const std::string& v : variables) {
+    var_reps.push_back(freezer.VariableRepId(v));
+  }
+  return ContainedOnCanonicalDatabases(&freezer, var_reps, sorted, axioms,
+                                       rhs, stats);
+}
+
 }  // namespace
 
 bool CqacContainedCanonical(const ConjunctiveQuery& q1,
@@ -89,29 +120,45 @@ bool CqacContainedCanonical(const ConjunctiveQuery& q1,
 
   std::vector<Rational> constants = q1.Constants();
   MergeConstants(q2.Constants(), &constants);
-  CanonicalFreezer freezer(q1);
   const PreparedQuery prepared(q2);
   const PreparedQuery* const rhs[] = {&prepared};
-  return ContainedOnCanonicalDatabases(&freezer, q1.AllVariables(), constants,
-                                       q1.comparisons(), rhs, stats);
+  return ContainedOnCanonicalDatabases(q1, constants, rhs, stats);
 }
 
 bool CqacContainedPrepared(const IdQuery& q1, const PreparedQuery& q2,
                            const std::vector<Rational>& q2_constants,
                            ContainmentStats* stats) {
   if (static_cast<int>(q1.head.size()) != q2.head_arity()) return false;
-  std::vector<std::string> variables;
-  std::vector<Rational> constants;
-  q1.CollectTerms(&variables, &constants);
-  MergeConstants(q2_constants, &constants);
-  std::vector<Comparison> axioms;
+  std::vector<int> variable_ids;
+  std::vector<int> constant_ids;
+  q1.CollectTerms(&variable_ids, &constant_ids);
+  std::vector<Rational> constants = q2_constants;
+  for (const int id : constant_ids) {
+    constants.push_back(q1.core.term(id).value());
+  }
+  constants = OrderConstants(constants);
+  // Each term's place in the enumeration, for the axioms.
+  std::vector<OrderTerm> term_of(q1.core.size(), OrderTerm{false, 0});
+  for (size_t i = 0; i < variable_ids.size(); ++i) {
+    term_of[variable_ids[i]] = {true, static_cast<int>(i)};
+  }
+  for (const int id : constant_ids) {
+    term_of[id] = {false, static_cast<int>(std::lower_bound(
+                              constants.begin(), constants.end(),
+                              q1.core.term(id).value()) -
+                          constants.begin())};
+  }
+  std::vector<OrderAxiom> axioms;
   axioms.reserve(q1.comparisons.size());
   for (const IdComparison& c : q1.comparisons) {
-    axioms.push_back(q1.core.ToComparison(c));
+    axioms.push_back({term_of[c.lhs], c.op, term_of[c.rhs]});
   }
   CanonicalFreezer freezer(q1);
+  std::vector<uint32_t> var_reps;
+  var_reps.reserve(variable_ids.size());
+  for (const int id : variable_ids) var_reps.push_back(freezer.TermRepId(id));
   const PreparedQuery* const rhs[] = {&q2};
-  return ContainedOnCanonicalDatabases(&freezer, variables, constants, axioms,
+  return ContainedOnCanonicalDatabases(&freezer, var_reps, constants, axioms,
                                        rhs, stats);
 }
 
@@ -146,57 +193,6 @@ bool CqacContainedImplication(const ConjunctiveQuery& q1,
               if (AcSolver::SatisfiedBy(image, assignment)) {
                 some_mapping_works = true;
                 return false;  // Stop mapping enumeration.
-              }
-              return true;
-            });
-        if (!some_mapping_works) {
-          contained = false;
-          return false;
-        }
-        return true;
-      });
-  return contained;
-}
-
-bool CqacContainedNormalized(const ConjunctiveQuery& q1,
-                             const ConjunctiveQuery& q2,
-                             ContainmentStats* stats) {
-  if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;
-  if (q1.head().arity() != q2.head().arity()) return false;
-
-  const ConjunctiveQuery q1n = NormalizeQuery(q1);
-  const ConjunctiveQuery q2n = NormalizeQuery(q2.RenameVariables("_m"));
-
-  std::vector<Rational> constants = q1.Constants();
-  MergeConstants(q2.Constants(), &constants);
-
-  bool contained = true;
-  ForEachSatisfyingOrder(
-      q1n.AllVariables(), constants, q1n.comparisons(),
-      [&](const TotalOrder& order) {
-        if (stats != nullptr) ++stats->orders_enumerated;
-        const std::map<std::string, Rational> assignment =
-            order.ToAssignment();
-        // Pin every q1n variable to its value; a mapping works when its
-        // comparison image admits values for q2's leftover existential
-        // variables.
-        std::vector<Comparison> pinned;
-        for (const auto& [var, value] : assignment) {
-          pinned.push_back(Comparison(Term::Variable(var), CompOp::kEq,
-                                      Term::Constant(value)));
-        }
-        const ConjunctiveQuery q1_collapsed =
-            q1n.ApplySubstitution(CollapseByOrder(order));
-        bool some_mapping_works = false;
-        ForEachContainmentMapping(
-            q2n, q1_collapsed, [&](const Substitution& mu) {
-              std::vector<Comparison> combined = pinned;
-              for (const Comparison& c : q2n.comparisons()) {
-                combined.push_back(mu.Apply(c));
-              }
-              if (AcSolver::IsSatisfiable(combined)) {
-                some_mapping_works = true;
-                return false;
               }
               return true;
             });
@@ -263,9 +259,7 @@ bool CqacContainedInUnion(const ConjunctiveQuery& q, const UnionQuery& u,
   for (const ConjunctiveQuery& disjunct : u.disjuncts()) {
     rhs.push_back(&prepared.emplace_back(disjunct));
   }
-  CanonicalFreezer freezer(q);
-  return ContainedOnCanonicalDatabases(&freezer, q.AllVariables(), constants,
-                                       q.comparisons(), rhs, stats);
+  return ContainedOnCanonicalDatabases(q, constants, rhs, stats);
 }
 
 bool UnionCqacContained(const UnionQuery& p, const UnionQuery& q) {

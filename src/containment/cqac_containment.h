@@ -70,16 +70,6 @@ bool CqacContainedImplication(const ConjunctiveQuery& q1,
                               const ConjunctiveQuery& q2,
                               ContainmentStats* stats = nullptr);
 
-/// q1 ⊑ q2 via the normalization route of Gupta et al. / Zhang–Özsoyoğlu:
-/// both queries are normalized (see containment/normalization.h) so that
-/// shared variables and constants live in the comparison sets, and the
-/// implication beta1 |= OR_mu exists-ybar mu(beta2) is checked over the
-/// satisfying total orders of q1's terms.  A third independent
-/// implementation, cross-checked against the others in the test suite.
-bool CqacContainedNormalized(const ConjunctiveQuery& q1,
-                             const ConjunctiveQuery& q2,
-                             ContainmentStats* stats = nullptr);
-
 /// The single-containment-mapping test: true when some containment
 /// mapping mu from q2 to q1 has beta1 |= mu(beta2).  Always *sound*
 /// (true implies q1 ⊑ q2) but incomplete in general — completeness is

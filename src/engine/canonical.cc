@@ -100,10 +100,16 @@ CanonicalFreezer::CanonicalFreezer(const IdQuery& q) {
   }
   head_.reserve(q.head.size());
   for (const int t : q.head) head_.push_back(compile_term(t));
+  term_rep_ids_.assign(q.core.size(), kOutsideBlocks);
+  for (int id = 0; id < q.core.size(); ++id) {
+    if (slot_of[id] >= 0) {
+      term_rep_ids_[id] = static_cast<uint32_t>(slot_of[id]);
+    }
+  }
   for (const IdComparison& c : q.comparisons) {
     for (const int id : {c.lhs, c.rhs}) {
       if (q.core.term(id).IsVariable() && slot_of[id] < 0) {
-        UnslottedVariableRepId(q.core.term(id).name());
+        term_rep_ids_[id] = UnslottedVariableRepId(q.core.term(id).name());
       }
     }
   }
@@ -112,38 +118,112 @@ CanonicalFreezer::CanonicalFreezer(const IdQuery& q) {
   rel_epochs_.resize(instance_.NumRelations(), 0);
 }
 
-void CanonicalFreezer::LoadOrder(const TotalOrder& order, bool track) {
-  order.BlockValues(&block_values_);
-  block_rep_ids_.clear();
+uint32_t CanonicalFreezer::VariableRepId(const std::string& name) {
+  const auto it = var_slots_.find(name);
+  return it != var_slots_.end() ? it->second : UnslottedVariableRepId(name);
+}
+
+void CanonicalFreezer::BindLayout(const std::vector<uint32_t>& var_reps,
+                                  const std::vector<Rational>& constants) {
+  var_reps_ = var_reps;
+  BindConstants(constants);
+}
+
+void CanonicalFreezer::BindConstants(const std::vector<Rational>& constants) {
+  if (constants == constants_) return;
+  constants_ = constants;
+  const_reps_.resize(constants.size());
+  for (size_t k = 0; k < constants.size(); ++k) {
+    const_reps_[k] = ConstantRepId(constants[k], k);
+  }
+  // Cached values belong to the old constants; keep the last order's.
+  if (block_values_ != &uncached_values_) uncached_values_ = *block_values_;
+  block_values_ = &uncached_values_;
+  value_cache_.clear();
+  have_value_key_ = false;
+}
+
+const std::vector<Rational>* CanonicalFreezer::BlockValuesFor(
+    const OrderState& state) {
+  constexpr size_t kMaxSignatures = 4096;
+  if (state.num_blocks >= 64 || state.const_block.size() > 9) {
+    FillBlockValues(state.num_blocks, state.const_block, constants_,
+                    &uncached_values_);
+    have_value_key_ = false;
+    return &uncached_values_;
+  }
+  uint64_t key = static_cast<uint64_t>(state.num_blocks);
+  for (const int b : state.const_block) {
+    key = key << 6 | static_cast<uint64_t>(b);
+  }
+  if (have_value_key_ && key == value_key_) return block_values_;
+  if (value_cache_.size() >= kMaxSignatures) value_cache_.clear();
+  const auto [it, inserted] = value_cache_.try_emplace(key);
+  if (inserted) {
+    FillBlockValues(state.num_blocks, state.const_block, constants_,
+                    &it->second);
+  }
+  value_key_ = key;
+  have_value_key_ = true;
+  return &it->second;
+}
+
+void CanonicalFreezer::LoadState(const OrderState& state, bool track) {
+  block_values_ = BlockValuesFor(state);
+  const std::vector<Rational>& values = *block_values_;
+  block_rep_ids_.assign(state.num_blocks, kOutsideBlocks);
+  for (size_t k = 0; k < state.const_block.size(); ++k) {
+    block_rep_ids_[state.const_block[k]] = const_reps_[k];
+  }
   if (track) changed_.assign(var_values_.size(), 0);
-  size_t constants_seen = 0;
-  for (size_t b = 0; b < order.blocks.size(); ++b) {
-    const OrderBlock& block = order.blocks[b];
-    // A variable representative's id comes from the slot lookup below.
-    block_rep_ids_.push_back(
-        block.constant.has_value()
-            ? ConstantRepId(*block.constant, constants_seen++)
-            : kOutsideBlocks);
-    for (const std::string& v : block.variables) {
-      const auto it = var_slots_.find(v);
-      if (block_rep_ids_.back() == kOutsideBlocks) {
-        block_rep_ids_.back() = it != var_slots_.end()
-                                    ? it->second
-                                    : UnslottedVariableRepId(v);
-      }
-      if (it == var_slots_.end()) continue;
-      var_blocks_[it->second] = static_cast<uint32_t>(b);
-      const Rational& value = block_values_[b];
-      if (track) {
-        if (var_values_[it->second] != value) {
-          var_values_[it->second] = value;
-          changed_[it->second] = 1;
-        }
-      } else {
-        var_values_[it->second] = value;
-      }
+  const size_t slots = slot_names_.size();
+  for (size_t i = 0; i < var_reps_.size(); ++i) {
+    const int b = state.var_block[i];
+    const uint32_t rep = var_reps_[i];
+    // Variables come in index order, so the first one seen is the lowest.
+    if (block_rep_ids_[b] == kOutsideBlocks) block_rep_ids_[b] = rep;
+    if (rep >= slots) continue;
+    var_blocks_[rep] = static_cast<uint32_t>(b);
+    const Rational& value = values[b];
+    if (!track) {
+      var_values_[rep] = value;
+    } else if (var_values_[rep] != value) {
+      var_values_[rep] = value;
+      changed_[rep] = 1;
     }
   }
+}
+
+void CanonicalFreezer::BindOrder(const TotalOrder& order) {
+  var_reps_.clear();
+  adapter_constants_.clear();
+  OrderState& state = adapter_state_;
+  state.var_block.clear();
+  state.const_block.clear();
+  for (size_t b = 0; b < order.blocks.size(); ++b) {
+    const OrderBlock& block = order.blocks[b];
+    for (const std::string& v : block.variables) {
+      var_reps_.push_back(VariableRepId(v));
+      state.var_block.push_back(static_cast<int>(b));
+    }
+    if (block.constant.has_value()) {
+      adapter_constants_.push_back(*block.constant);
+      state.const_block.push_back(static_cast<int>(b));
+    }
+  }
+  state.num_blocks = static_cast<int>(order.blocks.size());
+  state.placed = static_cast<int>(state.var_block.size());
+  BindConstants(adapter_constants_);
+}
+
+const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
+  BindOrder(order);
+  return Freeze(adapter_state_);
+}
+
+const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
+  BindOrder(order);
+  return FreezeFull(adapter_state_);
 }
 
 void CanonicalFreezer::RebuildHead() {
@@ -153,9 +233,9 @@ void CanonicalFreezer::RebuildHead() {
   }
 }
 
-const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
-  if (epoch_ == 0) return FreezeFull(order);
-  LoadOrder(order, /*track=*/true);
+const FlatInstance& CanonicalFreezer::Freeze(const OrderState& state) {
+  if (epoch_ == 0) return FreezeFull(state);
+  LoadState(state, /*track=*/true);
   ++epoch_;
   int64_t rewritten = 0;
   for (const CompiledSubgoal& sg : subgoals_) {
@@ -186,8 +266,8 @@ const FlatInstance& CanonicalFreezer::Freeze(const TotalOrder& order) {
   return instance_;
 }
 
-const FlatInstance& CanonicalFreezer::FreezeFull(const TotalOrder& order) {
-  LoadOrder(order, /*track=*/false);
+const FlatInstance& CanonicalFreezer::FreezeFull(const OrderState& state) {
+  LoadState(state, /*track=*/false);
   ++epoch_;
   instance_.Clear();
   for (const CompiledSubgoal& sg : subgoals_) {
@@ -232,9 +312,9 @@ uint32_t CanonicalFreezer::ConstantRepId(const Rational& value, size_t hint) {
 
 uint32_t CanonicalFreezer::RepIdOfValue(const Rational& value) const {
   const auto it =
-      std::lower_bound(block_values_.begin(), block_values_.end(), value);
-  if (it != block_values_.end() && *it == value) {
-    return block_rep_ids_[it - block_values_.begin()];
+      std::lower_bound(block_values_->begin(), block_values_->end(), value);
+  if (it != block_values_->end() && *it == value) {
+    return block_rep_ids_[it - block_values_->begin()];
   }
   return kOutsideBlocks;
 }

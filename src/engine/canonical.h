@@ -55,11 +55,18 @@ CanonicalDatabase FreezeQuery(const ConjunctiveQuery& q,
 /// all constants occurring in `q`.
 CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q);
 
-/// Compiled canonical-database freezing for the containment hot loop: the
-/// query's subgoals and head are lowered once to (relation id, value-slot)
-/// form, and each Freeze call fills a FlatInstance from a total order's
-/// block values without rebuilding map/set structures.  After the first
-/// few calls no allocation occurs per order.
+/// Compiled canonical-database freezing for the Phase-1 and containment
+/// hot loops: the query's subgoals and head are lowered once to (relation
+/// id, value-slot) form, and each Freeze call fills a FlatInstance from an
+/// order's block values without rebuilding map/set structures.  After the
+/// first few calls no allocation occurs per order.
+///
+/// The hot path reads orders in index form (OrderState, as
+/// OrderEnumerator walks them) over a layout bound once with BindLayout:
+/// which variable each state position is and which constants there are.
+/// No name is looked up per order.  Block values depend only on the block
+/// count and the constants' positions; they are computed once per such
+/// signature and cached.
 ///
 /// Freezing is *incremental*: the row layout (which subgoal owns which row
 /// of which relation) is fixed at construction, so consecutive Freeze
@@ -71,7 +78,7 @@ CanonicalDatabase FreezeQueryDistinct(const ConjunctiveQuery& q);
 /// from-scratch FreezeFull yields — regardless of the call history.
 ///
 /// Produces exactly the tuples and frozen head FreezeQuery would (same
-/// value scheme via TotalOrder::BlockValues); the assignment and unfreeze
+/// value scheme as TotalOrder::BlockValues); the assignment and unfreeze
 /// maps are replaced by slot/block accessors.  Not thread-safe; use one
 /// per thread.
 class CanonicalFreezer {
@@ -82,14 +89,39 @@ class CanonicalFreezer {
   /// Compiles the query in id form; same freezer as from its ToQuery().
   explicit CanonicalFreezer(const IdQuery& q);
 
-  /// Freezes under `order`, which must cover every variable of the query.
-  /// The returned instance and frozen_head() stay valid until the next
-  /// Freeze call.  Delta form: only rows touching changed variables are
-  /// rewritten.
+  // block_values() points into the freezer itself.
+  CanonicalFreezer(const CanonicalFreezer&) = delete;
+  CanonicalFreezer& operator=(const CanonicalFreezer&) = delete;
+
+  /// The representative id of variable `name` (see block_rep_ids()),
+  /// interned when the query lacks it.
+  uint32_t VariableRepId(const std::string& name);
+
+  /// The representative id of variable `id` of the IdQuery this freezer
+  /// was compiled from.
+  uint32_t TermRepId(int id) const { return term_rep_ids_[id]; }
+
+  /// Fixes the layout of the states Freeze(const OrderState&) reads:
+  /// variable i of a state is the variable with representative id
+  /// `var_reps[i]`, and constant k is `constants[k]` (ascending,
+  /// distinct).  A variable without a slot takes part only in
+  /// block_rep_ids().  Cheap when the constants are the bound ones.
+  void BindLayout(const std::vector<uint32_t>& var_reps,
+                  const std::vector<Rational>& constants);
+
+  /// Freezes under `state`, a complete order over the bound layout, which
+  /// must place every variable of the query.  The returned instance and
+  /// frozen_head() stay valid until the next Freeze call.  Delta form:
+  /// only rows touching changed variables are rewritten.
+  const FlatInstance& Freeze(const OrderState& state);
+
+  /// An adapter over the state path: binds `order`'s own layout (its
+  /// variables in block order, its constants), then freezes it.  `order`
+  /// must cover every variable of the query.
   const FlatInstance& Freeze(const TotalOrder& order);
 
-  /// Freezes from scratch (clear + refill), marking every relation
-  /// changed.  Same result as Freeze; retained as the reference path that
+  /// Freezes `order` from scratch (clear + refill), marking every
+  /// relation changed.  Same result as Freeze; the reference path that
   /// phase1_incremental_test holds the delta form to.
   const FlatInstance& FreezeFull(const TotalOrder& order);
 
@@ -119,7 +151,7 @@ class CanonicalFreezer {
   const std::vector<uint32_t>& var_blocks() const { return var_blocks_; }
 
   /// The last order's per-block values (strictly increasing).
-  const std::vector<Rational>& block_values() const { return block_values_; }
+  const std::vector<Rational>& block_values() const { return *block_values_; }
 
   /// Constant representatives' ids start here; every variable id is below.
   static constexpr uint32_t kConstantRepId = 0x80000000u;
@@ -127,7 +159,8 @@ class CanonicalFreezer {
   static constexpr uint32_t kOutsideBlocks = 0xFFFFFFFFu;
 
   /// The last order's per-block representative ids.  A block's
-  /// representative is its constant, else its first variable; equal ids
+  /// representative is its constant, else its lowest-index variable in
+  /// the bound layout (a TotalOrder's first variable); equal ids
   /// mean equal representatives for the freezer's lifetime.  A
   /// variable's id is its slot; variables without a slot (those only in
   /// comparisons, in comparison order, then any variable the query
@@ -159,9 +192,17 @@ class CanonicalFreezer {
     std::vector<CompiledTerm> terms;
   };
 
+  /// Freeze's from-scratch form, taken on the first call.
+  const FlatInstance& FreezeFull(const OrderState& state);
   /// Refreshes block_values_/block_rep_ids_/var_blocks_/var_values_ from
-  /// `order`; when `track` is set, changed_ records which slots moved.
-  void LoadOrder(const TotalOrder& order, bool track);
+  /// `state`; when `track` is set, changed_ records which slots moved.
+  void LoadState(const OrderState& state, bool track);
+  /// The block values of `state`'s signature, from the cache.
+  const std::vector<Rational>* BlockValuesFor(const OrderState& state);
+  /// BindLayout's constants half.
+  void BindConstants(const std::vector<Rational>& constants);
+  /// Binds `order`'s own layout, its state into adapter_state_.
+  void BindOrder(const TotalOrder& order);
   void RebuildHead();
   /// The representative term behind a block_rep_ids() entry.
   Term RepTerm(uint32_t id) const;
@@ -175,7 +216,18 @@ class CanonicalFreezer {
   std::vector<CompiledSubgoal> subgoals_;
   std::vector<CompiledTerm> head_;
   FlatInstance instance_;
-  std::vector<Rational> block_values_;
+  std::vector<uint32_t> term_rep_ids_;  // IdQuery term id -> rep id
+  // The bound layout.
+  std::vector<uint32_t> var_reps_;   // state variable -> rep id
+  std::vector<Rational> constants_;  // state constant -> value
+  std::vector<uint32_t> const_reps_;  // state constant -> rep id
+  // Block values per signature (block count, constant positions), packed
+  // six bits per field; signatures that do not fit are computed uncached.
+  std::unordered_map<uint64_t, std::vector<Rational>> value_cache_;
+  uint64_t value_key_ = 0;
+  bool have_value_key_ = false;
+  std::vector<Rational> uncached_values_;
+  const std::vector<Rational>* block_values_ = &uncached_values_;
   std::vector<uint32_t> block_rep_ids_;
   std::unordered_map<std::string, uint32_t> unslotted_ids_;
   std::vector<std::string> unslotted_names_;  // id - slot count -> name
@@ -187,6 +239,9 @@ class CanonicalFreezer {
   Tuple frozen_head_;
   uint64_t epoch_ = 0;
   std::vector<uint64_t> rel_epochs_;  // relation id -> last-changed epoch
+  // The TotalOrder adapters' constants and state.
+  std::vector<Rational> adapter_constants_;
+  OrderState adapter_state_;
 };
 
 }  // namespace cqac

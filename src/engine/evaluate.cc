@@ -45,9 +45,10 @@ inline uint64_t CombineHash(uint64_t h, const Rational& v) {
 void PreparedQuery::BuildIndex(size_t depth, Scratch* scratch) const {
   Scratch::DepthState& ds = scratch->depths[depth];
   const QueryPlan::Subgoal& plan = plan_.subgoals[depth];
+  // Below the gate the index is never read, so a stale one can stay.
   ds.use_index = false;
+  if (ds.rows.size() < kIndexGate || plan.entry_cols.empty()) return;
   ds.index.clear();
-  if (plan.entry_cols.empty() || ds.rows.size() < kIndexGate) return;
   for (uint32_t i = 0; i < ds.rows.size(); ++i) {
     uint64_t h = 0xcbf29ce484222325ULL;
     for (const uint32_t col : plan.entry_cols) {
@@ -87,14 +88,29 @@ bool PreparedQuery::Run(const Database& db, const Tuple* target, Relation* out,
   return RunCommon(target, out, scratch);
 }
 
+void PreparedQuery::ResolveRelations(const FlatInstance& inst,
+                                     std::vector<uint32_t>* relations) const {
+  relations->clear();
+  for (const QueryPlan::Subgoal& sg : plan_.subgoals) {
+    relations->push_back(inst.FindRelation(sg.predicate, sg.arity));
+  }
+}
+
 bool PreparedQuery::Run(const FlatInstance& inst, const Tuple* target,
                         Relation* out, Scratch* scratch) const {
+  ResolveRelations(inst, &scratch->relations);
+  return Run(inst, scratch->relations, target, out, scratch);
+}
+
+bool PreparedQuery::Run(const FlatInstance& inst,
+                        const std::vector<uint32_t>& relations,
+                        const Tuple* target, Relation* out,
+                        Scratch* scratch) const {
   scratch->depths.resize(plan_.subgoals.size());
   for (size_t d = 0; d < plan_.subgoals.size(); ++d) {
     Scratch::DepthState& ds = scratch->depths[d];
     ds.rows.clear();
-    const uint32_t rel =
-        inst.FindRelation(plan_.subgoals[d].predicate, plan_.subgoals[d].arity);
+    const uint32_t rel = relations[d];
     if (rel != SymbolInterner::kNotFound) {
       const size_t count = inst.RowCount(rel);
       for (size_t i = 0; i < count; ++i) ds.rows.push_back(inst.Row(rel, i));

@@ -121,6 +121,7 @@ class PreparedQuery {
     std::vector<char> extra_bound;
     std::vector<uint32_t> extra_touched;
     std::vector<int> unresolved;
+    std::vector<uint32_t> relations;  // Run(inst, ...)'s resolution
     Tuple head_row;
     struct DepthState {
       std::vector<const Rational*> rows;
@@ -140,9 +141,21 @@ class PreparedQuery {
   bool Run(const Database& db, const Tuple* target, Relation* out,
            Scratch* scratch) const;
 
-  /// Same, over a flat instance.
+  /// Same, over a flat instance; resolves the subgoals' relations first.
   bool Run(const FlatInstance& inst, const Tuple* target, Relation* out,
            Scratch* scratch) const;
+
+  /// The relation of `inst` each subgoal reads, in plan order
+  /// (SymbolInterner::kNotFound when `inst` lacks it), into `relations`.
+  /// The answer holds while `inst` gains no relation, so a caller that
+  /// refills one instance per order (a CanonicalFreezer's) resolves once.
+  void ResolveRelations(const FlatInstance& inst,
+                        std::vector<uint32_t>* relations) const;
+
+  /// Run over `inst` with relations from ResolveRelations(inst): no name
+  /// lookup per call.
+  bool Run(const FlatInstance& inst, const std::vector<uint32_t>& relations,
+           const Tuple* target, Relation* out, Scratch* scratch) const;
 
   int head_arity() const { return static_cast<int>(plan_.head.size()); }
 

@@ -343,16 +343,25 @@ RewriteWork PrepareRewriteWork(
 
 namespace {
 
-/// The per-thread Phase-1 state (ProcessCanonicalDatabase runs on worker
-/// threads).  The freezer, evaluator and matcher are recompiled when a
-/// different run's work arrives; the buffers keep their capacity, so a
-/// memo hit allocates nothing here.
+/// The per-thread Phase-1 state (Phase 1 runs on worker threads).  The
+/// freezer, evaluator and matcher are recompiled, and the layout resolved,
+/// when a different run's work arrives; the buffers keep their capacity,
+/// so a memo hit allocates nothing here.
 struct Phase1Cache {
   uint64_t work_id = 0;
   std::optional<CanonicalFreezer> freezer;
   std::optional<ViewTupleEvaluator> evaluator;
   std::optional<FrozenTupleMatcher> matcher;
   PreparedQuery::Scratch scratch;
+  // The enumeration's layout, to which the freezer is bound: the query's
+  // variables and the run's constants as OrderStates number them.
+  std::vector<std::string> variables;
+  std::vector<Rational> constants;
+  std::vector<uint32_t> query_relations;  // the keep test's, resolved once
+  // MCD i's view-tuple argument k -> its freezer slot, or kNoSlot.
+  std::vector<std::vector<uint32_t>> mcd_arg_slots;
+  TotalOrder rendered;        // the last order rendered for text
+  OrderState adapter_state;   // ProcessCanonicalDatabase's order, as a state
   Phase1Key memo_key;
   Phase1Key pre_key;
   std::vector<uint32_t> block_rank;  // BuildPreRewritingKey's scratch
@@ -363,6 +372,27 @@ Phase1Cache& ThreadPhase1Cache(const RewriteWork& work) {
   static thread_local Phase1Cache cache;
   if (cache.work_id != work.work_id) {
     cache.freezer.emplace(work.query);
+    cache.variables = work.query.AllVariables();
+    cache.constants = OrderConstants(work.constants);
+    std::vector<uint32_t> var_reps;
+    var_reps.reserve(cache.variables.size());
+    for (const std::string& v : cache.variables) {
+      var_reps.push_back(cache.freezer->VariableRepId(v));
+    }
+    cache.freezer->BindLayout(var_reps, cache.constants);
+    work.prepared_query.ResolveRelations(cache.freezer->instance(),
+                                         &cache.query_relations);
+    cache.mcd_arg_slots.assign(work.mcds.size(), {});
+    for (size_t i = 0; i < work.mcds.size(); ++i) {
+      for (const Term& t : work.mcds[i].view_tuple.args()) {
+        const auto it = t.IsVariable()
+                            ? cache.freezer->var_slots().find(t.name())
+                            : cache.freezer->var_slots().end();
+        cache.mcd_arg_slots[i].push_back(
+            it != cache.freezer->var_slots().end() ? it->second
+                                                   : Phase1Entry::kNoSlot);
+      }
+    }
     cache.evaluator.emplace(work.views);
     std::vector<Atom> mcd_tuples;
     mcd_tuples.reserve(work.mcds.size());
@@ -371,6 +401,16 @@ Phase1Cache& ThreadPhase1Cache(const RewriteWork& work) {
     cache.work_id = work.work_id;
   }
   return cache;
+}
+
+/// The order of `state` for text: `given` when the caller holds it, else
+/// rendered into the cache.  Only explain traces, failure messages, the
+/// key observer and Pre-Rewritings need one.
+const TotalOrder& OrderOf(Phase1Cache& cache, const OrderState& state,
+                          const TotalOrder* given) {
+  if (given != nullptr) return *given;
+  RenderOrder(state, cache.variables, cache.constants, &cache.rendered);
+  return cache.rendered;
 }
 
 /// Steps 3.4-3.7 on the current database, in full: bucket pruning, the
@@ -474,19 +514,16 @@ void ComputePhase1Entry(const RewriteWork& work, Phase1Cache& cache,
             [&work](int a, int b) {
               return work.mcd_rank[a] < work.mcd_rank[b];
             });
-  const std::unordered_map<std::string, uint32_t>& slots =
-      cache.freezer->var_slots();
   for (const int i : entry->body_mcds) {
-    for (const Term& t : work.mcds[i].view_tuple.args()) {
-      if (!t.IsVariable() ||
+    const std::vector<Term>& args = work.mcds[i].view_tuple.args();
+    for (size_t k = 0; k < args.size(); ++k) {
+      if (!args[k].IsVariable() ||
           std::find(entry->body_vars.begin(), entry->body_vars.end(),
-                    t.name()) != entry->body_vars.end()) {
+                    args[k].name()) != entry->body_vars.end()) {
         continue;
       }
-      entry->body_vars.push_back(t.name());
-      const auto slot = slots.find(t.name());
-      entry->body_slots.push_back(slot != slots.end() ? slot->second
-                                                      : Phase1Entry::kNoSlot);
+      entry->body_vars.push_back(args[k].name());
+      entry->body_slots.push_back(cache.mcd_arg_slots[i][k]);
     }
   }
 }
@@ -499,15 +536,21 @@ struct PendingPreRewriting {
   const Phase1Entry* entry = nullptr;
 };
 
-/// Phase-1 steps 2-3.7 proper.  With `pending` null the Pre-Rewriting of
+/// Phase-1 steps 2-3.7 proper, on the database of `state` (over the
+/// thread's Phase1Cache layout; `given`, when non-null, is the same order
+/// as the caller's TotalOrder).  With `pending` null the Pre-Rewriting of
 /// a kept database is built into the outcome; otherwise `pending`
 /// receives its key and entry, and only an explain run (whose trace
 /// renders it) or the key observer builds it.
-DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
-                          Phase1Memo* memo, PendingPreRewriting* pending) {
+DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
+                          const TotalOrder* given, Phase1Memo* memo,
+                          PendingPreRewriting* pending) {
   const RewriteOptions& options = work.options;
   DatabaseOutcome out;
-  if (options.explain) out.trace.order = order.ToString();
+  Phase1Cache& cache = ThreadPhase1Cache(work);
+  if (options.explain) {
+    out.trace.order = OrderOf(cache, state, given).ToString();
+  }
 
   // Keep only databases on which the query computes its frozen head
   // (general evaluation: the identity freezing need not be the witnessing
@@ -515,14 +558,14 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
   // prepared plan — consecutive orders differ in few blocks, so the
   // freezer patches only the moved rows, and the view evaluator re-derives
   // only views whose relations changed.
-  Phase1Cache& cache = ThreadPhase1Cache(work);
   bool computes_head;
   {
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
-    const FlatInstance& inst = cache.freezer->Freeze(order);
-    computes_head = work.prepared_query.Run(
-        inst, &cache.freezer->frozen_head(), nullptr, &cache.scratch);
+    const FlatInstance& inst = cache.freezer->Freeze(state);
+    computes_head = work.prepared_query.Run(inst, cache.query_relations,
+                                            &cache.freezer->frozen_head(),
+                                            nullptr, &cache.scratch);
     out.stats.freeze_ns += NowNs() - freeze_t0;
   }
   if (!computes_head) {
@@ -544,7 +587,7 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
     out.status = DatabaseOutcome::Status::kFailed;
     out.failure_reason =
         "no view produces any tuple on canonical database [" +
-        order.ToString() + "]";
+        OrderOf(cache, state, given).ToString() + "]";
     if (options.explain) out.trace.status = "no-view-tuples";
     return out;
   }
@@ -574,7 +617,10 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
 
   const internal::Phase1KeyObserver observer =
       g_key_observer.load(std::memory_order_relaxed);
-  internal::Phase1KeyProbe probe{&order, cache.freezer.operator->(),
+  internal::Phase1KeyProbe probe{observer != nullptr
+                                     ? &OrderOf(cache, state, given)
+                                     : nullptr,
+                                 cache.freezer.operator->(),
                                  cache.evaluator.operator->(),
                                  memo != nullptr ? &cache.memo_key : nullptr,
                                  nullptr, nullptr};
@@ -583,7 +629,7 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
     out.failure_reason =
         "no MiniCon combination covers the query on canonical "
         "database [" +
-        order.ToString() + "]";
+        OrderOf(cache, state, given).ToString() + "]";
     if (options.explain) out.trace.status = "no-mcr";
     if (observer != nullptr) observer(probe);
     return out;
@@ -593,7 +639,8 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
   BuildPreRewritingKey(*entry, *cache.freezer, &cache.block_rank,
                        &cache.pre_key);
   if (pending == nullptr || options.explain || observer != nullptr) {
-    out.pre_rewriting = BuildPreRewriting(work, *entry, order);
+    out.pre_rewriting =
+        BuildPreRewriting(work, *entry, OrderOf(cache, state, given));
   }
   if (pending != nullptr) *pending = {&cache.pre_key, entry};
   if (options.explain) {
@@ -613,11 +660,12 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const TotalOrder& order,
 /// outside so the duration lands in the returned stats after the body
 /// finishes).
 DatabaseOutcome RunPhase1Timed(const RewriteWork& work,
-                               const TotalOrder& order, Phase1Memo* memo,
+                               const OrderState& state,
+                               const TotalOrder* given, Phase1Memo* memo,
                                PendingPreRewriting* pending) {
   CQAC_TRACE_SPAN("phase1.database");
   const int64_t t0 = NowNs();
-  DatabaseOutcome out = RunPhase1(work, order, memo, pending);
+  DatabaseOutcome out = RunPhase1(work, state, given, memo, pending);
   const int64_t dur = NowNs() - t0;
   out.stats.phase1_ns += dur;
   if (obs::MetricsActive()) {
@@ -628,6 +676,16 @@ DatabaseOutcome RunPhase1Timed(const RewriteWork& work,
     wall.Observe(dur);
   }
   return out;
+}
+
+/// The Pre-Rewriting `pending` stands for, built on the calling thread's
+/// last database, that of `state`.
+ConjunctiveQuery BuildPendingPreRewriting(const RewriteWork& work,
+                                          const OrderState& state,
+                                          const PendingPreRewriting& pending) {
+  Phase1Cache& cache = ThreadPhase1Cache(work);
+  return BuildPreRewriting(work, *pending.entry,
+                           OrderOf(cache, state, nullptr));
 }
 
 }  // namespace
@@ -643,7 +701,9 @@ void SetPhase1KeyObserverForTest(Phase1KeyObserver observer) {
 DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
                                          const TotalOrder& order,
                                          Phase1Memo* memo) {
-  return RunPhase1Timed(work, order, memo, nullptr);
+  Phase1Cache& cache = ThreadPhase1Cache(work);
+  StateOfOrder(order, cache.variables, cache.constants, &cache.adapter_state);
+  return RunPhase1Timed(work, cache.adapter_state, &order, memo, nullptr);
 }
 
 namespace {
@@ -795,16 +855,25 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   // One task per enumeration subtree, split at the smallest depth giving
   // 16 per pool thread (jobs == 1: the depth-0 tree, on this thread).
 
-  const std::vector<std::string> variables = work.query.AllVariables();
-  const int num_variables = static_cast<int>(variables.size());
+  const int num_variables =
+      static_cast<int>(work.query.AllVariables().size());
+  const int num_constants =
+      static_cast<int>(OrderConstants(work.constants).size());
   int depth = 0;
   while (pool != nullptr && depth < num_variables &&
-         CountTotalOrders(depth, static_cast<int>(work.constants.size())) <
+         CountTotalOrders(depth, num_constants) <
              int64_t{16} * pool->num_threads()) {
     ++depth;
   }
-  const std::vector<TotalOrder> prefixes =
-      TotalOrderPrefixes(variables, work.constants, depth);
+  const OrderEnumerator tree(num_variables, num_constants);
+  std::vector<OrderState> prefixes;
+  {
+    OrderState root = tree.Root();
+    tree.Walk(&root, depth, [&prefixes](const OrderState& prefix) {
+      prefixes.push_back(prefix);
+      return true;
+    });
+  }
 
   // The budget aborts upon enumerating database max+1, after the first max
   // were fully processed: subtree s may visit limits[s] databases (-1: no
@@ -812,15 +881,15 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   std::vector<int64_t> limits;
   bool over_budget = false;  // database max+1 exists
   int64_t left = driver.max_canonical_databases;
-  for (const TotalOrder& prefix : prefixes) {
+  for (const OrderState& prefix : prefixes) {
     if (left == 0) {
       over_budget = true;
       break;
     }
     limits.push_back(left);
     if (left < 0) continue;
-    const int64_t count = CountOrderCompletions(
-        static_cast<int>(prefix.blocks.size()), num_variables - depth);
+    const int64_t count =
+        CountOrderCompletions(prefix.num_blocks, num_variables - depth);
     over_budget = count > left;
     left -= std::min(count, left);
   }
@@ -859,16 +928,18 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     // The subtree's own Phase-1 memo: one thread runs the subtree start
     // to finish, so the hit/miss split depends only on the partition.
     Phase1Memo memo;
-    ForEachCompletion(
-        variables, depth, prefixes[static_cast<size_t>(s)],
-        [&](const TotalOrder& order) {
+    OrderState state = prefixes[static_cast<size_t>(s)];
+    tree.Walk(
+        &state, num_variables,
+        [&](const OrderState& order) {
           if (cancelled() || !db_cancel.ShouldRun(s) ||
               out.stats.canonical_databases == limits[s]) {
             return false;
           }
           PendingPreRewriting pending;
-          DatabaseOutcome db = RunPhase1Timed(
-              work, order, driver.phase1_dedup ? &memo : nullptr, &pending);
+          DatabaseOutcome db =
+              RunPhase1Timed(work, order, nullptr,
+                             driver.phase1_dedup ? &memo : nullptr, &pending);
           ++out.stats.canonical_databases;
           out.stats.Merge(db.stats);
           if (explain) out.traces.push_back(std::move(db.trace));
@@ -887,7 +958,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
                 *pending.key,
                 db.pre_rewriting.has_value()
                     ? *std::move(db.pre_rewriting)
-                    : BuildPreRewriting(work, *pending.entry, order));
+                    : BuildPendingPreRewriting(work, order, pending));
           }
           return true;
         });

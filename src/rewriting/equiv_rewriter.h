@@ -317,6 +317,10 @@ struct DatabaseOutcome {
 /// keys (see Phase1Entry in runtime/memo_cache.h).  The memo must belong
 /// to this run — its entries index into work.mcds — and to the calling
 /// thread.  Results are byte-identical with or without it.
+///
+/// `order` must range over work.query.AllVariables() and work.constants.
+/// An adapter: the driver runs the same steps on the OrderStates its
+/// OrderEnumerator walks, and this converts `order` to one.
 DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
                                          const TotalOrder& order,
                                          Phase1Memo* memo = nullptr);

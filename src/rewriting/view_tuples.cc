@@ -79,7 +79,7 @@ bool MatchesFrozenViewTuple(const Atom& mcd_tuple, const ViewTuples& tuples,
 ViewTupleEvaluator::ViewTupleEvaluator(const ViewSet& views) {
   views_.reserve(views.views().size());
   for (const ConjunctiveQuery& view : views.views()) {
-    PerView pv{view.name(), PreparedQuery(view), {}, {}, Relation(), 0};
+    PerView pv{view.name(), PreparedQuery(view), {}, {}, {}, Relation(), 0};
     std::set<std::pair<std::string, int>> seen;
     for (const Atom& atom : view.body()) {
       if (seen.emplace(atom.predicate(), atom.arity()).second) {
@@ -101,6 +101,7 @@ void ViewTupleEvaluator::Refresh(const CanonicalFreezer& freezer) {
         // they can never make the view stale.
         if (rel != SymbolInterner::kNotFound) pv.rel_ids.push_back(rel);
       }
+      pv.plan.ResolveRelations(freezer.instance(), &pv.plan_relations);
     }
     rel_ids_resolved_ = true;
   }
@@ -113,7 +114,8 @@ void ViewTupleEvaluator::Refresh(const CanonicalFreezer& freezer) {
     }
     if (stale) {
       pv.output = Relation();
-      pv.plan.Run(freezer.instance(), nullptr, &pv.output, &scratch_);
+      pv.plan.Run(freezer.instance(), pv.plan_relations, nullptr, &pv.output,
+                  &scratch_);
       pv.evaluated_epoch = freezer.epoch();
     }
     total_ += pv.output.size();

@@ -100,6 +100,8 @@ class ViewTupleEvaluator {
     /// referenced resolved against the freezer's instance (stable: the
     /// instance's relation set is fixed at freezer construction).
     std::vector<uint32_t> rel_ids;
+    /// The plan's subgoal relations in the same instance.
+    std::vector<uint32_t> plan_relations;
     Relation output;
     uint64_t evaluated_epoch = 0;  // 0 = never evaluated
   };

@@ -2,6 +2,7 @@
 
 #include "gtest/gtest.h"
 #include "parser/parser.h"
+#include "testing/normalization.h"
 
 namespace cqac {
 namespace {
@@ -138,7 +139,7 @@ TEST(CqacContainmentTest, KlugCaseSplitAgreesAcrossTests) {
   ContainmentStats normalized;
   EXPECT_TRUE(CqacContainedCanonical(q1, q2, &canonical));
   EXPECT_TRUE(CqacContainedImplication(q1, q2, &implication));
-  EXPECT_TRUE(CqacContainedNormalized(q1, q2, &normalized));
+  EXPECT_TRUE(testing::CqacContainedNormalized(q1, q2, &normalized));
   EXPECT_FALSE(CqacContainedSingleMapping(q1, q2));
   // Three variables, no comparisons: all 13 total orders.
   EXPECT_EQ(canonical.orders_enumerated, 13);

@@ -1,4 +1,4 @@
-#include "containment/normalization.h"
+#include "testing/normalization.h"
 
 #include "containment/cqac_containment.h"
 #include "gtest/gtest.h"
@@ -9,7 +9,7 @@ namespace {
 
 TEST(NormalizationTest, FreshVariablePerPosition) {
   const ConjunctiveQuery q = Parser::MustParseRule("q(X) :- a(X,X), b(3)");
-  const ConjunctiveQuery n = NormalizeQuery(q);
+  const ConjunctiveQuery n = testing::NormalizeQuery(q);
   ASSERT_EQ(n.body().size(), 2u);
   EXPECT_EQ(n.body()[0].ToString(), "a(_n0,_n1)");
   EXPECT_EQ(n.body()[1].ToString(), "b(_n2)");
@@ -22,7 +22,7 @@ TEST(NormalizationTest, FreshVariablePerPosition) {
 TEST(NormalizationTest, HeadUntouchedAndComparisonsKept) {
   const ConjunctiveQuery q =
       Parser::MustParseRule("q(X,5) :- a(X,Y), X < Y");
-  const ConjunctiveQuery n = NormalizeQuery(q);
+  const ConjunctiveQuery n = testing::NormalizeQuery(q);
   EXPECT_EQ(n.head(), q.head());
   EXPECT_EQ(n.comparisons().back().ToString(), "X < Y");
 }
@@ -30,13 +30,13 @@ TEST(NormalizationTest, HeadUntouchedAndComparisonsKept) {
 TEST(NormalizationTest, PreservesSemantics) {
   const ConjunctiveQuery q =
       Parser::MustParseRule("q(X) :- a(X,X), b(3), X < 7");
-  const ConjunctiveQuery n = NormalizeQuery(q);
+  const ConjunctiveQuery n = testing::NormalizeQuery(q);
   EXPECT_TRUE(CqacEquivalent(q, n));
 }
 
 TEST(NormalizationTest, EmptyBodyStable) {
   const ConjunctiveQuery q(Atom("q", {}), {});
-  const ConjunctiveQuery n = NormalizeQuery(q);
+  const ConjunctiveQuery n = testing::NormalizeQuery(q);
   EXPECT_TRUE(n.body().empty());
   EXPECT_TRUE(n.comparisons().empty());
 }
@@ -55,7 +55,7 @@ TEST_P(AllMethodsAgreeProperty, CanonicalImplicationNormalized) {
   const bool canonical = CqacContainedCanonical(q1, q2);
   EXPECT_EQ(canonical, CqacContainedImplication(q1, q2))
       << q1.ToString() << " vs " << q2.ToString();
-  EXPECT_EQ(canonical, CqacContainedNormalized(q1, q2))
+  EXPECT_EQ(canonical, testing::CqacContainedNormalized(q1, q2))
       << q1.ToString() << " vs " << q2.ToString();
   // The single-mapping test is sound: a positive answer must agree.
   if (CqacContainedSingleMapping(q1, q2)) {

@@ -119,6 +119,81 @@ TEST(OrdersTest, PrefixCompletionsReplayTheEnumeration) {
   }
 }
 
+// The insertion walk as it was written over TotalOrders: each variable in
+// list order joins every block, then opens a block in every gap.  The
+// reference sequence the index-form walk must render.
+void InsertRemainingReference(const std::vector<std::string>& vars,
+                              size_t next, TotalOrder* order,
+                              std::vector<std::string>* out) {
+  if (next == vars.size()) {
+    out->push_back(order->ToString());
+    return;
+  }
+  for (size_t b = 0; b < order->blocks.size(); ++b) {
+    order->blocks[b].variables.push_back(vars[next]);
+    InsertRemainingReference(vars, next + 1, order, out);
+    order->blocks[b].variables.pop_back();
+  }
+  OrderBlock fresh;
+  fresh.variables.push_back(vars[next]);
+  for (size_t gap = 0; gap <= order->blocks.size(); ++gap) {
+    order->blocks.insert(order->blocks.begin() + gap, fresh);
+    InsertRemainingReference(vars, next + 1, order, out);
+    order->blocks.erase(order->blocks.begin() + gap);
+  }
+}
+
+TEST(OrdersTest, RenderedWalkMatchesTheInsertionReference) {
+  const std::vector<Rational> pool = {Rational(7), Rational(-2),
+                                      Rational(1, 3)};
+  for (int n = 0; n <= 6; ++n) {
+    std::vector<std::string> vars;
+    for (int i = 0; i < n; ++i) vars.push_back("V" + std::to_string(i));
+    for (int k = 0; k <= 3; ++k) {
+      const std::vector<Rational> constants(pool.begin(), pool.begin() + k);
+      TotalOrder base;
+      for (const Rational& c : OrderConstants(constants)) {
+        base.blocks.push_back(OrderBlock{{}, c});
+      }
+      std::vector<std::string> expected;
+      InsertRemainingReference(vars, 0, &base, &expected);
+      std::vector<std::string> walked;
+      ForEachTotalOrder(vars, constants, [&walked](const TotalOrder& o) {
+        walked.push_back(o.ToString());
+        return true;
+      });
+      ASSERT_EQ(walked, expected) << n << " variables, " << k << " constants";
+      EXPECT_EQ(static_cast<int64_t>(walked.size()), CountTotalOrders(n, k));
+    }
+  }
+}
+
+// StateOfOrder inverts RenderOrder on every node of the tree.
+TEST(OrdersTest, StateOfOrderInvertsRenderOrder) {
+  const std::vector<std::string> vars = {"A", "B", "C", "D"};
+  const std::vector<Rational> constants = {Rational(2), Rational(5)};
+  const OrderEnumerator tree(4, 2);
+  for (int depth = 0; depth <= 4; ++depth) {
+    OrderState root = tree.Root();
+    int64_t nodes = 0;
+    tree.Walk(&root, depth, [&](const OrderState& s) {
+      TotalOrder rendered;
+      RenderOrder(s, vars, constants, &rendered);
+      OrderState back;
+      EXPECT_TRUE(StateOfOrder(rendered, vars, constants, &back));
+      EXPECT_EQ(back.var_block, s.var_block) << rendered.ToString();
+      EXPECT_EQ(back.const_block, s.const_block) << rendered.ToString();
+      EXPECT_EQ(back.num_blocks, s.num_blocks);
+      EXPECT_EQ(back.placed, depth);
+      ++nodes;
+      return true;
+    });
+    EXPECT_EQ(nodes, CountTotalOrders(depth, 2));
+    EXPECT_EQ(root.placed, 0);  // The walk restores its start node.
+    EXPECT_EQ(root.var_block, std::vector<int>(4, -1));
+  }
+}
+
 TEST(OrdersTest, OneVariableOneConstant) {
   const auto orders = EnumerateTotalOrders({"X"}, {Rational(8)});
   // X<8, X=8, X>8 — the three canonical databases of the paper's Example 5.

@@ -2,6 +2,7 @@
 // the prefix-pruned satisfying-order enumeration (against the naive
 // enumerate-then-filter reference), delta freezing, the indexed frozen-tuple matcher, and the Phase-1 memo.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -267,6 +268,107 @@ TEST(DeltaFreezeTest, PurityAfterArbitraryJumps) {
     if (!inserted) {
       EXPECT_EQ(it->second, s) << "revisit of " << orders[i].ToString();
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The slot path: a freezer bound once to an enumeration's layout, reading
+// OrderStates, against the TotalOrder reference path.
+
+/// Queries over 0-3 constants, one with a comparison-only variable (C).
+std::vector<ConjunctiveQuery> SlotPathQueries() {
+  return {
+      Parser::MustParseRule("q() :- p(A), p(B), r(A, B)"),
+      Parser::MustParseRule("q(X) :- r(X, Y), s(Y, Z), X < 3"),
+      Parser::MustParseRule("q(A) :- r(A, B), s(B, 5), A < C, C <= 9"),
+      Parser::MustParseRule(
+          "q(U, V) :- e(U, W), e(W, V), f(W), U <= 2, V >= 7, W != 4"),
+  };
+}
+
+/// `freezer` bound to the layout of an enumeration over `variables` and
+/// `constants`, as Phase 1 binds its freezer.
+void BindToLayout(const std::vector<std::string>& variables,
+                  const std::vector<Rational>& constants,
+                  CanonicalFreezer* freezer) {
+  std::vector<uint32_t> reps;
+  for (const std::string& v : variables) {
+    reps.push_back(freezer->VariableRepId(v));
+  }
+  freezer->BindLayout(reps, constants);
+}
+
+TEST(SlotFreezeTest, BlockValuesMatchTotalOrderOnEveryOrder) {
+  for (const ConjunctiveQuery& q : SlotPathQueries()) {
+    const std::vector<std::string> variables = q.AllVariables();
+    const std::vector<Rational> constants = OrderConstants(q.Constants());
+    CanonicalFreezer freezer(q);
+    BindToLayout(variables, constants, &freezer);
+    const OrderEnumerator tree(static_cast<int>(variables.size()),
+                               static_cast<int>(constants.size()));
+    OrderState root = tree.Root();
+    TotalOrder order;
+    std::vector<Rational> expected;
+    int64_t orders = 0;
+    tree.Walk(&root, tree.num_variables(), [&](const OrderState& state) {
+      freezer.Freeze(state);
+      RenderOrder(state, variables, constants, &order);
+      order.BlockValues(&expected);
+      EXPECT_EQ(freezer.block_values(), expected)
+          << q.ToString() << " on " << order.ToString();
+      ++orders;
+      return true;
+    });
+    EXPECT_EQ(orders, CountTotalOrders(static_cast<int>(variables.size()),
+                                       static_cast<int>(constants.size())));
+  }
+}
+
+/// The slot freezer's whole view of the last order: instance, head, and
+/// per-slot blocks and per-block representatives.
+std::string SerializeSlotView(const CanonicalFreezer& freezer) {
+  std::string s = SerializeInstance(freezer) + "|blocks:";
+  for (const uint32_t b : freezer.var_blocks()) s += std::to_string(b) + ",";
+  s += "|reps:";
+  for (const uint32_t r : freezer.block_rep_ids()) s += std::to_string(r) + ",";
+  return s;
+}
+
+TEST(SlotFreezeTest, MatchesFullFreezeOfTheRenderedOrder) {
+  std::mt19937 rng(28);
+  for (const ConjunctiveQuery& q : SlotPathQueries()) {
+    const std::vector<std::string> variables = q.AllVariables();
+    const std::vector<Rational> constants = OrderConstants(q.Constants());
+    const int n = static_cast<int>(variables.size());
+    const OrderEnumerator tree(n, static_cast<int>(constants.size()));
+    CanonicalFreezer slot(q);
+    BindToLayout(variables, constants, &slot);
+    CanonicalFreezer reference(q);
+    TotalOrder order;
+    int64_t compared = 0;
+    const OrderEnumerator::Visitor check = [&](const OrderState& state) {
+      slot.Freeze(state);
+      RenderOrder(state, variables, constants, &order);
+      reference.FreezeFull(order);
+      EXPECT_EQ(SerializeSlotView(slot), SerializeSlotView(reference))
+          << q.ToString() << " on " << order.ToString();
+      ++compared;
+      return true;
+    };
+    // The whole tree in enumeration order: consecutive orders differ in
+    // few blocks, the delta path's common case.
+    OrderState root = tree.Root();
+    tree.Walk(&root, n, check);
+    // Subtrees in shuffled order: every subtree's first order is a jump.
+    std::vector<OrderState> prefixes;
+    tree.Walk(&root, std::min(n, 2), [&prefixes](const OrderState& prefix) {
+      prefixes.push_back(prefix);
+      return true;
+    });
+    std::shuffle(prefixes.begin(), prefixes.end(), rng);
+    for (OrderState& prefix : prefixes) tree.Walk(&prefix, n, check);
+    EXPECT_EQ(compared, 2 * CountTotalOrders(
+                                n, static_cast<int>(constants.size())));
   }
 }
 

@@ -10,6 +10,7 @@
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
 #include "gtest/gtest.h"
+#include "testing/normalization.h"
 #include "workload/generator.h"
 
 namespace cqac {
@@ -39,7 +40,7 @@ TEST_P(ContainmentMethodsProperty, FourImplementationsAgree) {
     const bool canonical = CqacContainedCanonical(*a, *b);
     EXPECT_EQ(canonical, CqacContainedImplication(*a, *b))
         << a->ToString() << "  vs  " << b->ToString();
-    EXPECT_EQ(canonical, CqacContainedNormalized(*a, *b))
+    EXPECT_EQ(canonical, testing::CqacContainedNormalized(*a, *b))
         << a->ToString() << "  vs  " << b->ToString();
     if (CqacContainedSingleMapping(*a, *b)) {
       EXPECT_TRUE(canonical)
