@@ -144,12 +144,17 @@ namespace {
 
 using OrderFn = std::function<bool(const TotalOrder&)>;
 
+constexpr int64_t kSaturated = std::numeric_limits<int64_t>::max();
+
+// Saturating arithmetic on counts (never negative).
 int64_t SatMul(int64_t a, int64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<int64_t>::max() / b) {
-    return std::numeric_limits<int64_t>::max();
-  }
-  return a * b;
+  int64_t out;
+  return __builtin_mul_overflow(a, b, &out) ? kSaturated : out;
+}
+
+int64_t SatAdd(int64_t a, int64_t b) {
+  int64_t out;
+  return __builtin_add_overflow(a, b, &out) ? kSaturated : out;
 }
 
 int BlockOf(const OrderState& s, const OrderTerm& t) {
@@ -316,9 +321,22 @@ bool OrderEnumerator::Walk(OrderState* state, int depth, const Visitor& fn,
                            OrderEnumerationStats* stats) const {
   OrderEnumerationStats local;
   if (stats == nullptr) stats = &local;
-  if (impossible_) return true;
+  bool violated = impossible_;
+  for (int var = 0; var < state->placed && !violated; ++var) {
+    violated = !PlacementOk(*state, var);
+  }
+  if (violated) {
+    stats->orders_pruned += CountOrderCompletions(
+        state->num_blocks, num_variables_ - state->placed);
+    return true;
+  }
   ++stats->nodes_visited;  // The start node.
   return Place(state, state->placed, depth, fn, stats);
+}
+
+bool OrderEnumerator::Admits(const OrderState& prefix) const {
+  OrderState s = prefix;
+  return !Walk(&s, num_variables_, [](const OrderState&) { return false; });
 }
 
 bool OrderEnumerator::PlacementOk(const OrderState& s, int var) const {
@@ -346,17 +364,20 @@ bool OrderEnumerator::Place(OrderState* s, int next, int depth,
                             OrderEnumerationStats* stats) const {
   if (next == depth) {
     if (filter_leaves_ && next == num_variables_ && !SatisfiesAxioms(*s)) {
+      ++stats->orders_pruned;
       return true;
     }
     return fn(*s);
   }
   s->placed = next + 1;
+  const int remaining = num_variables_ - next - 1;
   bool keep_going = true;
   // Option 1: join an existing block.
   for (int b = 0; b < s->num_blocks && keep_going; ++b) {
     s->var_block[next] = b;
     if (!PlacementOk(*s, next)) {
       ++stats->nodes_pruned;
+      stats->orders_pruned += CountOrderCompletions(s->num_blocks, remaining);
       continue;
     }
     ++stats->nodes_visited;
@@ -369,6 +390,7 @@ bool OrderEnumerator::Place(OrderState* s, int next, int depth,
     s->var_block[next] = gap;
     if (!PlacementOk(*s, next)) {
       ++stats->nodes_pruned;
+      stats->orders_pruned += CountOrderCompletions(s->num_blocks, remaining);
     } else {
       ++stats->nodes_visited;
       keep_going = Place(s, next + 1, depth, fn, stats);
@@ -565,7 +587,10 @@ void ForEachSatisfyingOrderLegacy(
   WalkRendered(
       tree, &root, tree.num_variables(), variables, sorted,
       [&](const TotalOrder& order) {
-        if (!AcSolver::SatisfiedBy(axioms, order.ToAssignment())) return true;
+        if (!AcSolver::SatisfiedBy(axioms, order.ToAssignment())) {
+          ++stats->orders_pruned;
+          return true;
+        }
         ++stats->orders_emitted;
         return fn(order);
       },
@@ -576,16 +601,28 @@ void ForEachSatisfyingOrderLegacy(
 
 int64_t CountOrderCompletions(int blocks, int remaining) {
   if (blocks < 0 || remaining < 0) return 0;
-  constexpr int64_t kSaturated = std::numeric_limits<int64_t>::max();
+  // Small arguments, which every cut of a walk has, read a table built
+  // once, so counting a cut allocates nothing.
+  constexpr int kSpan = 64;  // the table covers blocks + remaining < kSpan
+  static const std::vector<int64_t> table = [] {
+    std::vector<int64_t> t(kSpan * kSpan, 1);  // [remaining][blocks]
+    for (int r = 1; r < kSpan; ++r) {
+      for (int b = 0; b + r < kSpan; ++b) {
+        t[r * kSpan + b] = SatAdd(SatMul(b, t[(r - 1) * kSpan + b]),
+                                  SatMul(b + 1, t[(r - 1) * kSpan + b + 1]));
+      }
+    }
+    return t;
+  }();
+  if (blocks + remaining < kSpan) return table[remaining * kSpan + blocks];
   // f[k - blocks] holds f(k, step) for the block counts k still needed.
   // Every f(k, r) with a nonzero coefficient is at most the final count,
   // so an intermediate saturates only when the answer does.
   std::vector<int64_t> f(static_cast<size_t>(remaining) + 1, 1);
   for (int step = 1; step <= remaining; ++step) {
     for (int i = 0; i + step <= remaining; ++i) {
-      const int64_t join = SatMul(blocks + i, f[i]);
-      const int64_t open = SatMul(blocks + i + 1, f[i + 1]);
-      f[i] = join > kSaturated - open ? kSaturated : join + open;
+      f[i] = SatAdd(SatMul(blocks + i, f[i]),
+                    SatMul(blocks + i + 1, f[i + 1]));
     }
   }
   return f[0];

@@ -92,6 +92,12 @@ struct OrderEnumerationStats {
   int64_t nodes_pruned = 0;
   /// Orders handed to the callback.
   int64_t orders_emitted = 0;
+  /// Orders the walk passed over without emitting: every order under a cut
+  /// placement or a rejected start node, and every leaf the leaf filter
+  /// drops.  Counted as the walk reaches them, so at each callback the
+  /// orders emitted before it plus orders_pruned is its position in the
+  /// unpruned tree's DFS order.
+  int64_t orders_pruned = 0;
 };
 
 /// The one order enumeration: a depth-first walk of the insertion tree
@@ -140,9 +146,16 @@ class OrderEnumerator {
   /// `depth`, in depth-first order, calling `fn` on each node there; stops
   /// early once `fn` returns false and then returns false.  `state` is
   /// restored before returning.  `stats`, when non-null, counts the start
-  /// node and every node below it.
+  /// node and every node below it.  A start node whose placed terms
+  /// already violate the axioms is cut whole: `fn` is never called and
+  /// all its completions count as pruned.
   bool Walk(OrderState* state, int depth, const Visitor& fn,
             OrderEnumerationStats* stats = nullptr) const;
+
+  /// The prefix check: true iff some completion of `prefix` satisfies the
+  /// axioms.  Found by walking to the first such completion; the
+  /// positional checks decide most prefixes before the walk starts.
+  bool Admits(const OrderState& prefix) const;
 
   int num_variables() const { return num_variables_; }
 
@@ -261,7 +274,8 @@ void ForEachSatisfyingOrder(const std::vector<std::string>& variables,
 
 /// The completions of a `blocks`-block partial order by `remaining` more
 /// variables: f(b, 0) = 1, f(b, r) = b f(b, r-1) + (b+1) f(b+1, r-1) (join
-/// a block, or open one in a gap).  Saturates at INT64_MAX.
+/// a block, or open one in a gap).  Saturates at INT64_MAX.  Allocates
+/// nothing when blocks + remaining < 64.
 int64_t CountOrderCompletions(int blocks, int remaining);
 
 /// The orders ForEachTotalOrder visits for `num_constants` distinct

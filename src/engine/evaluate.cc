@@ -45,9 +45,6 @@ inline uint64_t CombineHash(uint64_t h, const Rational& v) {
 void PreparedQuery::BuildIndex(size_t depth, Scratch* scratch) const {
   Scratch::DepthState& ds = scratch->depths[depth];
   const QueryPlan::Subgoal& plan = plan_.subgoals[depth];
-  // Below the gate the index is never read, so a stale one can stay.
-  ds.use_index = false;
-  if (ds.rows.size() < kIndexGate || plan.entry_cols.empty()) return;
   ds.index.clear();
   for (uint32_t i = 0; i < ds.rows.size(); ++i) {
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -56,7 +53,6 @@ void PreparedQuery::BuildIndex(size_t depth, Scratch* scratch) const {
     }
     ds.index[h].push_back(i);
   }
-  ds.use_index = true;
 }
 
 uint64_t PreparedQuery::ProbeHash(const QueryPlan::Subgoal& plan,
@@ -83,7 +79,7 @@ bool PreparedQuery::Run(const Database& db, const Tuple* target, Relation* out,
         ds.rows.push_back(tuple.data());
       }
     }
-    BuildIndex(d, scratch);
+    if (IndexDepth(d, scratch)) BuildIndex(d, scratch);
   }
   return RunCommon(target, out, scratch);
 }
@@ -115,7 +111,7 @@ bool PreparedQuery::Run(const FlatInstance& inst,
       const size_t count = inst.RowCount(rel);
       for (size_t i = 0; i < count; ++i) ds.rows.push_back(inst.Row(rel, i));
     }
-    BuildIndex(d, scratch);
+    if (IndexDepth(d, scratch)) BuildIndex(d, scratch);
   }
   return RunCommon(target, out, scratch);
 }

@@ -161,6 +161,16 @@ class PreparedQuery {
 
  private:
   bool RunCommon(const Tuple* target, Relation* out, Scratch* scratch) const;
+  /// Whether depth `depth` reads a hash index (its rows reach kIndexGate
+  /// and it has bound columns); sets the depth's use_index.  Inline, so
+  /// the canonical databases, all below the gate, never call BuildIndex.
+  /// Below the gate the index is never read, so a stale one can stay.
+  bool IndexDepth(size_t depth, Scratch* scratch) const {
+    Scratch::DepthState& ds = scratch->depths[depth];
+    ds.use_index = ds.rows.size() >= kIndexGate &&
+                   !plan_.subgoals[depth].entry_cols.empty();
+    return ds.use_index;
+  }
   void BuildIndex(size_t depth, Scratch* scratch) const;
   bool Search(size_t depth, Scratch* scratch) const;
   bool EmitHead(Scratch* scratch) const;

@@ -311,6 +311,39 @@ RewriteWork PrepareRewriteWork(
 
   work.num_subgoals = static_cast<int>(query.body().size());
 
+  // Phase 1's walk axioms: the comparisons whose terms are all rigid.
+  {
+    const std::vector<Atom>& body = query.body();
+    const auto mentions = [](const Atom& atom, const Term& t) {
+      return std::find(atom.args().begin(), atom.args().end(), t) !=
+             atom.args().end();
+    };
+    const auto occurs_once = [&body](const Atom& atom) {
+      return std::count_if(body.begin(), body.end(), [&atom](const Atom& a) {
+               return a.predicate() == atom.predicate();
+             }) == 1;
+    };
+    const auto is_rigid = [&](const Term& t) {
+      return t.IsConstant() || mentions(query.head(), t) ||
+             std::any_of(body.begin(), body.end(), [&](const Atom& atom) {
+               return mentions(atom, t) && occurs_once(atom);
+             });
+    };
+    std::vector<Comparison> rigid;
+    for (const Comparison& c : query.comparisons()) {
+      if (is_rigid(c.lhs()) && is_rigid(c.rhs())) rigid.push_back(c);
+    }
+    if (rigid.empty() ||
+        CompileOrderAxioms(query.AllVariables(),
+                           OrderConstants(work.constants), rigid,
+                           &work.phase1_axioms)) {
+      work.phase1_axioms_complete =
+          rigid.size() == query.comparisons().size() && query.IsSafe();
+    } else {
+      work.phase1_axioms.clear();
+    }
+  }
+
   // Precompute the atom relations the per-database assembly needs.
   const size_t m = work.mcds.size();
   work.mcd_dup_of.resize(m);
@@ -541,10 +574,12 @@ struct PendingPreRewriting {
 /// as the caller's TotalOrder).  With `pending` null the Pre-Rewriting of
 /// a kept database is built into the outcome; otherwise `pending`
 /// receives its key and entry, and only an explain run (whose trace
-/// renders it) or the key observer builds it.
+/// renders it) or the key observer builds it.  `known_kept` says the
+/// order satisfies all of the query's comparisons, so the keep test
+/// passes without running.
 DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
                           const TotalOrder* given, Phase1Memo* memo,
-                          PendingPreRewriting* pending) {
+                          PendingPreRewriting* pending, bool known_kept) {
   const RewriteOptions& options = work.options;
   DatabaseOutcome out;
   Phase1Cache& cache = ThreadPhase1Cache(work);
@@ -557,13 +592,15 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
   // embedding).  The keep-test runs on a delta freeze with the shared
   // prepared plan — consecutive orders differ in few blocks, so the
   // freezer patches only the moved rows, and the view evaluator re-derives
-  // only views whose relations changed.
+  // only views whose relations changed.  A known-kept order is still
+  // frozen: its view tuples are computed on the instance.
   bool computes_head;
   {
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
     const FlatInstance& inst = cache.freezer->Freeze(state);
-    computes_head = work.prepared_query.Run(inst, cache.query_relations,
+    computes_head = known_kept ||
+                    work.prepared_query.Run(inst, cache.query_relations,
                                             &cache.freezer->frozen_head(),
                                             nullptr, &cache.scratch);
     out.stats.freeze_ns += NowNs() - freeze_t0;
@@ -662,10 +699,11 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
 DatabaseOutcome RunPhase1Timed(const RewriteWork& work,
                                const OrderState& state,
                                const TotalOrder* given, Phase1Memo* memo,
-                               PendingPreRewriting* pending) {
+                               PendingPreRewriting* pending, bool known_kept) {
   CQAC_TRACE_SPAN("phase1.database");
   const int64_t t0 = NowNs();
-  DatabaseOutcome out = RunPhase1(work, state, given, memo, pending);
+  DatabaseOutcome out =
+      RunPhase1(work, state, given, memo, pending, known_kept);
   const int64_t dur = NowNs() - t0;
   out.stats.phase1_ns += dur;
   if (obs::MetricsActive()) {
@@ -703,7 +741,8 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
                                          Phase1Memo* memo) {
   Phase1Cache& cache = ThreadPhase1Cache(work);
   StateOfOrder(order, cache.variables, cache.constants, &cache.adapter_state);
-  return RunPhase1Timed(work, cache.adapter_state, &order, memo, nullptr);
+  return RunPhase1Timed(work, cache.adapter_state, &order, memo, nullptr,
+                        /*known_kept=*/false);
 }
 
 namespace {
@@ -853,7 +892,13 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   // --- Phase 1: one Pre-Rewriting per kept canonical database ---
   //
   // One task per enumeration subtree, split at the smallest depth giving
-  // 16 per pool thread (jobs == 1: the depth-0 tree, on this thread).
+  // 16 per pool thread (jobs == 1: the depth-0 tree, on this thread).  The
+  // split is over the unpruned tree; each subtree is then walked skipping
+  // the orders that violate a rigid comparison, which never pass the keep
+  // test (RewriteWork::phase1_axioms).  The walk counts them as it passes
+  // them, so canonical_databases, the failure point and the budget abort
+  // stay those of the full walk.  Explain walks every order: its trace
+  // lists every database.
 
   const int num_variables =
       static_cast<int>(work.query.AllVariables().size());
@@ -866,6 +911,10 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     ++depth;
   }
   const OrderEnumerator tree(num_variables, num_constants);
+  const OrderEnumerator walker(
+      num_variables, num_constants,
+      explain ? std::vector<OrderAxiom>() : work.phase1_axioms);
+  const bool known_kept = !explain && work.phase1_axioms_complete;
   std::vector<OrderState> prefixes;
   {
     OrderState root = tree.Root();
@@ -898,7 +947,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
   // One subtree's databases up to and including its first failure.  Its
   // Pre-Rewritings are deduplicated locally and keep their key.
   struct SubtreeOutcome {
-    RewriteStats stats;  // canonical_databases: the databases it visited
+    RewriteStats stats;  // canonical_databases: the databases it passed
     std::vector<CanonicalDatabaseTrace> traces;
     std::vector<std::pair<Phase1Key, ConjunctiveQuery>> pre_rewritings;
     std::optional<std::string> failure_reason;  // set iff it failed
@@ -924,44 +973,61 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     // Filled locally and stored once: the neighbouring slots belong to
     // other workers, so writing the slot per database would share lines.
     SubtreeOutcome out;
+    const int64_t limit = limits[static_cast<size_t>(s)];
+    OrderState state = prefixes[static_cast<size_t>(s)];
+    // The orders walked so far; with walk.orders_pruned, the orders of
+    // the full walk passed so far.
+    int64_t walked = 0;
+    OrderEnumerationStats walk;
     std::unordered_set<Phase1Key, Phase1KeyHash> seen;
     // The subtree's own Phase-1 memo: one thread runs the subtree start
     // to finish, so the hit/miss split depends only on the partition.
     Phase1Memo memo;
-    OrderState state = prefixes[static_cast<size_t>(s)];
-    tree.Walk(
-        &state, num_variables,
-        [&](const OrderState& order) {
-          if (cancelled() || !db_cancel.ShouldRun(s) ||
-              out.stats.canonical_databases == limits[s]) {
-            return false;
-          }
-          PendingPreRewriting pending;
-          DatabaseOutcome db =
-              RunPhase1Timed(work, order, nullptr,
-                             driver.phase1_dedup ? &memo : nullptr, &pending);
-          ++out.stats.canonical_databases;
-          out.stats.Merge(db.stats);
-          if (explain) out.traces.push_back(std::move(db.trace));
-          if (db.status == DatabaseOutcome::Status::kFailed) {
-            out.failure_reason = std::move(db.failure_reason);
-            db_cancel.FailAt(s);
-            note_failure();
-            return false;
-          }
-          // Only a subtree's first database with a given key builds its
-          // Pre-Rewriting.
-          if (db.status == DatabaseOutcome::Status::kKept &&
-              seen.find(*pending.key) == seen.end()) {
-            seen.insert(*pending.key);
-            out.pre_rewritings.emplace_back(
-                *pending.key,
-                db.pre_rewriting.has_value()
-                    ? *std::move(db.pre_rewriting)
-                    : BuildPendingPreRewriting(work, order, pending));
-          }
-          return true;
-        });
+    if (!walker.Admits(state)) {
+      // No order of the subtree passes the keep test: skip it whole.
+      walk.orders_pruned =
+          CountOrderCompletions(state.num_blocks, num_variables - depth);
+    } else {
+      walker.Walk(
+          &state, num_variables,
+          [&](const OrderState& order) {
+            if (cancelled() || !db_cancel.ShouldRun(s) ||
+                (limit >= 0 && walked + walk.orders_pruned >= limit)) {
+              return false;
+            }
+            PendingPreRewriting pending;
+            DatabaseOutcome db = RunPhase1Timed(
+                work, order, nullptr, driver.phase1_dedup ? &memo : nullptr,
+                &pending, known_kept);
+            ++walked;
+            out.stats.Merge(db.stats);
+            if (explain) out.traces.push_back(std::move(db.trace));
+            if (db.status == DatabaseOutcome::Status::kFailed) {
+              out.failure_reason = std::move(db.failure_reason);
+              db_cancel.FailAt(s);
+              note_failure();
+              return false;
+            }
+            // Only a subtree's first database with a given key builds its
+            // Pre-Rewriting.
+            if (db.status == DatabaseOutcome::Status::kKept &&
+                seen.find(*pending.key) == seen.end()) {
+              seen.insert(*pending.key);
+              out.pre_rewritings.emplace_back(
+                  *pending.key,
+                  db.pre_rewriting.has_value()
+                      ? *std::move(db.pre_rewriting)
+                      : BuildPendingPreRewriting(work, order, pending));
+            }
+            return true;
+          },
+          &walk);
+    }
+    out.stats.canonical_databases = walked + walk.orders_pruned;
+    if (limit >= 0) {
+      out.stats.canonical_databases =
+          std::min(out.stats.canonical_databases, limit);
+    }
     subtrees[static_cast<size_t>(s)] = std::move(out);
   };
 

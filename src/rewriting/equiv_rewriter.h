@@ -115,7 +115,7 @@ inline constexpr const char kCancelledReason[] = "cancelled";
 
 /// Counters describing the work one Run() performed.
 struct RewriteStats {
-  int64_t canonical_databases = 0;       // total orders enumerated
+  int64_t canonical_databases = 0;       // orders enumerated or passed over
   int64_t kept_canonical_databases = 0;  // on which Q computes its head
   int64_t v0_variants = 0;               // exported view variants
   int64_t mcds_formed = 0;               // MCDs over Q0/V0 (formed once)
@@ -133,6 +133,11 @@ struct RewriteStats {
   // work-summed fields (freeze/phase1/phase2) add up per-unit durations
   // across all workers, so on a parallel run phase1_ns can exceed
   // enumeration_ns (total CPU time vs. elapsed time of the fan-out loop).
+  //
+  // freeze_ns and phase1_ns time only the orders Phase 1 walks: the orders
+  // its walk passes over for violating a rigid comparison (see
+  // RewriteWork::phase1_axioms) count in canonical_databases but take no
+  // time of their own.
   int64_t enumeration_ns = 0;  // elapsed time of the Phase-1 loop/fan-out
   int64_t freeze_ns = 0;       // sum: delta freeze + keep-test, per database
   int64_t phase1_ns = 0;       // sum: full ProcessCanonicalDatabase calls
@@ -251,6 +256,17 @@ struct RewriteWork {
   std::vector<Mcd> mcds;                      // buckets, formed once
   std::vector<Rational> constants;            // of query and views
   int num_subgoals = 0;
+
+  // Phase 1's walk (docs/ALGORITHM.md §2): the query's comparisons over
+  // rigid terms, compiled over its variables and the run's ascending
+  // constants.  A variable is rigid when it is a head variable or occurs
+  // in an atom whose predicate occurs once in the body: every witness of
+  // the keep test maps it to its own frozen value, so an order violating
+  // one of these comparisons never passes the keep test.
+  std::vector<OrderAxiom> phase1_axioms;
+  // True when phase1_axioms are all of a safe query's comparisons: every
+  // order satisfying them passes the keep test (the identity freezing).
+  bool phase1_axioms_complete = false;
 
   // Relations over the MCD view tuples, derived once so the per-database
   // Pre-Rewriting assembly (dedup, fold-drop, sort) works on integers

@@ -17,6 +17,7 @@ std::string LatticeConfig::Name() const {
   if (legacy_orders) out << " legacy-orders";
   if (verify) out << " verify";
   if (use_catalog) out << " catalog";
+  if (explain) out << " explain";
   return out.str();
 }
 
@@ -25,6 +26,7 @@ RewriteOptions LatticeConfig::ToOptions() const {
   options.jobs = jobs;
   options.phase1_dedup = phase1_dedup;
   options.verify = verify;
+  options.explain = explain;
   return options;
 }
 
@@ -49,6 +51,9 @@ std::vector<LatticeConfig> FullConfigLattice() {
   LatticeConfig verify;  // semantic anchor
   verify.verify = true;
   lattice.push_back(verify);
+  LatticeConfig explain;  // Phase 1 walks every order
+  explain.explain = true;
+  lattice.push_back(explain);
   LatticeConfig catalog;  // catalog-served, replayed from the semantic cache
   catalog.use_catalog = true;
   lattice.push_back(catalog);

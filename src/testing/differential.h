@@ -41,6 +41,11 @@ struct LatticeConfig {
   /// byte-identical to a fresh run.
   bool use_catalog = false;
 
+  /// RewriteOptions::explain — Phase 1 walks every order (the trace lists
+  /// every database), where every other point walks only the orders that
+  /// satisfy the query's rigid comparisons: the unpruned reference.
+  bool explain = false;
+
   /// E.g. "jobs=4 dedup legacy-orders".
   std::string Name() const;
 
@@ -48,9 +53,10 @@ struct LatticeConfig {
   RewriteOptions ToOptions() const;
 };
 
-/// The full lattice the fuzzer sweeps (9 points): serial vs parallel,
+/// The full lattice the fuzzer sweeps (10 points): serial vs parallel,
 /// Phase-1 memo on/off, pruned vs legacy order enumeration, one-shot vs
-/// catalog-served — plus one verify-enabled point as a semantic anchor.
+/// catalog-served, the pruned Phase-1 walk vs explain's full one — plus
+/// one verify-enabled point as a semantic anchor.
 /// (Not the full cube: the legacy enumeration is toggled against both
 /// schedulers, which covers every pairwise interaction it can have with
 /// the drivers.)

@@ -1,6 +1,8 @@
 #include "constraints/orders.h"
 
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -78,6 +80,14 @@ TEST(OrdersTest, CountTotalOrdersMatchesEnumerationWithConstants) {
   EXPECT_EQ(CountOrderCompletions(1, -1), 0);
   EXPECT_EQ(CountOrderCompletions(40, 40),
             std::numeric_limits<int64_t>::max());
+  // Either side of the precomputed table's edge, blocks + remaining = 64.
+  for (int64_t b = 55; b <= 70; ++b) {
+    const int blocks = static_cast<int>(b);
+    EXPECT_EQ(CountOrderCompletions(blocks, 1), 2 * b + 1) << b;
+    EXPECT_EQ(CountOrderCompletions(blocks, 2),
+              b * (2 * b + 1) + (b + 1) * (2 * b + 3))
+        << b;
+  }
 }
 
 // The depth-d prefixes split the enumeration: their completion counts sum
@@ -191,6 +201,128 @@ TEST(OrdersTest, StateOfOrderInvertsRenderOrder) {
     EXPECT_EQ(nodes, CountTotalOrders(depth, 2));
     EXPECT_EQ(root.placed, 0);  // The walk restores its start node.
     EXPECT_EQ(root.var_block, std::vector<int>(4, -1));
+  }
+}
+
+// Whether `s` satisfies `axioms`, read off block positions (blocks are
+// strictly increasing in value).
+bool SatisfiesByPosition(const OrderState& s,
+                         const std::vector<OrderAxiom>& axioms) {
+  const auto block = [&s](const OrderTerm& t) {
+    return t.is_var ? s.var_block[t.index] : s.const_block[t.index];
+  };
+  for (const OrderAxiom& a : axioms) {
+    const int i = block(a.lhs);
+    const int j = block(a.rhs);
+    const bool holds = a.op == CompOp::kLt   ? i < j
+                       : a.op == CompOp::kLe ? i <= j
+                       : a.op == CompOp::kEq ? i == j
+                       : a.op == CompOp::kNe ? i != j
+                       : a.op == CompOp::kGe ? i >= j
+                                             : i > j;
+    if (!holds) return false;
+  }
+  return true;
+}
+
+// An order as one integer: 4 bits per variable and constant block.
+uint64_t EncodeOrder(const OrderState& s) {
+  uint64_t code = static_cast<uint64_t>(s.num_blocks);
+  for (const int b : s.var_block) code = code * 16 + static_cast<uint64_t>(b);
+  for (const int b : s.const_block) code = code * 16 + static_cast<uint64_t>(b);
+  return code;
+}
+
+std::vector<OrderAxiom> RandomAxioms(int n, int k, std::mt19937* rng) {
+  std::vector<OrderAxiom> axioms;
+  if (n + k == 0) return axioms;
+  const auto term = [&]() {
+    const int id = static_cast<int>((*rng)() % static_cast<unsigned>(n + k));
+    return id < n ? OrderTerm{true, id} : OrderTerm{false, id - n};
+  };
+  const CompOp ops[] = {CompOp::kLt, CompOp::kLe, CompOp::kEq,
+                        CompOp::kNe, CompOp::kGe, CompOp::kGt};
+  const int count = static_cast<int>((*rng)() % 5);
+  for (int i = 0; i < count; ++i) {
+    axioms.push_back({term(), ops[(*rng)() % 6], term()});
+  }
+  return axioms;
+}
+
+// The pruned walk's accounting, against the unpruned walk filtered at the
+// leaves by position: from the root and from every depth-d prefix, with
+// pruning and with the forced leaf filter, each walk emits exactly the
+// satisfying completions, each at its position in the unpruned DFS order
+// (emitted before it + orders_pruned), emitted + orders_pruned equals the
+// completion count, and the prefix check admits exactly the prefixes with
+// a satisfying completion.  The `!=` axioms make the last one more than
+// the positional checks: they can pass on a prefix no completion fits.
+TEST(OrdersTest, PrunedWalkAccountsForEveryOrder) {
+  std::mt19937 rng(20061);
+  for (int n = 0; n <= 6; ++n) {
+    for (int k = 0; k <= 3; ++k) {
+      const OrderEnumerator full(n, k);
+      for (int round = 0; round < 4; ++round) {
+        const std::vector<OrderAxiom> axioms = RandomAxioms(n, k, &rng);
+        // The reference: every leaf's code and verdict, in DFS order.
+        std::vector<uint64_t> leaves;
+        std::vector<char> satisfies;
+        OrderState root = full.Root();
+        full.Walk(&root, n, [&](const OrderState& s) {
+          leaves.push_back(EncodeOrder(s));
+          satisfies.push_back(SatisfiesByPosition(s, axioms) ? 1 : 0);
+          return true;
+        });
+        ASSERT_EQ(static_cast<int64_t>(leaves.size()), CountTotalOrders(n, k));
+        for (const bool forced : {false, true}) {
+          internal::ForceSatisfyingOrderFallbackForTest(forced);
+          const OrderEnumerator pruned(n, k, axioms);
+          internal::ForceSatisfyingOrderFallbackForTest(false);
+          for (int depth = 0; depth <= n; ++depth) {
+            SCOPED_TRACE(std::to_string(n) + " variables, " +
+                         std::to_string(k) + " constants, round " +
+                         std::to_string(round) + ", depth " +
+                         std::to_string(depth) +
+                         (forced ? ", forced filter" : ", pruned"));
+            std::vector<OrderState> prefixes;
+            OrderState start = full.Root();
+            full.Walk(&start, depth, [&prefixes](const OrderState& s) {
+              prefixes.push_back(s);
+              return true;
+            });
+            size_t first = 0;  // the prefix's first leaf
+            for (OrderState& prefix : prefixes) {
+              const int64_t count =
+                  CountOrderCompletions(prefix.num_blocks, n - depth);
+              int64_t satisfying = 0;
+              for (int64_t i = 0; i < count; ++i) {
+                satisfying += satisfies[first + i];
+              }
+              EXPECT_EQ(pruned.Admits(prefix), satisfying > 0);
+              OrderEnumerationStats stats;
+              int64_t emitted = 0;
+              pruned.Walk(
+                  &prefix, n,
+                  [&](const OrderState& s) {
+                    const int64_t position = emitted + stats.orders_pruned;
+                    EXPECT_LT(position, count);
+                    if (position < count) {
+                      EXPECT_EQ(EncodeOrder(s), leaves[first + position]);
+                      EXPECT_TRUE(satisfies[first + position]);
+                    }
+                    ++emitted;
+                    return true;
+                  },
+                  &stats);
+              EXPECT_EQ(emitted, satisfying);
+              EXPECT_EQ(emitted + stats.orders_pruned, count);
+              first += static_cast<size_t>(count);
+            }
+            EXPECT_EQ(first, leaves.size());
+          }
+        }
+      }
+    }
   }
 }
 
