@@ -4,7 +4,9 @@
 #include <span>
 
 #include "constraints/ac_solver.h"
+#include "constraints/id_query.h"
 #include "constraints/orders.h"
+#include "containment/binding_trail.h"
 #include "containment/homomorphism.h"
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
@@ -205,35 +207,99 @@ bool CqacContainedImplication(const ConjunctiveQuery& q1,
   return contained;
 }
 
-bool CqacContainedSingleMapping(const ConjunctiveQuery& q1,
-                                const ConjunctiveQuery& q2) {
-  if (!AcSolver::IsSatisfiable(q1.comparisons())) return true;
-  if (q1.head().arity() != q2.head().arity()) return false;
-  bool found = false;
-  ForEachContainmentMapping(q2, q1, [&](const Substitution& mu) {
-    std::vector<Comparison> image;
-    image.reserve(q2.comparisons().size());
-    for (const Comparison& c : q2.comparisons()) image.push_back(mu.Apply(c));
-    if (AcSolver::ImpliesAll(q1.comparisons(), image)) {
-      found = true;
-      return false;
+namespace {
+
+/// FindImpliedContainmentMapping's backtracking search over q2's body
+/// atoms in order, with mu on a binding trail over q2's term ids.
+class ImpliedMappingSearch {
+ public:
+  ImpliedMappingSearch(IdQuery* q1, const IdQuery& q2, int64_t budget)
+      : q1_(*q1), q2_(q2), budget_(budget) {}
+
+  MappingSearch Run() {
+    if (q1_.head.size() != q2_.head.size()) return MappingSearch::kNotFound;
+    pred_.assign(q2_.preds.size(), -1);
+    for (size_t p = 0; p < q2_.preds.size(); ++p) {
+      for (size_t p1 = 0; p1 < q1_.preds.size(); ++p1) {
+        if (q1_.preds[p1] == q2_.preds[p]) pred_[p] = static_cast<int>(p1);
+      }
+    }
+    mu_.Reset(static_cast<size_t>(q2_.core.size()));
+    for (int id = 0; id < q2_.core.size(); ++id) {
+      if (q2_.core.term(id).IsConstant()) {
+        mu_.Bind(id, q1_.core.Intern(q2_.core.term(id)));
+      }
+    }
+    for (size_t i = 0; i < q2_.head.size(); ++i) {
+      if (!Unify(q2_.head[i], q1_.head[i])) return MappingSearch::kNotFound;
+    }
+    if (Search(0)) return MappingSearch::kFound;
+    return steps_ > budget_ ? MappingSearch::kBudgetExhausted
+                            : MappingSearch::kNotFound;
+  }
+
+ private:
+  /// Binds q2 term `t2` to q1 term `t1`, or checks an existing binding.
+  bool Unify(int t2, int t1) {
+    const int32_t bound = mu_.Get(t2);
+    if (bound == BindingTrail::kUnbound) {
+      mu_.Bind(t2, t1);
+      return true;
+    }
+    return bound == t1;
+  }
+
+  /// Maps q2's atoms from `next` on; true once a complete mapping's
+  /// comparison image is implied.
+  bool Search(size_t next) {
+    if (++steps_ > budget_) return false;
+    if (next == q2_.body.size()) return ImageImplied();
+    const IdAtom& atom = q2_.body[next];
+    if (pred_[atom.pred] < 0) return false;
+    for (const IdAtom& target : q1_.body) {
+      if (target.pred != pred_[atom.pred] ||
+          target.args.size() != atom.args.size()) {
+        continue;
+      }
+      const size_t mark = mu_.Mark();
+      bool ok = true;
+      for (size_t k = 0; k < atom.args.size() && ok; ++k) {
+        ok = Unify(atom.args[k], target.args[k]);
+      }
+      if (ok && Search(next + 1)) return true;
+      mu_.UndoTo(mark);
+      if (steps_ > budget_) return false;
+    }
+    return false;
+  }
+
+  /// beta1 |= mu(beta2).  A comparison variable of q2 outside its head
+  /// and body is unmapped; the search then proves nothing.
+  bool ImageImplied() {
+    for (const IdComparison& c : q2_.comparisons) {
+      const int32_t lhs = mu_.Get(c.lhs);
+      const int32_t rhs = mu_.Get(c.rhs);
+      if (lhs == BindingTrail::kUnbound || rhs == BindingTrail::kUnbound ||
+          !q1_.core.Implies(q1_.comparisons, -1, {lhs, c.op, rhs})) {
+        return false;
+      }
     }
     return true;
-  });
-  return found;
-}
-
-bool IsLeftSemiInterval(const ConjunctiveQuery& q) {
-  for (const Comparison& raw : q.comparisons()) {
-    Comparison c = raw;
-    if (c.rhs().IsVariable() && c.lhs().IsConstant()) c = c.Flipped();
-    if (!c.lhs().IsVariable() || !c.rhs().IsConstant()) return false;
-    if (c.op() != CompOp::kLt && c.op() != CompOp::kLe &&
-        c.op() != CompOp::kEq) {
-      return false;
-    }
   }
-  return true;
+
+  IdQuery& q1_;
+  const IdQuery& q2_;
+  const int64_t budget_;
+  int64_t steps_ = 0;
+  std::vector<int> pred_;  // q2 predicate id -> q1's, or -1
+  BindingTrail mu_;        // q2 term id -> q1 term id
+};
+
+}  // namespace
+
+MappingSearch FindImpliedContainmentMapping(IdQuery* q1, const IdQuery& q2,
+                                            int64_t budget) {
+  return ImpliedMappingSearch(q1, q2, budget).Run();
 }
 
 bool CqacContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {

@@ -70,19 +70,22 @@ bool CqacContainedImplication(const ConjunctiveQuery& q1,
                               const ConjunctiveQuery& q2,
                               ContainmentStats* stats = nullptr);
 
-/// The single-containment-mapping test: true when some containment
-/// mapping mu from q2 to q1 has beta1 |= mu(beta2).  Always *sound*
-/// (true implies q1 ⊑ q2) but incomplete in general — completeness is
-/// exactly what the multiple-mapping phenomenon breaks.  Klug showed it
-/// is complete when the comparisons are left (or, symmetrically, right)
-/// semi-interval, where containment drops from Pi^p_2 to NP.
-bool CqacContainedSingleMapping(const ConjunctiveQuery& q1,
-                                const ConjunctiveQuery& q2);
+/// What a budgeted single-mapping search concluded.
+enum class MappingSearch { kFound, kNotFound, kBudgetExhausted };
 
-/// True when every comparison of `q` is of the form `X op c` (or `c op X`)
-/// with op in {<, <=, =} — Klug's left-semi-interval fragment on which
-/// CqacContainedSingleMapping is complete.
-bool IsLeftSemiInterval(const ConjunctiveQuery& q);
+/// The single-containment-mapping test on id forms: searches a
+/// containment mapping mu from `q2` to `q1` (q2's head onto q1's position
+/// by position, every body atom of q2 onto a body atom of q1, constants
+/// onto themselves) with beta1 |= mu(beta2), decided by q1's AcCore.
+/// kFound proves q1 ⊑ q2 on every CQAC.  The test is complete only when
+/// the comparisons are left (or, symmetrically, right) semi-interval
+/// (Klug), so kNotFound decides nothing in general: the multiple-mapping
+/// phenomenon is exactly what it misses.  Each candidate atom match and
+/// each complete mapping is a step; past `budget` steps the search stops
+/// with kBudgetExhausted.  q2's constants are interned into q1's term
+/// table, which changes no answer about q1 (see AcCore).
+MappingSearch FindImpliedContainmentMapping(IdQuery* q1, const IdQuery& q2,
+                                            int64_t budget);
 
 /// q1 ⊑ q2 (canonical-database test; the library default).
 bool CqacContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);

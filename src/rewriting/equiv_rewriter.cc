@@ -114,34 +114,74 @@ void BuildPhase1MemoKey(const CanonicalFreezer& freezer,
   }
 }
 
-/// The key of the Pre-Rewriting `entry` yields on the current canonical
-/// database, into `key`: the body's size and MCD indices, then, per body
+/// The key of the Pre-Rewriting `entry` yields on the database of
+/// `state`, into `key`: the body's size and MCD indices, then, per body
 /// variable with a slot, 2 * (rank of its block among the visible blocks)
 /// + (1 if the block holds a constant).  A block is visible when it holds
 /// a body variable or a constant; the visible blocks in order, with the
 /// run's fixed constants, are what TotalOrder::ProjectedComparisons
-/// renders, so equal keys mean equal Pre-Rewritings.  `rank` is scratch.
-void BuildPreRewritingKey(const Phase1Entry& entry,
-                          const CanonicalFreezer& freezer,
+/// renders, so equal keys mean equal Pre-Rewritings.  `slot_position`
+/// maps a freezer slot to its variable's position in `state`; `rank` is
+/// scratch.
+void BuildPreRewritingKey(const Phase1Entry& entry, const OrderState& state,
+                          const std::vector<int>& slot_position,
                           std::vector<uint32_t>* rank, Phase1Key* key) {
-  const std::vector<uint32_t>& blocks = freezer.var_blocks();
-  const std::vector<uint32_t>& rep_ids = freezer.block_rep_ids();
-  rank->assign(rep_ids.size(), 0);
+  constexpr uint32_t kVariable = 1;
+  constexpr uint32_t kConstant = 2;
+  rank->assign(static_cast<size_t>(state.num_blocks), 0);
   for (const uint32_t slot : entry.body_slots) {
-    if (slot != Phase1Entry::kNoSlot) (*rank)[blocks[slot]] = 1;
-  }
-  uint32_t visible = 0;
-  for (size_t b = 0; b < rep_ids.size(); ++b) {
-    const uint32_t constant =
-        rep_ids[b] >= CanonicalFreezer::kConstantRepId ? 1 : 0;
-    if ((*rank)[b] != 0 || constant != 0) {
-      (*rank)[b] = 2 * visible++ + constant;
+    if (slot != Phase1Entry::kNoSlot) {
+      (*rank)[state.var_block[slot_position[slot]]] = kVariable;
     }
+  }
+  for (const int b : state.const_block) (*rank)[b] = kConstant;
+  uint32_t visible = 0;
+  for (uint32_t& r : *rank) {
+    if (r != 0) r = 2 * visible++ + (r == kConstant ? 1 : 0);
   }
   key->assign(1, static_cast<uint32_t>(entry.body_mcds.size()));
   key->insert(key->end(), entry.body_mcds.begin(), entry.body_mcds.end());
   for (const uint32_t slot : entry.body_slots) {
-    if (slot != Phase1Entry::kNoSlot) key->push_back((*rank)[blocks[slot]]);
+    if (slot != Phase1Entry::kNoSlot) {
+      key->push_back((*rank)[state.var_block[slot_position[slot]]]);
+    }
+  }
+}
+
+/// The signature of the database of `state` for the signature index,
+/// into `key`: per slotted variable (`slotted`, their positions in the
+/// state), a label of its block — kConstantLabel + k for the block of
+/// constant k, else the index into `slotted` of the block's first
+/// variable — and, with `gaps`, after a block's first label, the number
+/// of constant blocks left of it.  The labels are a canonical form of the
+/// partition of the slotted variables and the constants; the counts
+/// place each variable block among the constants.  `label` is scratch.
+void BuildPhase1Signature(const OrderState& state,
+                          const std::vector<int>& slotted, bool gaps,
+                          std::vector<uint32_t>* label, Phase1Key* key) {
+  constexpr uint32_t kUnlabelled = 0xFFFFFFFFu;
+  constexpr uint32_t kConstantLabel = 0x80000000u;
+  label->assign(static_cast<size_t>(state.num_blocks), kUnlabelled);
+  for (size_t k = 0; k < state.const_block.size(); ++k) {
+    (*label)[state.const_block[k]] = kConstantLabel + static_cast<uint32_t>(k);
+  }
+  key->clear();
+  for (size_t j = 0; j < slotted.size(); ++j) {
+    const int b = state.var_block[slotted[j]];
+    uint32_t& l = (*label)[b];
+    if (l != kUnlabelled) {
+      key->push_back(l);
+      continue;
+    }
+    l = static_cast<uint32_t>(j);
+    key->push_back(l);
+    if (gaps) {
+      // Constants are ascending, so their blocks are too.
+      key->push_back(static_cast<uint32_t>(
+          std::lower_bound(state.const_block.begin(), state.const_block.end(),
+                           b) -
+          state.const_block.begin()));
+    }
   }
 }
 
@@ -181,6 +221,7 @@ void RecordRunMetrics(const RewriteStats& stats,
       .Add(stats.kept_canonical_databases);
   reg.counter("rewrite.phase2_checks").Add(stats.phase2_checks);
   reg.counter("rewrite.phase2_orders").Add(stats.phase2_orders);
+  reg.counter("rewrite.phase2_mapped").Add(stats.phase2_mapped);
   reg.counter("phase1_memo.hits").Add(stats.phase1_memo_hits);
   reg.counter("phase1_memo.misses").Add(stats.phase1_memo_misses);
   if (pooled) {
@@ -204,6 +245,7 @@ void RewriteStats::Merge(const RewriteStats& other) {
   view_tuples_total += other.view_tuples_total;
   phase2_checks += other.phase2_checks;
   phase2_orders += other.phase2_orders;
+  phase2_mapped += other.phase2_mapped;
   phase1_memo_hits += other.phase1_memo_hits;
   phase1_memo_misses += other.phase1_memo_misses;
   enumeration_ns += other.enumeration_ns;
@@ -234,6 +276,7 @@ std::string RenderStatsFields(const std::string& outcome, int64_t disjuncts,
          field("mcds_formed", stats.mcds_formed) +
          field("phase2_checks", stats.phase2_checks) +
          field("phase2_orders", stats.phase2_orders) +
+         field("phase2_mapped", stats.phase2_mapped) +
          field("phase1_memo_hits", stats.phase1_memo_hits) +
          field("phase1_memo_misses", stats.phase1_memo_misses) +
          field("enumeration_ns", stats.enumeration_ns) +
@@ -290,6 +333,23 @@ RewriteWork PrepareRewriteWork(
 
   work.view_templates = ViewTemplates(views);
   work.query_constants = query.Constants();
+  work.query_ids = IdQuery(query);
+
+  // The signature index: every view comparison must be decided by the
+  // partition and the variable blocks' places among the constants.
+  bool two_variables = false;
+  bool one_variable = false;
+  for (const ConjunctiveQuery& view : views.views()) {
+    for (const Comparison& c : view.comparisons()) {
+      const int variables = c.lhs().IsVariable() + c.rhs().IsVariable();
+      two_variables |= variables == 2;
+      one_variable |= variables == 1;
+    }
+  }
+  work.phase1_signature =
+      two_variables  ? RewriteWork::Phase1Signature::kOff
+      : one_variable ? RewriteWork::Phase1Signature::kPartitionAndGaps
+                     : RewriteWork::Phase1Signature::kPartition;
 
   // All constants of the query and the views participate in the orders.
   work.constants = work.query_constants;
@@ -393,12 +453,17 @@ struct Phase1Cache {
   std::vector<uint32_t> query_relations;  // the keep test's, resolved once
   // MCD i's view-tuple argument k -> its freezer slot, or kNoSlot.
   std::vector<std::vector<uint32_t>> mcd_arg_slots;
+  // The state positions of the slotted variables, in layout order, and
+  // each slot's position (the signature's and the Pre-Rewriting key's).
+  std::vector<int> slotted;
+  std::vector<int> slot_position;
   TotalOrder rendered;        // the last order rendered for text
   OrderState adapter_state;   // ProcessCanonicalDatabase's order, as a state
   Phase1Key memo_key;
   Phase1Key pre_key;
-  std::vector<uint32_t> block_rank;  // BuildPreRewritingKey's scratch
-  Phase1Entry computed;              // the conclusion of the last miss
+  Phase1Key signature;
+  std::vector<uint32_t> block_scratch;  // the two key builders' scratch
+  Phase1Entry computed;                 // the conclusion of the last miss
 };
 
 Phase1Cache& ThreadPhase1Cache(const RewriteWork& work) {
@@ -413,6 +478,14 @@ Phase1Cache& ThreadPhase1Cache(const RewriteWork& work) {
       var_reps.push_back(cache.freezer->VariableRepId(v));
     }
     cache.freezer->BindLayout(var_reps, cache.constants);
+    const size_t num_slots = cache.freezer->slot_names().size();
+    cache.slotted.clear();
+    cache.slot_position.assign(num_slots, 0);
+    for (size_t i = 0; i < var_reps.size(); ++i) {
+      if (var_reps[i] >= num_slots) continue;
+      cache.slotted.push_back(static_cast<int>(i));
+      cache.slot_position[var_reps[i]] = static_cast<int>(i);
+    }
     work.prepared_query.ResolveRelations(cache.freezer->instance(),
                                          &cache.query_relations);
     cache.mcd_arg_slots.assign(work.mcds.size(), {});
@@ -586,26 +659,40 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
   if (options.explain) {
     out.trace.order = OrderOf(cache, state, given).ToString();
   }
+  // Explain runs bypass the memo so every database's trace stays
+  // complete; they and the key observer, which reads the freezer and the
+  // evaluator, bypass the signature index too.
+  if (options.explain) memo = nullptr;
+  const internal::Phase1KeyObserver observer =
+      g_key_observer.load(std::memory_order_relaxed);
+  Phase1Memo* const index =
+      observer == nullptr &&
+              work.phase1_signature != RewriteWork::Phase1Signature::kOff
+          ? memo
+          : nullptr;
 
   // Keep only databases on which the query computes its frozen head
   // (general evaluation: the identity freezing need not be the witnessing
   // embedding).  The keep-test runs on a delta freeze with the shared
   // prepared plan — consecutive orders differ in few blocks, so the
   // freezer patches only the moved rows, and the view evaluator re-derives
-  // only views whose relations changed.  A known-kept order is still
-  // frozen: its view tuples are computed on the instance.
-  bool computes_head;
-  {
+  // only views whose relations changed.  A known-kept order is frozen
+  // only when its view tuples are computed below.
+  bool frozen = false;
+  const auto freeze = [&] {
     CQAC_TRACE_SPAN("phase1.freeze");
     const int64_t freeze_t0 = NowNs();
     const FlatInstance& inst = cache.freezer->Freeze(state);
-    computes_head = known_kept ||
-                    work.prepared_query.Run(inst, cache.query_relations,
-                                            &cache.freezer->frozen_head(),
-                                            nullptr, &cache.scratch);
+    const bool computes_head =
+        known_kept ||
+        work.prepared_query.Run(inst, cache.query_relations,
+                                &cache.freezer->frozen_head(), nullptr,
+                                &cache.scratch);
     out.stats.freeze_ns += NowNs() - freeze_t0;
-  }
-  if (!computes_head) {
+    frozen = true;
+    return computes_head;
+  };
+  if (!known_kept && !freeze()) {
     out.status = DatabaseOutcome::Status::kSkipped;
     if (options.explain) out.trace.status = "skipped";
     return out;
@@ -613,47 +700,78 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
   out.trace.computes_head = true;
   ++out.stats.kept_canonical_databases;
 
-  // Step 3.1-3.2: view tuples T_i(V), from the epoch-gated evaluator.
-  {
-    CQAC_TRACE_SPAN("phase1.view_tuples");
-    cache.evaluator->Refresh(*cache.freezer);
+  // Databases with equal signatures share their view tuples in rep-id
+  // form and so their memo key: an indexed signature replays the
+  // conclusion its key found in the memo without freezing, evaluating
+  // the views or building the key.
+  const Phase1Memo::Indexed* indexed = nullptr;
+  if (index != nullptr) {
+    BuildPhase1Signature(
+        state, cache.slotted,
+        work.phase1_signature ==
+            RewriteWork::Phase1Signature::kPartitionAndGaps,
+        &cache.block_scratch, &cache.signature);
+    indexed = index->FindSignature(cache.signature);
   }
-  out.stats.view_tuples_total += cache.evaluator->total();
-  if (options.explain) out.trace.view_tuples = cache.evaluator->total();
-  if (cache.evaluator->total() == 0) {
-    out.status = DatabaseOutcome::Status::kFailed;
-    out.failure_reason =
-        "no view produces any tuple on canonical database [" +
-        OrderOf(cache, state, given).ToString() + "]";
-    if (options.explain) out.trace.status = "no-view-tuples";
-    return out;
-  }
-
-  // Databases with equal structural keys share one Phase-1 conclusion:
-  // on a memo hit the kept count, combination verdict, and Pre-Rewriting
-  // body are replayed, and only the order-dependent projected comparisons
-  // are rebuilt.  Explain runs bypass the memo so every database's trace
-  // stays complete.
-  if (options.explain) memo = nullptr;
   const Phase1Entry* entry = nullptr;
-  if (memo != nullptr) {
-    CQAC_TRACE_SPAN("phase1.memo_probe");
-    BuildPhase1MemoKey(*cache.freezer, *cache.evaluator, &cache.memo_key);
-    entry = memo->Find(cache.memo_key);
-  }
-  if (entry != nullptr) {
+  if (indexed != nullptr) {
     ++out.stats.phase1_memo_hits;
+    out.stats.view_tuples_total += indexed->view_tuples;
+    entry = indexed->entry;
   } else {
-    if (memo != nullptr) ++out.stats.phase1_memo_misses;
-    ComputePhase1Entry(work, cache, &cache.computed);
-    if (memo != nullptr) memo->Insert(cache.memo_key, cache.computed);
-    entry = &cache.computed;
+    if (!frozen) freeze();
+    // Step 3.1-3.2: view tuples T_i(V), from the epoch-gated evaluator.
+    {
+      CQAC_TRACE_SPAN("phase1.view_tuples");
+      cache.evaluator->Refresh(*cache.freezer);
+    }
+    const int64_t view_tuples = cache.evaluator->total();
+    out.stats.view_tuples_total += view_tuples;
+    if (options.explain) out.trace.view_tuples = view_tuples;
+    if (view_tuples == 0) {
+      out.status = DatabaseOutcome::Status::kFailed;
+      out.failure_reason =
+          "no view produces any tuple on canonical database [" +
+          OrderOf(cache, state, given).ToString() + "]";
+      if (options.explain) out.trace.status = "no-view-tuples";
+      return out;
+    }
+
+    // Databases with equal structural keys share one Phase-1 conclusion:
+    // on a memo hit the kept count, combination verdict, and Pre-Rewriting
+    // body are replayed, and only the order-dependent projected
+    // comparisons are rebuilt.
+    if (memo != nullptr) {
+      CQAC_TRACE_SPAN("phase1.memo_probe");
+      BuildPhase1MemoKey(*cache.freezer, *cache.evaluator, &cache.memo_key);
+      entry = memo->Find(cache.memo_key);
+    }
+    if (entry != nullptr) {
+      ++out.stats.phase1_memo_hits;
+    } else {
+      if (memo != nullptr) ++out.stats.phase1_memo_misses;
+      ComputePhase1Entry(work, cache, &cache.computed);
+      entry = &cache.computed;
+      if (memo != nullptr) {
+        if (const Phase1Entry* stored =
+                memo->Insert(cache.memo_key, cache.computed)) {
+          entry = stored;
+        }
+      }
+    }
+    // A view with two tuples lists them in value order, which the
+    // signature does not fix; such signatures stay off the index.
+    if (index != nullptr && entry != &cache.computed) {
+      bool single = true;
+      for (int v = 0; v < cache.evaluator->view_count() && single; ++v) {
+        single = cache.evaluator->ground(v).size() <= 1;
+      }
+      if (single) index->IndexSignature(cache.signature, entry, view_tuples);
+    }
   }
   out.stats.mcds_kept_total += entry->mcds_kept;
   if (options.explain) out.trace.kept_mcds = entry->mcds_kept;
 
-  const internal::Phase1KeyObserver observer =
-      g_key_observer.load(std::memory_order_relaxed);
   internal::Phase1KeyProbe probe{observer != nullptr
                                      ? &OrderOf(cache, state, given)
                                      : nullptr,
@@ -673,8 +791,8 @@ DatabaseOutcome RunPhase1(const RewriteWork& work, const OrderState& state,
   }
   if (options.explain) out.trace.combination_exists = true;
 
-  BuildPreRewritingKey(*entry, *cache.freezer, &cache.block_rank,
-                       &cache.pre_key);
+  BuildPreRewritingKey(*entry, state, cache.slot_position,
+                       &cache.block_scratch, &cache.pre_key);
   if (pending == nullptr || options.explain || observer != nullptr) {
     out.pre_rewriting =
         BuildPreRewriting(work, *entry, OrderOf(cache, state, given));
@@ -747,12 +865,25 @@ DatabaseOutcome ProcessCanonicalDatabase(const RewriteWork& work,
 
 namespace {
 std::atomic<internal::Phase2Observer> g_phase2_observer{nullptr};
+std::atomic<bool> g_force_phase2_walk{false};
 }  // namespace
 
 namespace internal {
 
 void SetPhase2ObserverForTest(Phase2Observer observer) {
   g_phase2_observer.store(observer, std::memory_order_relaxed);
+}
+
+void ForcePhase2WalkForTest(bool forced) {
+  g_force_phase2_walk.store(forced, std::memory_order_relaxed);
+}
+
+DatabaseOutcome RunWalkedOrderForTest(const RewriteWork& work,
+                                      const OrderState& state,
+                                      Phase1Memo* memo) {
+  PendingPreRewriting pending;
+  return RunPhase1(work, state, nullptr, memo, &pending,
+                   work.phase1_axioms_complete);
 }
 
 }  // namespace internal
@@ -773,9 +904,21 @@ Phase2Outcome CheckExpansionContained(const RewriteWork& work,
   ContainmentStats cstats;
   Phase2Outcome out;
   // An unsatisfiable expansion computes nothing: contained, with 0 orders.
-  out.contained = !satisfiable ||
-                  CqacContainedPrepared(expansion, work.prepared_query,
-                                        work.query_constants, &cstats);
+  // One containment mapping whose comparison image the expansion implies
+  // proves containment on any CQAC; without one, the canonical walk
+  // decides (the mapping test is complete only on semi-interval inputs).
+  if (!satisfiable) {
+    out.contained = true;
+  } else if (!g_force_phase2_walk.load(std::memory_order_relaxed) &&
+             FindImpliedContainmentMapping(&expansion, work.query_ids,
+                                           kPhase2MappingBudget) ==
+                 MappingSearch::kFound) {
+    out.contained = true;
+    out.decided_by_mapping = true;
+  } else {
+    out.contained = CqacContainedPrepared(expansion, work.prepared_query,
+                                          work.query_constants, &cstats);
+  }
   out.orders_enumerated = cstats.orders_enumerated;
   out.wall_ns = NowNs() - t0;
   if (const internal::Phase2Observer observer =
@@ -1138,6 +1281,7 @@ RewriteResult RunPreparedRewrite(const RewriteWork& work,
     const Phase2Outcome& check = checks[i];
     ++result.stats.phase2_checks;
     result.stats.phase2_orders += check.orders_enumerated;
+    result.stats.phase2_mapped += check.decided_by_mapping ? 1 : 0;
     result.stats.phase2_ns += check.wall_ns;
     if (explain) {
       phase2_verdicts[pre_rewritings[i].ToString()] = check.contained;

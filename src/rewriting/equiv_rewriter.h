@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ast/query.h"
+#include "constraints/id_query.h"
 #include "constraints/orders.h"
 #include "engine/evaluate.h"
 #include "rewriting/expansion.h"
@@ -122,7 +123,8 @@ struct RewriteStats {
   int64_t mcds_kept_total = 0;           // sum over kept databases
   int64_t view_tuples_total = 0;         // sum of |T_i(V)|
   int64_t phase2_checks = 0;             // expansion containment checks
-  int64_t phase2_orders = 0;             // orders visited by those checks
+  int64_t phase2_orders = 0;             // orders the checks walked
+  int64_t phase2_mapped = 0;             // checks one mapping decided
   int64_t phase1_memo_hits = 0;          // databases served from the memo
   int64_t phase1_memo_misses = 0;        // databases computed in full
 
@@ -153,7 +155,7 @@ struct RewriteStats {
 /// rewrite and per batch).  Bump on any field addition, removal, or
 /// meaning change; the record shapes and the version history are in
 /// docs/SYNTAX.md.
-inline constexpr int kStatsJsonSchemaVersion = 9;
+inline constexpr int kStatsJsonSchemaVersion = 10;
 
 /// The per-rewrite record's fields, `"schema_version"` through
 /// `"phase2_ns"`, without braces: the shell's `--json` record and the
@@ -245,11 +247,13 @@ struct RewriteWork {
   /// detect reuse of a stack address by a different run.
   uint64_t work_id = 0;
 
-  // Phase 2's inputs, compiled once: the views as expansion templates and
-  // the query's constants (the containment test's right-hand side is
-  // prepared_query).
+  // Phase 2's inputs, compiled once: the views as expansion templates,
+  // the query's constants (the containment walk's right-hand side is
+  // prepared_query) and the query in id form (the single-mapping
+  // search's right-hand side).
   ViewTemplates view_templates;
   std::vector<Rational> query_constants;
+  IdQuery query_ids;
 
   ConjunctiveQuery q0;                        // query without comparisons
   std::vector<ConjunctiveQuery> v0_variants;  // exported view variants
@@ -267,6 +271,14 @@ struct RewriteWork {
   // True when phase1_axioms are all of a safe query's comparisons: every
   // order satisfying them passes the keep test (the identity freezing).
   bool phase1_axioms_complete = false;
+
+  // What Phase 1's signature index keys an order by (docs/ALGORITHM.md
+  // §2): off when some view compares two variables; else the partition
+  // of the query's slotted variables and the constants, plus each
+  // variable block's position among the constants when some view
+  // compares a variable with a constant.
+  enum class Phase1Signature { kOff, kPartition, kPartitionAndGaps };
+  Phase1Signature phase1_signature = Phase1Signature::kOff;
 
   // Relations over the MCD view tuples, derived once so the per-database
   // Pre-Rewriting assembly (dedup, fold-drop, sort) works on integers
@@ -330,7 +342,9 @@ struct DatabaseOutcome {
 ///
 /// `memo`, when non-null, deduplicates the pruning / combination /
 /// body-assembly work across canonical databases with equal structural
-/// keys (see Phase1Entry in runtime/memo_cache.h).  The memo must belong
+/// keys (see Phase1Entry in runtime/memo_cache.h), and its signature
+/// index answers an order whose signature it holds without freezing or
+/// evaluating the views (docs/ALGORITHM.md §2).  The memo must belong
 /// to this run — its entries index into work.mcds — and to the calling
 /// thread.  Results are byte-identical with or without it.
 ///
@@ -370,15 +384,23 @@ void SetPhase1KeyObserverForTest(Phase1KeyObserver observer);
 /// What the Phase-2 containment check concluded about one Pre-Rewriting.
 struct Phase2Outcome {
   bool contained = false;
-  int64_t orders_enumerated = 0;
-  int64_t wall_ns = 0;  // elapsed time of this check
+  bool decided_by_mapping = false;  // one containment mapping proved it
+  int64_t orders_enumerated = 0;    // orders the canonical walk visited
+  int64_t wall_ns = 0;              // elapsed time of this check
 };
+
+/// The step budget of Phase 2's single-mapping search; an exhausted
+/// search falls to the canonical walk.
+inline constexpr int64_t kPhase2MappingBudget = 20000;
 
 /// Expands `pre` with respect to the views (simplifying when the options
 /// say so) and tests containment in the query.  A pure function of its
 /// arguments.  The expansion is built once in id form from
-/// work.view_templates, simplified in place, and tested against
-/// work.prepared_query: the same verdict and order count as
+/// work.view_templates and simplified in place.  One containment mapping
+/// from the query whose comparisons the expansion's imply answers
+/// "contained" (FindImpliedContainmentMapping over work.query_ids);
+/// otherwise the canonical walk against work.prepared_query decides, with
+/// the same verdict and order count as
 /// CqacContainedCanonical(SimplifyQuery(Expand(pre, views)), query).
 Phase2Outcome CheckExpansionContained(const RewriteWork& work,
                                       const ConjunctiveQuery& pre);
@@ -400,6 +422,22 @@ using Phase2Observer = void (*)(const Phase2Probe&);
 /// test holds the id-level check to the string reference this way.
 /// Relaxed atomic: set or clear (nullptr) only between runs.
 void SetPhase2ObserverForTest(Phase2Observer observer);
+
+/// Test-only: while set, CheckExpansionContained skips the single-mapping
+/// search and walks the canonical databases on every check, so the
+/// Phase-2 parity test can hold the walk's order counts to the string
+/// reference.  Relaxed atomic: flip only between runs.
+void ForcePhase2WalkForTest(bool forced);
+
+/// Test-only: Phase 1 on the database of `state` as the driver's walk
+/// runs it (the Pre-Rewriting left pending, `known_kept` from
+/// work.phase1_axioms_complete), with `memo` as the subtree's memo.
+/// `state` must be a complete order over work.query.AllVariables() and
+/// the run's constants.  The allocation gate drives the signature index
+/// through it.
+DatabaseOutcome RunWalkedOrderForTest(const RewriteWork& work,
+                                      const OrderState& state,
+                                      Phase1Memo* memo);
 
 }  // namespace internal
 

@@ -43,13 +43,27 @@ const Phase1Entry* Phase1Memo::Find(const Phase1Key& key) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void Phase1Memo::Insert(const Phase1Key& key, Phase1Entry entry) {
-  if (entries_.size() >= capacity_) return;  // The memo stays bounded.
-  if (g_key_collisions.load(std::memory_order_relaxed)) {
-    entries_.try_emplace(CollidingKey(key), std::move(entry));
-    return;
-  }
-  entries_.try_emplace(key, std::move(entry));  // First wins.
+const Phase1Entry* Phase1Memo::Insert(const Phase1Key& key,
+                                      Phase1Entry entry) {
+  if (entries_.size() >= capacity_) return nullptr;  // The memo stays bounded.
+  const auto stored =
+      g_key_collisions.load(std::memory_order_relaxed)
+          ? entries_.try_emplace(CollidingKey(key), std::move(entry)).first
+          : entries_.try_emplace(key, std::move(entry)).first;  // First wins.
+  return &stored->second;
+}
+
+const Phase1Memo::Indexed* Phase1Memo::FindSignature(
+    const Phase1Key& signature) const {
+  const auto it = by_signature_.find(signature);
+  return it == by_signature_.end() ? nullptr : &it->second;
+}
+
+void Phase1Memo::IndexSignature(const Phase1Key& signature,
+                                const Phase1Entry* entry,
+                                int64_t view_tuples) {
+  if (by_signature_.size() >= capacity_) return;
+  by_signature_.try_emplace(signature, Indexed{entry, view_tuples});
 }
 
 // ---------------------------------------------------------------------------

@@ -54,18 +54,39 @@ class Phase1Memo {
   Phase1Memo(const Phase1Memo&) = delete;
   Phase1Memo& operator=(const Phase1Memo&) = delete;
 
-  /// The entry for `key`, or null on a miss.  Valid until the next Insert.
+  /// The entry for `key`, or null on a miss.  Entries are never moved or
+  /// erased, so the pointer stays valid for the memo's lifetime.
   const Phase1Entry* Find(const Phase1Key& key) const;
 
   /// Inserts `entry` under `key` unless the key is present or the memo
-  /// is full.
-  void Insert(const Phase1Key& key, Phase1Entry entry);
+  /// is full.  Returns the entry stored under `key`, or null when the
+  /// memo is full.
+  const Phase1Entry* Insert(const Phase1Key& key, Phase1Entry entry);
 
   size_t size() const { return entries_.size(); }
+
+  /// The signature index in front of the memo: an order's signature (see
+  /// BuildPhase1Signature in rewriting/equiv_rewriter.cc) mapped to the
+  /// stored entry its memo key found and the database's view-tuple count.
+  /// Entries are node-stable, so the pointer stays valid for the memo's
+  /// lifetime.
+  struct Indexed {
+    const Phase1Entry* entry;
+    int64_t view_tuples;
+  };
+
+  /// The indexed conclusion of `signature`, or null.
+  const Indexed* FindSignature(const Phase1Key& signature) const;
+
+  /// Indexes `signature`; `entry` must be stored in this memo.  Bounded
+  /// by the same capacity as the memo.
+  void IndexSignature(const Phase1Key& signature, const Phase1Entry* entry,
+                      int64_t view_tuples);
 
  private:
   size_t capacity_;
   std::unordered_map<Phase1Key, Phase1Entry, Phase1KeyHash> entries_;
+  std::unordered_map<Phase1Key, Indexed, Phase1KeyHash> by_signature_;
 };
 
 /// A canonical key for a query: atoms and comparisons rendered with every

@@ -97,7 +97,8 @@ bool RunSignature::operator==(const RunSignature& other) const {
          mcds_kept_total == other.mcds_kept_total &&
          view_tuples_total == other.view_tuples_total &&
          phase2_checks == other.phase2_checks &&
-         phase2_orders == other.phase2_orders;
+         phase2_orders == other.phase2_orders &&
+         phase2_mapped == other.phase2_mapped;
 }
 
 std::string RunSignature::ToString() const {
@@ -113,6 +114,7 @@ std::string RunSignature::ToString() const {
   out << "\nview_tuples_total=" << view_tuples_total;
   out << "\nphase2_checks=" << phase2_checks;
   out << "\nphase2_orders=" << phase2_orders;
+  out << "\nphase2_mapped=" << phase2_mapped;
   return out.str();
 }
 
@@ -131,6 +133,7 @@ RunSignature SignatureOf(const RewriteResult& result) {
   sig.view_tuples_total = result.stats.view_tuples_total;
   sig.phase2_checks = result.stats.phase2_checks;
   sig.phase2_orders = result.stats.phase2_orders;
+  sig.phase2_mapped = result.stats.phase2_mapped;
   return sig;
 }
 

@@ -82,6 +82,7 @@ struct RunSignature {
   int64_t view_tuples_total = 0;
   int64_t phase2_checks = 0;
   int64_t phase2_orders = 0;
+  int64_t phase2_mapped = 0;
 
   bool operator==(const RunSignature& other) const;
   bool operator!=(const RunSignature& other) const {

@@ -1,10 +1,12 @@
 #include "testing/normalization.h"
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "constraints/ac_solver.h"
+#include "constraints/id_query.h"
 #include "constraints/orders.h"
 #include "containment/homomorphism.h"
 
@@ -86,6 +88,27 @@ bool CqacContainedNormalized(const ConjunctiveQuery& q1,
         return true;
       });
   return contained;
+}
+
+bool CqacContainedSingleMapping(const ConjunctiveQuery& q1,
+                                const ConjunctiveQuery& q2) {
+  IdQuery ids(q1);
+  if (!ids.core.Satisfiable(ids.comparisons)) return true;  // q1 empty.
+  return FindImpliedContainmentMapping(&ids, IdQuery(q2), INT64_MAX) ==
+         MappingSearch::kFound;
+}
+
+bool IsLeftSemiInterval(const ConjunctiveQuery& q) {
+  for (const Comparison& raw : q.comparisons()) {
+    Comparison c = raw;
+    if (c.rhs().IsVariable() && c.lhs().IsConstant()) c = c.Flipped();
+    if (!c.lhs().IsVariable() || !c.rhs().IsConstant()) return false;
+    if (c.op() != CompOp::kLt && c.op() != CompOp::kLe &&
+        c.op() != CompOp::kEq) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace testing

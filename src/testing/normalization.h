@@ -34,6 +34,18 @@ bool CqacContainedNormalized(const ConjunctiveQuery& q1,
                              const ConjunctiveQuery& q2,
                              ContainmentStats* stats = nullptr);
 
+/// The single-containment-mapping test on strings: true when
+/// FindImpliedContainmentMapping finds a mapping from q2 to q1 (with no
+/// step budget to speak of), or q1's comparisons are unsatisfiable.
+/// Sound on every CQAC, complete on left semi-interval inputs.
+bool CqacContainedSingleMapping(const ConjunctiveQuery& q1,
+                                const ConjunctiveQuery& q2);
+
+/// True when every comparison of `q` is of the form `X op c` (or `c op X`)
+/// with op in {<, <=, =} — Klug's left-semi-interval fragment on which
+/// the single-mapping test is complete.
+bool IsLeftSemiInterval(const ConjunctiveQuery& q);
+
 }  // namespace testing
 }  // namespace cqac
 

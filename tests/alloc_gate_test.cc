@@ -7,6 +7,9 @@
 // capacity only — and this test keeps it from regressing one std::vector
 // at a time.
 //
+// The same holds for a Phase-1 order answered from the signature index:
+// it replays a stored conclusion and builds only the Pre-Rewriting key.
+//
 // The counting allocator (testing/alloc_hook.h) replaces global operator
 // new for this binary; under sanitizer builds it compiles out and the
 // gate skips.
@@ -20,6 +23,8 @@
 #include "engine/canonical.h"
 #include "engine/evaluate.h"
 #include "parser/parser.h"
+#include "rewriting/equiv_rewriter.h"
+#include "runtime/memo_cache.h"
 #include "testing/alloc_hook.h"
 
 namespace cqac {
@@ -120,6 +125,54 @@ TEST(AllocGateTest, SteadyStateEnumerateFreezeAndKeepTestAllocatesNothing) {
         << "test allocated";
   }
   EXPECT_EQ(orders, 3 * CountTotalOrders(5, 1));
+}
+
+// Phase 1 on a chain request's walked orders, as the driver runs them
+// with one memo: after one warm-up walk every order's signature is
+// indexed, and a whole walk answered from the index allocates nothing.
+TEST(AllocGateTest, SteadyStateSignatureIndexHitAllocatesNothing) {
+  if (!testing::AllocCountingAvailable()) {
+    GTEST_SKIP() << "counting allocator unavailable under sanitizers";
+  }
+  const ConjunctiveQuery q = Parser::MustParseRule(
+      "q(A) :- r1(A,B), r2(B,C), r3(C,D), r4(D,E), C > 8");
+  const ViewSet views(Parser::MustParseProgram(
+      "v1(A,C) :- r1(A,B), r2(B,C), C >= 8.\n"
+      "v2(C) :- r3(C,D), r4(D,E)."));
+  const RewriteOptions options;
+  const RewriteWork work = PrepareRewriteWork(q, views, options);
+  ASSERT_TRUE(work.phase1_axioms_complete);
+  ASSERT_EQ(work.phase1_signature,
+            RewriteWork::Phase1Signature::kPartitionAndGaps);
+
+  const OrderEnumerator tree(
+      static_cast<int>(q.AllVariables().size()),
+      static_cast<int>(OrderConstants(work.constants).size()),
+      work.phase1_axioms);
+  Phase1Memo memo;
+  RewriteStats stats;
+  const OrderEnumerator::Visitor visit = [&](const OrderState& order) {
+    const DatabaseOutcome db =
+        internal::RunWalkedOrderForTest(work, order, &memo);
+    stats.phase1_memo_hits += db.stats.phase1_memo_hits;
+    stats.phase1_memo_misses += db.stats.phase1_memo_misses;
+    return db.status == DatabaseOutcome::Status::kKept;
+  };
+  OrderState state = tree.Root();
+  ASSERT_TRUE(tree.Walk(&state, tree.num_variables(), visit));  // Warm-up.
+  const int64_t walked = stats.phase1_memo_hits + stats.phase1_memo_misses;
+  ASSERT_GT(stats.phase1_memo_misses, 0);
+  ASSERT_GT(stats.phase1_memo_hits, stats.phase1_memo_misses);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    const RewriteStats before = stats;
+    const testing::AllocCounterScope scope;
+    tree.Walk(&state, tree.num_variables(), visit);
+    EXPECT_EQ(scope.delta(), 0)
+        << "pass " << pass << ": an order answered from the index allocated";
+    EXPECT_EQ(stats.phase1_memo_hits - before.phase1_memo_hits, walked);
+    EXPECT_EQ(stats.phase1_memo_misses, before.phase1_memo_misses);
+  }
 }
 
 }  // namespace

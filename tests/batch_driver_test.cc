@@ -164,7 +164,7 @@ TEST(BatchDriverTest, JsonSummaryIncludesMemoCounters) {
   BatchOptions options;
   options.json_summary = true;
   RunBatch(in, out, options);
-  EXPECT_NE(out.str().find("{\"schema_version\": 9, \"jobs\": 1"),
+  EXPECT_NE(out.str().find("{\"schema_version\": 10, \"jobs\": 1"),
             std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.str().find("\"phase1_memo_misses\": "), std::string::npos);

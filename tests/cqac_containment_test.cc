@@ -140,7 +140,7 @@ TEST(CqacContainmentTest, KlugCaseSplitAgreesAcrossTests) {
   EXPECT_TRUE(CqacContainedCanonical(q1, q2, &canonical));
   EXPECT_TRUE(CqacContainedImplication(q1, q2, &implication));
   EXPECT_TRUE(testing::CqacContainedNormalized(q1, q2, &normalized));
-  EXPECT_FALSE(CqacContainedSingleMapping(q1, q2));
+  EXPECT_FALSE(testing::CqacContainedSingleMapping(q1, q2));
   // Three variables, no comparisons: all 13 total orders.
   EXPECT_EQ(canonical.orders_enumerated, 13);
   EXPECT_EQ(implication.orders_enumerated, 13);

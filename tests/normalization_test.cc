@@ -58,7 +58,7 @@ TEST_P(AllMethodsAgreeProperty, CanonicalImplicationNormalized) {
   EXPECT_EQ(canonical, testing::CqacContainedNormalized(q1, q2))
       << q1.ToString() << " vs " << q2.ToString();
   // The single-mapping test is sound: a positive answer must agree.
-  if (CqacContainedSingleMapping(q1, q2)) {
+  if (testing::CqacContainedSingleMapping(q1, q2)) {
     EXPECT_TRUE(canonical) << q1.ToString() << " vs " << q2.ToString();
   }
 }
@@ -89,9 +89,9 @@ TEST(SingleMappingTest, CompleteOnLeftSemiInterval) {
   for (const Case& c : cases) {
     const ConjunctiveQuery q1 = Parser::MustParseRule(c.q1);
     const ConjunctiveQuery q2 = Parser::MustParseRule(c.q2);
-    ASSERT_TRUE(IsLeftSemiInterval(q1));
-    ASSERT_TRUE(IsLeftSemiInterval(q2));
-    EXPECT_EQ(CqacContainedSingleMapping(q1, q2),
+    ASSERT_TRUE(testing::IsLeftSemiInterval(q1));
+    ASSERT_TRUE(testing::IsLeftSemiInterval(q2));
+    EXPECT_EQ(testing::CqacContainedSingleMapping(q1, q2),
               CqacContainedCanonical(q1, q2))
         << c.q1 << " vs " << c.q2;
   }
@@ -104,18 +104,18 @@ TEST(SingleMappingTest, IncompleteInGeneral) {
   const ConjunctiveQuery q2 =
       Parser::MustParseRule("q() :- p(U,V), U <= V");
   EXPECT_TRUE(CqacContainedCanonical(q1, q2));
-  EXPECT_FALSE(CqacContainedSingleMapping(q1, q2));
+  EXPECT_FALSE(testing::CqacContainedSingleMapping(q1, q2));
 }
 
 TEST(IsLeftSemiIntervalTest, Classification) {
-  EXPECT_TRUE(IsLeftSemiInterval(
+  EXPECT_TRUE(testing::IsLeftSemiInterval(
       Parser::MustParseRule("q(X) :- a(X), X < 3, 5 >= X, X = 1")));
-  EXPECT_FALSE(IsLeftSemiInterval(
+  EXPECT_FALSE(testing::IsLeftSemiInterval(
       Parser::MustParseRule("q(X) :- a(X), X > 3")));
-  EXPECT_FALSE(IsLeftSemiInterval(
+  EXPECT_FALSE(testing::IsLeftSemiInterval(
       Parser::MustParseRule("q(X) :- a(X,Y), X < Y")));
   EXPECT_TRUE(
-      IsLeftSemiInterval(Parser::MustParseRule("q(X) :- a(X)")));
+      testing::IsLeftSemiInterval(Parser::MustParseRule("q(X) :- a(X)")));
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 // Phase-2 parity: the production check (CheckExpansionContained, which
-// expands into term ids, simplifies in place and runs the work's prepared
-// query) against the string reference — the view-by-view Substitution
-// expansion below, then SimplifyQuery and CqacContainedCanonical — on
-// every Phase-2 check of whole runs at jobs 1, 2 and 4, with expansion
-// simplification on and off.  The verdict, the orders enumerated and the
-// rendered expansion must all be equal.
+// expands into term ids, simplifies in place, tries one containment
+// mapping and else walks the canonical databases against the work's
+// prepared query) against the string reference — the view-by-view
+// Substitution expansion below, then SimplifyQuery and
+// CqacContainedCanonical — on every Phase-2 check of whole runs at jobs
+// 1, 2 and 4, with expansion simplification on and off.  With the walk
+// forced (internal::ForcePhase2WalkForTest) the verdict, the orders
+// enumerated and the rendered expansion must all be equal; on the
+// default path the verdict and the expansion must be, a check one
+// mapping decided walks no order, and any other walks the reference's.
+// A differential on generated pairs holds the production check to the
+// canonical test where no single mapping exists but containment holds.
 
 #ifndef CQAC_CORPUS_DIR
 #error "CQAC_CORPUS_DIR must point at tests/corpus"
@@ -18,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "constraints/ac_solver.h"
 #include "constraints/orders.h"
 #include "containment/cqac_containment.h"
 #include "gtest/gtest.h"
@@ -82,8 +89,11 @@ ConjunctiveQuery ReferenceExpand(const ConjunctiveQuery& rewriting,
 
 struct Parity {
   std::mutex mu;
+  bool walk_forced = false;
   int64_t checks = 0;
-  int64_t orders = 0;
+  int64_t orders = 0;   // the reference's
+  int64_t walked = 0;   // the production check's
+  int64_t mapped = 0;
   std::vector<ConjunctiveQuery> pre_rewritings;
   std::string mismatch;
 };
@@ -108,7 +118,12 @@ void ObserveCheck(const internal::Phase2Probe& probe) {
                expansion.ToString();
   } else if (probe.outcome->contained != contained) {
     mismatch = "verdict";
-  } else if (probe.outcome->orders_enumerated != stats.orders_enumerated) {
+  } else if (probe.outcome->decided_by_mapping && g_parity->walk_forced) {
+    mismatch = "a mapping decided a check with the walk forced";
+  } else if (probe.outcome->decided_by_mapping
+                 ? probe.outcome->orders_enumerated != 0
+                 : probe.outcome->orders_enumerated !=
+                       stats.orders_enumerated) {
     mismatch = "orders " + std::to_string(probe.outcome->orders_enumerated) +
                " vs " + std::to_string(stats.orders_enumerated);
   }
@@ -118,6 +133,8 @@ void ObserveCheck(const internal::Phase2Probe& probe) {
   std::lock_guard<std::mutex> lock(g_parity->mu);
   ++g_parity->checks;
   g_parity->orders += stats.orders_enumerated;
+  g_parity->walked += probe.outcome->orders_enumerated;
+  g_parity->mapped += probe.outcome->decided_by_mapping ? 1 : 0;
   g_parity->pre_rewritings.push_back(*probe.pre_rewriting);
   if (g_parity->mismatch.empty()) g_parity->mismatch = mismatch;
 }
@@ -126,11 +143,13 @@ void ObserveCheck(const internal::Phase2Probe& probe) {
 struct Totals {
   int64_t checks = 0;
   int64_t orders = 0;
+  int64_t mapped = 0;
   int64_t unsimplified_cases = 0;
 };
 
-/// Runs the case at jobs 1, 2 and 4 under the observer.  Returns the
-/// Pre-Rewritings the serial run checked.
+/// Runs the case at jobs 1, 2 and 4 under the observer, first with the
+/// walk forced, then on the default path, whose answer must be the
+/// forced run's.  Returns the Pre-Rewritings the serial run checked.
 std::vector<ConjunctiveQuery> RunUnderObserver(const ConjunctiveQuery& query,
                                                const ViewSet& views,
                                                bool simplify,
@@ -138,28 +157,52 @@ std::vector<ConjunctiveQuery> RunUnderObserver(const ConjunctiveQuery& query,
                                                Totals* totals) {
   std::vector<ConjunctiveQuery> serial_pres;
   for (const int jobs : {1, 2, 4}) {
-    Parity parity;
-    g_parity = &parity;
-    internal::SetPhase2ObserverForTest(&ObserveCheck);
-    RewriteOptions options;
-    options.jobs = jobs;
-    options.simplify_expansions = simplify;
-    const RewriteResult result = EquivalentRewriter(query, views, options).Run();
-    internal::SetPhase2ObserverForTest(nullptr);
-    g_parity = nullptr;
-    const std::string where = context + " jobs=" + std::to_string(jobs) +
-                              (simplify ? "" : " unsimplified");
-    EXPECT_EQ(parity.mismatch, "") << where;
-    // Pooled checks past a failing one may run but are never merged.
-    if (jobs == 1 || result.outcome == RewriteOutcome::kRewritingFound) {
-      EXPECT_EQ(parity.checks, result.stats.phase2_checks) << where;
-      EXPECT_EQ(parity.orders, result.stats.phase2_orders) << where;
-    } else {
-      EXPECT_GE(parity.checks, result.stats.phase2_checks) << where;
+    std::optional<testing::RunSignature> forced_signature;
+    for (const bool walk_forced : {true, false}) {
+      Parity parity;
+      parity.walk_forced = walk_forced;
+      g_parity = &parity;
+      internal::SetPhase2ObserverForTest(&ObserveCheck);
+      internal::ForcePhase2WalkForTest(walk_forced);
+      RewriteOptions options;
+      options.jobs = jobs;
+      options.simplify_expansions = simplify;
+      const RewriteResult result =
+          EquivalentRewriter(query, views, options).Run();
+      internal::ForcePhase2WalkForTest(false);
+      internal::SetPhase2ObserverForTest(nullptr);
+      g_parity = nullptr;
+      const std::string where = context + " jobs=" + std::to_string(jobs) +
+                                (simplify ? "" : " unsimplified") +
+                                (walk_forced ? " walk forced" : "");
+      EXPECT_EQ(parity.mismatch, "") << where;
+      // Pooled checks past a failing one may run but are never merged.
+      if (jobs == 1 || result.outcome == RewriteOutcome::kRewritingFound) {
+        EXPECT_EQ(parity.checks, result.stats.phase2_checks) << where;
+        EXPECT_EQ(parity.walked, result.stats.phase2_orders) << where;
+        EXPECT_EQ(parity.mapped, result.stats.phase2_mapped) << where;
+      } else {
+        EXPECT_GE(parity.checks, result.stats.phase2_checks) << where;
+      }
+      testing::RunSignature signature = testing::SignatureOf(result);
+      if (walk_forced) {
+        EXPECT_EQ(signature.phase2_mapped, 0) << where;
+        forced_signature = signature;
+      } else {
+        // Only the walked-order and mapped-check counts may differ.
+        signature.phase2_orders = forced_signature->phase2_orders;
+        signature.phase2_mapped = 0;
+        EXPECT_EQ(signature, *forced_signature)
+            << where << "\n" << signature.ToString() << "\nvs\n"
+            << forced_signature->ToString();
+      }
+      totals->checks += parity.checks;
+      totals->orders += parity.orders;
+      totals->mapped += parity.mapped;
+      if (jobs == 1 && walk_forced) {
+        serial_pres = std::move(parity.pre_rewritings);
+      }
     }
-    totals->checks += parity.checks;
-    totals->orders += parity.orders;
-    if (jobs == 1) serial_pres = std::move(parity.pre_rewritings);
   }
   return serial_pres;
 }
@@ -202,9 +245,11 @@ void ExpectPhase2Parity(const ConjunctiveQuery& query, const ViewSet& views,
   ++totals->unsimplified_cases;
 }
 
-void ExpectCoverage(const Totals& totals) {
+/// `mapped`: some check was decided by one mapping.
+void ExpectCoverage(const Totals& totals, bool mapped = true) {
   EXPECT_GT(totals.checks, 0);
   EXPECT_GT(totals.orders, 0);
+  EXPECT_EQ(totals.mapped > 0, mapped);
   EXPECT_GT(totals.unsimplified_cases, 0);
 }
 
@@ -252,7 +297,7 @@ TEST(Phase2ParityTest, QueryConstantMissingFromTheExpansion) {
       ViewSet(Parser::MustParseProgram(
           "v(A) :- r(A,B), s(A,C), C < B, A < 3.")),
       "query constant", &totals);
-  ExpectCoverage(totals);
+  ExpectCoverage(totals, /*mapped=*/false);
 }
 
 // The cases cqacfuzz generates (as --dump-workloads draws them), seeds 1-2.
@@ -270,6 +315,109 @@ TEST(Phase2ParityTest, FuzzGeneratedCases) {
     }
   }
   ExpectCoverage(totals);
+}
+
+// --- The differential where one mapping is not enough -------------------
+
+/// The production check on the pair (q1, q2): q2 as the work's query over
+/// one identity view per predicate, `P_id(X0,...) :- P(X0,...)`, and q1
+/// with every atom renamed to its view as the Pre-Rewriting, so the
+/// checked expansion is q1 itself.
+Phase2Outcome ProductionCheck(const ConjunctiveQuery& q1,
+                              const ConjunctiveQuery& q2) {
+  std::vector<ConjunctiveQuery> views;
+  std::vector<Atom> renamed;
+  for (const ConjunctiveQuery* q : {&q1, &q2}) {
+    for (const Atom& atom : q->body()) {
+      const std::string name = atom.predicate() + "_id";
+      if (q == &q1) renamed.emplace_back(name, atom.args());
+      const bool known = std::any_of(
+          views.begin(), views.end(),
+          [&name](const ConjunctiveQuery& v) { return v.name() == name; });
+      if (known) continue;
+      std::vector<Term> args;
+      for (int i = 0; i < atom.arity(); ++i) {
+        args.push_back(Term::Variable("X" + std::to_string(i)));
+      }
+      views.emplace_back(Atom(name, args),
+                         std::vector<Atom>{Atom(atom.predicate(), args)},
+                         std::vector<Comparison>{});
+    }
+  }
+  const ViewSet view_set(views);
+  const RewriteOptions options;
+  const RewriteWork work = PrepareRewriteWork(q2, view_set, options);
+  return CheckExpansionContained(
+      work, ConjunctiveQuery(q1.head(), renamed, q1.comparisons()));
+}
+
+/// A random pair over one binary predicate: q1 with 2-4 atoms over X, Y,
+/// Z, q2 with 1-2 atoms over U, V, W, each with 0-2 comparisons among its
+/// variables and the constant 5.  Boolean heads.
+std::pair<ConjunctiveQuery, ConjunctiveQuery> RandomPair(std::mt19937_64& rng) {
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<uint64_t>(n));
+  };
+  const auto draw = [&](const std::vector<std::string>& vars, int min_atoms,
+                        int max_atoms) {
+    std::vector<Atom> body;
+    const int atoms = min_atoms + pick(max_atoms - min_atoms + 1);
+    for (int i = 0; i < atoms; ++i) {
+      body.emplace_back("p", std::vector<Term>{Term::Variable(vars[pick(3)]),
+                                               Term::Variable(vars[pick(3)])});
+    }
+    std::vector<Comparison> comparisons;
+    const CompOp ops[] = {CompOp::kLt, CompOp::kLe, CompOp::kNe};
+    for (int i = pick(3); i > 0; --i) {
+      const Term lhs = Term::Variable(vars[pick(3)]);
+      const Term rhs = pick(4) == 0 ? Term::Constant(Rational(5))
+                                    : Term::Variable(vars[pick(3)]);
+      if (lhs != rhs) comparisons.emplace_back(lhs, ops[pick(3)], rhs);
+    }
+    return ConjunctiveQuery(Atom("q", {}), std::move(body),
+                            std::move(comparisons));
+  };
+  ConjunctiveQuery q1 = draw({"X", "Y", "Z"}, 2, 4);
+  ConjunctiveQuery q2 = draw({"U", "V", "W"}, 1, 2);
+  return {std::move(q1), std::move(q2)};
+}
+
+TEST(Phase2ParityTest, ContainedWithoutASingleMapping) {
+  // Klug's pair: contained, but each mapping of q2 orients U <= V only on
+  // some orders, so the check must reach the walk.
+  const Phase2Outcome klug =
+      ProductionCheck(Parser::MustParseRule("q() :- p(X,Y), p(Y,X)"),
+                      Parser::MustParseRule("q() :- p(U,V), U <= V"));
+  EXPECT_TRUE(klug.contained);
+  EXPECT_FALSE(klug.decided_by_mapping);
+  EXPECT_GT(klug.orders_enumerated, 0);
+
+  std::mt19937_64 rng(7);
+  int64_t mapped = 0;
+  int64_t walked_contained = 0;
+  int64_t not_contained = 0;
+  for (int i = 0; i < 600; ++i) {
+    const auto [q1, q2] = RandomPair(rng);
+    if (!AcSolver::IsSatisfiable(q1.comparisons()) ||
+        !AcSolver::IsSatisfiable(q2.comparisons())) {
+      continue;
+    }
+    const Phase2Outcome check = ProductionCheck(q1, q2);
+    const bool reference = CqacContainedCanonical(q1, q2);
+    EXPECT_EQ(check.contained, reference)
+        << q1.ToString() << " vs " << q2.ToString();
+    if (check.decided_by_mapping) {
+      ++mapped;
+      EXPECT_EQ(check.orders_enumerated, 0) << q1.ToString();
+    } else if (reference) {
+      ++walked_contained;
+    } else {
+      ++not_contained;
+    }
+  }
+  EXPECT_GT(mapped, 0);
+  EXPECT_GT(walked_contained, 0);
+  EXPECT_GT(not_contained, 0);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST_P(ContainmentMethodsProperty, FourImplementationsAgree) {
         << a->ToString() << "  vs  " << b->ToString();
     EXPECT_EQ(canonical, testing::CqacContainedNormalized(*a, *b))
         << a->ToString() << "  vs  " << b->ToString();
-    if (CqacContainedSingleMapping(*a, *b)) {
+    if (testing::CqacContainedSingleMapping(*a, *b)) {
       EXPECT_TRUE(canonical)
           << a->ToString() << "  vs  " << b->ToString();
     }

@@ -332,7 +332,7 @@ TEST(ServiceResponseTest, RoundTripsTraceIdAndSchemaV9Counters) {
   const std::string wire = EncodeServiceResponse(in);
   // Schema version, the per-order counter and the top-level trace id are
   // on the wire; the tier fields are gone since v8.
-  EXPECT_NE(wire.find("\"schema_version\": 9"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("\"schema_version\": 10"), std::string::npos) << wire;
   EXPECT_NE(wire.find("\"phase2_orders\": 9"), std::string::npos);
   EXPECT_EQ(wire.find("tier"), std::string::npos);
   EXPECT_EQ(wire.find("grid"), std::string::npos);  // removed in v6

@@ -200,7 +200,7 @@ TEST(ShellTest, RewriteJsonFlagEmitsCounterRecord) {
       "view v(Y,Z) :- r(X), s(Y,Z), Y <= X, X <= Z.\n"
       "query q(A) :- r(A), s(A,A), A <= 8.\n"
       "rewrite json\n");
-  EXPECT_NE(out.find("{\"schema_version\": 9, \"outcome\": \"found\""),
+  EXPECT_NE(out.find("{\"schema_version\": 10, \"outcome\": \"found\""),
             std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_hits\": "), std::string::npos);
   EXPECT_NE(out.find("\"phase1_memo_misses\": "), std::string::npos);
